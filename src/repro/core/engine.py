@@ -16,18 +16,19 @@ Design points, each mapped to a taxonomy category:
   the simulator, so one integer seed pins the whole trajectory.
 * **input data** — an attached :class:`~repro.core.trace.TraceRecorder`
   captures the executed event stream, enabling trace-driven replay.
-* **observability** — dispatch is tiered by what is attached: nothing
-  (one attribute check — the null-object fast path), metrics only
-  (:meth:`Simulator._run_metrics_lite`, which batches instrument updates
-  in locals and samples durations), or any richer facet (the generic
-  observed loop, which times every firing).  Budgets are gated by the
-  ``e11_obs_fleet`` benchmark section.
+* **one dispatch loop** — :meth:`Simulator._fire_until` is the only place
+  events are popped and fired; ``run``, ``step``, the time-driven subclass
+  and the Time Warp executor are thin callers.  Observability is data the
+  loop reads, not a second loop: with nothing attached each firing pays one
+  ``is None`` test, otherwise the binding's ``sample_mask`` picks the
+  firings to time (every one, or 1 in 16 with metrics alone).  Budgets are
+  gated by the ``e11_obs_fleet`` benchmark section.
 """
 
 from __future__ import annotations
 
 import math
-from time import perf_counter_ns
+import sys
 from typing import Any, Callable, Optional
 
 from .errors import SchedulingError, StopSimulation
@@ -83,8 +84,8 @@ class Simulator:
         self.pre_event_hooks: list[Callable[[Event], None]] = []
         #: observability binding (:class:`repro.obs.session.ObsBinding`),
         #: installed by ``Observation.attach``.  Null-object protocol: the
-        #: engine's only disabled-path cost is ``is not None`` checks — one
-        #: per ``schedule_at`` and one per ``run()``/``step()`` entry.
+        #: engine's only disabled-path cost is ``is None`` checks — one per
+        #: ``schedule_at`` and one per firing.
         self._obs = None
 
     # -- clock & identity ------------------------------------------------------
@@ -165,11 +166,6 @@ class Simulator:
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Execute events until the queue drains, *until* passes, or stop.
 
-        The dispatch loop touches the event list exactly **once** per firing
-        via :meth:`~repro.core.queues.base.EventQueue.pop_if_le` — delete-min
-        and the horizon check are fused, so structures whose find-min is a
-        sweep (calendar, ladder) pay for it once instead of twice.
-
         Parameters
         ----------
         until:
@@ -180,233 +176,79 @@ class Simulator:
             Safety valve for runaway models; raises after this many firings
             *within this call* (each ``run()`` gets a fresh budget).
         """
-        if self._obs is not None:
-            return self._run_observed(until, max_events)
-        if self._running:
-            raise SchedulingError("run() is not reentrant")
-        self._running = True
-        self._stopped = False
-        self._stop_reason = ""
-        horizon = math.inf if until is None else until
-        pop_if_le = self._queue.pop_if_le
-        hooks = self.pre_event_hooks
-        fired = 0
-        try:
-            if max_events is None:
-                # Fast path: no budget accounting.  The callback is invoked
-                # directly — pop_if_le never returns a cancelled event, so
-                # Event.fire()'s liveness check (and its extra call frame)
-                # is redundant here.  `hooks` aliases the live list, so
-                # hooks registered mid-run still take effect.  Firings are
-                # counted in a local and published in the finally block:
-                # `events_executed` is a between-runs statistic, not a
-                # mid-event one.
-                while not self._stopped:
-                    ev = pop_if_le(horizon)
-                    if ev is None:
-                        break
-                    self._now = ev.time
-                    fired += 1
-                    if hooks:
-                        for hook in hooks:
-                            hook(ev)
-                    try:
-                        ev.fn(*ev.args, **ev.kwargs)
-                    except StopSimulation as sig:
-                        self._stopped = True
-                        self._stop_reason = sig.reason or "StopSimulation"
-            else:
-                budget = int(max_events)
-                while not self._stopped:
-                    ev = pop_if_le(horizon)
-                    if ev is None:
-                        break
-                    self._now = ev.time
-                    fired += 1
-                    if hooks:
-                        for hook in hooks:
-                            hook(ev)
-                    try:
-                        ev.fn(*ev.args, **ev.kwargs)
-                    except StopSimulation as sig:
-                        self._stopped = True
-                        self._stop_reason = sig.reason or "StopSimulation"
-                    if fired >= budget:
-                        raise SchedulingError(
-                            f"max_events budget of {max_events} exhausted at t={self._now}"
-                        )
-            if until is not None and not self._stopped and self._now < until:
-                self._now = until
-        finally:
-            self._events_executed += fired
-            self._running = False
-
-    def _run_observed(self, until: float | None, max_events: int | None) -> None:
-        """The dispatch loop with observability instrumentation.
-
-        Kept as a separate method so the unobserved :meth:`run` loop stays
-        byte-for-byte the measured fast path.  Semantics are identical —
-        same fused ``pop_if_le`` protocol, same horizon and budget rules,
-        same hook ordering — plus a ``perf_counter_ns`` stamp around each
-        firing feeding the tracer/profiler/telemetry via the binding.
-        """
-        obs = self._obs
-        if (obs.tracer is None and obs.profiler is None
-                and obs.telemetry is None and obs.recorder is None
-                and obs._m_fired is not None
-                and obs._m_handler_ns.bounds is None):
-            return self._run_metrics_lite(until, max_events)
-        if self._running:
-            raise SchedulingError("run() is not reentrant")
-        self._running = True
-        self._stopped = False
-        self._stop_reason = ""
-        horizon = math.inf if until is None else until
-        budget = math.inf if max_events is None else int(max_events)
-        pop_if_le = self._queue.pop_if_le
-        hooks = self.pre_event_hooks
-        fired = 0
-        try:
-            while not self._stopped:
-                ev = pop_if_le(horizon)
-                if ev is None:
-                    break
-                self._now = ev.time
-                fired += 1
-                if hooks:
-                    for hook in hooks:
-                        hook(ev)
-                t0 = obs.begin_fire(ev)
-                try:
-                    ev.fn(*ev.args, **ev.kwargs)
-                except StopSimulation as sig:
-                    self._stopped = True
-                    self._stop_reason = sig.reason or "StopSimulation"
-                finally:
-                    obs.end_fire(ev, t0)
-                if fired >= budget:
-                    raise SchedulingError(
-                        f"max_events budget of {max_events} exhausted at t={self._now}"
-                    )
-            if until is not None and not self._stopped and self._now < until:
-                self._now = until
-        finally:
-            self._events_executed += fired
-            self._running = False
-
-    def _run_metrics_lite(self, until: float | None,
-                          max_events: int | None) -> None:
-        """The dispatch loop when *only* the metrics facet is attached.
-
-        Per-event binding calls would cost more than the two instrument
-        updates they carry, so this loop accumulates the fired count, the
-        summed handler nanoseconds, and the pow-2 duration buckets in
-        locals and folds them into the registry instruments once, on exit
-        (the finally block also runs on StopSimulation and raised
-        handlers, so no firing is ever lost).  The duration histogram
-        *samples* every 16th firing here — the clock pair dominates the
-        loop's added cost — while the fired counter stays exact; a run
-        with telemetry, tracing, or a recorder attached times every
-        firing via the generic loop above instead.  Registry state is
-        authoritative at quiescence, not mid-``run()`` — exactly when the
-        campaign runner dumps it.  The e11 benchmark gates this path at
-        ≤10% overhead over the unobserved loop.
-        """
-        if self._running:
-            raise SchedulingError("run() is not reentrant")
-        self._running = True
-        self._stopped = False
-        self._stop_reason = ""
-        horizon = math.inf if until is None else until
-        budget = math.inf if max_events is None else int(max_events)
-        pop_if_le = self._queue.pop_if_le
-        hooks = self.pre_event_hooks
-        obs = self._obs
-        clock = perf_counter_ns
-        # 64 pow-2 buckets; a nanosecond duration's bit length can never
-        # exceed 63 (that would be a 292-year handler), so no clamp needed.
-        counts = [0] * len(obs._m_handler_ns.counts)
-        dur_sum = 0
-        fired = 0
-        try:
-            while not self._stopped:
-                ev = pop_if_le(horizon)
-                if ev is None:
-                    break
-                self._now = ev.time
-                fired += 1
-                if hooks:
-                    for hook in hooks:
-                        hook(ev)
-                if fired & 15:
-                    # Untimed firing (15 of every 16): the clock pair and
-                    # bucket fold cost more than everything else this loop
-                    # adds, so the duration histogram samples each 16th
-                    # firing instead of paying that on every event.
-                    try:
-                        ev.fn(*ev.args, **ev.kwargs)
-                    except StopSimulation as sig:
-                        self._stopped = True
-                        self._stop_reason = sig.reason or "StopSimulation"
-                else:
-                    t0 = clock()
-                    try:
-                        ev.fn(*ev.args, **ev.kwargs)
-                    except StopSimulation as sig:
-                        self._stopped = True
-                        self._stop_reason = sig.reason or "StopSimulation"
-                    dur = clock() - t0
-                    dur_sum += dur
-                    counts[dur.bit_length()] += 1
-                if fired >= budget:
-                    raise SchedulingError(
-                        f"max_events budget of {max_events} exhausted at t={self._now}"
-                    )
-            if until is not None and not self._stopped and self._now < until:
-                self._now = until
-        finally:
-            self._events_executed += fired
-            self._running = False
-            if fired:
-                obs._m_fired.value += float(fired)
-                h = obs._m_handler_ns
-                # A handler that raised clean out of run() misses its
-                # bucket; count from the buckets keeps the histogram
-                # internally consistent, the counter still sees `fired`.
-                h.count += sum(counts)
-                h.sum += float(dur_sum)
-                hist_counts = h.counts
-                for i, n in enumerate(counts):
-                    if n:
-                        hist_counts[i] += n
+        budget = sys.maxsize if max_events is None else int(max_events)
+        if self._fire_until(math.inf if until is None else until,
+                            budget) >= budget:
+            raise SchedulingError(
+                f"max_events budget of {max_events} exhausted at t={self._now}"
+            )
+        if until is not None and not self._stopped and self._now < until:
+            self._now = until
 
     def step(self) -> bool:
         """Fire exactly one event.  Returns False when the queue is empty."""
-        ev = self._queue.pop()
-        if ev is None:
-            return False
-        self._now = ev.time
-        self._events_executed += 1
-        if self.pre_event_hooks:
-            for hook in self.pre_event_hooks:
-                hook(ev)
+        return self._fire_until(math.inf, 1) == 1
+
+    def _fire_until(self, horizon: float, limit: int) -> int:
+        """The dispatch loop: fire events at ``t <= horizon``, at most *limit*.
+
+        Every advancement discipline is a caller of this one method —
+        :meth:`run`, :meth:`step` (``limit=1``), the time-driven subclass
+        (one call per tick) and the Time Warp executor (``limit=1`` per
+        speculative firing).  Each firing touches the event list exactly
+        **once**: ``pop_if_le`` fuses delete-min with the horizon check,
+        and never returns a cancelled event, so the callback is invoked
+        directly rather than through ``Event.fire()``.
+
+        Observability is data, not a second loop: the binding's
+        ``sample_mask`` picks the firings to time (0 = all, 15 = every
+        16th), counted over the simulator's lifetime so the cadence
+        survives many short calls.  The firing count lives in a local and
+        is published — to ``events_executed`` and to the binding — once, on
+        exit: both are between-runs statistics, not mid-event ones.
+
+        A call refuses to nest inside a handler and starts un-stopped, so
+        afterwards ``_stopped`` says whether *this* call was stopped.
+        Returns the number of events it fired.
+        """
+        if self._running:
+            raise SchedulingError("run() is not reentrant")
+        self._stopped = False
+        self._stop_reason = ""
+        pop_if_le = self._queue.pop_if_le
+        hooks = self.pre_event_hooks  # aliases the live list
         obs = self._obs
-        if obs is None:
-            try:
-                ev.fire()
-            except StopSimulation as sig:
-                self._stopped = True
-                self._stop_reason = sig.reason or "StopSimulation"
-            return True
-        t0 = obs.begin_fire(ev)
+        mask = 0 if obs is None else obs.sample_mask
+        first = n = self._events_executed
+        last = first + limit
+        self._running = True
         try:
-            ev.fire()
+            while n < last and not self._stopped:
+                ev = pop_if_le(horizon)
+                if ev is None:
+                    break
+                self._now = ev.time
+                n += 1
+                if hooks:
+                    for hook in hooks:
+                        hook(ev)
+                if obs is None or n & mask:
+                    ev.fn(*ev.args, **ev.kwargs)
+                else:
+                    t0 = obs.begin_fire(ev)
+                    try:
+                        ev.fn(*ev.args, **ev.kwargs)
+                    finally:
+                        obs.end_fire(ev, t0)
         except StopSimulation as sig:
             self._stopped = True
             self._stop_reason = sig.reason or "StopSimulation"
         finally:
-            obs.end_fire(ev, t0)
-        return True
+            self._running = False
+            self._events_executed = n
+            if obs is not None:
+                obs.fold_fired(n - first)
+        return n - first
 
     def stop(self, reason: str = "") -> None:
         """Request the run loop to end after the current event."""

@@ -55,7 +55,7 @@ from heapq import heappop, heappush
 from time import perf_counter
 from typing import Optional, Sequence
 
-from .errors import ConfigurationError, SchedulingError, StopSimulation
+from .errors import ConfigurationError, SchedulingError
 from .events import Event, Priority
 from .parallel import (Channel, ExecutionStats, LogicalProcess, Message,
                        _collect_stats, _validate_horizon)
@@ -385,37 +385,12 @@ class OptimisticExecutor:
     def _fire_one(self, rt: _Runtime, bound: float) -> None:
         lp = rt.lp
         sim = lp.sim
-        ev = sim._queue.pop_if_le(bound)
-        if ev is None:  # pragma: no cover - guarded by the caller's peek
-            return
-        sim._now = ev.time
-        sim._events_executed += 1
-        lp.events_executed_total += 1
-        rt.fired_since_snapshot += 1
-        hooks = sim.pre_event_hooks
-        if hooks:
-            for hook in hooks:
-                hook(ev)
-        obs = sim._obs
-        try:
-            if obs is None:
-                ev.fn(*ev.args, **ev.kwargs)
-            else:
-                t0 = obs.begin_fire(ev)
-                try:
-                    ev.fn(*ev.args, **ev.kwargs)
-                finally:
-                    obs.end_fire(ev, t0)
-        except StopSimulation as sig:
+        fired = sim._fire_until(bound, 1)
+        lp.events_executed_total += fired
+        rt.fired_since_snapshot += fired
+        if sim._stopped:  # by stop() or StopSimulation alike
             raise ConfigurationError(
-                f"StopSimulation ({sig.reason!r}) inside an optimistic run: "
-                f"stop() cannot be rolled back; bound the run with `until` "
-                f"instead") from sig
-        if sim._stopped:
-            # stop() only sets a flag; surface it with the same verdict.
-            sim._stopped = False
-            raise ConfigurationError(
-                f"stop() ({sim._stop_reason!r}) inside an optimistic run: "
+                f"stop ({sim._stop_reason!r}) inside an optimistic run: "
                 f"a stop cannot be rolled back; bound the run with `until` "
                 f"instead")
 

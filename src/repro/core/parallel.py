@@ -324,17 +324,13 @@ class LogicalProcess:
         for ch in self.inputs.values():
             ready.extend(ch.take_ready(up_to))
         ready.sort(key=lambda m: m.order_key)
-        obs = self.sim._obs
-        if obs is None:
-            for msg in ready:
-                self.sim.schedule_at(
-                    max(msg.recv_time, self.sim.now), self._dispatch, msg,
-                    priority=Priority.HIGH, label=f"recv:{msg.kind}")
-        else:
-            for msg in ready:
-                ev = self.sim.schedule_at(
-                    max(msg.recv_time, self.sim.now), self._dispatch, msg,
-                    priority=Priority.HIGH, label=f"recv:{msg.kind}")
+        sim = self.sim
+        obs = sim._obs
+        for msg in ready:
+            ev = sim.schedule_at(
+                max(msg.recv_time, sim.now), self._dispatch, msg,
+                priority=Priority.HIGH, label=f"recv:{msg.kind}")
+            if obs is not None:
                 # Graft the sender's firing span onto the dispatch event —
                 # the cross-LP leg of the causal chain.
                 obs.on_message_recv(msg, ev)

@@ -18,14 +18,18 @@ spacing but keep their order).
 from __future__ import annotations
 
 import math
+import sys
 from typing import Any, Callable
 
 from .engine import Simulator
-from .errors import SchedulingError, StopSimulation
+from .errors import SchedulingError
 from .events import Event, Priority
 from .queues import EventQueue
 
 __all__ = ["TimeDrivenSimulator"]
+
+#: float slop absorbed when comparing a time against a tick boundary
+_SLOP = 1e-12
 
 
 class TimeDrivenSimulator(Simulator):
@@ -60,7 +64,7 @@ class TimeDrivenSimulator(Simulator):
 
     def _quantize(self, time: float) -> float:
         """Round *time* up to the next tick boundary."""
-        k = math.ceil((time - 1e-12) / self.tick)
+        k = math.ceil((time - _SLOP) / self.tick)
         return k * self.tick
 
     def schedule_at(
@@ -72,7 +76,14 @@ class TimeDrivenSimulator(Simulator):
         label: str = "",
         **kwargs: Any,
     ) -> Event:
-        """Schedule at *time*, quantized up to the next tick boundary."""
+        """Schedule at *time* (>= now), quantized up to the next tick boundary."""
+        if math.isnan(time):
+            raise SchedulingError("cannot schedule event at NaN time")
+        if time < self._now - _SLOP:
+            raise SchedulingError(
+                f"cannot schedule event in the past (t={time} < now={self._now})"
+            )
+        # A time within the slop below `now` quantizes to `now`'s own tick.
         qt = max(self._quantize(time), self._now)
         if qt > self._latest_scheduled:
             self._latest_scheduled = qt
@@ -85,62 +96,32 @@ class TimeDrivenSimulator(Simulator):
 
         Unlike the event-driven parent, the loop cost is proportional to the
         number of *ticks* in the horizon, not the number of events: an empty
-        tick still costs one iteration.  ``until`` defaults to the time of
-        the last scheduled event (rounded up) so a bounded run terminates.
+        tick still costs one call of the kernel's dispatch loop.  ``until``
+        defaults to the time of the last scheduled event (rounded up) so a
+        bounded run terminates.
         """
         auto_horizon = until is None
         if auto_horizon:
             if math.isinf(self.peek_time()):
                 return
             until = self._latest_scheduled
-        budget = math.inf if max_events is None else int(max_events)
+        budget = sys.maxsize if max_events is None else int(max_events)
         fired = 0
-        self._stopped = False
-        self._stop_reason = ""
-        pop_if_le = self._queue.pop_if_le
-        obs = self._obs
         # Integer tick index avoids additive float drift over long runs.
-        k = math.ceil((self._now - 1e-12) / self.tick)
-        try:
-            while (t := k * self.tick) <= until + 1e-12 and not self._stopped:
-                self._now = t
-                self._ticks_stepped += 1
-                # Fire everything quantized to this boundary, in priority
-                # order; the fused pop_if_le makes each firing a single
-                # queue touch.
-                while True:
-                    ev = pop_if_le(t + 1e-12)
-                    if ev is None:
-                        break
-                    fired += 1
-                    if self.pre_event_hooks:
-                        for hook in self.pre_event_hooks:
-                            hook(ev)
-                    if obs is None:
-                        try:
-                            ev.fire()
-                        except StopSimulation as sig:
-                            self._stopped = True
-                            self._stop_reason = sig.reason or "StopSimulation"
-                            break
-                    else:
-                        t0 = obs.begin_fire(ev)
-                        try:
-                            ev.fire()
-                        except StopSimulation as sig:
-                            self._stopped = True
-                            self._stop_reason = sig.reason or "StopSimulation"
-                            break
-                        finally:
-                            obs.end_fire(ev, t0)
-                    if fired >= budget:
-                        raise SchedulingError(
-                            f"max_events budget of {max_events} exhausted at t={self._now}"
-                        )
-                if auto_horizon and self._latest_scheduled > until:
-                    until = self._latest_scheduled  # model extended horizon
-                k += 1
-        finally:
-            self._events_executed += fired
-        if not self._stopped and until is not None and self._now < until:
+        k = math.ceil((self._now - _SLOP) / self.tick)
+        while (t := k * self.tick) <= until + _SLOP:
+            self._now = t
+            self._ticks_stepped += 1
+            # Everything quantized to this boundary, in priority order.
+            fired += self._fire_until(t + _SLOP, budget - fired)
+            if fired >= budget:
+                raise SchedulingError(
+                    f"max_events budget of {max_events} exhausted at t={self._now}"
+                )
+            if self._stopped:
+                return
+            if auto_horizon and self._latest_scheduled > until:
+                until = self._latest_scheduled  # model extended horizon
+            k += 1
+        if self._now < until:
             self._now = until

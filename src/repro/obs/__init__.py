@@ -19,9 +19,10 @@ processes) and get
 * **exports** — Chrome trace-event JSON (load it in Perfetto), CSV
   metrics, and markdown hot-spot tables (:mod:`repro.obs.export`).
 
-Disabled cost is a single attribute check in the kernel — measured by the
-``obs_overhead`` scenario in ``benchmarks/bench_kernel_hotpath.py`` and the
-``e11_obs_fleet`` baseline section (disabled ≤2%, metrics-only ≤10%).
+Disabled cost is one ``is None`` test per scheduled and per fired event —
+measured by the ``obs_overhead`` scenario in
+``benchmarks/bench_kernel_hotpath.py`` and the ``e11_obs_fleet`` baseline
+section (disabled ≤2%, metrics-only ≤10%).
 """
 
 from .export import (chrome_trace, metrics_csv, profile_csv,

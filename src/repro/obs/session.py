@@ -15,10 +15,12 @@ Mechanics
 ---------
 :meth:`attach` installs an :class:`ObsBinding` as ``sim._obs``.  The kernel
 treats that attribute as a null object: when it is ``None`` (the default)
-the engine's fast dispatch loop runs untouched and scheduling pays exactly
-one attribute check; when set, the engine switches to an instrumented loop
-that stamps ``perf_counter_ns`` around every firing and maintains the
-*current firing span* that gives scheduled children their causal parent.
+the engine's dispatch loop pays one ``is None`` test per firing and
+scheduling one attribute check; when set, the same loop brackets each
+*timed* firing (all of them, or every 16th — see ``sample_mask``) with
+:meth:`ObsBinding.begin_fire` / :meth:`ObsBinding.end_fire`, which stamp
+``perf_counter_ns`` and maintain the *current firing span* that gives
+scheduled children their causal parent.
 
 One :class:`Observation` may observe many simulators (the distributed
 executors run one per logical process) — each gets its own binding/track,
@@ -33,7 +35,7 @@ from typing import Any, Optional
 from ..core.queues import AdaptiveQueue
 from .export import (chrome_trace, metrics_csv, profile_markdown,
                      write_chrome_trace)
-from .metrics import POW2_BUCKET_MAX_EXP, Registry
+from .metrics import Registry
 from .profiler import HandlerProfiler
 from .recorder import FlightRecorder
 from .spans import EventSpan
@@ -53,7 +55,7 @@ class ObsBinding:
     """
 
     __slots__ = ("obs", "sim", "track", "tracer", "profiler", "telemetry",
-                 "metrics", "recorder", "current",
+                 "metrics", "recorder", "current", "sample_mask",
                  "_m_sched", "_m_fired", "_m_handler_ns", "_m_rollbacks",
                  "_m_rolled_back", "_m_reallocs", "_m_migrations",
                  "_m_gvt", "_m_gvt_rounds",
@@ -116,6 +118,14 @@ class ObsBinding:
         #: span of the event whose handler is executing right now — the
         #: causal parent of anything scheduled during that window.
         self.current: Optional[EventSpan] = None
+        #: which firings the dispatch loop brackets with begin/end_fire:
+        #: those whose lifetime ordinal ``n`` has ``n & sample_mask == 0``.
+        #: Tracing, profiling, telemetry and the recorder need every firing
+        #: (mask 0); with metrics alone the clock pair would dominate the
+        #: loop's added cost, so the duration histogram samples 1 in 16.
+        self.sample_mask = 15 if (
+            self.tracer is None and self.profiler is None
+            and self.telemetry is None and self.recorder is None) else 0
 
     # -- engine hooks --------------------------------------------------------
 
@@ -150,22 +160,21 @@ class ObsBinding:
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.on_event(self.sim)
-        m = self._m_fired
-        if m is not None:
-            m.value += 1.0
-            # Inlined Histogram.observe: dur is an int of nanoseconds, so
-            # the pow-2 bucket index is its bit length (kept in sync with
-            # metrics.Histogram — the e11 bench gates this path at <=10%).
-            h = self._m_handler_ns
-            h.count += 1
-            h.sum += dur
-            idx = dur.bit_length()
-            h.counts[idx if idx <= POW2_BUCKET_MAX_EXP
-                     else POW2_BUCKET_MAX_EXP + 1] += 1
+        h = self._m_handler_ns
+        if h is not None:
+            h.observe(dur)
         recorder = self.recorder
         if recorder is not None:
             recorder.ring.append(
                 (self.track, ev.time, ev.fn, len(self.sim._queue)))
+
+    def fold_fired(self, fired: int) -> None:
+        """The dispatch loop returned after *fired* firings (exact, even
+        when durations are sampled); the registry is therefore
+        authoritative between runs, not mid-run."""
+        m = self._m_fired
+        if m is not None:
+            m.value += fired
 
     # -- layer hooks (processes, transfers, cross-LP messages) ---------------
 

@@ -203,3 +203,79 @@ def test_pop_if_le_horizon_boundary(kind):
     assert sim.pending == 1
     sim.run()
     assert seen == [1, 2, 3]
+
+
+# -- the thin callers of the one dispatch loop --------------------------------
+
+def _stepping(make):
+    """Wrap a simulator factory so that ``run()`` drains through ``step()``."""
+
+    def factory(queue="heap", seed=0):
+        sim = make(queue=queue, seed=seed)
+
+        def run(until=None):
+            horizon = math.inf if until is None else until
+            while sim.peek_time() <= horizon and sim.step():
+                pass
+            if until is not None and sim.now < until:
+                sim._now = until
+
+        sim.run = run
+        return sim
+
+    return factory
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["plain", "full-obs"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_step_drain_identical_to_run_drain(kind, observed):
+    """step() is run() one event at a time: same trace, clock and count."""
+    make = (_observed_sim_factory(trace=True, profile=True, telemetry=True)
+            if observed else Simulator)
+    assert (_run_reference_model(_stepping(make), kind)
+            == _run_reference_model(make, kind)
+            == _run_reference_model(LegacyPeekPopSimulator, kind))
+
+
+def _time_driven(queue="heap", seed=0):
+    from repro.core import TimeDrivenSimulator
+    return TimeDrivenSimulator(tick=1.0, queue=queue, seed=seed)
+
+
+@pytest.mark.parametrize("make", [
+    Simulator,
+    _observed_sim_factory(trace=False, profile=False, telemetry=False,
+                          metrics=True),
+    _observed_sim_factory(metrics=True, recorder=8),
+    _time_driven,
+], ids=["plain", "metrics-only", "full-obs", "time-driven"])
+def test_max_events_equal_to_pending_still_raises(make):
+    """Pinned: the budget check follows the Nth firing, drained or not."""
+    sim = make(queue="heap", seed=0)
+    fired = []
+    for i in range(20):
+        sim.schedule_at(float(i), fired.append, i)
+    with pytest.raises(SchedulingError, match="budget of 20 exhausted"):
+        sim.run(max_events=20)
+    assert fired == list(range(20))
+    assert sim.events_executed == 20 and sim.now == 19.0 and sim.pending == 0
+
+
+@pytest.mark.parametrize("stopper", ["stop", "StopSimulation"])
+def test_stop_inside_optimistic_run_is_a_configuration_error(stopper):
+    from repro.core import ConfigurationError
+    from repro.core.optimistic import OptimisticExecutor
+    from repro.core.parallel import LogicalProcess
+
+    def bail(sim):
+        if stopper == "stop":
+            sim.stop("bail")
+        else:
+            raise StopSimulation("bail")
+
+    a, b = LogicalProcess("A"), LogicalProcess("B")
+    a.connect(b, 1.0)
+    b.connect(a, 1.0)
+    a.sim.schedule(1.0, bail, a.sim)
+    with pytest.raises(ConfigurationError, match="'bail'.*rolled back"):
+        OptimisticExecutor().run([a, b], until=10.0)

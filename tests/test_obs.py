@@ -695,3 +695,31 @@ class TestMetricsLiteLoop:
             sim.run(max_events=10)
         assert obs.metrics.value(
             "repro_events_fired_total", track="t0") == 10.0
+
+    @pytest.mark.parametrize("executor",
+                             ["sequential", "cmb", "window", "optimistic"])
+    def test_sampling_cadence_survives_many_short_runs(self, executor):
+        """The 1-in-16 cadence counts lifetime firings, not per-call ones.
+
+        Executors drive each LP through many short ``run()`` calls (the
+        optimistic one through single firings); a cadence that restarted
+        per call sampled none of them — or all.
+        """
+        from repro.core.optimistic import OptimisticExecutor
+        from repro.core.parallel import CMBExecutor, WindowExecutor
+        from repro.workloads.partitioned import build_partitioned_ring
+
+        factory = {"sequential": SequentialExecutor, "cmb": CMBExecutor,
+                   "window": WindowExecutor,
+                   "optimistic": OptimisticExecutor}[executor]
+        ring = build_partitioned_ring(k=4, jobs_per_site=40, horizon=200.0)
+        obs = self._lite_obs().attach_lps(ring.lps)
+        factory().run(ring.lps, until=200.0)
+        for lp in ring.lps:
+            fired = lp.sim.events_executed
+            assert fired > 160
+            assert obs.metrics.value("repro_events_fired_total",
+                                     track=lp.name) == fired
+            hist = obs.metrics.histogram("repro_handler_duration_ns",
+                                         track=lp.name)
+            assert hist.count == fired // 16

@@ -90,6 +90,40 @@ class TestStepping:
         sim.run()
         assert fired == [] and sim.stop_reason == "halt"
 
+    def test_stop_takes_effect_before_next_event_of_same_tick(self):
+        sim = TimeDrivenSimulator(tick=1.0)
+        fired = []
+        sim.schedule_at(2.0, lambda: sim.stop("halt"))
+        sim.schedule_at(2.0, lambda: fired.append(2))
+        sim.run()
+        assert fired == [] and sim.stop_reason == "halt" and sim.pending == 1
+
+    def test_run_from_a_handler_is_rejected(self):
+        sim = TimeDrivenSimulator(tick=1.0)
+        sim.schedule_at(1.0, sim.run)
+        sim.schedule_at(2.0, lambda: None)
+        with pytest.raises(SchedulingError, match="not reentrant"):
+            sim.run()
+
+
+class TestScheduleValidation:
+    def test_past_time_rejected_not_clamped(self):
+        sim = TimeDrivenSimulator(tick=1.0)
+        sim.run(until=5.0)
+        with pytest.raises(SchedulingError, match="in the past"):
+            sim.schedule_at(2.0, lambda: None)
+        assert sim.pending == 0
+
+    def test_time_within_slop_of_now_lands_on_now(self):
+        sim = TimeDrivenSimulator(tick=1.0)
+        sim.run(until=5.0)
+        assert sim.schedule_at(5.0 - 1e-13, lambda: None).time == 5.0
+
+    def test_nan_rejected_like_the_base_class(self):
+        sim = TimeDrivenSimulator(tick=1.0)
+        with pytest.raises(SchedulingError, match="NaN"):
+            sim.schedule_at(float("nan"), lambda: None)
+
 
 class TestEquivalence:
     def test_same_model_same_aggregate_results(self):
