@@ -1,12 +1,11 @@
 """E7 baseline collector — committed-events/sec for every executor.
 
 Runs the shared partitioned-ring model (``repro.workloads.partitioned``)
-under all five executors and records the protocol-level accounting that
+under all four executors and records the protocol-level accounting that
 belongs in ``BENCH_kernel.json``: committed events per wall second, the
 optimism waste (rollbacks, anti-messages, efficiency), and CMB's
 null-message overhead.  ``run_kernel_baseline.py --section e7`` merges the
-result into the baseline file without disturbing the kernel hot-path
-numbers.
+result into the baseline file without disturbing the other sections.
 
 The committed streams are cross-checked against sequential execution while
 collecting — a baseline refresh that silently recorded a divergent
@@ -32,7 +31,6 @@ EXECUTORS = {
     "sequential": SequentialExecutor,
     "cmb": CMBExecutor,
     "window": WindowExecutor,
-    "window-4threads": lambda: WindowExecutor(threads=4),
     "optimistic": OptimisticExecutor,
 }
 

@@ -12,12 +12,9 @@ forwarded to the neighbour).  Swept: executor x partition count x
 lookahead, now covering both halves of the synchronization axis —
 conservative (CMB, windows) *and* optimistic (Time Warp).  Shape targets:
 all executors commit identical results; CMB's null-message count scales
-~1/lookahead; threaded windows buy no wall-clock in CPython (the GIL is
-this decade's version of the paper's verdict); Time Warp really rolls back
-and still commits the sequential stream.
+~1/lookahead; Time Warp really rolls back and still commits the
+sequential stream.
 """
-
-import time
 
 import pytest
 
@@ -45,7 +42,6 @@ EXECUTORS = {
     "sequential": lambda: SequentialExecutor(),
     "cmb": lambda: CMBExecutor(),
     "window": lambda: WindowExecutor(),
-    "window-4threads": lambda: WindowExecutor(threads=4),
     "optimistic": lambda: OptimisticExecutor(),
 }
 
@@ -80,22 +76,12 @@ def test_e7_shape_claims(benchmark):
             model = build(4, lookahead=la)
             nulls[la] = CMBExecutor().run(model.lps,
                                           until=HORIZON).null_messages
-        # 3) wall-clock: windowed threads vs sequential
-        walls = {}
-        for name in ("sequential", "window", "window-4threads"):
-            t0 = time.perf_counter()
-            model = build(8, lookahead=1.0)
-            EXECUTORS[name]().run(model.lps, until=HORIZON)
-            walls[name] = time.perf_counter() - t0
-        return logs, rollbacks, nulls, walls
+        return logs, rollbacks, nulls
 
-    logs, rollbacks, nulls, walls = once(benchmark, run_all)
+    logs, rollbacks, nulls = once(benchmark, run_all)
     print_table("E7: CMB null messages vs lookahead (K=4)",
                 ["lookahead", "null messages"],
                 [(la, n) for la, n in sorted(nulls.items(), reverse=True)])
-    print_table("E7b: wall seconds, K=8 partitioned grid",
-                ["executor", "seconds"],
-                [(n, f"{s:.3f}") for n, s in sorted(walls.items())])
     print_table("E7c: Time Warp rollbacks (K=4)",
                 ["executor", "rollbacks"],
                 sorted(rollbacks.items()))
@@ -110,5 +96,3 @@ def test_e7_shape_claims(benchmark):
     assert rollbacks["optimistic"] >= 1
     # The null-message curse: overhead grows as lookahead shrinks.
     assert nulls[0.125] > nulls[2.0]
-    # The paper's verdict, CPython edition: real threads buy nothing here.
-    assert walls["window-4threads"] > 0.5 * walls["window"]

@@ -17,7 +17,8 @@ import pytest
 from conftest import once, print_table
 
 from repro.core import Simulator
-from repro.hosts import MachineFailureInjector, SpaceSharedMachine
+from repro.faults import CorrelatedFaultInjector, FaultGraph
+from repro.hosts import SpaceSharedMachine
 
 N_JOBS = 20
 JOB_MI = 600.0
@@ -28,15 +29,16 @@ def run(mtbf: float | None, policy: str, seed: int = 11) -> tuple[float, float]:
     """Returns (makespan, availability)."""
     sim = Simulator(seed=seed)
     m = SpaceSharedMachine(sim, pes=2, rating=100.0, restart_policy=policy)
-    inj = None
     if mtbf is not None:
-        inj = MachineFailureInjector(sim, m, sim.stream("fail"),
-                                     mtbf=mtbf, mttr=MTTR, horizon=100_000.0)
+        graph = FaultGraph(sim)
+        graph.add_host("m", m)
+        CorrelatedFaultInjector(sim, graph, sim.streams.spawn("fail"),
+                                mtbf=mtbf, mttr=MTTR, horizon=100_000.0)
     runs = [m.submit(JOB_MI) for _ in range(N_JOBS)]
     sim.run()
     assert all(r.finished is not None for r in runs)
     makespan = max(r.finished for r in runs)
-    return makespan, (inj.availability if inj else 1.0)
+    return makespan, m.availability
 
 
 @pytest.mark.parametrize("policy", ["checkpoint", "restart"])

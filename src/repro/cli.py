@@ -101,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
         "executors",
         help="run the partitioned-ring model under the distributed executors")
     p_ex.add_argument("--executor", default="all",
-                      choices=("sequential", "cmb", "window",
-                               "window-threaded", "optimistic", "all"),
+                      choices=("sequential", "cmb", "window", "optimistic",
+                               "all"),
                       help="which synchronization protocol (default: all, "
                            "which also cross-checks committed streams)")
     p_ex.add_argument("--sites", type=int, default=4,
@@ -381,7 +381,6 @@ def _cmd_executors(args) -> int:
         "sequential": SequentialExecutor,
         "cmb": CMBExecutor,
         "window": WindowExecutor,
-        "window-threaded": lambda: WindowExecutor(threads=4),
         "optimistic": lambda: OptimisticExecutor(
             batch=args.batch, checkpoint_every=args.checkpoint_every,
             throttle=args.throttle),

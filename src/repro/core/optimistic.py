@@ -179,7 +179,7 @@ class OptimisticExecutor:
                 if gvt > until:
                     break
                 # GVT is a global quantity: notify one binding per round
-                # (bindings of one Observation share telemetry/metrics).
+                # (bindings of one Observation share the metrics registry).
                 for lp in self._lps:
                     obs = lp.sim._obs
                     if obs is not None:

@@ -23,9 +23,13 @@ lets benchmark E7 measure *why*, on real protocols:
       failure mode.
   :class:`WindowExecutor`
       Synchronous-window ("YAWNS"-style) conservative execution: per epoch,
-      all events in ``[W, W + lookahead)`` are independent and may run
-      concurrently — optionally on a real thread pool, which also
-      demonstrates the GIL-bound ceiling of threaded Python DES.
+      all events in ``[W, W + lookahead)`` are independent, so the LPs
+      advance through the window in any order and exchange messages at
+      the barrier.
+
+Every executor runs one LP at a time on one OS thread: CPython's GIL makes
+a thread pool over the window strictly slower than the in-line loop
+(EXPERIMENTS.md E7), so real intra-run parallelism needs processes.
 
 The optimistic half of the axis — Jefferson's Time Warp, with rollback,
 anti-messages, and GVT-keyed fossil collection — lives in
@@ -40,8 +44,6 @@ All executors are deterministic: cross-LP message merge order is fixed by
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Optional, Sequence
@@ -132,9 +134,6 @@ class Channel:
         self.pending: list[Message] = []
         self.messages_sent = 0
         self.nulls_sent = 0
-        # Guards `pending` against the threaded WindowExecutor, where the
-        # source appends while the destination drains.
-        self._lock = threading.Lock()
 
     def send(self, msg: Message) -> None:
         """Accept a message, enforcing the channel-clock promise."""
@@ -148,16 +147,14 @@ class Channel:
         else:
             self.messages_sent += 1
             self.clock = max(self.clock, msg.recv_time)
-            with self._lock:
-                self.pending.append(msg)
+            self.pending.append(msg)
 
     def take_ready(self, up_to: float) -> list[Message]:
-        """Atomically remove and return messages with recv_time <= up_to."""
-        with self._lock:
-            ready = [m for m in self.pending if m.recv_time <= up_to + 1e-12]
-            if ready:
-                self.pending = [m for m in self.pending
-                                if m.recv_time > up_to + 1e-12]
+        """Remove and return messages with recv_time <= up_to."""
+        ready = [m for m in self.pending if m.recv_time <= up_to + 1e-12]
+        if ready:
+            self.pending = [m for m in self.pending
+                            if m.recv_time > up_to + 1e-12]
         return ready
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -504,20 +501,16 @@ class CMBExecutor:
 
 
 class WindowExecutor:
-    """Synchronous conservative windows; optional thread-pool parallelism.
+    """Synchronous conservative windows.
 
     Epoch protocol: let ``W`` be the globally earliest pending timestamp and
     ``L`` the minimum lookahead over all channels.  Every event in
     ``[W, W+L)`` is causally independent across LPs (any cross-LP influence
-    needs >= L of propagation), so all LPs may process that window
-    concurrently, then exchange messages at a barrier.
+    needs >= L of propagation), so the LPs process that window in any
+    order, then exchange messages at a barrier.
     """
 
     name = "window"
-
-    def __init__(self, threads: int | None = None) -> None:
-        #: None = run LPs in-line (no pool); N = real ThreadPoolExecutor(N).
-        self.threads = threads
 
     def run(self, lps: Sequence[LogicalProcess], until: float) -> ExecutionStats:
         _validate_horizon(lps, until)
@@ -525,22 +518,14 @@ class WindowExecutor:
         lookaheads = [ch.lookahead for lp in lps for ch in lp.outputs.values()]
         min_la = min(lookaheads) if lookaheads else math.inf
         epochs = 0
-        pool = ThreadPoolExecutor(self.threads) if self.threads else None
-        try:
-            while True:
-                w = min((lp.next_event_time() for lp in lps), default=math.inf)
-                if w > until:
-                    break
-                horizon = min(until, w + min_la * 0.999999) if math.isfinite(min_la) else until
-                epochs += 1
-                if pool is not None:
-                    list(pool.map(lambda lp: lp.advance(horizon), lps))
-                else:
-                    for lp in lps:
-                        lp.advance(horizon)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+        while True:
+            w = min((lp.next_event_time() for lp in lps), default=math.inf)
+            if w > until:
+                break
+            horizon = min(until, w + min_la * 0.999999) if math.isfinite(min_la) else until
+            epochs += 1
+            for lp in lps:
+                lp.advance(horizon)
         for lp in lps:
             lp.advance(until)
         stats = _collect_stats(self.name, lps, epochs)

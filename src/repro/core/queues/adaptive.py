@@ -29,7 +29,7 @@ the differential fuzzer with a small-window variant so migrations happen
 mid-sequence.  Counters (``migrations``, ``migrated_events``, the last
 sampled ``profile``) are public; when an :class:`~repro.obs.Observation`
 is attached to the owning simulator it wires :attr:`on_migrate` so the
-telemetry snapshot and the Chrome trace record each switch.
+metrics registry and the Chrome trace record each switch.
 """
 
 from __future__ import annotations

@@ -107,8 +107,11 @@ class CorrelatedFaultInjector:
 
     def _crash(self, name: str) -> None:
         if self.graph.is_down(name):
-            # Externally failed (or a stale event): never stack a second
-            # outage cycle — whoever opened the fault owns its repair.
+            # Held down by someone else (an external fail(), a cascaded
+            # site outage): never stack a second outage cycle — whoever
+            # opened the fault owns its repair — but keep this target's
+            # renewal process alive.
+            self._arm(name)
             return
         ttr = self._ttr[name].exponential(self._mttr[name])
         self.graph.fail(name, repair_eta=self.sim.now + ttr)

@@ -10,12 +10,10 @@ from .aggregate import aggregate_machines, coarsen_grid
 from .cpu import JobRun, Machine, SpaceSharedMachine, TimeSharedMachine
 from .load import NetworkCrossTraffic, RandomBurstLoad, SquareWaveLoad
 from .site import Grid, Site, central_grid, tier_grid
-from .failures import MachineFailureInjector
 from .storage import Disk, MassStorage, StorageManager
 
 __all__ = [
     "aggregate_machines",
-    "MachineFailureInjector",
     "coarsen_grid",
     "JobRun",
     "Machine",

@@ -38,9 +38,8 @@ were built to avoid.  This engine instead:
 ``incremental=False`` retains the full progressive-filling engine (global
 recompute, full reschedule, no coalescing) as the verification reference
 and churn baseline; ``verify=True`` cross-checks every incremental update
-against it.  Per-network counters in :attr:`FlowNetwork.sharing` (and, when
-a :mod:`repro.obs` session is attached, run telemetry) account for the
-saved work.
+against it.  Per-network counters in :attr:`FlowNetwork.sharing` account
+for the saved work.
 
 A flow's data starts moving after the route's propagation latency; the
 returned :class:`FlowHandle` completes when the last byte arrives.
@@ -450,7 +449,7 @@ class FlowNetwork:
         stats.preserved += preserved
         obs = self.sim._obs
         if obs is not None:
-            obs.on_reallocate(len(flows), rescheduled, preserved)
+            obs.on_reallocate()
 
     def _verify_against_reference(self) -> None:
         """Assert stored rates match the full progressive-filling reference.

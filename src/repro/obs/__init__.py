@@ -20,15 +20,13 @@ processes) and get
   metrics, and markdown hot-spot tables (:mod:`repro.obs.export`).
 
 Disabled cost is one ``is None`` test per scheduled and per fired event —
-measured by the ``obs_overhead`` scenario in
-``benchmarks/bench_kernel_hotpath.py`` and the ``e11_obs_fleet`` baseline
-section (disabled ≤2%, metrics-only ≤10%).
+measured by the ``e11_obs_fleet`` baseline section
+(``benchmarks/bench_e11_obs_fleet.py``: disabled ≤2%, metrics-only ≤10%).
 """
 
 from .export import (chrome_trace, metrics_csv, profile_csv,
                      profile_markdown, telemetry_csv, write_chrome_trace)
-from .metrics import (Counter, Gauge, Histogram, Registry, get_registry,
-                      set_registry)
+from .metrics import Counter, Gauge, Histogram, Registry
 from .profiler import HandlerProfiler, HandlerStats
 from .recorder import (FlightRecorder, arm_postmortem, disarm_postmortem,
                        dump_postmortem, install_term_handler)
@@ -48,8 +46,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Registry",
-    "get_registry",
-    "set_registry",
     "FlightRecorder",
     "arm_postmortem",
     "disarm_postmortem",

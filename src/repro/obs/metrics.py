@@ -17,9 +17,9 @@ label-partitioned instruments whose state is
   text exposition format (``# TYPE`` / ``# HELP`` / ``name{label="v"} v``)
   and :meth:`Registry.jsonl` one JSON object per instrument per line.
 
-A process-wide default registry (:func:`get_registry`) exists for code that
-wants ambient metrics; the campaign runner deliberately uses one fresh
-:class:`Registry` per run instead, so per-run dumps stay attributable.
+There is no process-wide registry: whoever wants metrics creates a
+:class:`Registry` and passes it (the campaign runner uses one per run, so
+per-run dumps stay attributable).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import json
 from bisect import bisect_left
 from typing import Any, Iterable, Mapping
 
-__all__ = ["Counter", "Gauge", "Histogram", "Registry", "get_registry",
-           "set_registry", "POW2_BUCKET_MAX_EXP"]
+__all__ = ["Counter", "Gauge", "Histogram", "Registry",
+           "POW2_BUCKET_MAX_EXP"]
 
 #: highest power-of-two bucket exponent; values with a longer bit length
 #: land in the overflow bucket (index ``POW2_BUCKET_MAX_EXP + 1``).
@@ -321,18 +321,3 @@ def _prom_sample(name: str, labels: Mapping[str, Any], value: float) -> str:
         return f"{name}{{{body}}} {_prom_num(value)}"
     return f"{name} {_prom_num(value)}"
 
-
-#: the process-wide ambient registry (campaign runs use per-run registries)
-_DEFAULT = Registry()
-
-
-def get_registry() -> Registry:
-    """The process-wide default registry."""
-    return _DEFAULT
-
-
-def set_registry(registry: Registry) -> Registry:
-    """Replace the process-wide default registry; returns the old one."""
-    global _DEFAULT
-    old, _DEFAULT = _DEFAULT, registry
-    return old

@@ -262,12 +262,8 @@ class ObsBinding:
         if tracer is not None:
             tracer.on_message_recv(msg, ev.obs_span)
 
-    def on_reallocate(self, flows: int, rescheduled: int,
-                      preserved: int) -> None:
-        """A flow network recomputed bandwidth shares for *flows* flows."""
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.on_reallocate(flows, rescheduled, preserved)
+    def on_reallocate(self) -> None:
+        """A flow network recomputed bandwidth shares."""
         m = self._m_reallocs
         if m is not None:
             m.value += 1.0
@@ -279,9 +275,6 @@ class ObsBinding:
             tracer.marker(self.track, "queue",
                           f"queue-migrate:{src}->{dst}", self.sim.now,
                           {"from": src, "to": dst, "events_moved": moved})
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.on_queue_migrate(src, dst, moved)
         m = self._m_migrations
         if m is not None:
             m.value += 1.0
@@ -296,9 +289,6 @@ class ObsBinding:
                           {"straggler_time": straggler_time,
                            "restored_to": restored_to,
                            "depth_events": depth_events})
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.on_rollback(depth_events)
         m = self._m_rollbacks
         if m is not None:
             m.value += 1.0
@@ -310,9 +300,6 @@ class ObsBinding:
         if m is not None:
             m.value = gvt
             self._m_gvt_rounds.value += 1.0
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.on_gvt(gvt)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ObsBinding track={self.track!r}>"
@@ -371,8 +358,6 @@ class Observation:
         queue = getattr(sim, "_queue", None)
         if isinstance(queue, AdaptiveQueue):
             queue.on_migrate = binding.on_queue_migrate
-            if self.telemetry is not None:
-                self.telemetry.queue_backend = queue.backend_kind
         return self
 
     def attach_lps(self, lps) -> "Observation":

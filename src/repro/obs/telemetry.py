@@ -48,28 +48,6 @@ class Telemetry:
         self.beat_hook: Callable[[dict], None] | None = None
         self.check_every = max(1, int(check_every))
         self.events = 0
-        #: Time Warp accounting (fed by ``ObsBinding.on_rollback``) — zero
-        #: for conservative/sequential runs.
-        self.rollbacks = 0
-        self.rolled_back_events = 0
-        self.max_rollback_depth = 0
-        #: Flow-network bandwidth-sharing accounting (fed by
-        #: ``ObsBinding.on_reallocate``) — zero for runs without a
-        #: :class:`~repro.network.flow.FlowNetwork`.
-        self.reallocs = 0
-        self.realloc_flows = 0
-        self.realloc_rescheduled = 0
-        self.realloc_preserved = 0
-        #: Adaptive event-queue accounting (fed by
-        #: ``ObsBinding.on_queue_migrate``) — zero unless the simulator runs
-        #: on an :class:`~repro.core.queues.AdaptiveQueue`.
-        self.queue_migrations = 0
-        self.queue_migrated_events = 0
-        self.queue_backend: str | None = None
-        #: GVT accounting (fed by ``ObsBinding.on_gvt``) — zero outside the
-        #: optimistic executor.
-        self.gvt_rounds = 0
-        self.gvt = 0.0
         self.start_wall = perf_counter()
         self.start_sim: float | None = None
         self._next_check = self.check_every
@@ -90,32 +68,6 @@ class Telemetry:
                 wall = perf_counter()
                 if wall - self._last_beat_wall >= self.heartbeat:
                     self.beat(sim, wall)
-
-    def on_rollback(self, depth: int) -> None:
-        """Record one Time Warp rollback undoing *depth* events."""
-        self.rollbacks += 1
-        self.rolled_back_events += depth
-        if depth > self.max_rollback_depth:
-            self.max_rollback_depth = depth
-
-    def on_reallocate(self, flows: int, rescheduled: int,
-                      preserved: int) -> None:
-        """Record one bandwidth-sharing recompute over *flows* flows."""
-        self.reallocs += 1
-        self.realloc_flows += flows
-        self.realloc_rescheduled += rescheduled
-        self.realloc_preserved += preserved
-
-    def on_queue_migrate(self, src: str, dst: str, moved: int) -> None:
-        """Record one adaptive-queue backend switch moving *moved* events."""
-        self.queue_migrations += 1
-        self.queue_migrated_events += moved
-        self.queue_backend = dst
-
-    def on_gvt(self, gvt: float) -> None:
-        """Record one committed global-virtual-time reduction round."""
-        self.gvt_rounds += 1
-        self.gvt = gvt
 
     # -- reporting -----------------------------------------------------------
 
@@ -142,9 +94,9 @@ class Telemetry:
     def snapshot(self, sim: Any = None, wall: float | None = None) -> dict:
         """Current run-rate metrics as a flat dict (CSV/JSON-friendly).
 
-        Every value is a builtin ``int``/``float``/``str``/``None`` — no
-        numpy scalars and no references back into the simulator — so the
-        snapshot pickles cleanly across the campaign worker→parent queue.
+        Every value is a builtin ``int``/``float`` — no numpy scalars and
+        no references back into the simulator — so the snapshot pickles
+        cleanly across the campaign worker→parent queue.
         """
         wall = perf_counter() if wall is None else wall
         elapsed = float(wall - self.start_wall)
@@ -159,20 +111,6 @@ class Telemetry:
             "sim_wall_ratio": sim_span / elapsed if elapsed > 0 else 0.0,
             "queue_depth": int(getattr(sim, "pending", 0)) if sim is not None else 0,
             "heartbeats": int(self.heartbeats),
-            "rollbacks": int(self.rollbacks),
-            "rolled_back_events": int(self.rolled_back_events),
-            "max_rollback_depth": int(self.max_rollback_depth),
-            "reallocs": int(self.reallocs),
-            "realloc_flows_touched": int(self.realloc_flows),
-            "realloc_rescheduled": int(self.realloc_rescheduled),
-            "realloc_preserved": int(self.realloc_preserved),
-            "queue_migrations": int(self.queue_migrations),
-            "queue_migrated_events": int(self.queue_migrated_events),
-            "queue_backend": self.queue_backend,
-            "gvt_rounds": int(self.gvt_rounds),
-            "gvt": float(self.gvt),
-            "commit_efficiency": ((self.events - self.rolled_back_events)
-                                  / self.events if self.events else 1.0),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

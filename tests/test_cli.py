@@ -114,7 +114,7 @@ class TestExecutors:
                      "--until", "60", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "optimistic" in out and "cmb" in out
-        assert "committed streams identical across all 5 executors" in out
+        assert "committed streams identical across all 4 executors" in out
 
     def test_single_executor_with_knobs(self, capsys):
         assert main(["executors", "--executor", "optimistic",

@@ -1,9 +1,9 @@
-"""Executor conformance matrix — one model, five executors, identical output.
+"""Executor conformance matrix — one model, four executors, identical output.
 
 The strongest claim the distributed layer makes (and the one the paper's
 critical analysis says the field keeps failing to deliver cheaply): whatever
 synchronization protocol runs the partitioned model — centralized
-sequential, conservative CMB, synchronous windows (serial or threaded), or
+sequential, conservative CMB, synchronous windows, or
 optimistic Time Warp — the *committed* event stream and the final monitor
 statistics are identical, for every RNG seed.
 
@@ -28,7 +28,6 @@ EXECUTOR_FACTORIES = {
     "sequential": SequentialExecutor,
     "cmb": CMBExecutor,
     "window": WindowExecutor,
-    "window-threaded": lambda: WindowExecutor(threads=4),
     "optimistic": OptimisticExecutor,
 }
 

@@ -5,9 +5,16 @@ import math
 import pytest
 
 from repro.core import ConfigurationError, Simulator
-from repro.faults import FaultGraph
+from repro.faults import CorrelatedFaultInjector, FaultGraph
 from repro.hosts import SpaceSharedMachine, TimeSharedMachine
-from repro.hosts.failures import MachineFailureInjector
+
+
+def _inject(sim, machine, **rates):
+    """A one-host fault graph under the injector: (graph, injector)."""
+    g = FaultGraph(sim)
+    g.add_host("m", machine)
+    return g, CorrelatedFaultInjector(sim, g, sim.streams.spawn("fail"),
+                                      **rates)
 
 
 class TestFailRepairSemantics:
@@ -161,32 +168,31 @@ class TestInjector:
     def test_cycles_and_availability(self):
         sim = Simulator(seed=3)
         m = SpaceSharedMachine(sim, rating=100.0)
-        inj = MachineFailureInjector(sim, m, sim.stream("fail"),
-                                     mtbf=50.0, mttr=10.0, horizon=1000.0)
+        g, inj = _inject(sim, m, mtbf=50.0, mttr=10.0, horizon=1000.0)
         sim.schedule_at(1500.0, lambda: None)  # pin a horizon to observe
         sim.run()
-        crashes = inj.monitor.counter("crashes").count
-        assert crashes > 5
+        assert inj.crashes == m.failures > 5
         # availability should be in the MTBF/(MTBF+MTTR) ballpark ≈ 0.83
         assert 0.6 < inj.availability < 0.98
+        assert g.availability("m") == inj.availability == m.availability
 
     def test_jobs_complete_despite_failures(self):
         sim = Simulator(seed=4)
         m = SpaceSharedMachine(sim, pes=2, rating=100.0)
-        MachineFailureInjector(sim, m, sim.stream("fail"),
-                               mtbf=30.0, mttr=5.0, horizon=2000.0)
+        g, inj = _inject(sim, m, mtbf=30.0, mttr=5.0, horizon=2000.0)
         runs = [m.submit(500.0) for _ in range(10)]
         sim.run()
         assert all(r.finished is not None for r in runs)
         assert m.completed == 10
+        assert inj.crashes > 0
+        assert g.monitor.counter("jobs_evicted").count > 0
 
     def test_failures_extend_turnaround(self):
         def makespan(inject):
             sim = Simulator(seed=5)
             m = SpaceSharedMachine(sim, pes=1, rating=100.0)
             if inject:
-                MachineFailureInjector(sim, m, sim.stream("fail"),
-                                       mtbf=4.0, mttr=8.0, horizon=500.0)
+                _inject(sim, m, mtbf=4.0, mttr=8.0, horizon=500.0)
             runs = [m.submit(300.0) for _ in range(5)]
             sim.run()
             return max(r.finished for r in runs)
@@ -197,29 +203,31 @@ class TestInjector:
         sim = Simulator()
         m = SpaceSharedMachine(sim)
         with pytest.raises(ConfigurationError):
-            MachineFailureInjector(sim, m, sim.stream("f"), mtbf=0.0)
-        ts = TimeSharedMachine(sim)
+            _inject(sim, m, mtbf=0.0)
         with pytest.raises(ConfigurationError):
-            MachineFailureInjector(sim, ts, sim.stream("f"))
+            _inject(sim, m, mttr=0.0)
+        with pytest.raises(ConfigurationError):
+            _inject(sim, TimeSharedMachine(sim))
 
     def test_external_fail_repair_does_not_corrupt_injector(self):
-        """Out-of-band fail()/repair() calls (an operator, a fault graph)
-        must leave the injector's view and downtime books consistent."""
+        """Out-of-band fail()/repair() on the graph (an operator) must
+        leave the injector's view and the downtime books consistent."""
         sim = Simulator(seed=9)
         m = SpaceSharedMachine(sim, rating=100.0)
-        inj = MachineFailureInjector(sim, m, sim.stream("fail"),
-                                     mtbf=10.0, mttr=3.0, horizon=300.0)
+        g, inj = _inject(sim, m, mtbf=10.0, mttr=3.0, horizon=300.0)
         for t in range(0, 300, 11):
-            sim.schedule_at(t + 0.25, m.fail)
-            sim.schedule_at(t + 0.75, m.repair)
+            sim.schedule_at(t + 0.25, g.fail, "m")
+            sim.schedule_at(t + 0.75, g.repair, "m")
         sim.schedule_at(400.0, lambda: None)
         sim.run()
-        assert not m.failed
-        # the injector reads the machine's single outage clock, so external
-        # overlap can never double-count downtime
-        assert inj.downtime == m.total_downtime
-        assert 0.0 < inj.availability <= 1.0
+        assert not m.failed and not g.is_down("m")
+        # graph and machine each clock the same empty<->non-empty cause
+        # transitions, so external overlap can never double-count downtime
+        assert g.downtime("m") == m.total_downtime
+        assert 0.0 < inj.availability < 1.0
         assert m.total_downtime < 400.0
+        # overlaps with the external outages did not end the renewal process
+        assert inj.crashes > 10
 
     def test_machine_downtime_clock_single_source(self):
         sim = Simulator()

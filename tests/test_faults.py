@@ -270,6 +270,21 @@ class TestCorrelatedInjector:
         assert not grid.site("s0").machines[0].failed
         assert 0.0 < inj.availability <= 1.0
 
+    def test_overlapped_crash_keeps_the_renewal_process_alive(self):
+        """A drawn crash that lands while someone else holds the target
+        down is skipped, not the end of that target's crash/repair cycle."""
+        sim, grid, g = self._grid_graph(seed=2)
+        inj = CorrelatedFaultInjector(sim, g, sim.streams.spawn("faults"),
+                                      targets=["site:s0"],
+                                      mtbf=5.0, mttr=2.0, horizon=400.0)
+        g.fail("site:s0")  # an external outage covering the first draws
+        sim.schedule_at(60.0, g.repair, "site:s0")
+        sim.schedule_at(400.0, lambda: None)
+        sim.run()
+        assert inj.crashes > 20
+        assert g.component("site:s0").outages == inj.crashes + 1
+        assert abs(g.availability("site:s0") - (340 * 5 / 7) / 400) < 0.1
+
     def test_mapping_rates_and_validation(self):
         sim, grid, g = self._grid_graph()
         inj = CorrelatedFaultInjector(

@@ -18,7 +18,7 @@ from repro.core.queues import QUEUE_FACTORIES
 ALL_KINDS = sorted(QUEUE_FACTORIES)
 
 
-class LegacyPeekPopSimulator(Simulator):
+class PeekPopReferenceSimulator(Simulator):
     """The pre-change dispatch loop, kept verbatim as the reference."""
 
     def run(self, until=None, max_events=None):
@@ -96,7 +96,7 @@ def _run_reference_model(sim_cls, kind, seed=42):
 def test_fused_dispatch_trace_identical_to_peek_pop(kind):
     """Same seed => identical executed event stream under both protocols."""
     fused = _run_reference_model(Simulator, kind)
-    legacy = _run_reference_model(LegacyPeekPopSimulator, kind)
+    legacy = _run_reference_model(PeekPopReferenceSimulator, kind)
     assert fused == legacy
 
 
@@ -104,7 +104,7 @@ def test_fused_dispatch_trace_identical_to_peek_pop(kind):
 def test_fused_dispatch_trace_identical_across_seeds(kind):
     for seed in (0, 7, 1234):
         assert (_run_reference_model(Simulator, kind, seed)
-                == _run_reference_model(LegacyPeekPopSimulator, kind, seed))
+                == _run_reference_model(PeekPopReferenceSimulator, kind, seed))
 
 
 def _observed_sim_factory(**obs_kwargs):
@@ -181,8 +181,7 @@ def _run_parallel_reference(executor_factory, observed):
     lambda: _parallel().SequentialExecutor(),
     lambda: _parallel().CMBExecutor(),
     lambda: _parallel().WindowExecutor(),
-    lambda: _parallel().WindowExecutor(threads=2),
-], ids=["sequential", "cmb", "window", "window-threaded"])
+], ids=["sequential", "cmb", "window"])
 def test_traced_parallel_stream_identical(executor_factory):
     """Tracing a distributed run leaves every LP's stream untouched."""
     plain = _run_parallel_reference(executor_factory, observed=False)
@@ -234,7 +233,7 @@ def test_step_drain_identical_to_run_drain(kind, observed):
             if observed else Simulator)
     assert (_run_reference_model(_stepping(make), kind)
             == _run_reference_model(make, kind)
-            == _run_reference_model(LegacyPeekPopSimulator, kind))
+            == _run_reference_model(PeekPopReferenceSimulator, kind))
 
 
 def _time_driven(queue="heap", seed=0):

@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from repro.obs.metrics import (POW2_BUCKET_MAX_EXP, Counter, Gauge, Histogram,
-                               Registry, get_registry, set_registry)
+                               Registry)
 
 
 class TestInstruments:
@@ -111,15 +111,6 @@ class TestRegistryTransport:
         clone = Registry().merge(src.dump())
         assert clone.dump() == src.dump()
         assert clone.prometheus_text() == src.prometheus_text()
-
-    def test_default_registry_swap(self):
-        fresh = Registry()
-        old = set_registry(fresh)
-        try:
-            assert get_registry() is fresh
-        finally:
-            set_registry(old)
-        assert get_registry() is old
 
 
 class TestExporters:

@@ -3,7 +3,7 @@
 The headline acceptance test is the determinism matrix: on the shared E7
 partitioned-ring model the optimistic executor must commit a byte-identical
 event stream to ``SequentialExecutor`` for several seeds *while actually
-rolling back* (asserted through the obs rollback counters — an optimistic
+rolling back* (asserted through the executor's rollback stats — an optimistic
 run that never mis-speculates proves nothing).
 
 The edge cases target the classic Time Warp hazards:
@@ -23,7 +23,6 @@ import pytest
 from repro.core import ConfigurationError
 from repro.core.optimistic import OptimisticExecutor
 from repro.core.parallel import LogicalProcess, SequentialExecutor
-from repro.obs import Observation
 from repro.workloads.partitioned import build_partitioned_ring
 
 HORIZON = 200.0
@@ -50,8 +49,6 @@ class TestAcceptance:
         SequentialExecutor().run(ref.lps, until=HORIZON)
 
         model = ring_model(seed)
-        obs = Observation(trace=False, profile=False,
-                          telemetry=True).attach_lps(model.lps)
         ex = OptimisticExecutor(batch=32, checkpoint_every=8)
         stats = ex.run(model.lps, until=HORIZON)
 
@@ -61,11 +58,8 @@ class TestAcceptance:
         # make the determinism claim vacuous.
         assert stats.rollbacks >= 1
         assert stats.anti_messages >= 1
-        snap = obs.telemetry.snapshot()
-        assert snap["rollbacks"] == stats.rollbacks
-        assert snap["rolled_back_events"] == stats.rolled_back_events
-        assert snap["max_rollback_depth"] >= 1
-        assert 0.0 < snap["commit_efficiency"] < 1.0
+        assert max(r.max_rollback_depth for r in ex.lp_reports.values()) >= 1
+        assert 0.0 < stats.efficiency < 1.0
         assert stats.committed_events == stats.events - stats.rolled_back_events
         assert stats.efficiency == pytest.approx(
             stats.committed_events / stats.events)

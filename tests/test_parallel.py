@@ -15,8 +15,8 @@ from repro.core.parallel import (
 )
 
 EXECUTORS = [SequentialExecutor(), CMBExecutor(), WindowExecutor(),
-             WindowExecutor(threads=2), OptimisticExecutor()]
-EXECUTOR_IDS = ["sequential", "cmb", "window", "window-threaded", "optimistic"]
+             OptimisticExecutor()]
+EXECUTOR_IDS = ["sequential", "cmb", "window", "optimistic"]
 
 
 def build_ping_pong(rounds=20, lookahead=1.0):
