@@ -22,12 +22,18 @@ The naive formulation recomputes *every* flow's rate and cancels+reschedules
 churn per network event, the classic cost SimGrid's lazy/partial updates
 were built to avoid.  This engine instead:
 
-* keeps a persistent link → crossing-flows index, updated O(route length)
-  on admit/finish, instead of rebuilding it per recompute;
+* keeps one :class:`_LinkState` per link the network has routed over —
+  usable capacity, the crossing flows, the solver's scratch fields — and
+  resolves a transfer's route into those objects once, in
+  :meth:`FlowNetwork.transfer`; admit, finish, the dirty set, the component
+  walk and the solver then work on the objects (attribute access, identity
+  hashing) and never hash a :class:`LinkSpec` again;
 * recomputes shares only for the **connected component** of flows that
   share a link (transitively) with the changed flow — progressive filling
   decomposes exactly across components, so disjoint components' rates and
   completion events are left untouched;
+* keeps each link's count of unfrozen crossers **live** while filling
+  (decremented as flows freeze) instead of recounting it every round;
 * **preserves** the completion event of any flow whose recomputed rate is
   unchanged within a relative epsilon (``RESCHEDULE_EPS``) — no dead
   records enter the event list for rate-stable flows;
@@ -35,11 +41,19 @@ were built to avoid.  This engine instead:
   recompute, scheduled at the same time in the :data:`Priority.LOW` band so
   it runs after every same-time network event.
 
+Determinism: every container the engine iterates is insertion-ordered
+(dicts and lists; the one set is only probed) and flows are numbered per
+network, so rates, completion times and same-instant completion order are
+a function of the transfer sequence alone — not of ``PYTHONHASHSEED``, and
+not of how many flows the process created before.
+
 ``incremental=False`` retains the full progressive-filling engine (global
 recompute, full reschedule, no coalescing) as the verification reference
 and churn baseline; ``verify=True`` cross-checks every incremental update
-against it.  Per-network counters in :attr:`FlowNetwork.sharing` account
-for the saved work.
+against it.  Both run the one solver, :meth:`FlowNetwork._solve`;
+``tests/flow_oracle.py`` holds an independent dict-based filling the tests
+compare it with bit for bit.  Per-network counters in
+:attr:`FlowNetwork.sharing` account for the saved work.
 
 A flow's data starts moving after the route's propagation latency; the
 returned :class:`FlowHandle` completes when the last byte arrives.
@@ -49,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from ..core.engine import Simulator
 from ..core.errors import ConfigurationError, RoutingError
@@ -65,16 +79,34 @@ __all__ = ["FlowHandle", "FlowNetwork", "SharingStats"]
 _MIN_SHARE = math.ulp(0.0)
 
 
+class _LinkState:
+    """One link's sharing state inside one :class:`FlowNetwork`.
+
+    Hashed by identity and reached through :attr:`FlowHandle._path`, so the
+    hot path never hashes a :class:`LinkSpec`.
+    """
+
+    __slots__ = ("capacity", "flows", "free", "live")
+
+    def __init__(self, capacity: float) -> None:
+        self.capacity = capacity   #: usable bytes/s: bandwidth × efficiency
+        #: active flows crossing the link, id → handle, in admission order
+        self.flows: dict[int, FlowHandle] = {}
+        self.free = 0.0            #: solver scratch: capacity not handed out
+        self.live = 0              #: solver scratch: unfrozen crossers; 0 at rest
+
+
 class FlowHandle(Waitable):
-    """One end-to-end transfer in flight.  Completes with the handle itself."""
+    """One end-to-end transfer in flight.  Completes with the handle itself.
 
-    _counter = 0
+    ``id`` numbers the transfers of one network from 1, in ``transfer()``
+    order.
+    """
 
-    def __init__(self, src: str, dst: str, size: float, started: float,
-                 rate_cap: float = math.inf) -> None:
+    def __init__(self, flow_id: int, src: str, dst: str, size: float,
+                 started: float, rate_cap: float = math.inf) -> None:
         super().__init__()
-        FlowHandle._counter += 1
-        self.id = FlowHandle._counter
+        self.id = flow_id
         self.src = src
         self.dst = dst
         self.size = float(size)
@@ -92,6 +124,8 @@ class FlowHandle(Waitable):
         self.error: Optional[str] = None
         self._completion: Optional[Event] = None
         self._last_update = started
+        self._path: list[_LinkState] = []   #: ``links``, resolved per network
+        self._share = 0.0                   #: solver output; < 0 = unfrozen
 
     @property
     def duration(self) -> float:
@@ -181,17 +215,17 @@ class FlowNetwork:
         self.efficiency = efficiency
         self.incremental = incremental
         self.verify = verify
-        #: active flows keyed by id — O(1) admit/finish bookkeeping.
+        #: active flows keyed by id, in admission order.
         self._active: dict[int, FlowHandle] = {}
-        #: persistent link → {flow id: flow} index over active flows;
-        #: entries are pruned as soon as their last crossing flow finishes,
-        #: so the index never outgrows the live flow set.
-        self._crossing: dict[LinkSpec, dict[int, FlowHandle]] = {}
-        #: flows admitted / links released since the last recompute — the
-        #: seeds of the next component-scoped pass.
-        self._dirty_flows: dict[int, FlowHandle] = {}
-        self._dirty_links: set[LinkSpec] = set()
+        #: every link a transfer was routed over → its state (bounded by the
+        #: topology).  The only LinkSpec-keyed container: probed once per
+        #: link per ``transfer()`` and by the by-spec public queries.
+        self._link_state: dict[LinkSpec, _LinkState] = {}
+        #: links whose crossing set changed since the last recompute, in
+        #: marking order — the seeds of the next component-scoped pass.
+        self._dirty: dict[_LinkState, None] = {}
         self._flush_scheduled = False
+        self._transfers = 0
         self.sharing = SharingStats()
         self.monitor = Monitor("flow-network")
         self._active_level = self.monitor.level("active_flows", start_time=sim.now)
@@ -211,9 +245,11 @@ class FlowNetwork:
         """
         if size < 0:
             raise ConfigurationError(f"transfer size must be >= 0, got {size}")
-        handle = FlowHandle(src, dst, size, self.sim.now, rate_cap=rate_cap)
+        self._transfers += 1
+        handle = FlowHandle(self._transfers, src, dst, size, self.sim.now,
+                            rate_cap=rate_cap)
         try:
-            handle.links = self.topology.route_links(src, dst)
+            links = handle.links = self.topology.route_links(src, dst)
         except RoutingError:
             # Link outages partitioned the pair: fail fast (deterministic
             # same-timestamp event) instead of raising into the caller —
@@ -221,12 +257,18 @@ class FlowNetwork:
             self.sim.schedule(0.0, self._abort, handle,
                               f"no route {src} -> {dst}", label="flow_abort")
             return handle
-        latency = self.topology.path_latency(src, dst)
-        if size == 0 or not handle.links:
+        latency = sum(link.latency for link in links)
+        if size == 0 or not links:
             # Same-host copy or empty payload: latency-only, never admitted
             # — must not perturb the rates of flows actually on the wire.
             self.sim.schedule(latency, self._finish, handle, label="flow_done")
             return handle
+        states = self._link_state
+        for spec in links:
+            state = states.get(spec)
+            if state is None:
+                state = states[spec] = _LinkState(spec.bandwidth * self.efficiency)
+            handle._path.append(state)
         self.sim.schedule(latency, self._admit, handle, label="flow_start")
         return handle
 
@@ -241,8 +283,10 @@ class FlowNetwork:
 
     def link_utilization(self, spec: LinkSpec) -> float:
         """Instantaneous utilization of one link by active flows."""
-        used = sum(f.rate for f in self._crossing.get(spec, {}).values())
-        return used / (spec.bandwidth * self.efficiency)
+        state = self._link_state.get(spec)
+        if state is None:
+            return 0.0
+        return sum(f.rate for f in state.flows.values()) / state.capacity
 
     def reference_rates(self) -> dict[int, float]:
         """Full progressive filling over every active flow.
@@ -251,7 +295,9 @@ class FlowNetwork:
         fuzz harness compare the incremental engine's stored rates against
         this on demand (and continuously with ``verify=True``).
         """
-        return self._max_min_rates(dict(self._active))
+        flows = self._active.values()
+        self._solve(flows)
+        return {f.id: f._share for f in flows}
 
     def abort_link(self, spec: LinkSpec) -> list[FlowHandle]:
         """Abort every active flow crossing *spec* (the link went down).
@@ -261,7 +307,8 @@ class FlowNetwork:
         over the dead link, then call this to kill the in-flight ones.
         Returns the aborted handles (each completed with ``failed=True``).
         """
-        victims = list(self._crossing.get(spec, {}).values())
+        state = self._link_state.get(spec)
+        victims = list(state.flows.values()) if state is not None else []
         for f in victims:
             self._abort(f, f"link {spec.src}->{spec.dst} failed")
         return victims
@@ -276,13 +323,7 @@ class FlowNetwork:
         admitted = self._active.pop(handle.id, None) is not None
         if admitted:
             self._settle(handle)
-            for link in handle.links:
-                crossing = self._crossing.get(link)
-                if crossing is not None:
-                    crossing.pop(handle.id, None)
-                    if not crossing:
-                        del self._crossing[link]
-            self._active_level.set(self.sim.now, len(self._active))
+            self._leave_links(handle)
         if handle._completion is not None:
             handle._completion.cancel()
             handle._completion = None
@@ -298,7 +339,7 @@ class FlowNetwork:
         handle._complete(handle)
         if admitted:
             # the freed share goes back to the survivors on those links
-            self._mark_dirty(links=handle.links)
+            self._mark_dirty(handle._path)
 
     def _admit(self, handle: FlowHandle) -> None:
         # The route was up when the transfer started; a link may have died
@@ -310,10 +351,16 @@ class FlowNetwork:
                 return
         handle._last_update = self.sim.now
         self._active[handle.id] = handle
-        for link in handle.links:
-            self._crossing.setdefault(link, {})[handle.id] = handle
+        for state in handle._path:
+            state.flows[handle.id] = handle
         self._active_level.set(self.sim.now, len(self._active))
-        self._mark_dirty(flow=handle)
+        self._mark_dirty(handle._path)
+
+    def _leave_links(self, handle: FlowHandle) -> None:
+        """Take a just-deactivated flow off the links it crossed."""
+        for state in handle._path:
+            del state.flows[handle.id]
+        self._active_level.set(self.sim.now, len(self._active))
 
     def _finish(self, handle: FlowHandle) -> None:
         if handle.finished is not None:
@@ -322,16 +369,9 @@ class FlowNetwork:
         handle.remaining = 0.0
         handle.rate = 0.0
         handle.finished = self.sim.now
-        if handle._completion is not None:
-            handle._completion = None
+        handle._completion = None
         if admitted:
-            for link in handle.links:
-                crossing = self._crossing.get(link)
-                if crossing is not None:
-                    crossing.pop(handle.id, None)
-                    if not crossing:
-                        del self._crossing[link]
-            self._active_level.set(self.sim.now, len(self._active))
+            self._leave_links(handle)
         self.completed += 1
         self.monitor.tally("transfer_time").record(handle.duration)
         if admitted:
@@ -341,7 +381,7 @@ class FlowNetwork:
         handle._complete(handle)
         if admitted:
             # A flow that never held bandwidth cannot change anyone's share.
-            self._mark_dirty(links=handle.links)
+            self._mark_dirty(handle._path)
 
     def _settle(self, handle: FlowHandle) -> None:
         """Account bytes moved at the current rate since the last update."""
@@ -350,9 +390,9 @@ class FlowNetwork:
             handle.remaining = max(0.0, handle.remaining - handle.rate * dt)
         handle._last_update = self.sim.now
 
-    def _mark_dirty(self, flow: FlowHandle | None = None,
-                    links: Iterable[LinkSpec] | None = None) -> None:
-        """Record a topology-of-flows change and arrange one recompute.
+    def _mark_dirty(self, path: list[_LinkState]) -> None:
+        """Record that the set of flows crossing *path* changed and arrange
+        one recompute.
 
         Incremental mode defers the recompute to a same-timestamp LOW-band
         event so every admit/finish at this instant lands in one pass; the
@@ -360,12 +400,11 @@ class FlowNetwork:
         engine did.
         """
         if not self.incremental:
-            self._apply_rates(dict(self._active), preserve=False)
+            self._apply_rates(self._active.values(), preserve=False)
             return
-        if flow is not None:
-            self._dirty_flows[flow.id] = flow
-        if links is not None:
-            self._dirty_links.update(links)
+        dirty = self._dirty
+        for state in path:
+            dirty[state] = None
         if self._flush_scheduled:
             self.sharing.coalesced += 1
             return
@@ -376,39 +415,31 @@ class FlowNetwork:
     def _flush(self) -> None:
         """Run the coalesced, component-scoped recompute."""
         self._flush_scheduled = False
-        dirty_flows = self._dirty_flows
-        seed_links = self._dirty_links
-        self._dirty_flows = {}
-        self._dirty_links = set()
-        for f in dirty_flows.values():
-            if f.id in self._active:
-                seed_links.update(f.links)
-        if not seed_links:
-            return
-        component = self._component(seed_links)
+        seeds, self._dirty = self._dirty, {}
+        component = self._component(seeds)
         if not component:
             return
-        self._apply_rates(component, preserve=True)
+        self._apply_rates(component.values(), preserve=True)
         if self.verify:
             self._verify_against_reference()
 
-    def _component(self, seed_links: Iterable[LinkSpec]) -> dict[int, FlowHandle]:
-        """Flows transitively sharing a link with any seed link."""
+    def _component(self, seeds: Iterable[_LinkState]) -> dict[int, FlowHandle]:
+        """Flows transitively sharing a link with any seed link, in
+        depth-first discovery order from the last seed."""
         flows: dict[int, FlowHandle] = {}
-        stack = [l for l in seed_links if l in self._crossing]
+        stack = [state for state in seeds if state.flows]
         seen = set(stack)
         while stack:
-            link = stack.pop()
-            for f in self._crossing[link].values():
+            for f in stack.pop().flows.values():
                 if f.id not in flows:
                     flows[f.id] = f
-                    for l in f.links:
-                        if l not in seen and l in self._crossing:
-                            seen.add(l)
-                            stack.append(l)
+                    for state in f._path:
+                        if state not in seen:
+                            seen.add(state)
+                            stack.append(state)
         return flows
 
-    def _apply_rates(self, flows: dict[int, FlowHandle], preserve: bool) -> None:
+    def _apply_rates(self, flows: Collection[FlowHandle], preserve: bool) -> None:
         """Settle, recompute max-min shares, and (re)schedule completions.
 
         With *preserve*, a flow whose new rate matches its current rate
@@ -418,16 +449,16 @@ class FlowNetwork:
         """
         if not flows:
             return
-        for f in flows.values():
+        for f in flows:
             self._settle(f)
-        rates = self._max_min_rates(flows)
+        self._solve(flows)
         stats = self.sharing
         stats.recomputes += 1
         stats.flows_touched += len(flows)
         rescheduled = preserved = 0
         eps = self.RESCHEDULE_EPS
-        for f in flows.values():
-            new_rate = rates[f.id]
+        for f in flows:
+            new_rate = f._share
             if (preserve and f._completion is not None
                     and not f._completion.cancelled
                     and abs(new_rate - f.rate)
@@ -467,86 +498,93 @@ class FlowNetwork:
                     f"{got!r}, full reference says {want!r} "
                     f"(active={len(self._active)})")
 
-    def _max_min_rates(self, flows: dict[int, FlowHandle]) -> dict[int, float]:
-        """Progressive filling restricted to *flows*.
+    def _solve(self, flows: Collection[FlowHandle]) -> None:
+        """Progressive filling over *flows*; leaves each flow's max-min
+        rate in its ``_share``.
 
-        Callers pass either one connected component (the incremental path —
-        filling decomposes exactly across components, so the restriction is
-        lossless) or every active flow (the full reference).
+        *flows* must hold every active flow on each link it touches: one
+        connected component (the incremental path — filling decomposes
+        exactly across components, so the restriction is lossless) or all
+        active flows (the full reference).
+
+        The rates are a function of the order of *flows* alone: links are
+        scanned in the order the flows first reach them, the strict ``<``
+        keeps the earliest of equal-share bottlenecks, and capped flows
+        freeze in *flows* order, so every link sees one fixed sequence of
+        subtractions.  (A bottleneck's crossers all subtract the same
+        share, so their order among themselves cannot matter.)
         """
-        if not flows:
-            return {}
-        free: dict[LinkSpec, float] = {}
-        capacity: dict[LinkSpec, float] = {}
-        crossing: dict[LinkSpec, list[FlowHandle]] = {}
-        for f in flows.values():
-            for link in f.links:
-                if link not in free:
-                    cap = link.bandwidth * self.efficiency
-                    free[link] = cap
-                    capacity[link] = cap
-                    crossing[link] = []
-                crossing[link].append(f)
-        rates: dict[int, float] = {}
-        unfrozen = set(flows)
-        # Flows capped at exactly 0 can never carry bytes; freeze them first
-        # so the starvation guard below applies only to servable flows.
-        for fid, f in flows.items():
-            if f.rate_cap <= 0.0:
-                rates[fid] = 0.0
-                unfrozen.discard(fid)
+        links: list[_LinkState] = []
+        finite_caps = False
+        for f in flows:
+            f._share = -1.0
+            if f.rate_cap != math.inf:
+                finite_caps = True
+            for state in f._path:
+                if not state.live:
+                    state.free = state.capacity
+                    links.append(state)
+                state.live += 1
+        unfrozen = len(flows)
+        if finite_caps:
+            # Flows capped at exactly 0 can never carry bytes; freeze them
+            # first so the starvation guard applies only to servable flows.
+            for f in flows:
+                if f.rate_cap <= 0.0:
+                    f._share = 0.0
+                    unfrozen -= 1
+                    for state in f._path:
+                        state.live -= 1
         while unfrozen:
             # Fair share each link could offer its unfrozen flows; track the
             # single most-constrained link (the iteration's bottleneck).
             best_share = math.inf
-            best_link: Optional[LinkSpec] = None
-            for link, crossers in crossing.items():
-                n_live = sum(1 for f in crossers if f.id in unfrozen)
-                if n_live == 0:
-                    continue
-                share = free[link] / n_live
-                if share < best_share:
-                    best_share = share
-                    best_link = link
-            if best_link is None:
-                # Remaining flows cross no constrained link (can only happen
-                # with rate caps); give them their caps.
-                for fid in unfrozen:
-                    rates[fid] = flows[fid].rate_cap
-                break
-            # Starvation guard: float residue in `free` after repeated
-            # subtraction can reach exactly 0 (or epsilon dust) while
-            # uncapped flows still cross the link; a zero share would
-            # freeze them at rate 0 with no completion event — a permanent
-            # hang.  Floor the share relative to the bottleneck's capacity
-            # (overshoot is ≤ crossers · floor, far inside the efficiency
-            # margin), with an absolute backstop for subnormal capacities.
-            floor = self.SHARE_FLOOR_EPS * capacity[best_link]
-            if best_share < floor or best_share <= 0.0:
-                best_share = floor if floor > 0.0 else _MIN_SHARE
-            # Flows capped below the bottleneck share freeze at their cap
-            # first — they consume less than a fair share everywhere.
-            capped = [fid for fid in unfrozen
-                      if flows[fid].rate_cap < best_share]
-            if capped:
-                for fid in capped:
-                    rate = flows[fid].rate_cap
-                    rates[fid] = rate
-                    unfrozen.discard(fid)
-                    for link in flows[fid].links:
-                        free[link] = max(0.0, free[link] - rate)
-                continue
-            # Freeze exactly the bottleneck link's flows at its fair share.
-            for f in crossing[best_link]:
-                if f.id in unfrozen:
-                    rates[f.id] = best_share
-                    unfrozen.discard(f.id)
-                    for link in f.links:
-                        free[link] = max(0.0, free[link] - best_share)
+            best: Optional[_LinkState] = None
+            for state in links:
+                n_live = state.live
+                if n_live:
+                    share = state.free / n_live
+                    if share < best_share:
+                        best_share = share
+                        best = state
+            if best is None:
+                # Nothing constrains the remaining flows (they cross only
+                # infinite-bandwidth links); give them their caps.
+                freezing = [f for f in flows if f._share < 0.0]
+                at_cap = True
+            else:
+                # Starvation guard: float residue in `free` after repeated
+                # subtraction can reach exactly 0 (or epsilon dust) while
+                # uncapped flows still cross the link; a zero share would
+                # freeze them at rate 0 with no completion event — a
+                # permanent hang.  Floor the share relative to the
+                # bottleneck's capacity (overshoot is ≤ crossers · floor,
+                # far inside the efficiency margin), with an absolute
+                # backstop for subnormal capacities.
+                floor = self.SHARE_FLOOR_EPS * best.capacity
+                if best_share < floor or best_share <= 0.0:
+                    best_share = floor if floor > 0.0 else _MIN_SHARE
+                # Flows capped below the bottleneck share freeze at their
+                # cap first — they consume less than a fair share
+                # everywhere; otherwise exactly the bottleneck link's
+                # flows freeze at its fair share.
+                freezing = [f for f in flows if f._share < 0.0
+                            and f.rate_cap < best_share] if finite_caps else []
+                at_cap = bool(freezing)
+                if not at_cap:
+                    freezing = [f for f in best.flows.values() if f._share < 0.0]
+            if not freezing:   # a hang otherwise: say what broke instead
+                raise AssertionError("max-min live counts out of step")
+            unfrozen -= len(freezing)
+            for f in freezing:
+                rate = f._share = f.rate_cap if at_cap else best_share
+                for state in f._path:
+                    state.live -= 1
+                    left = state.free - rate
+                    state.free = left if left > 0.0 else 0.0
         # Post-condition of the guard: no servable flow ever starves.
-        for fid, rate in rates.items():
-            if rate <= 0.0 and flows[fid].rate_cap > 0.0:
+        for f in flows:
+            if f._share <= 0.0 and f.rate_cap > 0.0:
                 raise AssertionError(
-                    f"max-min starvation: flow #{fid} (cap "
-                    f"{flows[fid].rate_cap!r}) allocated rate {rate!r}")
-        return rates
+                    f"max-min starvation: flow #{f.id} (cap "
+                    f"{f.rate_cap!r}) allocated rate {f._share!r}")

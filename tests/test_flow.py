@@ -1,13 +1,14 @@
 """Tests for the flow-level network: max-min fairness, event timing."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ConfigurationError, Process, Simulator
-from repro.network import FlowNetwork, Topology, dumbbell
+from repro.network import FlowNetwork, LinkSpec, Topology, dumbbell
 
 
 def simple_net(bw=100.0, latency=0.0, efficiency=1.0):
@@ -267,6 +268,80 @@ class TestIncrementalSharing:
             else:
                 ref = (h1.finished, h2.finished)
         assert inc == pytest.approx(ref, rel=1e-9)
+
+
+class TestCountedWork:
+    """The hot path's work is counted, not just timed: a transfer hashes
+    its route's ``LinkSpec``s and asks the topology for a route once, when
+    it starts; recomputes work on the resolved link states."""
+
+    def mesh(self):
+        """The benchmark's ``flow_mesh`` tree: core, 6 aggregation, 48 leaves."""
+        t = Topology()
+        for a in range(6):
+            t.add_link("core", f"agg{a}", 10e9 / 8, 0.002)
+            for l in range(8):
+                t.add_link(f"agg{a}", f"leaf{a}.{l}", 1e9 / 8, 0.001)
+        return t, [f"leaf{a}.{l}" for a in range(6) for l in range(8)]
+
+    def test_hashing_and_routing_scale_with_transfers_not_recomputes(
+            self, monkeypatch):
+        counts = {"hash": 0, "route": 0}
+        spec_hash, route = LinkSpec.__hash__, Topology.route
+
+        def counted_hash(spec):
+            counts["hash"] += 1
+            return spec_hash(spec)
+
+        def counted_route(topo, src, dst):
+            counts["route"] += 1
+            return route(topo, src, dst)
+
+        topo, leaves = self.mesh()
+        sim = Simulator()
+        net = FlowNetwork(sim, topo)
+        rng = random.Random(2009)
+        handles = []
+        for k in range(500):
+            src, dst = rng.sample(leaves, 2)
+            sim.schedule_at(k / 40.0, lambda s=src, d=dst: handles.append(
+                net.transfer(s, d, rng.lognormvariate(math.log(12e6), 1.0))))
+        monkeypatch.setattr(LinkSpec, "__hash__", counted_hash)
+        monkeypatch.setattr(Topology, "route", counted_route)
+        sim.run()
+        assert all(h.done and not h.failed for h in handles)
+        assert counts["route"] == 500
+        hops = sum(len(h.links) for h in handles)
+        assert net.sharing.flows_touched > 2 * len(handles)  # real sharing
+        assert counts["hash"] <= 4 * hops, (
+            f"{counts['hash']} LinkSpec hashes for {hops} route hops")
+
+    def test_link_failing_during_latency_aborts_on_the_resolved_route(
+            self, monkeypatch):
+        t = Topology()
+        t.add_link("a", "b", 100.0, 0.5)
+        t.add_link("b", "c", 100.0, 0.5)
+        t.add_link("a", "d", 100.0, 2.0)   # slower detour, up throughout
+        t.add_link("d", "c", 100.0, 2.0)
+        sim = Simulator()
+        net = FlowNetwork(sim, t, efficiency=1.0, verify=True)
+        routed = []
+        route = Topology.route
+        monkeypatch.setattr(Topology, "route", lambda topo, s, d: (
+            routed.append((s, d)), route(topo, s, d))[1])
+        neighbour = net.transfer("a", "b", 1000.0)
+        sim.run(until=0.6)
+        doomed = net.transfer("a", "c", 100.0)        # admits at 1.6
+        sim.schedule(0.5, t.fail_link, "b", "c")      # 1.1: inside the latency
+        sim.run()
+        # aborted at the edge on the route it was given, not re-routed
+        assert doomed.failed and doomed.error == "link b->c down"
+        assert doomed.finished == pytest.approx(1.6)
+        assert [l.dst for l in doomed.links] == ["b", "c"]
+        assert routed == [("a", "b"), ("a", "c")]
+        # it never held bandwidth: the flow sharing a->b was never touched
+        assert net.sharing.recomputes == 1      # the neighbour's own admit
+        assert neighbour.finished == pytest.approx(10.5)
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,7 +7,9 @@ through the component-scoped incremental engine (with continuous
 progressive-filling reference (``incremental=False``).  Both runs execute
 the *identical* schedule, so flow-by-flow completion times must agree to
 float noise; any starved flow (the bug class the share floor guards
-against) shows up as a handle that never completes.
+against) shows up as a handle that never completes.  After every recompute
+the engine's full reference allocation is also compared, bit for bit, with
+the independent dict-based filling in ``flow_oracle.py``.
 
 Seeds: a fixed set always runs in CI; set ``REPRO_FUZZ_RANDOM=1`` for a
 short randomized burst (each seed is printed in the failure message, and
@@ -22,6 +24,8 @@ import pytest
 
 from repro.core import Simulator
 from repro.network import FlowNetwork, Topology
+
+from .flow_oracle import check_every_recompute, fuzz_seeds
 
 FIXED_SEEDS = [2009, 40962, 777216]
 
@@ -75,6 +79,8 @@ def run_engine(seed: int, incremental: bool):
     sim = Simulator()
     net = FlowNetwork(sim, topo, efficiency=1.0, incremental=incremental,
                       verify=incremental)
+    # an oracle that shares no code with the engine, bit for bit
+    check_every_recompute(net, f"seed={seed} incremental={incremental}")
     handles = []
     for start, src, dst, size, cap in schedule:
         sim.schedule(start,
@@ -123,10 +129,5 @@ def test_differential_fixed_seeds(seed):
                            "(or REPRO_FUZZ_SEED=<n> to replay one seed)")
 def test_differential_random_burst():
     """A short burst of fresh seeds; any failure prints the seed to replay."""
-    fixed = os.environ.get("REPRO_FUZZ_SEED")
-    if fixed:
-        seeds = [int(fixed)]
-    else:
-        seeds = [random.SystemRandom().randrange(2**32) for _ in range(5)]
-    for seed in seeds:
+    for seed in fuzz_seeds([]):
         run_differential(seed)
