@@ -1,15 +1,14 @@
-"""E8 baseline collector — incremental vs full max-min bandwidth sharing.
+"""E8 baseline collector — incremental vs naive max-min bandwidth sharing.
 
 Runs the deterministic flow-churn workload (``repro.workloads.flowchurn``:
 many disjoint site pairs chaining transfers, plus a handful of long-lived
-flows on one shared backbone) under both sharing engines of
-``repro.network.flow.FlowNetwork``:
+flows on one shared backbone) under two engines:
 
-* ``incremental=True`` — component-scoped recompute, coalesced flushes,
-  epsilon-preserved completion events;
-* ``incremental=False`` — the retained full progressive-filling reference
-  that recomputes every flow and cancels+reschedules every completion
-  event on each admit/finish (the churn baseline).
+* ``incremental`` — ``repro.network.flow.FlowNetwork``: component-scoped
+  recompute, coalesced flushes, epsilon-preserved completion events;
+* ``full`` — ``tests/flow_oracle.py::NaiveFlowNetwork``, the test-side
+  subclass that recomputes every flow and cancels+reschedules every
+  completion event on each admit/finish (the churn baseline).
 
 Completion times are cross-checked between the two engines while
 collecting — a baseline refresh that silently recorded a divergent
@@ -26,11 +25,12 @@ import sys
 from pathlib import Path
 
 _HERE = Path(__file__).resolve().parent
-for p in (str(_HERE), str(_HERE.parent / "src")):
+for p in (str(_HERE), str(_HERE.parent / "src"), str(_HERE.parent)):
     if p not in sys.path:
         sys.path.insert(0, p)
 
 from repro.workloads.flowchurn import build_flow_churn  # noqa: E402
+from tests.flow_oracle import naive_flow_churn  # noqa: E402
 
 #: relative tolerance for the incremental-vs-reference completion-time
 #: cross-check: covers epsilon-preserved stale rates (RESCHEDULE_EPS) and
@@ -38,12 +38,12 @@ from repro.workloads.flowchurn import build_flow_churn  # noqa: E402
 EQUIV_REL_TOL = 1e-9
 
 
-def _run_mode(incremental: bool, repeats: int, **params):
+def _run_mode(build, repeats: int, **params):
     """Best-of-*repeats* run of one engine; returns (stats, completions)."""
     best = None
     completions = None
     for _ in range(max(1, repeats)):
-        model = build_flow_churn(incremental=incremental, **params).run()
+        model = build(**params).run()
         stats = model.stats()
         if best is None or stats["wall_seconds"] < best["wall_seconds"]:
             best = stats
@@ -59,8 +59,8 @@ def collect_e8(pairs: int = 60, transfers_per_pair: int = 12,
               "backbone_flows": backbone_flows}
     section: dict = {"params": {**params, "repeats": repeats}, "results": {}}
 
-    inc, inc_times = _run_mode(True, repeats, **params)
-    full, full_times = _run_mode(False, repeats, **params)
+    inc, inc_times = _run_mode(build_flow_churn, repeats, **params)
+    full, full_times = _run_mode(naive_flow_churn, repeats, **params)
 
     worst = 0.0
     for got, want in zip(inc_times, full_times):
@@ -68,8 +68,8 @@ def collect_e8(pairs: int = 60, transfers_per_pair: int = 12,
         if not math.isclose(got, want, rel_tol=EQUIV_REL_TOL, abs_tol=1e-12):
             raise AssertionError(
                 f"E8 baseline: incremental completion time {got!r} diverged "
-                f"from full reference {want!r} — refusing to record a broken "
-                f"allocator")
+                f"from the naive engine's {want!r} — refusing to record a "
+                f"broken allocator")
 
     section["results"]["incremental"] = inc
     section["results"]["full"] = full

@@ -1,4 +1,4 @@
-"""Shared helpers for the experiment benchmarks (E1–E12).
+"""Shared helpers for the experiment benchmarks (E1–E15).
 
 Each ``bench_*.py`` regenerates one table/figure-equivalent of the paper:
 it computes the experiment's rows, *asserts the paper's shape claims*

@@ -124,21 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fl = sub.add_parser(
         "flows",
-        help="run the flow-churn workload under the bandwidth-sharing engines")
-    p_fl.add_argument("--mode", default="both",
-                      choices=("incremental", "full", "both"),
-                      help="incremental component-scoped engine, the full "
-                           "progressive-filling reference, or both (which "
-                           "also cross-checks completion times)")
+        help="run the flow-churn workload and print the bandwidth-sharing "
+             "engine's counters")
     p_fl.add_argument("--pairs", type=int, default=40,
                       help="disjoint source->sink link pairs")
     p_fl.add_argument("--transfers", type=int, default=8,
                       help="chained transfers per pair")
     p_fl.add_argument("--backbone", type=int, default=4,
                       help="long-lived flows sharing the backbone link")
-    p_fl.add_argument("--verify", action="store_true",
-                      help="cross-check every incremental update against "
-                           "the full reference while running (slow)")
 
     p_cp = sub.add_parser(
         "campaign",
@@ -421,41 +414,15 @@ def _cmd_executors(args) -> int:
 
 
 def _cmd_flows(args) -> int:
-    import math
-
     from .workloads.flowchurn import build_flow_churn
 
-    modes = (["incremental", "full"] if args.mode == "both" else [args.mode])
     print(f"flow churn: {args.pairs} pairs x {args.transfers} transfers "
-          f"+ {args.backbone} backbone flows"
-          + (" (verify on)" if args.verify else ""))
-    header = (f"  {'engine':<12} {'wall s':>8} {'events':>8} {'recomp':>8} "
-              f"{'touched':>9} {'resched':>9} {'preserv':>8}")
-    print(header)
-    print("  " + "-" * (len(header) - 2))
-    completions = {}
-    for mode in modes:
-        model = build_flow_churn(
-            pairs=args.pairs, transfers_per_pair=args.transfers,
-            backbone_flows=args.backbone, incremental=(mode == "incremental"),
-            verify=args.verify and mode == "incremental").run()
-        s = model.stats()
-        print(f"  {mode:<12} {s['wall_seconds']:>8.3f} {s['events']:>8,} "
-              f"{s['recomputes']:>8,} {s['flows_touched']:>9,} "
-              f"{s['rescheduled']:>9,} {s['preserved']:>8,}")
-        completions[mode] = model.completion_times()
-    if len(completions) > 1:
-        worst = max((abs(a - b) / max(abs(b), 1e-30) for a, b in
-                     zip(completions["incremental"], completions["full"])),
-                    default=0.0)
-        if not all(math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
-                   for a, b in zip(completions["incremental"],
-                                   completions["full"])):
-            print(f"FAIL: completion times diverged between engines "
-                  f"(worst relative diff {worst:.3e})", file=sys.stderr)
-            return 1
-        print(f"  completion times identical across engines "
-              f"(worst relative diff {worst:.3e})")
+          f"+ {args.backbone} backbone flows")
+    s = build_flow_churn(pairs=args.pairs, transfers_per_pair=args.transfers,
+                         backbone_flows=args.backbone).run().stats()
+    print(f"  {'wall_seconds':<14} {s.pop('wall_seconds'):>10.3f}")
+    for key, value in s.items():
+        print(f"  {key:<14} {value:>10,}")
     return 0
 
 

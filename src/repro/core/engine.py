@@ -77,6 +77,7 @@ class Simulator:
         self._stopped = False
         self._stop_reason = ""
         self._events_executed = 0
+        self._processes = 0  #: processes ever spawned here (default names)
         self.streams = StreamFactory(seed)
         self.monitor = Monitor("simulation")
         #: optional hooks called as ``hook(event)`` just before each firing —

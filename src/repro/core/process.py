@@ -200,8 +200,6 @@ class Process(Waitable):
         Diagnostic label; appears in kernel event labels.
     """
 
-    _counter = 0
-
     def __init__(self, sim: Simulator, body: Callable[..., ProcessBody] | ProcessBody,
                  *args: Any, name: str = "", **kwargs: Any) -> None:
         super().__init__()
@@ -213,8 +211,10 @@ class Process(Waitable):
         if not hasattr(gen, "send"):
             raise ProcessError(f"process body must be a generator, got {type(gen)!r}")
         self._gen: ProcessBody = gen
-        Process._counter += 1
-        self.name = name or f"process-{Process._counter}"
+        # counted per simulator: the default name is the event label, hence
+        # the trace ``kind`` — it must not depend on earlier runs
+        sim._processes += 1
+        self.name = name or f"process-{sim._processes}"
         self.state = _State.READY
         self.error: Optional[BaseException] = None
         self._hold_event: Optional[Event] = None

@@ -145,18 +145,6 @@ class AdaptiveQueue(EventQueue):
                 self._evaluate()
         return ev
 
-    def pop(self) -> Optional[Event]:
-        ev = self._impl.pop()
-        if ev is not None:
-            self._w_pops += 1
-            self._ops_left -= 1
-            if self._ops_left <= 0:
-                self._evaluate()
-        return ev
-
-    def _pop_any(self) -> Optional[Event]:
-        return self._impl._pop_any()
-
     def peek(self) -> Optional[Event]:
         return self._impl.peek()
 

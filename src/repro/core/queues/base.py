@@ -7,19 +7,18 @@ will behave better than another one using an O(log n) queuing structure",
 while also noting that "there is not a single unanimity accepted queuing
 structure that performs best" — behaviour depends on the event-time
 distribution.  This subpackage makes that claim testable: five structures
-with different asymptotics share one interface, and every engine accepts any
-of them.
+with different asymptotics (and :class:`~.adaptive.AdaptiveQueue`, which
+migrates between three of them) share one interface, and every engine
+accepts any of them.
 
 Dispatch protocol
 -----------------
-Engines advance via :meth:`EventQueue.pop_if_le`, the *single-call* hot-path
-operation: "remove and return the earliest live event at or before the
-horizon, else leave the queue untouched".  One call per firing replaces the
-historical ``peek()`` + ``pop()`` pair, which forced every structure to
-locate its minimum twice per event (for :class:`~.calendar.CalendarQueue`
-that meant two bucket sweeps per firing).  ``peek()`` remains available and
-is guaranteed *non-mutating* with respect to live events (it may purge
-cancelled records it walks over).
+:meth:`EventQueue.pop_if_le` is the one delete-min a structure implements:
+"remove and return the earliest live event at or before the horizon, else
+leave the queue untouched" — horizon check, cancelled-head purge and removal
+in a single pass, one call per firing.  :meth:`EventQueue.pop` is
+``pop_if_le(inf)``.  ``peek()`` is guaranteed *non-mutating* with respect to
+live events (it may purge cancelled records it walks over).
 
 Cancellation policy
 -------------------
@@ -53,6 +52,7 @@ class                         insert / delete-min         notes
 from __future__ import annotations
 
 import abc
+import math
 from typing import Iterator, Optional
 
 from ..events import Event
@@ -96,16 +96,20 @@ class EventQueue(abc.ABC):
     def push(self, event: Event) -> None:
         """Insert *event*.
 
-        Implementations must route the event through :meth:`_register` (or
-        replicate its two-line body) so the dead-record counter stays exact.
+        To keep the dead-record counter exact, count an already-cancelled
+        event (``self._dead += 1``) and give a live one this queue's cancel
+        hook (``event._on_cancel = self._cancel_cb``).
         """
 
     @abc.abstractmethod
-    def _pop_any(self) -> Optional[Event]:
-        """Remove and return the minimum event, live or cancelled.
+    def pop_if_le(self, horizon: float) -> Optional[Event]:
+        """Remove and return the earliest live event with ``time <= horizon``.
 
-        Returns ``None`` when empty.  The lazy-deletion loop lives in
-        :meth:`pop`.
+        Returns ``None`` — leaving the queue untouched — when the queue is
+        empty or its earliest live event lies beyond *horizon*.  Cancelled
+        records met on the way are purged (``_dead`` decremented for each)
+        and the returned event's ``_on_cancel`` hook is cleared, so a later
+        ``cancel()`` on it cannot reach this queue's dead count.
         """
 
     @abc.abstractmethod
@@ -113,8 +117,8 @@ class EventQueue(abc.ABC):
         """Return (without removing) the earliest live event, or ``None``.
 
         Must be non-mutating with respect to live events; purging cancelled
-        records encountered on the way is allowed (and keeps the dead
-        counter exact via :meth:`_note_purged`).
+        records encountered on the way is allowed (``_dead`` decremented
+        for each).
         """
 
     @abc.abstractmethod
@@ -123,22 +127,11 @@ class EventQueue(abc.ABC):
 
     # -- dead-record accounting ----------------------------------------------
 
-    def _register(self, event: Event) -> None:
-        """Hook *event* into this queue's cancellation accounting."""
-        if event._cancelled:
-            self._dead += 1
-        else:
-            event._on_cancel = self._cancel_cb
-
     def _note_cancelled(self) -> None:
         """Cancel hook: count the dead record, compacting past threshold."""
         self._dead += 1
         if self._dead >= self.compact_min and self._dead * 2 >= len(self):
             self.compact()
-
-    def _note_purged(self, n: int = 1) -> None:
-        """Record that *n* cancelled records left the structure."""
-        self._dead -= n
 
     @property
     def dead_len(self) -> int:
@@ -150,48 +143,15 @@ class EventQueue(abc.ABC):
         self._compact()
         self._dead = 0
 
+    @abc.abstractmethod
     def _compact(self) -> None:
-        """Default compaction: drain raw records, re-push the live ones.
-
-        Structures override with in-place filters; this fallback is correct
-        for any implementation of the primitives.
-        """
-        live = []
-        while True:
-            ev = self._pop_any()
-            if ev is None:
-                break
-            if not ev._cancelled:
-                live.append(ev)
-        for ev in live:
-            self.push(ev)
+        """Drop every cancelled record from the storage, in place."""
 
     # -- shared behaviour ----------------------------------------------------
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest *live* event, or ``None`` if empty."""
-        while True:
-            ev = self._pop_any()
-            if ev is None:
-                return None
-            if not ev._cancelled:
-                ev._on_cancel = None
-                return ev
-            self._dead -= 1
-
-    def pop_if_le(self, horizon: float) -> Optional[Event]:
-        """Remove and return the earliest live event with ``time <= horizon``.
-
-        Returns ``None`` — leaving the queue untouched — when the queue is
-        empty or its earliest live event lies beyond *horizon*.  This is the
-        engine hot-path operation: one call per firing instead of the
-        ``peek()`` + ``pop()`` pair.  Every bundled structure overrides it
-        with a fused implementation; this default composes the primitives.
-        """
-        ev = self.peek()
-        if ev is None or ev.time > horizon:
-            return None
-        return self.pop()
+        return self.pop_if_le(math.inf)
 
     def __bool__(self) -> bool:
         # O(1): raw slots minus exact dead count.
@@ -201,24 +161,10 @@ class EventQueue(abc.ABC):
         """Exact count of live (non-cancelled) events.  O(1)."""
         return len(self) - self._dead
 
+    @abc.abstractmethod
     def _iter_events(self) -> Iterator[Event]:
-        """Iterate stored events in arbitrary order (for diagnostics).
-
-        Subclasses should override; default drains and restores the queue,
-        which is correct but costly.
-        """
-        drained = []
-        while True:
-            ev = self._pop_any()
-            if ev is None:
-                break
-            if ev._cancelled:
-                # leaves storage here; the push below re-counts it
-                self._dead -= 1
-            drained.append(ev)
-        for ev in drained:
-            self.push(ev)
-        yield from drained
+        """Iterate the stored records, cancelled ones included, in arbitrary
+        order and without disturbing them (migration, diagnostics)."""
 
     def drain(self) -> list[Event]:
         """Remove and return all live events in order (used by trace dump)."""

@@ -21,8 +21,7 @@ defeat the width estimate and pile events into few buckets, which is exactly
 the "no single structure performs best" caveat benchmark E2 demonstrates.
 
 Hot path: :meth:`CalendarQueue.pop_if_le` performs delete-min, horizon
-check, and cancelled-head purging in **one** bucket sweep — under the old
-``peek()`` + ``pop()`` engine protocol every firing paid for two sweeps.
+check, and cancelled-head purging in **one** bucket sweep.
 """
 
 from __future__ import annotations
@@ -103,17 +102,6 @@ class CalendarQueue(EventQueue):
         if self._size > self._resize_up:
             self._resize(self._nbuckets * 2)
 
-    def _commit_pop(self, ev: Event, i: int, top: float) -> Event:
-        """Record scan state after removing *ev* from bucket *i*."""
-        self._size -= 1
-        self._last_prio = ev.time
-        self._cur_bucket = i
-        self._bucket_top = top
-        ev._on_cancel = None
-        if self._size < self._resize_down and self._nbuckets > _MIN_BUCKETS:
-            self._resize(self._nbuckets // 2)
-        return ev
-
     def _pop_min_direct(self, horizon: float) -> Optional[Event]:
         """Global head scan for when a whole year sweep found nothing."""
         best_bucket: Optional[list[Event]] = None
@@ -135,24 +123,14 @@ class CalendarQueue(EventQueue):
         # rather than re-entering the sweep — guards against float-precision
         # collapse when width << event times.)
         j = int(ev.time / self._width)
-        return self._commit_pop(ev, j % self._nbuckets,
-                                max((j + 1) * self._width, ev.time))
-
-    def _pop_any(self) -> Optional[Event]:
-        if self._size == 0:
-            return None
-        i = self._cur_bucket
-        top = self._bucket_top
-        n = self._nbuckets
-        # Sweep at most one full year looking at bucket heads.
-        for _ in range(n):
-            bucket = self._buckets[i]
-            if bucket and bucket[0].time < top:
-                return self._commit_pop(bucket.pop(0), i, top)
-            i = (i + 1) % n
-            top += self._width
-        # No event in the coming year: direct search for the global minimum.
-        return self._pop_min_direct(float("inf"))
+        self._size -= 1
+        self._last_prio = ev.time
+        self._cur_bucket = j % self._nbuckets
+        self._bucket_top = max((j + 1) * self._width, ev.time)
+        ev._on_cancel = None
+        if self._size < self._resize_down and self._nbuckets > _MIN_BUCKETS:
+            self._resize(self._nbuckets // 2)
+        return ev
 
     def pop_if_le(self, horizon: float) -> Optional[Event]:
         """Fused delete-min: one sweep covers purge + horizon check + pop."""
@@ -173,8 +151,6 @@ class CalendarQueue(EventQueue):
                 if ev.time < top:
                     if ev.time > horizon:
                         return None
-                    # _commit_pop, inlined: this branch is the engine's
-                    # per-event hot path and saves the call frame.
                     del bucket[0]
                     size = self._size - 1
                     self._size = size

@@ -31,11 +31,6 @@ class HeapQueue(EventQueue):
             event._on_cancel = self._cancel_cb
         heappush(self._heap, (event.time, event.priority, event.seq, event))
 
-    def _pop_any(self) -> Optional[Event]:
-        if not self._heap:
-            return None
-        return heappop(self._heap)[3]
-
     def pop_if_le(self, horizon: float) -> Optional[Event]:
         heap = self._heap
         while heap:

@@ -146,16 +146,6 @@ class LadderQueue(EventQueue):
                 return
         insort_right(self._bottom, event, lo=self._bot, key=_SORT_KEY)
 
-    def _pop_any(self) -> Optional[Event]:
-        # Aligned with pop_if_le: cancelled records are purged (with exact
-        # ``_dead`` bookkeeping) and the returned event's cancel hook is
-        # detached — so a later ``cancel()`` on an already-popped event can
-        # no longer fire this queue's callback and corrupt the dead count.
-        return self.pop_if_le(float("inf"))
-
-    def pop(self) -> Optional[Event]:
-        return self.pop_if_le(float("inf"))
-
     def pop_if_le(self, horizon: float) -> Optional[Event]:
         while True:
             bottom = self._bottom

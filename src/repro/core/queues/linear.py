@@ -50,11 +50,6 @@ class LinearQueue(EventQueue):
             event._on_cancel = self._cancel_cb
         insort_right(self._items, _ReverseKeyed(event))
 
-    def _pop_any(self) -> Optional[Event]:
-        if not self._items:
-            return None
-        return self._items.pop().event
-
     def pop_if_le(self, horizon: float) -> Optional[Event]:
         items = self._items
         while items:

@@ -114,18 +114,15 @@ class SplayQueue(EventQueue):
             self._min = node
         self._splay(node)
 
-    def _pop_any(self) -> Optional[Event]:
-        if self._root is None:
-            return None
-        node = self._min if self._min is not None else self._leftmost(self._root)
-        assert node is not None
-        # Unlink the minimum directly instead of splaying it to the root
-        # first.  The leftmost node has no left child, so its right subtree
-        # splices into its parent in O(1); splaying stays on the insert path,
-        # where the access-locality payoff lives.  Over a full drain each
-        # node is walked at most once while seeking the new minimum, so
-        # delete-min is amortized O(1) — the per-pop splay was pure rotation
-        # overhead (the 0.9× fused-protocol regression in BENCH_kernel.json).
+    def _unlink_min(self) -> Event:
+        """Unlink the cached minimum (must exist) and return its event."""
+        node = self._min
+        # Unlinked directly, not splayed to the root first: the leftmost
+        # node has no left child, so its right subtree splices into its
+        # parent in O(1); splaying stays on the insert path, where the
+        # access-locality payoff lives.  Over a full drain each node is
+        # walked at most once while seeking the new minimum, so delete-min
+        # is amortized O(1).
         right = node.right
         parent = node.parent
         if right is not None:
@@ -151,18 +148,18 @@ class SplayQueue(EventQueue):
 
     def pop_if_le(self, horizon: float) -> Optional[Event]:
         while self._min is not None and self._min.event._cancelled:
-            self._pop_any()
+            self._unlink_min()
             self._dead -= 1
         node = self._min
         if node is None or node.event.time > horizon:
             return None
-        ev = self._pop_any()
+        ev = self._unlink_min()
         ev._on_cancel = None
         return ev
 
     def peek(self) -> Optional[Event]:
         while self._min is not None and self._min.event._cancelled:
-            self._pop_any()
+            self._unlink_min()
             self._dead -= 1
         return self._min.event if self._min is not None else None
 

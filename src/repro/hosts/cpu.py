@@ -31,14 +31,14 @@ __all__ = ["JobRun", "Machine", "SpaceSharedMachine", "TimeSharedMachine"]
 
 
 class JobRun(Waitable):
-    """One job's execution on a machine.  Completes with itself."""
+    """One job's execution on a machine.  Completes with itself.
 
-    _counter = 0
+    ``id`` numbers the submissions of one machine from 1.
+    """
 
-    def __init__(self, job, submitted: float) -> None:
+    def __init__(self, run_id: int, job, submitted: float) -> None:
         super().__init__()
-        JobRun._counter += 1
-        self.id = JobRun._counter
+        self.id = run_id
         self.job = job
         self.length = float(getattr(job, "length", job))
         if self.length <= 0:
@@ -94,6 +94,11 @@ class Machine:
         self.monitor = Monitor(name)
         self._busy_level = self.monitor.level("busy_pes", start_time=sim.now)
         self.completed = 0
+        self._runs = 0
+
+    def _new_run(self, job) -> JobRun:
+        self._runs += 1
+        return JobRun(self._runs, job, self.sim.now)
 
     @property
     def total_mips(self) -> float:
@@ -161,7 +166,10 @@ class SpaceSharedMachine(Machine):
         super().__init__(sim, pes, rating, name)
         self.restart_policy = restart_policy
         self._queue: list[JobRun] = []
-        self._running: set[JobRun] = set()
+        #: insertion-ordered, so re-timing and eviction visit the running
+        #: jobs in start order — a set hashed by address would visit them in
+        #: an order that depends on what else the process allocated.
+        self._running: dict[JobRun, None] = {}
         self._failed = False
         self.failures = 0
         self.evictions = 0
@@ -224,7 +232,7 @@ class SpaceSharedMachine(Machine):
                 run._completion.cancel()
                 run._completion = None
                 run.remaining = 0.0
-                self._running.discard(run)
+                del self._running[run]
                 self._finish_run(run)
                 continue
             if self.restart_policy == "checkpoint":
@@ -235,7 +243,7 @@ class SpaceSharedMachine(Machine):
                 run.remaining = run.length
             run._completion.cancel()
             run._completion = None
-            self._running.discard(run)
+            del self._running[run]
             victims.append(run)
         # evicted jobs go to the *front* of the queue, oldest first
         self._queue[:0] = sorted(victims, key=lambda r: r.submitted)
@@ -259,7 +267,7 @@ class SpaceSharedMachine(Machine):
             self._start(self._queue.pop(0))
 
     def submit(self, job) -> JobRun:
-        run = JobRun(job, self.sim.now)
+        run = self._new_run(job)
         if not self._failed and len(self._running) < self.pes:
             self._start(run)
         else:
@@ -306,11 +314,11 @@ class SpaceSharedMachine(Machine):
         service = run.remaining / (self.rating * (1.0 - self._background))
         run._completion = self.sim.schedule(service, self._depart, run,
                                             label=f"job_done:{self.name}")
-        self._running.add(run)
+        self._running[run] = None
         self._busy_level.set(self.sim.now, len(self._running))
 
     def _depart(self, run: JobRun) -> None:
-        self._running.discard(run)
+        del self._running[run]
         self._busy_level.set(self.sim.now, len(self._running))
         self._finish_run(run)
         if self._queue and len(self._running) < self.pes:
@@ -347,7 +355,7 @@ class TimeSharedMachine(Machine):
         self._active: list[JobRun] = []
 
     def submit(self, job) -> JobRun:
-        run = JobRun(job, self.sim.now)
+        run = self._new_run(job)
         run.started = self.sim.now  # PS admits immediately
         run._last_update = self.sim.now
         self._active.append(run)

@@ -47,13 +47,14 @@ network, so rates, completion times and same-instant completion order are
 a function of the transfer sequence alone — not of ``PYTHONHASHSEED``, and
 not of how many flows the process created before.
 
-``incremental=False`` retains the full progressive-filling engine (global
-recompute, full reschedule, no coalescing) as the verification reference
-and churn baseline; ``verify=True`` cross-checks every incremental update
-against it.  Both run the one solver, :meth:`FlowNetwork._solve`;
-``tests/flow_oracle.py`` holds an independent dict-based filling the tests
-compare it with bit for bit.  Per-network counters in
-:attr:`FlowNetwork.sharing` account for the saved work.
+This is the only sharing engine in the package.  What it is checked
+against lives beside the tests, in ``tests/flow_oracle.py``: an independent
+dict-based filling (``oracle_rates``) that :meth:`FlowNetwork._solve` over
+all active flows must equal bit for bit after every recompute, and
+``NaiveFlowNetwork``, the recompute-everything / reschedule-everything
+subclass that is the differential fuzzer's reference and E8's churn
+baseline.  Per-network counters in :attr:`FlowNetwork.sharing` account for
+the saved work.
 
 A flow's data starts moving after the route's propagation latency; the
 returned :class:`FlowHandle` completes when the last byte arrives.
@@ -180,21 +181,13 @@ class FlowNetwork:
     efficiency:
         Fraction of nominal link capacity actually usable (protocol
         overhead); 0.92 by default, mirroring SimGrid's TCP correction.
-    incremental:
-        When True (default) use the component-scoped incremental engine.
-        When False, run the retained full progressive-filling reference:
-        every admit/finish immediately recomputes all flows and
-        cancels+reschedules every completion event (the churn baseline).
-    verify:
-        Debug mode: after every incremental update, recompute the full
-        reference allocation and raise if any stored rate diverges beyond
-        the epsilon policy.  Used by the differential fuzz tests.
     """
 
     #: Relative epsilon under which a recomputed rate counts as unchanged
     #: and the flow's completion event is preserved.  Chosen far below any
     #: modelled bandwidth change but above progressive-filling float noise,
-    #: so drift against the full reference stays ≤ RESCHEDULE_EPS per flow.
+    #: so drift against a from-scratch recompute stays ≤ RESCHEDULE_EPS per
+    #: flow.
     RESCHEDULE_EPS = 1e-12
 
     #: Starvation guard: a bottleneck share is floored at this fraction of
@@ -206,15 +199,12 @@ class FlowNetwork:
     SHARE_FLOOR_EPS = 1e-12
 
     def __init__(self, sim: Simulator, topology: Topology,
-                 efficiency: float = 0.92, incremental: bool = True,
-                 verify: bool = False) -> None:
+                 efficiency: float = 0.92) -> None:
         if not 0 < efficiency <= 1:
             raise ConfigurationError(f"efficiency must be in (0,1], got {efficiency}")
         self.sim = sim
         self.topology = topology
         self.efficiency = efficiency
-        self.incremental = incremental
-        self.verify = verify
         #: active flows keyed by id, in admission order.
         self._active: dict[int, FlowHandle] = {}
         #: every link a transfer was routed over → its state (bounded by the
@@ -287,17 +277,6 @@ class FlowNetwork:
         if state is None:
             return 0.0
         return sum(f.rate for f in state.flows.values()) / state.capacity
-
-    def reference_rates(self) -> dict[int, float]:
-        """Full progressive filling over every active flow.
-
-        The retained reference implementation: tests and the differential
-        fuzz harness compare the incremental engine's stored rates against
-        this on demand (and continuously with ``verify=True``).
-        """
-        flows = self._active.values()
-        self._solve(flows)
-        return {f.id: f._share for f in flows}
 
     def abort_link(self, spec: LinkSpec) -> list[FlowHandle]:
         """Abort every active flow crossing *spec* (the link went down).
@@ -392,16 +371,8 @@ class FlowNetwork:
 
     def _mark_dirty(self, path: list[_LinkState]) -> None:
         """Record that the set of flows crossing *path* changed and arrange
-        one recompute.
-
-        Incremental mode defers the recompute to a same-timestamp LOW-band
-        event so every admit/finish at this instant lands in one pass; the
-        reference mode recomputes immediately, exactly as the original
-        engine did.
-        """
-        if not self.incremental:
-            self._apply_rates(self._active.values(), preserve=False)
-            return
+        one recompute: a same-timestamp LOW-band event, so every admit and
+        finish at this instant lands in one pass."""
         dirty = self._dirty
         for state in path:
             dirty[state] = None
@@ -417,11 +388,8 @@ class FlowNetwork:
         self._flush_scheduled = False
         seeds, self._dirty = self._dirty, {}
         component = self._component(seeds)
-        if not component:
-            return
-        self._apply_rates(component.values(), preserve=True)
-        if self.verify:
-            self._verify_against_reference()
+        if component:
+            self._apply_rates(component.values())
 
     def _component(self, seeds: Iterable[_LinkState]) -> dict[int, FlowHandle]:
         """Flows transitively sharing a link with any seed link, in
@@ -439,16 +407,14 @@ class FlowNetwork:
                             stack.append(state)
         return flows
 
-    def _apply_rates(self, flows: Collection[FlowHandle], preserve: bool) -> None:
+    def _apply_rates(self, flows: Collection[FlowHandle]) -> None:
         """Settle, recompute max-min shares, and (re)schedule completions.
 
-        With *preserve*, a flow whose new rate matches its current rate
-        within :data:`RESCHEDULE_EPS` (relative) keeps both its stored rate
-        and its live completion event — the event's absolute time is still
-        exact, since bytes keep draining at the unchanged rate.
+        A flow whose new rate matches its current rate within
+        :data:`RESCHEDULE_EPS` (relative) keeps both its stored rate and its
+        live completion event — the event's absolute time is still exact,
+        since bytes keep draining at the unchanged rate.
         """
-        if not flows:
-            return
         for f in flows:
             self._settle(f)
         self._solve(flows)
@@ -459,7 +425,7 @@ class FlowNetwork:
         eps = self.RESCHEDULE_EPS
         for f in flows:
             new_rate = f._share
-            if (preserve and f._completion is not None
+            if (f._completion is not None
                     and not f._completion.cancelled
                     and abs(new_rate - f.rate)
                     <= eps * max(abs(new_rate), abs(f.rate))):
@@ -482,30 +448,14 @@ class FlowNetwork:
         if obs is not None:
             obs.on_reallocate()
 
-    def _verify_against_reference(self) -> None:
-        """Assert stored rates match the full progressive-filling reference.
-
-        The tolerance covers the two sanctioned divergence sources: an
-        epsilon-preserved stale rate (≤ RESCHEDULE_EPS relative) and float
-        tie-break noise between component-local and global filling order.
-        """
-        reference = self.reference_rates()
-        for fid, want in reference.items():
-            got = self._active[fid].rate
-            if not math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12):
-                raise AssertionError(
-                    f"incremental rate divergence: flow #{fid} has rate "
-                    f"{got!r}, full reference says {want!r} "
-                    f"(active={len(self._active)})")
-
     def _solve(self, flows: Collection[FlowHandle]) -> None:
         """Progressive filling over *flows*; leaves each flow's max-min
         rate in its ``_share``.
 
         *flows* must hold every active flow on each link it touches: one
-        connected component (the incremental path — filling decomposes
-        exactly across components, so the restriction is lossless) or all
-        active flows (the full reference).
+        connected component (filling decomposes exactly across components,
+        so the restriction is lossless) or any union of them — the tests
+        pass all active flows.
 
         The rates are a function of the order of *flows* alone: links are
         scanned in the order the flows first reach them, the strict ``<``

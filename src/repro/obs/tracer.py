@@ -15,9 +15,10 @@ Cross-simulator causality (distributed runs) is stitched through
 span is remembered per message and grafted onto the receiving LP's dispatch
 span, so a cause→effect chain follows a job across logical processes.
 
-One tracer may serve many simulators concurrently (the threaded window
-executor runs LPs on a pool); all mutation is either span-local (owned by
-exactly one thread at a time) or a CPython-atomic list append / dict store.
+One tracer may serve many simulators (every LP of a partitioned run): each
+binding passes its own ``track``, and every executor runs one LP at a time,
+so spans from different simulators interleave in the lists but never share
+state.
 """
 
 from __future__ import annotations

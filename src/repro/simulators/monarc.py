@@ -164,11 +164,13 @@ class MonarcModel:
                         self._pull_backlogs[n] += 1
                         ticket = self.grid.transfers.fetch(f, "T0", n)
                         ticket._subscribe(
-                            lambda _t, f=f, n=n: self._pulled(f, n))
+                            lambda t, f=f, n=n: self._pulled(t, f, n))
 
         Process(self.sim, activity, name="production-activity")
 
-    def _pulled(self, f, n: str) -> None:
+    def _pulled(self, ticket, f, n: str) -> None:
+        if ticket.failed:
+            return  # an outage ate the fetch: the file stays outstanding at n
         self._pull_backlogs[n] -= 1
         disk = self.centres[n].site.disk
         if not disk.has(f.name):

@@ -206,12 +206,16 @@ class OptorSimModel:
                 site.disk.touch(f.name)
                 yield site.disk.read(f.name)
             else:
-                job.remote_reads += 1
                 src = self.catalog.best_replica(f.name, job.site)
-                yield self.grid.transfers.fetch(f, src, job.site)
-                self.monitor.counter("remote_fetches").increment(self.sim.now)
-                self.monitor.tally("remote_bytes").record(f.size)
-                self.strategy.on_fetch(f, src, job.site)
+                ticket = yield self.grid.transfers.fetch(f, src, job.site)
+                if not ticket.failed:
+                    # a fetch an outage ate is no remote read and, above
+                    # all, must not leave a replica of bytes never received
+                    job.remote_reads += 1
+                    self.monitor.counter("remote_fetches").increment(
+                        self.sim.now)
+                    self.monitor.tally("remote_bytes").record(f.size)
+                    self.strategy.on_fetch(f, src, job.site)
             # process this file's share of the job
             yield self.machines[job.site].submit(job.compute_per_file)
         job.finished = self.sim.now

@@ -4,11 +4,12 @@ The E8 bandwidth-sharing scenario (``benchmarks/bench_flow_sharing.py`` and
 ``python -m repro flows``): *pairs* isolated source→sink links each run a
 chain of back-to-back transfers, staggered so their admits/finishes
 interleave in time, while a handful of long-lived flows share one backbone
-link.  Under the naive max-min engine every one of those pair-local events
-recomputes **all** active flows and cancels+reschedules **every**
-completion event; the incremental engine touches only the two-node
+link.  A naive max-min engine recomputes **all** active flows and
+cancels+reschedules **every** completion event on each of those pair-local
+events; :class:`~repro.network.flow.FlowNetwork` touches only the two-node
 component that actually changed.  The model is fully deterministic — no
-RNG — so incremental and reference runs are directly comparable.
+RNG — so E8 can run it again over the test-side naive engine
+(``tests/flow_oracle.py``) and compare completion times flow by flow.
 """
 
 from __future__ import annotations
@@ -37,16 +38,12 @@ class FlowChurnModel:
     backbone_flows:
         Long-lived flows sharing the single ``bbA -> bbB`` link — the one
         genuinely coupled component.
-    incremental:
-        Forwarded to :class:`~repro.network.flow.FlowNetwork` — False runs
-        the full progressive-filling reference (the churn baseline).
     """
 
     def __init__(self, pairs: int = 50, transfers_per_pair: int = 10,
                  backbone_flows: int = 4, pair_bandwidth: float = 1e6,
                  backbone_bandwidth: float = 4e6, transfer_bytes: float = 1e6,
                  backbone_bytes: float = 1.2e7, stagger: float = 0.137,
-                 incremental: bool = True, verify: bool = False,
                  queue: str = "heap") -> None:
         if pairs < 1 or transfers_per_pair < 1:
             raise ConfigurationError("need at least one pair and one transfer")
@@ -62,8 +59,7 @@ class FlowChurnModel:
             topo.add_link("bbA", "bbB", backbone_bandwidth, latency=0.002)
         self.topology = topo
         self.sim = Simulator(queue=queue)
-        self.net = FlowNetwork(self.sim, topo, efficiency=1.0,
-                               incremental=incremental, verify=verify)
+        self.net = FlowNetwork(self.sim, topo, efficiency=1.0)
         self.handles = []
         for i in range(pairs):
             self.sim.schedule(i * stagger, self._start_chain, i,

@@ -1,11 +1,11 @@
-"""An independent max-min oracle for the flow engine's tests.
+"""What the flow engine is checked against: an oracle and a naive engine.
 
-This is the plain dict-based progressive filling ``FlowNetwork`` ran before
-its solver moved onto per-link state objects and live counts: ``free`` /
-``capacity`` / ``crossing`` dicts keyed by link value, an ``unfrozen`` set,
-and a recount of every link's unfrozen crossers on every round.  It shares
-no code with ``repro.network.flow``, so a bookkeeping bug there cannot hide
-behind ``verify=True`` (which compares the engine with itself).
+``oracle_rates`` is the plain dict-based progressive filling ``FlowNetwork``
+ran before its solver moved onto per-link state objects and live counts:
+``free`` / ``capacity`` / ``crossing`` dicts keyed by link value, an
+``unfrozen`` set, and a recount of every link's unfrozen crossers on every
+round.  It shares no code with ``repro.network.flow``, so a bookkeeping bug
+there cannot hide behind a comparison of the engine with itself.
 
 One deliberate difference from the historical code: flows capped below the
 bottleneck share freeze in the order of *flows*, not in the iteration order
@@ -15,11 +15,21 @@ history, and it decides the subtraction order, hence the last ulp.
 Scan order (links in first-seen order, strict ``<``) and subtraction order
 are the engine's documented invariant, so agreement is required **bit for
 bit**: compare with ``float.hex``.
+
+``NaiveFlowNetwork`` is the whole-engine reference: the formulation the
+production engine's component scoping, coalescing and preserved completions
+are optimisations of.  ``tests/test_flow_fuzz.py`` and E8
+(``benchmarks/bench_flow_sharing.py``) compare completion times and churn
+against it.
 """
 
 import math
 import os
 import random
+from unittest import mock
+
+from repro.network.flow import FlowNetwork
+from repro.workloads import flowchurn
 
 SHARE_FLOOR_EPS = 1e-12
 MIN_SHARE = math.ulp(0.0)
@@ -77,22 +87,57 @@ def oracle_rates(flows, efficiency: float) -> dict:
     return rates
 
 
-def check_every_recompute(net, tag: str = "") -> None:
-    """After each recompute of *net*, require its full reference allocation
-    over the active flows to equal the oracle's bit for bit — and, for the
-    ``incremental=False`` engine, whose every recompute is that full
-    allocation, the stored rates too."""
-    apply_rates = net._apply_rates
+class NaiveFlowNetwork(FlowNetwork):
+    """Every admit, finish and abort at once recomputes all active flows
+    and cancels + reschedules every completion event: no coalescing, no
+    component scoping, nothing preserved."""
 
-    def checked(flows, preserve):
-        apply_rates(flows, preserve)
-        want = {k: v.hex() for k, v in
-                oracle_rates(net.flows(), net.efficiency).items()}
-        got = {k: v.hex() for k, v in net.reference_rates().items()}
-        assert got == want, f"{tag}: engine reference {got} != oracle {want}"
-        if not net.incremental:
-            stored = {f.id: f.rate.hex() for f in net.flows()}
-            assert stored == want, f"{tag}: stored {stored} != oracle {want}"
+    def _mark_dirty(self, path) -> None:
+        flows = self._active.values()
+        for f in flows:
+            if f._completion is not None:
+                f._completion.cancel()
+                f._completion = None
+        if flows:
+            self._apply_rates(flows)
+
+
+def naive_flow_churn(**params) -> flowchurn.FlowChurnModel:
+    """The flow-churn workload over :class:`NaiveFlowNetwork`."""
+    with mock.patch.object(flowchurn, "FlowNetwork", NaiveFlowNetwork):
+        return flowchurn.FlowChurnModel(**params)
+
+
+def full_filling(net) -> dict:
+    """``{flow.id: rate}`` from the engine's solver run over all active
+    flows at once (its scratch output; stored rates are untouched)."""
+    flows = net.flows()
+    net._solve(flows)
+    return {f.id: f._share for f in flows}
+
+
+def check_every_recompute(net, tag: str = "") -> None:
+    """After each recompute of *net*, require its solver's full filling
+    over the active flows to equal the oracle's bit for bit, and its stored
+    rates to agree with it: exactly for the naive engine, whose every
+    recompute is that full filling; within 1e-9 relative for the production
+    engine (an epsilon-preserved stale rate, tie-break noise between
+    component-local and global filling order)."""
+    apply_rates = net._apply_rates
+    exact = isinstance(net, NaiveFlowNetwork)
+
+    def checked(flows):
+        apply_rates(flows)
+        want = oracle_rates(net.flows(), net.efficiency)
+        got = full_filling(net)
+        assert ({k: v.hex() for k, v in got.items()}
+                == {k: v.hex() for k, v in want.items()}), \
+            f"{tag}: engine filling {got} != oracle {want}"
+        for f in net.flows():
+            assert (f.rate.hex() == want[f.id].hex() if exact else
+                    math.isclose(f.rate, want[f.id],
+                                 rel_tol=1e-9, abs_tol=1e-12)), \
+                f"{tag}: flow #{f.id} stores {f.rate!r}, oracle {want[f.id]!r}"
     net._apply_rates = checked
 
 

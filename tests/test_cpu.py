@@ -74,6 +74,45 @@ class TestSpaceShared:
         assert run.finished == pytest.approx(15.0)
 
 
+def _slow_down(sim, m):
+    sim.schedule(5.0, m.set_background_load, 0.5)
+
+
+def _crash_then_repair(sim, m):
+    sim.schedule(4.0, m.fail)
+    sim.schedule(6.0, m.repair)
+
+
+class TestProcessHistoryIndependence:
+    """Equal jobs keep submission (FIFO) order whatever the process
+    allocated before: the running set is insertion-ordered, not hashed by
+    address."""
+
+    @pytest.mark.parametrize("throwaway", [0, 10_000])
+    @pytest.mark.parametrize("disturb", [_slow_down, _crash_then_repair])
+    def test_retiming_and_eviction_keep_submission_order(self, disturb,
+                                                         throwaway):
+        junk = [object() for _ in range(throwaway)]   # shifts later addresses
+        sim = Simulator()
+        m = SpaceSharedMachine(sim, pes=8, rating=100.0)
+        order = []
+        for k in range(8):
+            m.submit(FakeJob(1000.0))._subscribe(
+                lambda run, k=k: order.append(k))
+        disturb(sim, m)
+        sim.run()
+        assert order == list(range(8))
+        assert len(junk) == throwaway
+
+    def test_run_ids_count_per_machine(self):
+        sim = Simulator()
+        for _ in range(2):
+            m = SpaceSharedMachine(sim, pes=1, rating=100.0)
+            assert [m.submit(FakeJob(10.0)).id for _ in range(3)] == [1, 2, 3]
+        t = TimeSharedMachine(sim, pes=1, rating=100.0)
+        assert t.submit(FakeJob(10.0)).id == 1
+
+
 class TestTimeShared:
     def test_single_job_full_speed(self):
         sim = Simulator()

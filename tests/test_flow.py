@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from repro.core import ConfigurationError, Process, Simulator
 from repro.network import FlowNetwork, LinkSpec, Topology, dumbbell
 
+from .flow_oracle import NaiveFlowNetwork, check_every_recompute
+
 
 def simple_net(bw=100.0, latency=0.0, efficiency=1.0):
     t = Topology()
@@ -158,7 +160,8 @@ class TestStarvationGuard:
         t.add_link("a", "b", 5e-324, 0.0)
         t.add_link("b", "c", 5e-324, 0.0)
         sim = Simulator()
-        net = FlowNetwork(sim, t, efficiency=1.0, incremental=incremental)
+        engine = FlowNetwork if incremental else NaiveFlowNetwork
+        net = engine(sim, t, efficiency=1.0)
         h1 = net.transfer("a", "c", 5e-323)  # crosses both saturated links
         h2 = net.transfer("a", "c", 5e-323)
         sim.run(until=1e-9)
@@ -183,13 +186,14 @@ class TestStarvationGuard:
 
 
 class TestIncrementalSharing:
-    def net(self, links, incremental=True, verify=True):
+    def net(self, links, engine=FlowNetwork):
         t = Topology()
         for a, b, bw in links:
             t.add_link(a, b, bw, 0.0)
         sim = Simulator()
-        return sim, FlowNetwork(sim, t, efficiency=1.0,
-                                incremental=incremental, verify=verify)
+        net = engine(sim, t, efficiency=1.0)
+        check_every_recompute(net)
+        return sim, net
 
     def test_same_timestamp_admits_coalesce_into_one_recompute(self):
         sim, net = self.net([("a", "b", 100.0)])
@@ -257,17 +261,15 @@ class TestIncrementalSharing:
         assert net.monitor.tally("transfer_time").count == 3
 
     def test_reference_mode_matches_incremental(self):
-        for incremental in (True, False):
-            sim, net = self.net([("a", "b", 100.0), ("b", "c", 60.0)],
-                                incremental=incremental, verify=incremental)
+        finished = {}
+        for engine in (FlowNetwork, NaiveFlowNetwork):
+            sim, net = self.net([("a", "b", 100.0), ("b", "c", 60.0)], engine)
             h1 = net.transfer("a", "c", 300.0)
             h2 = net.transfer("a", "b", 300.0)
             sim.run()
-            if incremental:
-                inc = (h1.finished, h2.finished)
-            else:
-                ref = (h1.finished, h2.finished)
-        assert inc == pytest.approx(ref, rel=1e-9)
+            finished[engine] = (h1.finished, h2.finished)
+        assert finished[FlowNetwork] == pytest.approx(
+            finished[NaiveFlowNetwork], rel=1e-9)
 
 
 class TestCountedWork:
@@ -324,7 +326,8 @@ class TestCountedWork:
         t.add_link("a", "d", 100.0, 2.0)   # slower detour, up throughout
         t.add_link("d", "c", 100.0, 2.0)
         sim = Simulator()
-        net = FlowNetwork(sim, t, efficiency=1.0, verify=True)
+        net = FlowNetwork(sim, t, efficiency=1.0)
+        check_every_recompute(net)
         routed = []
         route = Topology.route
         monkeypatch.setattr(Topology, "route", lambda topo, s, d: (

@@ -1,15 +1,16 @@
-"""Differential fuzzing of the incremental max-min sharing engine.
+"""Differential fuzzing of the max-min sharing engine.
 
 Seeded random transfer schedules — mixed disjoint-pair, dumbbell-crossing,
 hub-local, rate-capped, zero-size, and same-host traffic — are driven
-through the component-scoped incremental engine (with continuous
-``verify=True`` cross-checking) and through the retained full
-progressive-filling reference (``incremental=False``).  Both runs execute
-the *identical* schedule, so flow-by-flow completion times must agree to
-float noise; any starved flow (the bug class the share floor guards
-against) shows up as a handle that never completes.  After every recompute
-the engine's full reference allocation is also compared, bit for bit, with
-the independent dict-based filling in ``flow_oracle.py``.
+through ``FlowNetwork`` (component-scoped, coalescing, completion-preserving)
+and through ``flow_oracle.NaiveFlowNetwork`` (recompute everything,
+reschedule everything, at once).  Both runs execute the *identical*
+schedule, so flow-by-flow completion times must agree to float noise; any
+starved flow (the bug class the share floor guards against) shows up as a
+handle that never completes.  After every recompute of either engine the
+solver's filling over all active flows is also compared, bit for bit, with
+the independent dict-based filling in ``flow_oracle.py``, and the stored
+rates with that.
 
 Seeds: a fixed set always runs in CI; set ``REPRO_FUZZ_RANDOM=1`` for a
 short randomized burst (each seed is printed in the failure message, and
@@ -25,7 +26,7 @@ import pytest
 from repro.core import Simulator
 from repro.network import FlowNetwork, Topology
 
-from .flow_oracle import check_every_recompute, fuzz_seeds
+from .flow_oracle import NaiveFlowNetwork, check_every_recompute, fuzz_seeds
 
 FIXED_SEEDS = [2009, 40962, 777216]
 
@@ -71,16 +72,15 @@ def build_schedule(rng: random.Random) -> list:
     return schedule
 
 
-def run_engine(seed: int, incremental: bool):
+def run_engine(seed: int, engine: type):
     """One full run; returns (network, handles in submission order)."""
     rng = random.Random(seed)
     topo = build_topology(rng)
     schedule = build_schedule(rng)
     sim = Simulator()
-    net = FlowNetwork(sim, topo, efficiency=1.0, incremental=incremental,
-                      verify=incremental)
+    net = engine(sim, topo, efficiency=1.0)
     # an oracle that shares no code with the engine, bit for bit
-    check_every_recompute(net, f"seed={seed} incremental={incremental}")
+    check_every_recompute(net, f"seed={seed} {engine.__name__}")
     handles = []
     for start, src, dst, size, cap in schedule:
         sim.schedule(start,
@@ -92,26 +92,22 @@ def run_engine(seed: int, incremental: bool):
 
 
 def run_differential(seed: int) -> None:
-    """Drive both engines through one seeded schedule; raises on divergence.
-
-    ``verify=True`` on the incremental side additionally cross-checks the
-    stored rates against the full reference after *every* coalesced flush.
-    """
+    """Drive both engines through one seeded schedule; raises on divergence."""
     tag = f"seed={seed} (replay: REPRO_FUZZ_SEED={seed})"
-    net_inc, inc = run_engine(seed, incremental=True)
-    net_ref, ref = run_engine(seed, incremental=False)
+    net_inc, inc = run_engine(seed, FlowNetwork)
+    net_ref, ref = run_engine(seed, NaiveFlowNetwork)
     assert len(inc) == len(ref) == N_TRANSFERS, tag
     for k, (a, b) in enumerate(zip(inc, ref)):
         what = f"{tag} flow[{k}] {a.src}->{a.dst} size={a.size:.6g}"
         assert a.done and a.finished is not None, (
-            f"{what}: never completed under the incremental engine "
+            f"{what}: never completed under FlowNetwork "
             f"(starvation hang?)")
         assert b.done and b.finished is not None, (
-            f"{what}: never completed under the full reference")
+            f"{what}: never completed under the naive engine")
         assert math.isclose(a.finished, b.finished,
                             rel_tol=1e-9, abs_tol=1e-9), (
-            f"{what}: completion {a.finished!r} (incremental) != "
-            f"{b.finished!r} (reference)")
+            f"{what}: completion {a.finished!r} (FlowNetwork) != "
+            f"{b.finished!r} (naive)")
     assert net_inc.completed == net_ref.completed == N_TRANSFERS, tag
     # the whole point: strictly less completion-event churn, same answers
     assert (net_inc.sharing.rescheduled

@@ -1,12 +1,13 @@
 """Property test: the engine's max-min rates equal an independent oracle's.
 
-``verify=True`` compares the incremental path with ``reference_rates()``,
-but both run ``FlowNetwork._solve`` — a bookkeeping bug in its live counts
+Comparing a component-scoped recompute with a full one checks
+``FlowNetwork._solve`` against itself — a bookkeeping bug in its live counts
 would pass.  Here seeded random flow sets (shared and disjoint links; caps
 of 0, finite and inf; subnormal, equal and ordinary capacities) are
-admitted in one instant and drained, and after *every* recompute the full
-reference must equal ``flow_oracle.oracle_rates`` bit for bit (as must the
-stored rates of the ``incremental=False`` engine).
+admitted in one instant and drained, and after *every* recompute the
+solver's filling over all active flows must equal
+``flow_oracle.oracle_rates`` bit for bit (as must the stored rates of
+``NaiveFlowNetwork``, the ``incremental=False`` rows).
 """
 
 import math
@@ -17,7 +18,7 @@ import pytest
 from repro.core import Simulator
 from repro.network import FlowNetwork, Topology
 
-from .flow_oracle import check_every_recompute, fuzz_seeds
+from .flow_oracle import NaiveFlowNetwork, check_every_recompute, fuzz_seeds
 
 FIXED_SEEDS = [2009, 1106, 40962, 777216, 31337, 5]
 
@@ -48,8 +49,8 @@ def build(rng: random.Random, incremental: bool, finite_caps: bool):
     for a, b in pairs:
         t.add_link(a, b, random_capacity(rng, tie), 0.0)
     sim = Simulator()
-    net = FlowNetwork(sim, t, efficiency=rng.choice([1.0, 0.92]),
-                      incremental=incremental, verify=incremental)
+    engine = FlowNetwork if incremental else NaiveFlowNetwork
+    net = engine(sim, t, efficiency=rng.choice([1.0, 0.92]))
     handles = []
     for _ in range(rng.randint(1, 40)):
         if rng.random() < 0.15:

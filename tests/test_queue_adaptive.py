@@ -6,8 +6,9 @@ Three families:
   drain cost O(N²/THRESHOLD); these tests pin both the absolute comparison
   against the heap (the E2 acceptance bound) and the *growth rate* between
   two sizes, so the pathology cannot silently return.
-* **Ladder bug regressions** — ``_pop_any`` cancellation accounting and the
-  single-timestamp Top-spill horizon at fractional timescales.
+* **Ladder bug regressions** — the single-timestamp Top-spill horizon at
+  fractional timescales (the post-pop cancel-hook regression is now the
+  all-structure ``tests/test_queues.py::TestOneDeleteMin``).
 * **AdaptiveQueue** — profile shifts trigger migrations, orderings and
   len/peek survive them, and the counters reach obs telemetry.
 """
@@ -57,23 +58,6 @@ class TestDrainScaling:
 
 
 class TestLadderRegressions:
-    def test_pop_any_skips_cancelled_and_detaches_hook(self):
-        # _pop_any used to return the raw minimum: cancelled events came
-        # back to callers, _dead went stale, and the popped event kept its
-        # _on_cancel hook — so cancelling it later corrupted the counter.
-        q = LadderQueue()
-        events = [Event(float(i), i, lambda: None) for i in range(8)]
-        for ev in events:
-            q.push(ev)
-        events[0].cancel()
-        assert q.dead_len == 1
-        got = q._pop_any()
-        assert got is events[1]  # cancelled head skipped, not returned
-        assert q.dead_len == 0  # purged record decremented the counter
-        got.cancel()  # post-pop cancel must be invisible to the queue
-        assert q.dead_len == 0
-        assert q.live_len() == 6
-
     def test_single_timestamp_spill_horizon_fractional(self):
         # A Top spill where every event shares one timestamp used to set
         # the next horizon to lo + 1.0 — at sub-unit timescales every

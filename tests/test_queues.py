@@ -1,4 +1,4 @@
-"""Conformance + property tests for all five event-list structures.
+"""Conformance + property tests for all six event-list structures.
 
 Every structure must dequeue identical orders on identical inputs — the
 binary heap is the reference.  Hypothesis drives randomized schedules
@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Event, Priority
-from repro.core.queues import QUEUE_FACTORIES, make_queue
+from repro.core.queues import (QUEUE_FACTORIES, EventQueue, HeapQueue,
+                               make_queue)
+
+from .test_queues_fuzz import FUZZ_KINDS, build_queue
 
 ALL_KINDS = sorted(QUEUE_FACTORIES)
 
@@ -296,6 +299,74 @@ class TestPopIfLe:
                 expect = b.pop() if ref is not None and ref.time <= h else None
                 assert (None if got is None else got.sort_key) \
                     == (None if expect is None else expect.sort_key), f"step {step}"
+
+
+class TestOneDeleteMin:
+    """``pop_if_le`` is the only delete-min a structure implements:
+    ``pop()`` is ``pop_if_le(inf)``, and both keep the dead count exact."""
+
+    @pytest.mark.parametrize("kind", FUZZ_KINDS)
+    def test_pop_equals_pop_if_le_inf(self, kind):
+        from repro.core.rng import StreamFactory
+
+        stream = StreamFactory(15).stream(f"one-{kind}")
+        a, b = build_queue(kind), build_queue(kind)
+        pending = []          # (event in a, its twin in b), live and stored
+        seq = 0
+        for step in range(600):
+            r = stream.uniform(0.0, 1.0)
+            if r < 0.5 or not pending:
+                seq += 1
+                t = stream.uniform(0.0, 100.0)
+                pair = (Event(t, seq, lambda: None),
+                        Event(t, seq, lambda: None))
+                pending.append(pair)
+                a.push(pair[0])
+                b.push(pair[1])
+            elif r < 0.7:
+                # half of the cancellations hit the current head
+                pending.sort(key=lambda p: p[0].sort_key)
+                i = 0 if r < 0.6 else int(stream.uniform(0, len(pending)))
+                for ev in pending.pop(i):
+                    ev.cancel()
+            else:
+                got, want = a.pop(), b.pop_if_le(float("inf"))
+                assert got.sort_key == want.sort_key, f"step {step}"
+                pending.remove((got, want))
+            for q in (a, b):
+                assert q.live_len() == len(pending), f"step {step}"
+                assert q.dead_len == len(q) - len(pending) == sum(
+                    ev.cancelled for ev in q._iter_events()), f"step {step}"
+        assert [e.sort_key for e in a.drain()] \
+            == sorted(p[0].sort_key for p in pending)
+
+    @pytest.mark.parametrize("kind", FUZZ_KINDS)
+    def test_popped_event_cancel_hook_is_detached(self, kind):
+        # A popped event that kept its hook would, when cancelled later,
+        # count a dead record the queue no longer stores.
+        q = build_queue(kind)
+        events = make_events([float(i) for i in range(8)])
+        for ev in events:
+            q.push(ev)
+        events[0].cancel()
+        assert q.dead_len == 1
+        got = q.pop()
+        assert got is events[1]   # cancelled head purged, not returned
+        assert q.dead_len == 0
+        got.cancel()
+        assert q.dead_len == 0
+        assert q.live_len() == 6
+
+    @pytest.mark.parametrize("omitted",
+                             ["pop_if_le", "_compact", "_iter_events"])
+    def test_structure_missing_a_primitive_cannot_be_built(self, omitted):
+        # No silent quadratic default: the three are abstract.
+        body = {name: vars(HeapQueue)[name]
+                for name in ("push", "pop_if_le", "peek", "__len__",
+                             "_compact", "_iter_events") if name != omitted}
+        partial = type("Partial", (EventQueue,), body)
+        with pytest.raises(TypeError, match=omitted):
+            partial()
 
 
 class TestCancellationHeavy:

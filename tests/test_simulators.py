@@ -116,6 +116,26 @@ class TestOptorSim:
             OptorSimModel(Simulator(), access_pattern="psychic")
 
 
+    def test_failed_fetch_is_no_remote_read_and_leaves_no_replica(self):
+        """CERN (the only holder) cut off: every staging fetch aborts, and
+        none may count as a remote read or reach ``strategy.on_fetch``."""
+        from repro.faults import FaultGraph
+
+        sim = Simulator(seed=4)
+        model = OptorSimModel(sim, optimizer="lru", n_sites=3, n_files=10,
+                              files_per_job=4)
+        FaultGraph.from_grid(model.grid).fail("link:CERN->WAN")
+        model.run(n_jobs=6)
+        assert len(model.completed) == 6
+        assert model.grid.transfers.failed == 24
+        assert model.grid.transfers.completed == 0
+        assert model.strategy.replicas_created == 0
+        assert all(model.catalog.locations(f.name) == ["CERN"]
+                   for f in model.files)
+        assert model.monitor.counter("remote_fetches").count == 0
+        assert sum(j.remote_reads for j in model.completed) == 0
+
+
 class TestSimGrid:
     def test_master_worker_agents(self):
         sim = Simulator(seed=9)
@@ -315,6 +335,27 @@ class TestMonarc:
             MonarcModel(Simulator(), n_tier1=0)
         with pytest.raises(ConfigurationError):
             MonarcModel(Simulator(), uplink_gbps=0.0)
+
+
+    def test_pull_mode_failed_fetch_stays_outstanding(self):
+        """T1.0's access link dies at t=15: its pulls abort, so nothing may
+        be stored or registered there and its backlog keeps the files."""
+        from repro.faults import FaultGraph
+
+        sim = Simulator(seed=3)
+        model = MonarcModel(sim, n_tier1=2, agent_enabled=False)
+        graph = FaultGraph.from_grid(model.grid)
+        sim.schedule(15.0, graph.fail, "link:T1.0->WAN")
+        result = model.run_t0_t1_study(horizon=60.0, sample_period=20.0)
+        n = result.produced_files
+        assert n >= 2
+        assert model.grid.network.aborted == model.grid.transfers.failed == n
+        t1_0 = model.centres["T1.0"].site
+        for f in model.produced:
+            assert model.catalog.locations(f.name) == ["T0", "T1.1"]
+            assert not t1_0.has_file(f.name)
+        assert model._pull_backlogs == {"T1.0": n, "T1.1": 0}
+        assert model.replication_backlog() == n
 
 
 class TestOptorSimBroker:

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.core import (
+    Process,
     Simulator,
     TraceDrivenSimulator,
     TraceFormatError,
@@ -89,6 +90,27 @@ class TestRecorder:
         sim.run()
         back = read_trace(io.StringIO(rec.dumps()))
         assert back[0].kind == "evt" and back[0].time == 1.5
+
+
+    def test_same_model_twice_in_one_process_records_identical_traces(self):
+        # Unnamed processes are labelled per simulator, so a trace (the
+        # replay input) does not depend on what ran earlier in the process.
+        def run_once():
+            sim = Simulator(seed=7)
+            rec = TraceRecorder("run").attach(sim)
+            stream = sim.streams.stream("hold")
+
+            def body():
+                for _ in range(3):
+                    yield stream.exponential(1.0)
+            Process(sim, body)
+            Process(sim, body)
+            sim.run()
+            return rec.dumps()
+
+        first = run_once()
+        assert "start:process-1" in first and "hold:process-2" in first
+        assert run_once() == first
 
 
 class TestTraceDriven:
