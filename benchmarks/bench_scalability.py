@@ -12,8 +12,9 @@ per-resource rate, N swept over two orders of magnitude; crossed with the
 engine's two §5 optimization axes — event-list structure and
 entity-to-context mapping.  Shape targets: runtime grows ~linearly in N
 (events dominate) for sublinear queues; the pure-callback (shared-context)
-mapping beats one-process-per-job by a constant factor; event counts per
-policy quantify the abstraction overhead.
+mapping beats one-process-per-job by a constant factor; context switches
+(run-queue resumes) per policy quantify the abstraction overhead — kernel
+events no longer do, since only holds are events.
 """
 
 import time
@@ -105,21 +106,24 @@ def test_e6_shape_claims(benchmark):
         stream = Simulator(seed=2).stream("w")
         jobs = [JobSpec(arrival=0.5 * i, duration=2.0, id=i)
                 for i in range(3_000)]
-        events = {}
-        for name, cls in MAPPING_POLICIES.items():
-            events[name] = cls().run(jobs, 8).kernel_events
-        return times, events
+        mapped = {name: cls().run(jobs, 8)
+                  for name, cls in MAPPING_POLICIES.items()}
+        return times, mapped
 
-    times, events = once(benchmark, run_all)
+    times, mapped = once(benchmark, run_all)
     print_table("E6: runtime (s) vs resource count per event-list structure",
                 ["structure", "N=100", "N=1000", "N=5000", "growth 100->5000"],
                 [(q, f"{times[(q, 100)]:.3f}", f"{times[(q, 1000)]:.3f}",
                   f"{times[(q, 5000)]:.3f}",
                   f"{times[(q, 5000)] / times[(q, 100)]:.0f}x")
                  for q in ("linear", "heap", "calendar")])
-    print_table("E6b: kernel events per mapping policy (3000 jobs)",
-                ["policy", "kernel events", "events/job"],
-                [(n, e, f"{e / 3000:.2f}") for n, e in sorted(events.items())])
+    print_table("E6b: kernel events and context switches per mapping policy "
+                "(3000 jobs)",
+                ["policy", "kernel events", "events/job", "context switches",
+                 "switches/job"],
+                [(n, r.kernel_events, f"{r.kernel_events / 3000:.2f}",
+                  r.context_switches, f"{r.context_switches / 3000:.2f}")
+                 for n, r in sorted(mapped.items())])
 
     # The O(n) list pays a substantial penalty at scale (its ~100k-entry
     # pending population makes every insert shift memory); the trend across
@@ -130,6 +134,11 @@ def test_e6_shape_claims(benchmark):
     print(f"  linear-vs-heap handicap: {handicap_small:.2f}x at N=100 -> "
           f"{handicap_large:.2f}x at N=5000")
     assert handicap_large > 1.8
-    # Abstraction overhead: shared-context callbacks need the fewest kernel
-    # events; one-process-per-job needs the most.
-    assert events["shared"] < events["pooled"] < events["dedicated"]
+    # Abstraction overhead: the process layer reaches event parity with
+    # hand-written callbacks (only holds are kernel events); what contexts
+    # cost is run-queue resumes — none shared, one wake per job pooled,
+    # spawn + wake per job dedicated.
+    shared, pooled, dedicated = (mapped[k] for k in ("shared", "pooled", "dedicated"))
+    assert shared.kernel_events <= dedicated.kernel_events
+    assert shared.context_switches == 0 < min(pooled.context_switches,
+                                              dedicated.context_switches)

@@ -17,18 +17,16 @@ Design points, each mapped to a taxonomy category:
 * **input data** — an attached :class:`~repro.core.trace.TraceRecorder`
   captures the executed event stream, enabling trace-driven replay.
 * **one dispatch loop** — :meth:`Simulator._fire_until` is the only place
-  events are popped and fired; ``run``, ``step``, the time-driven subclass
-  and the Time Warp executor are thin callers.  Observability is data the
-  loop reads, not a second loop: with nothing attached each firing pays one
-  ``is None`` test, otherwise the binding's ``sample_mask`` picks the
-  firings to time (every one, or 1 in 16 with metrics alone).  Budgets are
-  gated by the ``e11_obs_fleet`` benchmark section.
+  events are popped and fired and process segments resumed (only holds are
+  kernel events); its docstring has the callers, the run-queue rule and
+  what observability costs (gated by ``e11_obs_fleet``).
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 from typing import Any, Callable, Optional
 
 from .errors import SchedulingError, StopSimulation
@@ -77,7 +75,12 @@ class Simulator:
         self._stopped = False
         self._stop_reason = ""
         self._events_executed = 0
+        #: process segments resumed so far (context switches; not events)
+        self.resumes_executed = 0
         self._processes = 0  #: processes ever spawned here (default names)
+        #: the run queue: ``(process, value, is_interrupt)`` segments owed at
+        #: the current instant, FIFO (filled by :mod:`repro.core.process`)
+        self._ready: deque = deque()
         self.streams = StreamFactory(seed)
         self.monitor = Monitor("simulation")
         #: optional hooks called as ``hook(event)`` just before each firing —
@@ -175,11 +178,13 @@ class Simulator:
             cover the full horizon even if the last event fired earlier).
         max_events:
             Safety valve for runaway models; raises after this many firings
-            *within this call* (each ``run()`` gets a fresh budget).
+            *within this call* (each ``run()`` gets a fresh budget).  Process
+            resumes draw on the same budget, so a zero-time loop between
+            processes is stopped too.
         """
         budget = sys.maxsize if max_events is None else int(max_events)
         if self._fire_until(math.inf if until is None else until,
-                            budget) >= budget:
+                            budget, budget) >= budget:
             raise SchedulingError(
                 f"max_events budget of {max_events} exhausted at t={self._now}"
             )
@@ -187,10 +192,12 @@ class Simulator:
             self._now = until
 
     def step(self) -> bool:
-        """Fire exactly one event.  Returns False when the queue is empty."""
+        """Fire one event and the process segments it made runnable.
+        Returns False when no event fired (the queue is empty)."""
         return self._fire_until(math.inf, 1) == 1
 
-    def _fire_until(self, horizon: float, limit: int) -> int:
+    def _fire_until(self, horizon: float, limit: int,
+                    budget: int = sys.maxsize) -> int:
         """The dispatch loop: fire events at ``t <= horizon``, at most *limit*.
 
         Every advancement discipline is a caller of this one method —
@@ -200,6 +207,13 @@ class Simulator:
         **once**: ``pop_if_le`` fuses delete-min with the horizon check,
         and never returns a cancelled event, so the callback is invoked
         directly rather than through ``Event.fire()``.
+
+        The run queue is drained after each handler returns — inside its
+        observed firing, so a woken segment is profiled and traced under
+        the event that woke it — and once on entry, for processes made
+        runnable outside a run; it is empty on every normal return.
+        *limit* counts events only (an event plus the resumes it caused is
+        one step); events and resumes together may not reach *budget*.
 
         Observability is data, not a second loop: the binding's
         ``sample_mask`` picks the firings to time (0 = all, 15 = every
@@ -218,12 +232,17 @@ class Simulator:
         self._stop_reason = ""
         pop_if_le = self._queue.pop_if_le
         hooks = self.pre_event_hooks  # aliases the live list
+        ready = self._ready
         obs = self._obs
         mask = 0 if obs is None else obs.sample_mask
         first = n = self._events_executed
         last = first + limit
+        # with n events fired, ``resumes_executed`` may not reach ``cap - n``
+        cap = first + self.resumes_executed + budget
         self._running = True
         try:
+            if ready and self._now <= horizon:
+                self._resume_ready(cap - n)
             while n < last and not self._stopped:
                 ev = pop_if_le(horizon)
                 if ev is None:
@@ -235,10 +254,14 @@ class Simulator:
                         hook(ev)
                 if obs is None or n & mask:
                     ev.fn(*ev.args, **ev.kwargs)
+                    if ready:
+                        self._resume_ready(cap - n)
                 else:
                     t0 = obs.begin_fire(ev)
                     try:
                         ev.fn(*ev.args, **ev.kwargs)
+                        if ready:
+                            self._resume_ready(cap - n)
                     finally:
                         obs.end_fire(ev, t0)
         except StopSimulation as sig:
@@ -251,13 +274,29 @@ class Simulator:
                 obs.fold_fired(n - first)
         return n - first
 
+    def _resume_ready(self, cap: int) -> None:
+        """Drain the run queue, FIFO; processes a segment makes runnable join
+        the back and run in this drain, never nested.  A stop leaves the
+        rest for the next run.  ``resumes_executed`` may not reach *cap*
+        (what is left of the caller's ``max_events``)."""
+        ready = self._ready
+        while ready and not self._stopped:
+            if self.resumes_executed >= cap:
+                raise SchedulingError("max_events budget exhausted by "
+                                      f"process resumes at t={self._now}")
+            process, value, is_interrupt = ready.popleft()
+            self.resumes_executed += 1
+            process._step(value, is_interrupt)
+
     def stop(self, reason: str = "") -> None:
         """Request the run loop to end after the current event."""
         self._stopped = True
         self._stop_reason = reason or "stop() called"
 
     def peek_time(self) -> float:
-        """Time of the next live event, or +inf when idle."""
+        """Time of the next live event or owed resume, +inf when idle."""
+        if self._ready:
+            return self._now
         ev = self._queue.peek()
         return ev.time if ev is not None else math.inf
 

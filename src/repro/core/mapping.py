@@ -13,7 +13,7 @@ of jobs through a ``capacity``-server station) under three mappings:
 :class:`DedicatedContextPolicy`
     One process per job — MONARC's thread-per-active-object style.  Maximum
     modeling convenience, maximum context overhead (a generator frame and
-    several kernel events per job).
+    two run-queue resumes per job).
 :class:`SharedContextPolicy`
     Zero processes: the whole station is a handful of event callbacks over
     shared state — the classic hand-optimized event-oriented style.
@@ -22,8 +22,9 @@ of jobs through a ``capacity``-server station) under three mappings:
     :class:`~repro.core.resources.Store` — thread-pool reuse.
 
 All three produce **identical job completion times** (asserted in tests —
-they model the same FIFO station); they differ only in kernel events and
-allocations, which is precisely the overhead benchmark E6 ablates.
+they model the same FIFO station) and, since only holds are kernel events,
+the same kernel-event count; they differ in context switches (run-queue
+resumes: spawns and wakes) and allocations — the overhead E6 ablates.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ class MappingResult:
     policy: str
     completions: dict[int, float] = field(default_factory=dict)
     kernel_events: int = 0
+    context_switches: int = 0  #: ``Simulator.resumes_executed``
 
     @property
     def makespan(self) -> float:
@@ -86,6 +88,7 @@ class MappingPolicy(abc.ABC):
         result = self.execute(sim, jobs, capacity)
         sim.run()
         result.kernel_events = sim.events_executed
+        result.context_switches = sim.resumes_executed
         return result
 
 

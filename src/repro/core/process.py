@@ -10,10 +10,20 @@ simulation program."
 Instead of OS threads (MONARC's Java mechanism), a :class:`Process` here is
 a Python *generator*: the program counter and stack the paper mentions come
 for free from the generator frame, and there are no real threads to
-schedule — every context switch compiles down to one kernel event.  This is
-also the taxonomy's *mapping of simulation jobs on physical threads*
-optimization taken to its limit (thousands of simulated concurrent programs
-on one OS thread); :mod:`repro.core.mapping` quantifies the alternatives.
+schedule.  A *hold* is one kernel event; a spawn, a wake or an interrupt is
+an append to the simulator's run queue (``Simulator._ready``), which the
+one dispatch loop drains.  This is also the taxonomy's *mapping of
+simulation jobs on physical threads* optimization taken to its limit
+(thousands of simulated concurrent programs on one OS thread);
+:mod:`repro.core.mapping` quantifies the alternatives.
+
+**Order rule.**  A process that becomes runnable (spawned, its waitable
+completed, interrupted) runs at the current instant, in the order it became
+runnable, as soon as the handler that made it runnable returns and before
+any other event, whatever that event's priority — never nested inside the
+handler or process segment that caused it.  Resumes draw on
+``run(max_events=...)``'s budget and are counted in ``resumes_executed``,
+not ``events_executed``.  Only this module appends to the run queue.
 
 A process body ``yield``\\ s what it wants to wait for:
 
@@ -41,7 +51,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 from .engine import Simulator
 from .errors import InterruptError, ProcessError
-from .events import Event, Priority
+from .events import Event
 
 __all__ = ["Waitable", "Signal", "Process", "AnyOf", "AllOf", "spawn", "timer"]
 
@@ -79,6 +89,7 @@ class Waitable:
             self._callbacks.append(callback)
 
     def _unsubscribe(self, callback: Callable[[Any], None]) -> None:
+        """A waiter stops caring (interrupt, or it lost an AnyOf race)."""
         try:
             self._callbacks.remove(callback)
         except ValueError:
@@ -92,11 +103,6 @@ class Waitable:
         callbacks, self._callbacks = self._callbacks, []
         for cb in callbacks:
             cb(result)
-
-    # Subclasses with cancellation semantics override.
-    def _abandon(self, callback: Callable[[Any], None]) -> None:
-        """Called when a waiting process stops caring (interrupt/AnyOf)."""
-        self._unsubscribe(callback)
 
 
 class Signal(Waitable):
@@ -148,7 +154,7 @@ class AnyOf(Waitable):
                 # Detach from the losers so they don't hold dead references.
                 for w, other_cb in self._child_cbs:
                     if other_cb is not cb:
-                        w._abandon(other_cb)
+                        w._unsubscribe(other_cb)
                 self._complete((index, result))
         return cb
 
@@ -184,6 +190,11 @@ class _State(enum.Enum):
     FAILED = "failed"
 
 
+# bound once: member access on the enum class costs ~80 ns (CPython 3.11)
+_READY, _RUNNING, _WAITING, _HOLDING, _DONE, _FAILED = _State
+_FINISHED = (_DONE, _FAILED)
+
+
 class Process(Waitable):
     """An active object: a generator driven by the event kernel.
 
@@ -204,26 +215,22 @@ class Process(Waitable):
                  *args: Any, name: str = "", **kwargs: Any) -> None:
         super().__init__()
         self.sim = sim
-        if callable(body):
-            gen = body(*args, **kwargs)
-        else:
-            gen = body
+        gen = body(*args, **kwargs) if callable(body) else body
         if not hasattr(gen, "send"):
             raise ProcessError(f"process body must be a generator, got {type(gen)!r}")
+        #: looked up at every step (observers may swap in a timed view)
         self._gen: ProcessBody = gen
         # counted per simulator: the default name is the event label, hence
         # the trace ``kind`` — it must not depend on earlier runs
         sim._processes += 1
         self.name = name or f"process-{sim._processes}"
-        self.state = _State.READY
+        self.state = _READY
         self.error: Optional[BaseException] = None
+        self._hold_label = f"hold:{self.name}"
         self._hold_event: Optional[Event] = None
         self._waiting_on: Optional[Waitable] = None
-        self._wait_cb: Optional[Callable[[Any], None]] = None
-        # First step happens as a kernel event at the current time, so
-        # construction never runs model code re-entrantly.
-        sim.schedule(0.0, self._step, None, False,
-                     priority=Priority.HIGH, label=f"start:{self.name}")
+        # first segment owed now: construction never runs model code
+        sim._ready.append((self, None, False))
         obs = sim._obs
         if obs is not None:
             obs.on_process(self, "spawn")
@@ -233,60 +240,62 @@ class Process(Waitable):
     @property
     def alive(self) -> bool:
         """True until the process terminates or fails."""
-        return self.state not in (_State.DONE, _State.FAILED)
+        return self.state not in _FINISHED
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`InterruptError` into the process at its wait point.
 
-        No-op on a finished process.  A process holding or waiting is woken
-        immediately (its timer/subscription is torn down); a READY process
-        is interrupted before its first statement runs.
+        No-op on a finished process.  A process holding or waiting has its
+        timer/subscription torn down now and is resumed by the order rule.
+        One that is already runnable (spawned or woken, not yet resumed)
+        first runs that segment, then gets the interrupt at its next wait.
         """
         if not self.alive:
             return
+        self._disarm()
+        self.sim._ready.append((self, cause, True))
+
+    def _disarm(self) -> None:
+        """Tear down whatever wait is armed (hold timer or subscription)."""
         if self._hold_event is not None:
             self._hold_event.cancel()
             self._hold_event = None
-        if self._waiting_on is not None and self._wait_cb is not None:
-            self._waiting_on._abandon(self._wait_cb)
+        if self._waiting_on is not None:
+            self._waiting_on._unsubscribe(self._wake)
             self._waiting_on = None
-            self._wait_cb = None
-        self.sim.schedule(0.0, self._step, cause, True,
-                          priority=Priority.HIGH, label=f"interrupt:{self.name}")
 
     # -- engine plumbing -----------------------------------------------------------
 
-    def _step(self, value: Any, is_interrupt: bool) -> None:
-        """Advance the generator one segment (kernel event callback)."""
-        if not self.alive:
-            return
-        self._hold_event = None
+    def _wake(self, result: Any) -> None:
+        """Completion callback of the waitable this process yielded."""
         self._waiting_on = None
-        self._wait_cb = None
-        self.state = _State.RUNNING
-        try:
-            if is_interrupt:
-                yielded = self._gen.throw(InterruptError(value))
-            else:
-                yielded = self._gen.send(value)
-        except StopIteration as stop:
-            self.state = _State.DONE
-            obs = self.sim._obs
-            if obs is not None:
-                obs.on_process(self, "done")
-            self._complete(stop.value)
+        self.sim._ready.append((self, result, False))
+
+    def _step(self, value: Any, is_interrupt: bool) -> None:
+        """Advance the generator one segment (run-queue entry or hold event)."""
+        if self.state in _FINISHED:
             return
-        except InterruptError as exc:
-            # The body let the interrupt escape: treat as clean termination
-            # with the interrupt cause as the result.
-            self.state = _State.DONE
+        if is_interrupt:
+            self._disarm()  # a wait armed since interrupt() was called
+            resume, value = self._gen.throw, InterruptError(value)
+        else:
+            self._hold_event = None
+            resume = self._gen.send
+        self.state = _RUNNING
+        try:
+            yielded = resume(value)
+        except (StopIteration, InterruptError) as end:
+            # An interrupt the body let escape is a clean termination with
+            # the interrupt cause as the result.
+            self.state = _DONE
             obs = self.sim._obs
             if obs is not None:
                 obs.on_process(self, "done")
-            self._complete(exc.cause)
+            self._complete(end.value if isinstance(end, StopIteration)
+                           else end.cause)
             return
         except Exception as exc:
-            self.state = _State.FAILED
+            self.state = _FAILED
             self.error = exc
             obs = self.sim._obs
             if obs is not None:
@@ -298,29 +307,22 @@ class Process(Waitable):
         """Install the wait described by the yielded value."""
         if isinstance(yielded, (int, float)):
             if yielded < 0:
-                self.state = _State.FAILED
+                self.state = _FAILED
                 raise ProcessError(f"process {self.name!r} held negative time {yielded}")
-            self.state = _State.HOLDING
-            self._hold_event = self.sim.schedule(
-                float(yielded), self._step, None, False,
-                label=f"hold:{self.name}")
+            self.state = _HOLDING
+            # schedule_at is overridable: the time-driven kernel quantises there
+            sim = self.sim
+            self._hold_event = sim.schedule_at(
+                sim._now + float(yielded), self._step, None, False,
+                label=self._hold_label)
             return
         if isinstance(yielded, Waitable):
-            self.state = _State.WAITING
+            # completion appends to the run queue: see the order rule
+            self.state = _WAITING
             self._waiting_on = yielded
-
-            def cb(result: Any, _self=self) -> None:
-                # Resume via the kernel so wakeups interleave deterministically.
-                _self._waiting_on = None
-                _self._wait_cb = None
-                _self.sim.schedule(0.0, _self._step, result, False,
-                                   priority=Priority.HIGH,
-                                   label=f"wake:{_self.name}")
-
-            self._wait_cb = cb
-            yielded._subscribe(cb)
+            yielded._subscribe(self._wake)
             return
-        self.state = _State.FAILED
+        self.state = _FAILED
         raise ProcessError(
             f"process {self.name!r} yielded unsupported {type(yielded).__name__!r}"
         )

@@ -36,22 +36,28 @@ class Request(Waitable):
     grant; holders that care should wait on it (e.g. via ``AnyOf``).
     """
 
-    _counter = 0
-
     def __init__(self, resource: "Resource", amount: int, priority: float,
                  key: float, owner: Any) -> None:
         super().__init__()
-        Request._counter += 1
-        self.id = Request._counter
+        # per resource: ids break selection ties, so not interpreter-global
+        resource._requests += 1
+        self.id = resource._requests
         self.resource = resource
         self.amount = amount
         self.priority = priority
         self.key = key
         self.owner = owner
-        self.issued_at = resource.sim.now
+        self.issued_at = resource.sim._now
         self.granted_at: Optional[float] = None
         self.released_at: Optional[float] = None
-        self.preempted = Signal(f"preempt-req{self.id}")
+        self._preempted: Optional[Signal] = None
+
+    @property
+    def preempted(self) -> Signal:
+        """Fires if a preemptive resource revokes the grant (lazily made)."""
+        if self._preempted is None:
+            self._preempted = Signal(f"preempt-req{self.id}")
+        return self._preempted
 
     @property
     def waited(self) -> float:
@@ -104,6 +110,7 @@ class Resource:
         self.queue_limit = queue_limit
         self.preemptive = preemptive
         self._in_use = 0
+        self._requests = 0  #: requests ever issued here (their ids)
         self._queue: deque[Request] = deque()
         self._holders: list[Request] = []
         self.balked = 0
@@ -131,7 +138,7 @@ class Resource:
         if on_grant is not None:
             req._subscribe(lambda _result, r=req: on_grant(r))
         if self.queue_limit is not None and len(self._queue) >= self.queue_limit \
-                and not self._can_grant(req):
+                and self._in_use + amount > self.capacity:
             self.balked += 1
             req._complete(None)  # balked tokens complete immediately with None
             return req
@@ -168,26 +175,23 @@ class Resource:
             self._queue.append(req)
         self._q_level.set(self.sim.now, len(self._queue))
 
-    def _select_next(self) -> Optional[Request]:
-        if not self._queue:
-            return None
-        if self.discipline in ("fifo", "lifo"):
-            return self._queue[0]
+    def _select_next(self) -> Request:
+        """priority / sjf: the best queued request (queue is non-empty)."""
         if self.discipline == "priority":
             return min(self._queue, key=lambda r: (r.priority, r.issued_at, r.id))
         return min(self._queue, key=lambda r: (r.key, r.issued_at, r.id))  # sjf
 
-    def _can_grant(self, req: Request) -> bool:
-        return self._in_use + req.amount <= self.capacity
-
     def _dispatch(self) -> None:
         """Grant queued requests while capacity allows; maybe preempt."""
-        while True:
-            nxt = self._select_next()
-            if nxt is None:
-                return
-            if self._can_grant(nxt):
-                self._queue.remove(nxt)
+        queue = self._queue
+        head_first = self.discipline in ("fifo", "lifo")  # kept in service order
+        while queue:
+            nxt = queue[0] if head_first else self._select_next()
+            if self._in_use + nxt.amount <= self.capacity:
+                if head_first:
+                    queue.popleft()
+                else:
+                    queue.remove(nxt)
                 self._grant(nxt)
                 continue
             if self.preemptive:
@@ -212,12 +216,12 @@ class Resource:
         req.preempted.fire(self.sim.now)
 
     def _grant(self, req: Request) -> None:
-        req.granted_at = self.sim.now
+        now = req.granted_at = self.sim._now
         self._in_use += req.amount
         self._holders.append(req)
-        self._q_level.set(self.sim.now, len(self._queue))
-        self._u_level.set(self.sim.now, self._in_use)
-        self._wait_tally.record(req.waited)
+        self._q_level.set(now, len(self._queue))
+        self._u_level.set(now, self._in_use)
+        self._wait_tally.record(now - req.issued_at)
         req._complete(req)
 
     # -- introspection -------------------------------------------------------------

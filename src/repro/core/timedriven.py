@@ -113,7 +113,8 @@ class TimeDrivenSimulator(Simulator):
             self._now = t
             self._ticks_stepped += 1
             # Everything quantized to this boundary, in priority order.
-            fired += self._fire_until(t + _SLOP, budget - fired)
+            left = budget - fired
+            fired += self._fire_until(t + _SLOP, left, left)
             if fired >= budget:
                 raise SchedulingError(
                     f"max_events budget of {max_events} exhausted at t={self._now}"

@@ -52,13 +52,10 @@ class Packet:
 class PacketTransfer(Waitable):
     """Handle for one segmented message.  Completes with itself."""
 
-    _counter = 0
-
-    def __init__(self, src: str, dst: str, size: float, npackets: int,
-                 started: float) -> None:
+    def __init__(self, transfer_id: int, src: str, dst: str, size: float,
+                 npackets: int, started: float) -> None:
         super().__init__()
-        PacketTransfer._counter += 1
-        self.id = PacketTransfer._counter
+        self.id = transfer_id  # counted per network, like FlowHandle.id
         self.src = src
         self.dst = dst
         self.size = float(size)
@@ -118,6 +115,7 @@ class PacketNetwork:
         self.mtu = float(mtu)
         self.queue_packets = queue_packets
         self._ports: dict[tuple[str, str], _LinkPort] = {}
+        self._transfers = 0
         self.monitor = Monitor("packet-network")
 
     # -- public API -------------------------------------------------------------
@@ -128,7 +126,9 @@ class PacketNetwork:
             raise ConfigurationError(f"transfer size must be >= 0, got {size}")
         route = self.topology.route(src, dst)
         npackets = max(1, math.ceil(size / self.mtu)) if size > 0 else 1
-        handle = PacketTransfer(src, dst, size, npackets, self.sim.now)
+        self._transfers += 1
+        handle = PacketTransfer(self._transfers, src, dst, size, npackets,
+                                self.sim.now)
         if len(route) == 1:
             # Local delivery: all packets arrive instantly.
             handle.delivered = npackets

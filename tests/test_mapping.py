@@ -57,13 +57,22 @@ class TestEquivalence:
             assert comp == ref, f"{name} diverged from shared-context reference"
 
     def test_overhead_ordering(self):
-        """Dedicated contexts cost strictly more kernel events than shared."""
+        """Contexts cost run-queue resumes, not kernel events.
+
+        This used to assert ``shared.kernel_events < dedicated.kernel_events``;
+        since spawns and wakes stopped being kernel events all three fire
+        200 (arrival + service end per job), so the overhead E6 measures is
+        ``context_switches``: none without processes, one wake per job (+ the
+        4 spawns) pooled, spawn + wake per job dedicated.
+        """
         jobs = jobs_from([(float(i), 2.0) for i in range(100)])
         shared = SharedContextPolicy().run(jobs, capacity=4)
         dedicated = DedicatedContextPolicy().run(jobs, capacity=4)
         pooled = PooledContextPolicy().run(jobs, capacity=4)
-        assert shared.kernel_events < dedicated.kernel_events
-        assert shared.kernel_events < pooled.kernel_events
+        assert shared.kernel_events <= dedicated.kernel_events
+        assert shared.context_switches == 0 < min(pooled.context_switches,
+                                                  dedicated.context_switches)
+        assert (pooled.context_switches, dedicated.context_switches) == (104, 200)
 
 
 @settings(max_examples=25, deadline=None)

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.core import Process, Simulator
+from repro.core import Process, Signal, Simulator, timer
 from repro.core.parallel import LogicalProcess, SequentialExecutor
 from repro.core.timedriven import TimeDrivenSimulator
 from repro.obs import (Observation, SpanStatus, Telemetry, Tracer,
@@ -66,6 +66,10 @@ class TestCausalParentage:
         assert all(s.parent is None for s in obs.tracer.spans)
 
     def test_process_resumptions_stay_in_the_chain(self):
+        """Used to count three fired spans (``start:p`` + two holds); spawns
+        and wakes are run-queue resumes now, not events, so the property is:
+        a hold armed by a resumed segment is parented to the firing that
+        resumed it (the drain runs inside the observed firing)."""
         obs, sim = _observed_sim()
 
         def proc():
@@ -75,13 +79,26 @@ class TestCausalParentage:
         Process(sim, proc(), name="p")
         sim.run()
         fired = obs.tracer.fired_spans()
-        assert len(fired) == 3  # spawn step + two timeout resumptions
-        # each resumption is caused by the previous step's firing
+        assert [s.label for s in fired] == ["hold:p", "hold:p"]
+        # the first hold was armed by the entry drain, outside any firing
+        assert fired[0].parent is None
         assert fired[1].parent is fired[0]
-        assert fired[2].parent is fired[1]
         # and the lifecycle markers made it on
         names = [m.name for m in obs.tracer.markers]
         assert "spawn:p" in names and "done:p" in names
+
+    def test_hold_after_a_wake_is_parented_to_the_waking_handler(self):
+        obs, sim = _observed_sim()
+
+        def proc():
+            yield timer(sim, 1.0)   # completed by a plain handler
+            yield 2.0
+
+        Process(sim, proc(), name="p")
+        sim.run()
+        by = {s.label: s for s in obs.tracer.fired_spans()}
+        assert set(by) == {"timer", "hold:p"}
+        assert by["hold:p"].parent is by["timer"]
 
 
 class TestCancellation:
@@ -126,6 +143,28 @@ class TestProfiler:
         assert row.key.endswith("Sink.handle")
         assert row.total_ns > 0 and row.max_ns >= row.mean_ns >= row.min_ns
         assert obs.profiler.share(row) == pytest.approx(1.0)
+
+    def test_resumed_segments_are_charged_to_the_firing_that_woke_them(self):
+        """The run queue drains inside the observed firing: model code in a
+        woken process segment stays visible to ``--profile`` (>= 95% of the
+        run's wall is in named handlers), under the event that woke it."""
+        import time
+
+        obs, sim = _observed_sim(trace=False, telemetry=False)
+        sig = Signal()
+
+        def body():
+            yield sig
+            time.sleep(0.05)            # model code in a woken segment
+
+        Process(sim, body)
+        sim.schedule(1.0, sig.fire)
+        t0 = time.perf_counter_ns()
+        sim.run()
+        wall = time.perf_counter_ns() - t0
+        (row,) = obs.profiler.rows()
+        assert row.key.endswith("Signal.fire") and row.count == 1
+        assert row.total_ns >= 0.95 * wall
 
     def test_distinct_handlers_get_distinct_rows(self):
         obs, sim = _observed_sim(trace=False)

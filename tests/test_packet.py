@@ -85,6 +85,18 @@ class TestPacketNetwork:
             net.transfer("n0", "n1", -5.0)
 
 
+def test_transfer_ids_do_not_depend_on_earlier_networks():
+    """PacketTransfer ids (and every Packet.transfer_id) count per network,
+    not per interpreter: the same model built twice gives the same ids."""
+    def build():
+        topo, src, dst = line_topo()
+        net = PacketNetwork(Simulator(), topo)
+        return [net.transfer(src, dst, 100.0).id for _ in range(3)]
+
+    assert build() == [1, 2, 3]
+    assert build() == [1, 2, 3]
+
+
 class TestTcpTransport:
     def test_window_caps_throughput(self):
         t = Topology()

@@ -111,6 +111,21 @@ class TestResourceBasics:
         assert res.monitor.tally("wait_time").mean == pytest.approx(2.0)
 
 
+def test_request_ids_do_not_depend_on_earlier_models():
+    """Request ids (the ``preempt-req<N>`` signal name, the selection
+    tie-break) count per Resource, not per interpreter: the same model built
+    twice in one process gives the same ids."""
+    def build():
+        sim = Simulator()
+        cpu, disk = Resource(sim, name="cpu"), Resource(sim, name="disk")
+        reqs = [cpu.request(), cpu.request(), disk.request()]
+        return [r.id for r in reqs], reqs[1].preempted.name
+
+    first = build()
+    assert first == ([1, 2, 1], "preempt-req2")
+    assert build() == first
+
+
 class TestResourceErrors:
     def test_request_exceeding_capacity(self):
         sim = Simulator()

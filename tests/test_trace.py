@@ -5,7 +5,9 @@ import io
 import pytest
 
 from repro.core import (
+    Monitor,
     Process,
+    Resource,
     Simulator,
     TraceDrivenSimulator,
     TraceFormatError,
@@ -109,7 +111,10 @@ class TestRecorder:
             return rec.dumps()
 
         first = run_once()
-        assert "start:process-1" in first and "hold:process-2" in first
+        # (this used to read the ``start:process-1`` row; spawns are run-queue
+        # resumes now, so a process's only rows are its holds)
+        assert "hold:process-1" in first and "hold:process-2" in first
+        assert "start:" not in first and "wake:" not in first
         assert run_once() == first
 
 
@@ -178,3 +183,46 @@ class TestTraceDriven:
         replay.on("arrival", lambda s, r: replay_times.append(s.now))
         replay.run()
         assert replay_times == original_times
+
+    def test_replay_of_a_recorded_process_model_reproduces_the_aggregate(self):
+        """A process model's trace is its holds (spawns and wakes are not
+        events): ``hold:source`` rows are arrivals, ``hold:cust-i`` rows
+        departures — enough to rebuild the time-average number in system."""
+        n_jobs = 200
+        src = Simulator(seed=11)
+        rec = TraceRecorder("src").attach(src)
+        arr, svc = src.stream("arr"), src.stream("svc")
+        station = Resource(src, name="station")
+        in_system = Monitor("m").level("L", start_time=0.0)
+
+        def customer():
+            in_system.add(src.now, +1)
+            req = yield station.request()
+            yield svc.exponential(0.7)
+            station.release(req)
+            in_system.add(src.now, -1)
+
+        def source():
+            for i in range(n_jobs):
+                Process(src, customer, name=f"cust-{i}")
+                yield arr.exponential(1.0)
+
+        Process(src, source, name="source")
+        src.run()
+        assert len(rec.records) == src.events_executed == 2 * n_jobs
+
+        replay = TraceDrivenSimulator(rec.records)
+        level = Monitor("r").level("L", start_time=0.0)
+        level.add(0.0, +1)              # cust-0 arrives with the source
+        arrivals = [1]
+
+        def arrive(sim, r):
+            if arrivals[0] < n_jobs:    # the source's last hold spawns nobody
+                arrivals[0] += 1
+                level.add(sim.now, +1)
+
+        replay.on("hold:source", arrive)
+        replay.on_default(lambda sim, r: level.add(sim.now, -1))
+        replay.run()
+        assert replay.unhandled == 0 and replay.now == src.now
+        assert level.mean(replay.now) == in_system.mean(src.now)

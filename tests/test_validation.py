@@ -292,3 +292,81 @@ class TestJacksonCrossValidation:
         # per-node utilizations match the traffic equations too
         assert st1.utilization(sim.now) == pytest.approx(lam / mu1, rel=0.05)
         assert st2.utilization(sim.now) == pytest.approx(lam / mu2, rel=0.05)
+
+
+class TestBitEqualityPins:
+    """Exact values recorded at the commit before process resumes left the
+    event list (PR 16).  A change to the process / resource / monitor layers
+    that is meant to be speed-only must keep them to the bit: same draws,
+    same same-instant order, same float arithmetic.  ``==``, not approx."""
+
+    N, WARMUP, SEED = 25_000, 2_500, 2009
+
+    @staticmethod
+    def stats(s):
+        return (s.completed, s.W, s.L, s.Lq, s.Wq, s.utilization,
+                s.W_ci_halfwidth)
+
+    def test_mm1(self):
+        s = simulate_mm1(0.8, 1.0, n_jobs=self.N, warmup=self.WARMUP,
+                         seed=self.SEED)
+        assert self.stats(s) == (
+            25_000, 4.737243209881713, 3.7133236186740195, 2.919794669550521,
+            3.7393061040001627, 0.7935289491234773, 0.45474847459135587)
+
+    def test_mm1_fires_two_kernel_events_per_job(self):
+        from repro.obs import Observation
+
+        # one service hold + one inter-arrival hold per job and nothing
+        # else (4 * n + 1 before PR 16): a spawn or a wake that became a
+        # kernel event again shows here
+        obs = Observation(metrics=True)
+        simulate_mm1(0.8, 1.0, n_jobs=5_000, warmup=500, seed=1, obs=obs)
+        assert obs.bindings[0].sim.events_executed == 2 * 5_000
+
+    def test_mmc(self):
+        s = simulate_mmc(2.4, 1.0, 3, n_jobs=self.N, warmup=self.WARMUP,
+                         seed=self.SEED)
+        assert self.stats(s) == (
+            25_000, 1.9926667619575889, 4.699046615804635, 2.3186991626542692,
+            0.9947296560760468, 0.7934491510500824, 0.16148410292784013)
+
+    def test_mg1_deterministic_service(self):
+        s = simulate_mg1(0.8, lambda: 1.0, n_jobs=self.N, warmup=self.WARMUP,
+                         seed=self.SEED)
+        assert self.stats(s) == (
+            25_000, 2.951446855170417, 2.330152279845408, 1.5344398734547393,
+            1.9514468551704083, 0.7957124063906594, 0.21479431939134602)
+
+    def test_jackson_tandem(self):
+        from repro.core import Monitor, Process, Resource, Simulator
+
+        lam, mu1, mu2, n_jobs = 0.6, 1.2, 1.0, 12_000
+        sim = Simulator(seed=31)
+        arr, s1, s2 = (sim.stream(n) for n in ("arr", "svc1", "svc2"))
+        st1 = Resource(sim, 1, name="node1")
+        st2 = Resource(sim, 1, name="node2")
+        in_system = Monitor("tandem").level("L", start_time=0.0)
+
+        def customer():
+            in_system.add(sim.now, +1)
+            r1 = yield st1.request()
+            yield s1.exponential(1 / mu1)
+            st1.release(r1)
+            r2 = yield st2.request()
+            yield s2.exponential(1 / mu2)
+            st2.release(r2)
+            in_system.add(sim.now, -1)
+
+        def source():
+            for _ in range(n_jobs):
+                Process(sim, customer)
+                yield arr.exponential(1 / lam)
+
+        Process(sim, source)
+        sim.run()
+        assert (in_system.mean(sim.now), st1.utilization(sim.now),
+                st2.utilization(sim.now), sim.now) == (
+            2.369288941205675, 0.4925575910417391, 0.5937278665442861,
+            20084.197889822382)
+        assert sim.events_executed == 3 * n_jobs   # two services + one gap
