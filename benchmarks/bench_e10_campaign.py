@@ -42,7 +42,7 @@ def collect_e10(runs: int = 100, jobs: int = 3_000, rho: float = 0.6,
     spec = CampaignSpec("mm1", base={"rho": rho, "jobs": jobs},
                         replications=runs, root_seed=root_seed)
 
-    # Warm the parent interpreter (lazy scipy import, bytecode, allocator)
+    # Warm the parent interpreter (bytecode, allocator, first-use caches)
     # before timing anything: forked workers inherit the warm state, so
     # without this the serial baseline alone pays first-run costs and the
     # measured "speedup" flatters the pool.

@@ -26,20 +26,26 @@ import numpy as np
 
 from .core.errors import ValidationError
 from .core.monitor import Monitor, ascii_plot
+from .core.student_t import t_sf
 
 __all__ = ["SampleComparison", "compare_samples", "compare_monitors",
            "reduce_series", "welch_t"]
 
 
 def welch_t(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
-    """Welch's unequal-variance t-test; returns (t statistic, p value)."""
+    """Welch's unequal-variance t-test; returns (t statistic, p value).
+    Two constant groups give ``(nan, nan)`` when equal, else ``(±inf, 0)``."""
     xa, xb = np.asarray(a, float), np.asarray(b, float)
     if len(xa) < 2 or len(xb) < 2:
         raise ValidationError("need >= 2 samples per group for a t-test")
-    from scipy import stats
-
-    t, p = stats.ttest_ind(xa, xb, equal_var=False)
-    return float(t), float(p)
+    diff = float(xa.mean() - xb.mean())
+    va, vb = float(xa.var(ddof=1)) / len(xa), float(xb.var(ddof=1)) / len(xb)
+    if va + vb == 0:
+        return ((math.nan, math.nan) if diff == 0
+                else (math.copysign(math.inf, diff), 0.0))
+    t = diff / math.sqrt(va + vb)
+    df = (va + vb) ** 2 / (va**2 / (len(xa) - 1) + vb**2 / (len(xb) - 1))
+    return t, 2.0 * t_sf(abs(t), df)  # df: Welch–Satterthwaite
 
 
 @dataclass(frozen=True)

@@ -23,18 +23,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ..core.errors import ConfigurationError
+from ..core.student_t import t_ppf as t_quantile  # the one Monitor CIs use
 
 __all__ = ["MetricSummary", "summarize", "summarize_points", "mser5",
            "t_quantile", "coverage_verdict"]
-
-
-def t_quantile(p: float, df: int) -> float:
-    """Student-t quantile t_{p,df} (scipy-backed, like Monitor CIs)."""
-    if df < 1:
-        raise ConfigurationError(f"t quantile needs df >= 1, got {df}")
-    from scipy import stats  # local import keeps module import cheap
-
-    return float(stats.t.ppf(p, df))
 
 
 @dataclass(frozen=True, slots=True)

@@ -31,6 +31,10 @@ from .errors import EventCancelledError
 
 __all__ = ["Priority", "Event"]
 
+#: ``kwargs`` of every event scheduled without any: shared, so it must stay
+#: empty (a plain dict — ``**`` on a mapping proxy rebuilds one per call).
+_NO_KWARGS: dict = {}
+
 
 class Priority(enum.IntEnum):
     """Discrete priority bands for same-timestamp ordering.
@@ -84,7 +88,7 @@ class Event:
         self.seq = int(seq)
         self.fn = fn
         self.args = args
-        self.kwargs = kwargs or {}
+        self.kwargs = kwargs or _NO_KWARGS
         self.label = label
         self._cancelled = False
         #: set by the owning queue at push time, cleared at pop time; lets

@@ -32,6 +32,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigurationError
+from .student_t import t_ppf
 
 __all__ = ["Tally", "TimeWeighted", "Counter", "Monitor", "ascii_plot"]
 
@@ -120,13 +121,12 @@ class Tally:
 
     def confidence_interval(self, level: float = 0.95) -> tuple[float, float]:
         """Student-t CI half-width around the mean: (mean, halfwidth)."""
+        if not 0 < level < 1:
+            raise ConfigurationError(f"CI level must be in (0, 1), got {level}")
         if self._n < 2:
             return (self.mean, math.inf)
-        from scipy import stats  # local import keeps module import cheap
-
-        t = stats.t.ppf(0.5 + level / 2.0, self._n - 1)
-        half = t * self.std / math.sqrt(self._n)
-        return (self.mean, float(half))
+        t = t_ppf(0.5 + level / 2.0, self._n - 1)
+        return (self.mean, t * self.std / math.sqrt(self._n))
 
     def batch_means(self, nbatches: int = 10) -> tuple[float, float]:
         """Batch-means CI (mean, halfwidth) — the standard cure for the
@@ -138,9 +138,7 @@ class Tally:
         arr = np.asarray(self._samples)
         usable = (len(arr) // nbatches) * nbatches
         means = arr[:usable].reshape(nbatches, -1).mean(axis=1)
-        from scipy import stats
-
-        t = stats.t.ppf(0.975, nbatches - 1)
+        t = t_ppf(0.975, nbatches - 1)
         half = t * means.std(ddof=1) / math.sqrt(nbatches)
         return (float(means.mean()), float(half))
 

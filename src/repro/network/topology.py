@@ -4,7 +4,7 @@ Taxonomy *network characteristics*: "the network elements interconnecting
 hosts within simulated distributed environments — routers, switches and
 other devices".  A :class:`Topology` is a directed multigraph of named nodes
 joined by :class:`LinkSpec` edges (bandwidth + latency), with shortest-path
-routing (networkx) cached per source.
+routing (a heap Dijkstra, :meth:`Topology._shortest_paths`) cached per source.
 
 Factory helpers build the standard shapes the surveyed simulators assume:
 a star (Bricks' central model), a tier tree (MONARC's T0/T1/T2), a dumbbell
@@ -15,9 +15,8 @@ Bandwidths are in **bytes per simulated second**, latencies in seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
-
-import networkx as nx
 
 from ..core.errors import ConfigurationError, RoutingError, TopologyError
 
@@ -67,7 +66,9 @@ class Topology:
     _HOP_EPS = 1e-9
 
     def __init__(self) -> None:
-        self._g = nx.DiGraph()
+        #: node -> {successor -> LinkSpec}; nodes in first-seen order, their
+        #: successors in link-insertion order (enumeration and route ties)
+        self._succ: dict[str, dict[str, LinkSpec]] = {}
         self._route_cache: dict[str, dict[str, list[str]]] = {}
         #: directed edges currently out of service — routing hides them, so
         #: traffic reroutes around an outage when an alternate path exists
@@ -78,20 +79,25 @@ class Topology:
     # -- construction ----------------------------------------------------------
 
     def add_node(self, name: str, **attrs) -> None:
-        """Add a node; re-adding an existing node updates its attributes."""
-        self._g.add_node(name, **attrs)
+        """Add a node (a no-op when it exists).  *attrs* (``kind=``, ``tier=``)
+        label it for the factory's reader; nothing queries or stores them."""
+        self._succ.setdefault(name, {})
         self._route_cache.clear()
 
     def add_link(self, src: str, dst: str, bandwidth: float,
                  latency: float = 0.0, symmetric: bool = True) -> None:
         """Add a link (both directions when *symmetric*); creates endpoints."""
         spec = LinkSpec(src, dst, bandwidth, latency)  # validates
-        self._g.add_edge(src, dst, spec=spec)
+        out, back = self._succ.setdefault(src, {}), self._succ.setdefault(dst, {})
+        out[dst] = spec  # re-adding a link replaces its spec in place
         if symmetric:
-            self._g.add_edge(dst, src, spec=LinkSpec(dst, src, bandwidth, latency))
+            back[src] = LinkSpec(dst, src, bandwidth, latency)
         self._route_cache.clear()
 
     # -- link availability ------------------------------------------------------
+
+    def _has_link(self, src: str, dst: str) -> bool:
+        return dst in self._succ.get(src, ())
 
     def fail_link(self, src: str, dst: str,
                   symmetric: bool = True) -> list[LinkSpec]:
@@ -99,14 +105,14 @@ class Topology:
         out of service.  Returns the specs that actually transitioned
         up→down, so callers can abort the flows crossing them.  Raises
         :class:`TopologyError` when the forward edge does not exist."""
-        if not self._g.has_edge(src, dst):
+        if not self._has_link(src, dst):
             raise TopologyError(f"no direct link {src} -> {dst}")
         downed: list[LinkSpec] = []
         pairs = ((src, dst), (dst, src)) if symmetric else ((src, dst),)
         for a, b in pairs:
-            if self._g.has_edge(a, b) and (a, b) not in self._down:
+            if self._has_link(a, b) and (a, b) not in self._down:
                 self._down.add((a, b))
-                downed.append(self._g.edges[a, b]["spec"])
+                downed.append(self._succ[a][b])
         if downed:
             self._route_cache.clear()
         return downed
@@ -115,84 +121,106 @@ class Topology:
                     symmetric: bool = True) -> list[LinkSpec]:
         """Return the link (and reverse when *symmetric*) to service.
         Returns the specs that actually transitioned down→up."""
-        if not self._g.has_edge(src, dst):
+        if not self._has_link(src, dst):
             raise TopologyError(f"no direct link {src} -> {dst}")
         restored: list[LinkSpec] = []
         pairs = ((src, dst), (dst, src)) if symmetric else ((src, dst),)
         for a, b in pairs:
             if (a, b) in self._down:
                 self._down.discard((a, b))
-                restored.append(self._g.edges[a, b]["spec"])
+                restored.append(self._succ[a][b])
         if restored:
             self._route_cache.clear()
         return restored
 
     def link_up(self, src: str, dst: str) -> bool:
         """True when the directed edge exists and is in service."""
-        return self._g.has_edge(src, dst) and (src, dst) not in self._down
+        return self._has_link(src, dst) and (src, dst) not in self._down
 
     @property
     def down_links(self) -> list[LinkSpec]:
         """Specs of every directed edge currently out of service."""
-        return [self._g.edges[a, b]["spec"] for a, b in sorted(self._down)]
+        return [self._succ[a][b] for a, b in sorted(self._down)]
 
     # -- queries ------------------------------------------------------------------
 
     @property
     def nodes(self) -> list[str]:
         """All node names."""
-        return list(self._g.nodes)
+        return list(self._succ)
 
     @property
     def links(self) -> list[LinkSpec]:
         """All directed :class:`LinkSpec` edges."""
-        return [data["spec"] for _, _, data in self._g.edges(data=True)]
+        return [spec for succ in self._succ.values() for spec in succ.values()]
 
     def has_node(self, name: str) -> bool:
         """True when *name* exists in the graph."""
-        return self._g.has_node(name)
+        return name in self._succ
 
     def link(self, src: str, dst: str) -> LinkSpec:
         """The direct link ``src -> dst``; raises if absent."""
         try:
-            return self._g.edges[src, dst]["spec"]
+            return self._succ[src][dst]
         except KeyError:
             raise TopologyError(f"no direct link {src} -> {dst}") from None
 
     def degree(self, name: str) -> int:
         """Outgoing link count of a node."""
-        if not self._g.has_node(name):
+        if name not in self._succ:
             raise TopologyError(f"unknown node {name!r}")
-        return self._g.out_degree(name)
+        return len(self._succ[name])
 
     # -- routing ------------------------------------------------------------------
 
     def route(self, src: str, dst: str) -> list[str]:
         """Node sequence ``[src, ..., dst]`` minimizing latency (+hop eps)."""
         for n in (src, dst):
-            if not self._g.has_node(n):
+            if n not in self._succ:
                 raise TopologyError(f"unknown node {n!r}")
         if src == dst:
             return [src]
         per_src = self._route_cache.get(src)
         if per_src is None:
-            # A weight of None hides the edge from dijkstra — out-of-service
-            # links simply do not exist as far as routing is concerned.
-            per_src = nx.single_source_dijkstra_path(
-                self._g, src,
-                weight=lambda u, v, d: (
-                    None if (u, v) in self._down
-                    else d["spec"].latency + self._HOP_EPS))
-            self._route_cache[src] = per_src
+            per_src = self._route_cache[src] = self._shortest_paths(src)
         try:
             return per_src[dst]
         except KeyError:
             raise RoutingError(f"no route {src} -> {dst}") from None
 
+    def _shortest_paths(self, src: str) -> dict[str, list[str]]:
+        """Dijkstra from *src*: ``{reachable node: [src, ..., node]}``.
+
+        Out-of-service links do not exist.  Which of several equal-cost
+        paths wins decides every flow's links, so the rule is fixed (it is
+        networkx's, which routed here before): a link costs ``latency +
+        _HOP_EPS``, summed in that association; only a strictly smaller
+        distance replaces a tentative one; equal distances pop in push
+        order; successors are scanned in link-insertion order.
+        """
+        paths: dict[str, list[str]] = {}
+        seen = {src: 0.0}
+        fringe: list[tuple[float, int, str, list[str]]] = [(0.0, 0, src, [])]
+        pushed = 1  # unique, so the heap never compares beyond it
+        while fringe:
+            dist_v, _, v, prefix = heappop(fringe)
+            if v in paths:
+                continue
+            path = paths[v] = prefix + [v]
+            for u, spec in self._succ[v].items():
+                if u in paths or (v, u) in self._down:
+                    continue
+                vu_dist = dist_v + (spec.latency + self._HOP_EPS)
+                if u not in seen or vu_dist < seen[u]:
+                    seen[u] = vu_dist
+                    heappush(fringe, (vu_dist, pushed, u, path))
+                    pushed += 1
+        return paths
+
     def route_links(self, src: str, dst: str) -> list[LinkSpec]:
         """The link sequence along :meth:`route` (empty when src == dst)."""
         path = self.route(src, dst)
-        return [self._g.edges[a, b]["spec"] for a, b in zip(path, path[1:])]
+        return [self._succ[a][b] for a, b in zip(path, path[1:])]
 
     def path_latency(self, src: str, dst: str) -> float:
         """Total propagation latency along the route."""
@@ -204,7 +232,7 @@ class Topology:
         return min((l.bandwidth for l in links), default=float("inf"))
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Topology nodes={self._g.number_of_nodes()} links={self._g.number_of_edges()}>"
+        return f"<Topology nodes={len(self._succ)} links={len(self.links)}>"
 
 
 # -- canonical shapes --------------------------------------------------------------

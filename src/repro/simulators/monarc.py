@@ -202,7 +202,10 @@ class MonarcModel:
                 f = self.produced[stream.zipf(len(self.produced), 1.1)]
                 if not site.has_file(f.name):
                     src = self.catalog.best_replica(f.name, centre)
-                    yield self.grid.transfers.fetch(f, src, centre)
+                    ticket = yield self.grid.transfers.fetch(f, src, centre)
+                    if ticket.failed:
+                        self.monitor.counter("analysis_failed_reads").increment(self.sim.now)
+                        continue  # an outage ate the fetch: no data, no job
                     self.monitor.counter("analysis_remote_reads").increment(self.sim.now)
                 else:
                     yield site.disk.read(f.name)

@@ -34,6 +34,14 @@ class TestWelch:
         with pytest.raises(ValidationError):
             welch_t([1.0], [2.0, 3.0])
 
+    def test_constant_groups(self):
+        import math
+
+        t, p = welch_t([1.0, 1.0, 1.0], [1.0, 1.0])
+        assert math.isnan(t) and math.isnan(p)
+        assert welch_t([1.0, 1.0], [2.0, 2.0]) == (-math.inf, 0.0)
+        assert welch_t([2.0, 2.0], [1.0, 1.0, 1.0]) == (math.inf, 0.0)
+
 
 class TestCompareSamples:
     def test_significant_winner(self):

@@ -266,6 +266,25 @@ class TestStats:
         with pytest.raises(ConfigurationError):
             t_quantile(0.975, 0)
 
+    # scipy answered NaN for all of these and the CI printed ``nan``
+    @pytest.mark.parametrize("p, df", [
+        (0.0, 9), (1.0, 9), (1.5, 9), (-0.1, 9), (math.nan, 9),
+        (0.975, 0.5), (0.975, -3), (0.975, math.nan),
+    ])
+    def test_quantile_inputs_are_checked_not_nand(self, p, df):
+        with pytest.raises(ConfigurationError):
+            t_quantile(p, df)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.2, math.nan])
+    def test_ci_level_is_checked_not_nand(self, level):
+        from repro.core.monitor import Tally
+
+        tally = Tally("x")
+        for v in (1.0, 2.0, 4.0):
+            tally.record(v)
+        with pytest.raises(ConfigurationError):
+            tally.confidence_interval(level)
+
     def test_coverage_verdict_mm1(self):
         spec = tiny_mm1_spec(replications=4)
         result = run_campaign(spec, workers=1)

@@ -54,6 +54,18 @@ class TestScheduling:
         sim.run()
         assert got == {"value": 9}
 
+    def test_events_without_kwargs_share_one_dict_that_stays_empty(self):
+        sim = Simulator()
+        got = {}
+        a = sim.schedule(1.0, lambda: None)
+        b = sim.schedule(2.0, lambda *args: None, 7)
+        c = sim.schedule(3.0, lambda **kw: got.update(kw), x=1)
+        assert a.kwargs is b.kwargs
+        assert c.kwargs is not a.kwargs
+        sim.run()
+        assert a.kwargs == {} and a.kwargs is b.kwargs
+        assert got == {"x": 1}
+
     def test_cancel_prevents_firing(self):
         sim = Simulator()
         seen = []

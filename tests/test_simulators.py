@@ -418,6 +418,37 @@ class TestMonarcTier2:
         # the T2 fetched data (it produces nothing locally)
         assert model.monitor.counter("analysis_remote_reads").count >= 1
 
+    def test_analysis_failed_fetch_is_no_read_and_runs_no_job(self):
+        """The region's uplink dies at t=60: files produced later never reach
+        T1.0, so the T2's fetches for them fail — those are not remote
+        reads, and no job may run on data that never arrived."""
+        from repro.faults import FaultGraph
+
+        sim = Simulator(seed=53)
+        model = MonarcModel(sim, n_tier1=1, uplink_gbps=30.0,
+                            n_tier2_per_t1=1, agent_enabled=False)
+        tickets = []
+        fetch = model.grid.transfers.fetch
+
+        def recording_fetch(f, src, dst):
+            ticket = fetch(f, src, dst)
+            if dst == "T2.0.0":  # only the analysis activity fetches to a T2
+                tickets.append(ticket)
+            return ticket
+
+        model.grid.transfers.fetch = recording_fetch
+        graph = FaultGraph.from_grid(model.grid)
+        sim.schedule(60.0, graph.fail, "link:T1.0->WAN")
+        model.production_activity([self.SMALL], horizon=200.0)
+        model.analysis_activity("T2.0.0", n_jobs=12, think_time=15.0)
+        sim.run()
+        failed = sum(t.failed for t in tickets)
+        assert 1 <= failed < len(tickets)
+        counter = model.monitor.counter
+        assert counter("analysis_remote_reads").count == len(tickets) - failed
+        assert model.monitor.tally("analysis_turnaround").count == 12 - failed
+        assert counter("analysis_failed_reads").count == failed
+
     def test_t2_prefers_regional_replica_over_t0(self):
         """Once the agent lands data at T1, a T2 fetches from its region."""
         sim = Simulator(seed=52)
