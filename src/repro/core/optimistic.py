@@ -12,9 +12,9 @@ conservative-vs-optimistic comparison.
 Mechanics implemented here, each the textbook piece:
 
 * **State saving** — every ``checkpoint_every`` firings an LP checkpoint is
-  taken through :meth:`LogicalProcess.snapshot` (clock, event list clones,
-  RNG stream states, send sequence, plus model state from registered
-  providers).
+  taken through :meth:`LogicalProcess.snapshot` (clock, pending events —
+  cloned on restore —, RNG stream states, send sequence, plus model state
+  from registered providers).
 * **Input queue** — each LP's received messages are kept, processed *and*
   unprocessed, merged in the deterministic ``(receive time, source, send
   sequence)`` order shared with the conservative executors.
@@ -22,8 +22,8 @@ Mechanics implemented here, each the textbook piece:
   message) restores the latest snapshot strictly older than the straggler
   time, returns later-processed messages to the input queue, and
   re-executes.  Re-execution below the straggler time is a *coast-forward*:
-  deterministic replay whose sends are suppressed because the originals are
-  still valid.
+  replay whose sends are suppressed because the originals are still valid —
+  up to the first input that differs from what the original run saw.
 * **Anti-messages** — sends invalidated by a rollback are chased by
   anti-messages (aggressive cancellation).  An anti-message annihilates its
   positive in the destination's input queue, triggers a secondary rollback
@@ -58,7 +58,7 @@ from typing import Optional, Sequence
 from .errors import ConfigurationError, SchedulingError
 from .events import Event, Priority
 from .parallel import (Channel, ExecutionStats, LogicalProcess, Message,
-                       _collect_stats, _validate_horizon)
+                       _collect_stats, _done, _validate_run)
 
 __all__ = ["OptimisticExecutor", "LPReport"]
 
@@ -86,7 +86,8 @@ class _Snapshot:
     #: value of the monotone processed-message counter at capture time —
     #: messages with a larger index were processed after this snapshot
     proc_count: int
-    #: raw fired-event count at capture time (for rollback-depth metrics)
+    #: fired events not since undone at capture time (``restore()`` does not
+    #: rewind the raw counter, so rollback depth is measured on the net one)
     events_executed: int
     blob: dict
 
@@ -176,7 +177,7 @@ class OptimisticExecutor:
         try:
             for _ in range(self.max_rounds):
                 gvt = self._gvt()
-                if gvt > until:
+                if _done(gvt, until):
                     break
                 # GVT is a global quantity: notify one binding per round
                 # (bindings of one Observation share the metrics registry).
@@ -202,10 +203,7 @@ class OptimisticExecutor:
     # -- lifecycle pieces (split out so edge-case tests can drive rounds) -----
 
     def _setup(self, lps: Sequence[LogicalProcess], until: float) -> None:
-        _validate_horizon(lps, until)
-        names = [lp.name for lp in lps]
-        if len(set(names)) != len(names):
-            raise ConfigurationError(f"duplicate LP names: {names}")
+        _validate_run(lps, until)
         for lp in lps:
             if lp._tw is not None:
                 raise ConfigurationError(
@@ -275,9 +273,13 @@ class OptimisticExecutor:
     def _turn(self, rt: _Runtime, until: float, gvt: float) -> None:
         lp = rt.lp
         trigger = self._integrate_inbox(rt)
-        if trigger < math.inf:
-            self._rollback(rt, trigger)
         sim = lp.sim
+        if trigger <= sim.now:
+            self._rollback(rt, trigger)
+        elif trigger < math.inf:
+            # Ahead of the clock but inside the coast-forward window: nothing
+            # to undo, but the originals kept valid from there on are void.
+            self._cancel_sends(rt, trigger)
         queue = sim._queue
         bound = until if self.throttle is None else min(until,
                                                         gvt + self.throttle)
@@ -287,7 +289,7 @@ class OptimisticExecutor:
             ev = queue.peek()
             ev_t = ev.time if ev is not None else math.inf
             m_t = head[0] if head is not None else math.inf
-            if min(m_t, ev_t) > bound:
+            if _done(min(m_t, ev_t), bound):
                 break
             if head is not None and (
                     ev is None or m_t < ev_t
@@ -304,8 +306,9 @@ class OptimisticExecutor:
                 rt.snapshots.append(self._take_snapshot(rt))
 
     def _integrate_inbox(self, rt: _Runtime) -> float:
-        """Drain in-transit messages; return the rollback trigger time (inf
-        when causality was not violated)."""
+        """Drain in-transit messages; return the earliest time at which the
+        input now differs from what this LP executed — before its rollback,
+        while it coasts forward (inf when causality was not violated)."""
         if not rt.inbox:
             return math.inf
         inbox, rt.inbox = rt.inbox, []
@@ -335,6 +338,9 @@ class OptimisticExecutor:
                 rt.dead_uids.add(uid)
                 rt.unprocessed_uids.discard(uid)
                 report.annihilations += 1
+                if msg.recv_time < rt.coast_until:
+                    # A rollback returned it: the sends kept valid saw it.
+                    trigger = min(trigger, msg.recv_time)
             else:
                 # The anti overtook its positive (cannot happen with the
                 # built-in FIFO transport, but the protocol tolerates it).
@@ -354,6 +360,8 @@ class OptimisticExecutor:
                 # already fired and the dispatch may need to precede them).
                 trigger = min(trigger, msg.recv_time)
                 report.stragglers += 1
+            elif msg.recv_time < rt.coast_until:
+                trigger = min(trigger, msg.recv_time)
             heappush(rt.unprocessed,
                      (msg.recv_time, msg.src, msg.seq, uid, msg))
             rt.unprocessed_uids.add(uid)
@@ -411,8 +419,9 @@ class OptimisticExecutor:
                 f"time warp on LP {lp.name!r}: no snapshot below straggler "
                 f"time {trigger}; the GVT invariant was violated")
         snap = snaps[i]
-        depth = sim._events_executed - snap.events_executed
         report = rt.report
+        depth = (sim._events_executed - report.rolled_back_events
+                 - snap.events_executed)
         report.rollbacks += 1
         report.rolled_back_events += depth
         if depth > report.max_rollback_depth:
@@ -420,15 +429,7 @@ class OptimisticExecutor:
         obs = sim._obs
         if obs is not None:
             obs.on_rollback(sim.now, trigger, snap.now, depth)
-        # Chase invalidated sends (send time >= trigger) with anti-messages.
-        log = rt.out_log
-        keep = len(log)
-        while keep and log[keep - 1][0] >= trigger:
-            keep -= 1
-        for _st, uid, msg, dst in log[keep:]:
-            report.antis_sent += 1
-            self._rts[dst].inbox.append((uid, msg, True))
-        del log[keep:]
+        self._cancel_sends(rt, trigger)
         # Return messages processed after the snapshot to the input queue
         # (exact, tie-proof: by monotone processing index, not timestamp).
         while rt.processed and rt.processed[-1][0] > snap.proc_count:
@@ -443,11 +444,22 @@ class OptimisticExecutor:
                          (msg.recv_time, msg.src, msg.seq, uid, msg))
                 rt.unprocessed_uids.add(uid)
         lp.restore(snap.blob)
+        del snaps[i + 1:]
+        rt.fired_since_snapshot = 0
+
+    def _cancel_sends(self, rt: _Runtime, trigger: float) -> None:
+        """Chase sends made at or after *trigger* with anti-messages."""
+        log = rt.out_log
+        keep = len(log)
+        while keep and log[keep - 1][0] >= trigger:
+            keep -= 1
+        for _st, uid, msg, dst in log[keep:]:
+            rt.report.antis_sent += 1
+            self._rts[dst].inbox.append((uid, msg, True))
+        del log[keep:]
         # Replay below the trigger is a coast-forward: sends there re-create
         # messages whose originals were kept valid above, so suppress them.
         rt.coast_until = trigger
-        del snaps[i + 1:]
-        rt.fired_since_snapshot = 0
 
     # -- GVT and fossil collection --------------------------------------------
 
@@ -471,7 +483,8 @@ class OptimisticExecutor:
         rt.fired_since_snapshot = 0
         rt.report.snapshots_taken += 1
         sim = rt.lp.sim
-        return _Snapshot(sim.now, rt.proc_count, sim._events_executed,
+        return _Snapshot(sim.now, rt.proc_count,
+                         sim._events_executed - rt.report.rolled_back_events,
                          rt.lp.snapshot())
 
     def _fossil_collect(self, rt: _Runtime, gvt: float) -> None:

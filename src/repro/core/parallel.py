@@ -15,8 +15,8 @@ lets benchmark E7 measure *why*, on real protocols:
 * three executors run the same partitioned model:
 
   :class:`SequentialExecutor`
-      The centralized reference — globally lowest-timestamp-first, exactly
-      one clock.  Any conservative executor must match its results.
+      The centralized reference — globally lowest-timestamp-first off a
+      heap of LPs, one clock.  Every other executor must match its results.
   :class:`CMBExecutor`
       Chandy–Misra–Bryant null-message protocol (Misra 1986).  Counts the
       null messages; small lookahead ⇒ null-message storms, the classic
@@ -45,8 +45,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 from .engine import Simulator
 from .errors import ConfigurationError, SchedulingError
@@ -76,8 +77,9 @@ def _clone_event(ev: Event) -> Event:
                  priority=ev.priority, label=ev.label)
 
 
-def _validate_horizon(lps: Sequence["LogicalProcess"], until: float) -> None:
-    """Reject horizons no executor can terminate against.
+def _validate_run(lps: Sequence["LogicalProcess"], until: float) -> None:
+    """Every executor's pre-run check: unique LP names (channels and executor
+    bookkeeping are keyed by name) and a horizon it can terminate against.
 
     ``until`` must not be NaN, and an *infinite* horizon is only meaningful
     when the model actually has channels: with zero channels every executor
@@ -85,6 +87,9 @@ def _validate_horizon(lps: Sequence["LogicalProcess"], until: float) -> None:
     for self-regenerating models and gives no epoch/round structure to
     measure.  Raising beats silently spinning forever.
     """
+    names = [lp.name for lp in lps]
+    if len(set(names)) != len(names):
+        raise ConfigurationError(f"duplicate LP names: {names}")
     if math.isnan(until):
         raise ConfigurationError("executor horizon `until` must not be NaN")
     if math.isinf(until) and until > 0:
@@ -95,6 +100,12 @@ def _validate_horizon(lps: Sequence["LogicalProcess"], until: float) -> None:
                 "model under until=inf would run each partition forever; "
                 "pass a finite `until` (or run the partition simulators "
                 "directly)")
+
+
+def _done(t: float, until: float) -> bool:
+    """Nothing left at or below the horizon.  A model that ran dry reads
+    ``t == inf``, which ``t > until`` alone misses under ``until = inf``."""
+    return t > until or t == math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,11 +126,16 @@ class Message:
 
 
 class Channel:
-    """Directed FIFO link between two LPs with a strictly positive lookahead.
+    """Directed link between two LPs with a strictly positive lookahead.
 
     ``clock`` is the channel's guarantee: the source promises never to send
     a message with receive-time below it.  Real messages and null messages
     both advance it.
+
+    ``pending`` is a min-heap of ``(recv_time, seq, Message)`` — not a FIFO:
+    :meth:`send` tolerates a receive time 1e-12 below the clock, so arrival
+    order is not quite time order.  ``seq`` is unique per channel, so two
+    messages are never compared.
     """
 
     def __init__(self, src: "LogicalProcess", dst: "LogicalProcess",
@@ -131,7 +147,7 @@ class Channel:
         self.dst = dst
         self.lookahead = float(lookahead)
         self.clock = 0.0
-        self.pending: list[Message] = []
+        self.pending: list[tuple[float, int, Message]] = []
         self.messages_sent = 0
         self.nulls_sent = 0
 
@@ -147,14 +163,15 @@ class Channel:
         else:
             self.messages_sent += 1
             self.clock = max(self.clock, msg.recv_time)
-            self.pending.append(msg)
+            heappush(self.pending, (msg.recv_time, msg.seq, msg))
 
     def take_ready(self, up_to: float) -> list[Message]:
-        """Remove and return messages with recv_time <= up_to."""
-        ready = [m for m in self.pending if m.recv_time <= up_to + 1e-12]
-        if ready:
-            self.pending = [m for m in self.pending
-                            if m.recv_time > up_to + 1e-12]
+        """Remove and return messages with recv_time <= up_to, earliest first."""
+        pending = self.pending
+        limit = up_to + 1e-12
+        ready = []
+        while pending and pending[0][0] <= limit:
+            ready.append(heappop(pending)[2])
         return ready
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -252,21 +269,20 @@ class LogicalProcess:
         """Capture the LP's full rollback state (Time Warp checkpoint).
 
         Saves the local clock, the scheduling sequence counter, the send
-        sequence, clones of every live pending event, the exact state of
-        every RNG stream drawn so far, and one blob per registered state
-        provider.  The snapshot is independent of future execution: firing
-        or cancelling events after the call cannot corrupt it.
+        sequence, a reference to every live pending event (in no particular
+        order), the exact state of every RNG stream drawn so far, and one
+        blob per registered state provider.  Firing or cancelling events
+        after the call cannot corrupt it: the fields that schedule an event
+        never change once it is built, and :meth:`restore` clones each saved
+        record with a liveness of its own — per rollback, not per checkpoint.
         """
         sim = self.sim
-        queue = sim._queue
-        live = queue.drain()
-        for ev in live:
-            queue.push(ev)
         return {
             "now": sim._now,
             "seq": sim._seq,
             "send_seq": self._send_seq,
-            "events": [_clone_event(ev) for ev in live],
+            "events": [ev for ev in sim._queue._iter_events()
+                       if not ev._cancelled],
             "rng": {name: st._gen.bit_generator.state
                     for name, st in sim.streams._streams.items()},
             "model": [get() for get, _ in self._state_providers],
@@ -319,8 +335,12 @@ class LogicalProcess:
         """
         ready: list[Message] = []
         for ch in self.inputs.values():
-            ready.extend(ch.take_ready(up_to))
-        ready.sort(key=lambda m: m.order_key)
+            if ch.pending:
+                ready.extend(ch.take_ready(up_to))
+        if not ready:
+            return 0
+        if len(ready) > 1:
+            ready.sort(key=lambda m: m.order_key)
         sim = self.sim
         obs = sim._obs
         for msg in ready:
@@ -350,8 +370,8 @@ class LogicalProcess:
         """Earliest pending work: local queue or undelivered channel message."""
         t = self.sim.peek_time()
         for ch in self.inputs.values():
-            for msg in ch.pending:
-                t = min(t, msg.recv_time)
+            if ch.pending and ch.pending[0][0] < t:
+                t = ch.pending[0][0]
         return t
 
     def advance(self, horizon: float) -> int:
@@ -416,27 +436,46 @@ def _collect_stats(name: str, lps: Sequence[LogicalProcess],
 
 
 class SequentialExecutor:
-    """Centralized reference: always run the globally earliest LP next."""
+    """Centralized reference: always run the globally earliest LP next.
+
+    A lazy heap of ``(next event time, LP index, stamp)`` finds it, ties to
+    the lower index.  A step advances that LP by one timestamp cluster, then
+    re-keys it and the LPs its output channels lead to — nothing else's
+    next-event time can have moved — pushing only keys that changed and are
+    finite, so the heap grows with key changes, not steps.  An entry is live
+    iff it carries its LP's current stamp: validity by value would admit two
+    live entries when a key goes A -> B -> A.
+    """
 
     name = "sequential"
 
     def run(self, lps: Sequence[LogicalProcess], until: float) -> ExecutionStats:
-        _validate_horizon(lps, until)
+        _validate_run(lps, until)
         wall0 = perf_counter()
+        index = {lp.name: i for i, lp in enumerate(lps)}
+        affected = [[i, *(index[n] for n in lp.outputs if n in index)]
+                    for i, lp in enumerate(lps)]
+        keys = [math.inf] * len(lps)
+        stamps = [0] * len(lps)
+        heap: list[tuple[float, int, int]] = []
+        stale = range(len(lps))
         steps = 0
         while True:
-            best: Optional[LogicalProcess] = None
-            best_t = math.inf
-            for lp in lps:
-                t = lp.next_event_time()
-                if t < best_t:
-                    best_t = t
-                    best = lp
-            if best is None or best_t > until:
+            for j in stale:
+                t = lps[j].next_event_time()
+                if t != keys[j]:
+                    keys[j] = t
+                    stamps[j] += 1
+                    if t < math.inf:
+                        heappush(heap, (t, j, stamps[j]))
+            while heap and heap[0][2] != stamps[heap[0][1]]:
+                heappop(heap)
+            if not heap or heap[0][0] > until:
                 break
-            # Execute exactly the earliest timestamp cluster on that LP.
-            best.advance(best_t)
+            t, i, _ = heap[0]
+            lps[i].advance(t)
             steps += 1
+            stale = affected[i]
         for lp in lps:
             lp.advance(until)  # drain anything at the horizon boundary
         stats = _collect_stats(self.name, lps, steps)
@@ -459,37 +498,25 @@ class CMBExecutor:
         self.max_rounds = max_rounds
 
     def run(self, lps: Sequence[LogicalProcess], until: float) -> ExecutionStats:
-        _validate_horizon(lps, until)
+        _validate_run(lps, until)
         wall0 = perf_counter()
         rounds = 0
         for _ in range(self.max_rounds):
             rounds += 1
-            progressed = False
             for lp in lps:
                 # Strictly below the input floor is provably safe: channel
                 # clocks only promise nothing *below* them, so an event at
                 # exactly the floor could still be preempted by a message.
                 floor = lp.input_floor()
                 safe = min(floor - 1e-9 if math.isfinite(floor) else floor, until)
-                # Fused check-and-execute: advance() is a no-op returning 0
-                # when nothing is pending at or below `safe`, so the old
-                # separate next_event_time() pre-scan is redundant work.
-                if lp.advance(safe) > 0:
-                    progressed = True
+                lp.advance(safe)  # a no-op when nothing is due by `safe`
                 # Null message: the LP's future sends happen no earlier than
                 # max(local clock, min(next local event, input floor)).
                 lower = min(max(lp.sim.now, min(lp.next_event_time(), floor)),
                             until)
                 lp.send_null(lower)
-            done = all(lp.next_event_time() > until for lp in lps)
-            if done:
+            if all(_done(lp.next_event_time(), until) for lp in lps):
                 break
-            if not progressed:
-                # Clocks must advance through nulls alone; if even the floors
-                # are stuck the configuration has a zero-lookahead cycle.
-                floors = [min(lp.input_floor(), lp.next_event_time()) for lp in lps]
-                if all(f > until for f in floors):
-                    break
         else:  # pragma: no cover - guarded by max_rounds
             raise SchedulingError("CMB executor exceeded max_rounds; "
                                   "likely zero-lookahead cycle")
@@ -513,14 +540,14 @@ class WindowExecutor:
     name = "window"
 
     def run(self, lps: Sequence[LogicalProcess], until: float) -> ExecutionStats:
-        _validate_horizon(lps, until)
+        _validate_run(lps, until)
         wall0 = perf_counter()
         lookaheads = [ch.lookahead for lp in lps for ch in lp.outputs.values()]
         min_la = min(lookaheads) if lookaheads else math.inf
         epochs = 0
         while True:
             w = min((lp.next_event_time() for lp in lps), default=math.inf)
-            if w > until:
+            if _done(w, until):
                 break
             horizon = min(until, w + min_la * 0.999999) if math.isfinite(min_la) else until
             epochs += 1

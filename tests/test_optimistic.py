@@ -288,6 +288,132 @@ class TestRollbackEdgeCases:
         assert rpt.rollbacks == 0 and rpt.snapshots_taken == 1
         assert stats.events > 0
 
+    def test_snapshot_restored_twice_counts_each_undone_event_once(self):
+        """B is rolled back to its setup snapshot in round 2 (m1) and again
+        in round 3 (m2).  ``restore()`` does not rewind the raw fired-event
+        counter, so measuring the second depth on it counted the first
+        rollback's 20 events again: 61 rolled back of 65, 4 committed."""
+
+        def build():
+            b, blog = make_logged_lp("B")
+            a1, a1log = make_logged_lp("A1")
+            a0, a0log = make_logged_lp("A0")
+            a0.connect(b, 0.5)
+            a0.connect(a1, 0.5)
+            a1.connect(b, 0.5)
+            b.connect(a0, 0.5)  # close the cycle for the horizon validator
+
+            for t in range(1, 21):
+                b.sim.schedule(float(t), blog.append, float(t))
+            b.on_message("m", lambda lp, m: blog.append((lp.sim.now,
+                                                         m.payload)))
+            a1.on_message("x", lambda lp, m: lp.send("B", "m", "m2"))
+            a0.on_message("m", lambda lp, m: None)
+
+            def fan_out():
+                a0.send("B", "m", "m1")     # recv 5.5
+                a0.send("A1", "x")          # recv 5.5 -> m2 at 6.0
+
+            a0.sim.schedule(5.0, fan_out)
+            return [b, a1, a0], (blog, a1log, a0log)
+
+        lps, _ = build()
+        sequential = SequentialExecutor().run(lps, until=100.0)
+        ref, opt, ex, stats = run_pair(build, checkpoint_every=1000)
+        assert opt == ref
+        assert ex.lp_reports["B"].rollbacks == 2
+        assert ex.lp_reports["B"].snapshots_taken == 1
+        assert sequential.events == 24
+        assert stats.committed_events == sequential.events
+        assert (stats.events, stats.rolled_back_events) == (65, 41)
+        assert 0 < stats.efficiency <= 1
+        assert ex.lp_reports["B"].max_rollback_depth == 21
+
+    def test_new_input_inside_the_coast_forward_window(self):
+        """B runs to t=10, is rolled back to t=0 by m1 (recv 8.5) and, two
+        events into the coast-forward, receives m2 (recv 4.5): ahead of its
+        clock, so no straggler — but B's sends from 4.5 on now differ from
+        the originals the coast-forward was keeping valid (they carry how
+        many messages B has seen).  Those must be chased and re-sent, not
+        suppressed as replays."""
+
+        def build():
+            b, blog = make_logged_lp("B")
+            c, clog = make_logged_lp("C")
+            a0, a0log = make_logged_lp("A0")
+            a1, a1log = make_logged_lp("A1")
+            b.connect(c, 0.5)
+            a0.connect(b, 0.5)
+            a1.connect(b, 0.5)
+            c.connect(a0, 0.5)  # close the cycle for the horizon validator
+
+            def tick():
+                b.send("C", "seen", len(blog))
+
+            for t in range(1, 11):
+                b.sim.schedule(float(t), tick)
+            b.on_message("m", lambda lp, m: blog.append(m.payload))
+            c.on_message("seen", lambda lp, m: clog.append((lp.sim.now,
+                                                            m.payload)))
+            a0.on_message("seen", lambda lp, m: None)
+            # batch=2: fillers put A0's send in round 6 (B is at t=10 by
+            # then) and A1's in round 7 (B has coasted back up to t=2)
+            for lp, log, fillers, at, tag in ((a0, a0log, 10, 8.0, "m1"),
+                                              (a1, a1log, 12, 4.0, "m2")):
+                for i in range(fillers):
+                    lp.sim.schedule(0.01 * (i + 1), log.append, i)
+                lp.sim.schedule(at, lp.send, "B", "m", tag)
+            return [b, c, a0, a1], (blog, clog, a0log, a1log)
+
+        ref, opt, ex, stats = run_pair(build, batch=2, checkpoint_every=1000)
+        assert ref[1] == [(t + 0.5, (t > 4) + (t > 8)) for t in range(1, 11)]
+        assert opt == ref
+        assert ex.lp_reports["B"].stragglers == 1
+        assert stats.real_messages - stats.anti_messages == 12
+
+    def test_input_annihilated_inside_the_coast_forward_window(self):
+        """The mirror case: B handled M at 4.5 (forwarding to C), was rolled
+        back to t=0 by m1 (recv 8.5), and while it coasts forward at t=4 the
+        sender takes M back.  M is unprocessed again, so no rollback — but
+        the forward it caused is among the sends being kept valid."""
+
+        def build():
+            b, blog = make_logged_lp("B")
+            c, clog = make_logged_lp("C")
+            a, alog = make_logged_lp("A")
+            x0, x0log = make_logged_lp("X0")
+            x1, x1log = make_logged_lp("X1")
+            b.connect(c, 0.5)
+            a.connect(b, 0.5)
+            x0.connect(b, 0.5)
+            x1.connect(a, 0.5)
+            c.connect(x0, 0.5)  # close the cycle for the horizon validator
+
+            for t in range(1, 11):
+                b.sim.schedule(float(t), blog.append, float(t))
+            b.on_message("M", lambda lp, m: lp.send("C", "fwd"))
+            b.on_message("m1", lambda lp, m: blog.append("m1"))
+            c.on_message("fwd", lambda lp, m: clog.append(lp.sim.now))
+            a.on_message("cancel", lambda lp, m: alog.append("cancel"))
+            x0.on_message("fwd", lambda lp, m: None)
+            # A sends M at 4.0 unless told not to at 3.5 — which, thanks to
+            # X1's fillers, it only learns in round 8 (batch=2)
+            a.sim.schedule(4.0, lambda: alog or a.send("B", "M"))
+            for lp, log, fillers, at, dst, kind in (
+                    (x0, x0log, 10, 8.0, "B", "m1"),
+                    (x1, x1log, 12, 3.0, "A", "cancel")):
+                for i in range(fillers):
+                    lp.sim.schedule(0.01 * (i + 1), log.append, i)
+                lp.sim.schedule(at, lp.send, dst, kind)
+            return [b, c, a, x0, x1], (blog, clog, alog, x0log, x1log)
+
+        ref, opt, ex, stats = run_pair(build, batch=2, checkpoint_every=1000)
+        assert ref[1] == [] and ref[2] == ["cancel"]
+        assert opt == ref
+        assert ex.lp_reports["B"].rollbacks == 1    # m1 only
+        assert ex.lp_reports["B"].annihilations == 1
+        assert ex.lp_reports["C"].rollbacks == 1    # the forward, taken back
+
 
 class TestProtocolGuards:
     def test_stop_inside_optimistic_run_rejected(self):

@@ -1,18 +1,31 @@
 """Tests for distributed execution: LPs, channels, and all executors."""
 
+import heapq
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.core import ConfigurationError, SchedulingError
 from repro.core.optimistic import OptimisticExecutor
 from repro.core.parallel import (
     CMBExecutor,
     Channel,
     LogicalProcess,
+    Message,
     SequentialExecutor,
     WindowExecutor,
 )
+
+from .executor_oracle import naive_next_event_time, naive_take_ready
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = pathlib.Path(repro.__file__).resolve().parent.parent
 
 EXECUTORS = [SequentialExecutor(), CMBExecutor(), WindowExecutor(),
              OptimisticExecutor()]
@@ -84,8 +97,6 @@ class TestChannelInvariants:
     def test_clock_violation_rejected(self):
         a, b = LogicalProcess("a"), LogicalProcess("b")
         ch = a.connect(b, 1.0)
-        from repro.core.parallel import Message
-
         ch.send(Message(10.0, "m", None, "a", 1))
         with pytest.raises(SchedulingError, match="violates"):
             ch.send(Message(5.0, "m", None, "a", 2))
@@ -97,6 +108,95 @@ class TestChannelInvariants:
         a.sim.run()
         with pytest.raises(ConfigurationError, match="mystery"):
             SequentialExecutor().run([a, b], until=100.0)
+
+
+class TestChannelInbox:
+    """``Channel.pending`` is a heap keyed ``(recv_time, seq)``: the LP reads
+    heads, never the whole inbox."""
+
+    @staticmethod
+    def pair(lookahead=1.0):
+        a, b = LogicalProcess("a"), LogicalProcess("b")
+        return a, b, a.connect(b, lookahead)
+
+    def test_earliest_time_of_empty_single_and_null_only_channel(self):
+        a, b, ch = self.pair()
+        assert b.next_event_time() == math.inf
+        a.send_null(4.0)                     # a null promises, delivers nothing
+        assert ch.clock == 5.0 and ch.pending == []
+        assert b.next_event_time() == math.inf
+        a.send("b", "m", extra_delay=6.0)
+        assert b.next_event_time() == ch.pending[0][0] == 7.0
+        b.sim.schedule(2.0, print)
+        assert b.next_event_time() == 2.0    # the local queue still counts
+
+    def test_take_ready_boundary(self):
+        a, b, ch = self.pair()
+        for seq, t in enumerate((3.0, 3.0 + 1e-12, 3.0 + 3e-12, 4.0), 1):
+            ch.send(Message(t, "m", None, "a", seq))
+        assert ch.take_ready(3.0 - 2e-12) == []
+        assert [m.seq for m in ch.take_ready(3.0)] == [1, 2]
+        assert [m.seq for m in ch.take_ready(3.0)] == []
+        assert b.next_event_time() == 3.0 + 3e-12
+        assert [m.seq for m in ch.take_ready(math.inf)] == [3, 4]
+
+    def test_hairline_out_of_order_sends_match_the_full_scan(self):
+        """``send`` accepts a receive time up to 1e-12 below the clock, so a
+        channel is not quite FIFO in time.  A FIFO head would answer
+        ``earliest`` 5e-13 late; a ``take_ready`` that stopped at the first
+        not-yet-due message would leave a due one behind it."""
+        late, early = 10.0 + 5e-13, 10.0
+
+        def sent():
+            a, b, ch = self.pair()
+            ch.send(Message(late, "m", "first", "a", 1))
+            ch.send(Message(early, "m", "second", "a", 2))
+            ch.send(Message(10.0 + 2e-12, "m", "third", "a", 3))
+            ch.send(Message(10.0 + 1.5e-12, "m", "fourth", "a", 4))
+            return b, ch
+
+        b, ch = sent()
+        b_ref, ch_ref = sent()
+        assert b.next_event_time() == naive_next_event_time(b_ref) == early
+        for up_to in (10.0 - 6e-13, 10.0 + 6e-13, 11.0):
+            assert ch.take_ready(up_to) == naive_take_ready(ch_ref, up_to)
+            assert b.next_event_time() == naive_next_event_time(b_ref)
+        # and through the LP: dispatch order is order_key order
+        b, ch = sent()
+        got = []
+        b.on_message("m", lambda lp, m: got.append(m.payload))
+        b.advance(10.5)
+        assert got == ["second", "first", "fourth", "third"]
+
+    def test_next_event_time_reads_heads_not_the_backlog(self, monkeypatch):
+        """10 000 undelivered messages on one channel: asking for the next
+        event time reads no message and calls no heap operation."""
+        reads = []
+
+        class CountingMessage(Message):
+            __slots__ = ()
+
+            def __getattribute__(self, name):
+                if name == "recv_time":
+                    reads.append(self)
+                return Message.__getattribute__(self, name)
+
+        a, b, ch = self.pair()
+        for seq in range(1, 10_001):
+            ch.send(CountingMessage(1.0 + seq * 1e-3, "m", None, "a", seq))
+        del reads[:]
+        calls = []
+        for name in ("heappush", "heappop"):
+            monkeypatch.setattr(
+                "repro.core.parallel." + name,
+                lambda *args, _f=getattr(heapq, name), _n=name:
+                    (calls.append(_n), _f(*args))[1])
+        for _ in range(100):
+            assert b.next_event_time() == 1.001
+        assert b.deliver_pending(1.0) == 0      # nothing due: early return
+        assert reads == [] and calls == []
+        assert b.deliver_pending(1.0015) == 1
+        assert calls == ["heappop"]
 
 
 @pytest.mark.parametrize("executor", EXECUTORS, ids=EXECUTOR_IDS)
@@ -158,6 +258,34 @@ class TestHorizonValidation:
         lps, _ = build_ping_pong(rounds=2)
         with pytest.raises(ConfigurationError, match="NaN"):
             executor.run(lps, until=math.nan)
+
+    @pytest.mark.parametrize("executor", EXECUTORS, ids=EXECUTOR_IDS)
+    def test_duplicate_lp_names_rejected(self, executor):
+        """Channels and executor bookkeeping are keyed by LP name."""
+        lps = [LogicalProcess("twin"), LogicalProcess("twin"),
+               LogicalProcess("other")]
+        lps[0].connect(lps[2], 1.0)
+        with pytest.raises(ConfigurationError,
+                           match=r"duplicate LP names: \['twin', 'twin', "):
+            executor.run(lps, until=10.0)
+
+    @pytest.mark.parametrize("name", EXECUTOR_IDS)
+    def test_model_that_runs_dry_under_infinite_horizon_returns(self, name):
+        """``until=inf`` is legal with channels, and ``inf > inf`` is false:
+        a termination test of the form ``t > until`` never fires once the
+        model has run dry.  Each executor runs in a subprocess so a
+        regression is a timeout, not a hung suite."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        code = ("import json, math; from tests.test_parallel import *; "
+                "lps, log = build_ping_pong(rounds=1); "
+                f"stats = EXECUTORS[EXECUTOR_IDS.index({name!r})].run("
+                "lps, until=math.inf); print(json.dumps([log, stats.events]))")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout) == [[[1.0, "B", 0], [2.0, "A", 1]], 3]
 
     def test_zero_channels_finite_horizon_still_fine(self):
         lps = self._channel_free_lps()
