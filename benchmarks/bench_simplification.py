@@ -19,7 +19,7 @@ from conftest import once, print_table
 
 from repro.core import Simulator
 from repro.hosts import Disk, Grid, Site, SpaceSharedMachine, coarsen_grid
-from repro.middleware import GridRunner, Job, LeastLoadedScheduler, ReplicaCatalog
+from repro.middleware import GridRunner, Job, LeastLoadedScheduler
 from repro.network import FileSpec, Topology
 
 N_SITES = 24
@@ -60,11 +60,7 @@ def run_model(groups: int | None):
         grid = coarsen_grid(sim, ref, {
             f"g{k}": [f"s{i:02d}" for i in range(k * per, (k + 1) * per)]
             for k in range(groups)})
-    catalog = ReplicaCatalog(grid)
-    for site in grid.sites.values():
-        catalog.ingest_site(site)
-    runner = GridRunner(sim, grid, scheduler=LeastLoadedScheduler(),
-                        catalog=catalog)
+    runner = GridRunner(sim, grid, scheduler=LeastLoadedScheduler())
     jobs = [Job(id=i, length=2000.0, submitted=0.25 * i,
                 input_files=(FileSpec(f"dataset-{(i * 7) % N_SITES:02d}", 2e7),))
             for i in range(N_JOBS)]

@@ -67,6 +67,11 @@ class Waitable:
     a process checks-then-waits.
     """
 
+    #: True on a handle that completed without delivering (an aborted flow,
+    #: a transfer out of attempts): whoever is resumed must check it before
+    #: treating the result as arrived.
+    failed = False
+
     def __init__(self) -> None:
         self._done = False
         self._result: Any = None

@@ -140,7 +140,8 @@ class Grid:
         return sorted(self.sites)
 
     def sites_with_file(self, fname: str) -> list[Site]:
-        """All sites whose disk currently holds *fname* (catalog-free scan)."""
+        """All sites whose disk currently holds *fname* — the one scan every
+        :class:`~repro.middleware.catalog.ReplicaCatalog` query answers from."""
         return [s for s in self.sites.values() if s.has_file(fname)]
 
     def __repr__(self) -> str:  # pragma: no cover

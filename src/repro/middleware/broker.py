@@ -8,8 +8,8 @@ the execution styles of the surveyed simulators:
 :class:`GridRunner`
     Push-mode broker for independent jobs — Bricks/GridSim style.  A job is
     dispatched at its submission time to the site the policy picks (or a
-    static batch plan fixes), inputs are staged from best replicas, output
-    is stored and registered.
+    static batch plan fixes), inputs are staged from best replicas, the
+    output lands at the execution site.
 :class:`WorkQueueRunner`
     Pull-mode self-scheduling: one central queue, each free PE grabs the
     next job ("WorkQueue" in the scheduling literature) — the simplest
@@ -18,6 +18,12 @@ the execution styles of the surveyed simulators:
     Workflow execution honouring precedence and inter-task data movement —
     SimGrid's application model, runnable from a compile-time HEFT plan or
     a runtime per-ready-task policy (benchmark E9 compares the two).
+
+All three move data through :meth:`ReplicaCatalog.stage
+<repro.middleware.catalog.ReplicaCatalog.stage>` and share its rule — no
+data, no job: a job whose input (or DAG edge) transfer ends ``failed`` goes
+``JobState.FAILED`` into ``failed`` without running, and a DAG never
+releases its descendants.
 """
 
 from __future__ import annotations
@@ -46,48 +52,49 @@ class _RunnerBase:
                  replication=None, name: str = "runner") -> None:
         self.sim = sim
         self.grid = grid
-        self.catalog = catalog
+        self.catalog = catalog if catalog is not None else ReplicaCatalog(grid)
         self.replication = replication
-        self.ctx = SchedulingContext(grid, catalog)
+        self.ctx = SchedulingContext(grid, self.catalog)
         self.monitor = Monitor(name)
         self.completed: list[Job] = []
+        #: jobs whose input (or DAG edge) data never arrived: they never ran
         self.failed: list[Job] = []
 
     # -- staging ------------------------------------------------------------------
 
     def _stage_inputs(self, job: Job, site_name: str, then) -> None:
         """Fetch missing input files to *site_name*, then call ``then()``."""
-        site = self.grid.site(site_name)
-        if self.replication is not None:
-            for f in job.input_files:
-                self.replication.on_access(f.name, site_name)
-        missing = [f for f in job.input_files if not site.has_file(f.name)]
-        if not missing or self.catalog is None:
-            for f in job.input_files:
-                if site.has_file(f.name):
-                    site.disk.touch(f.name)
-            then()
-            return
-        job.transition(JobState.STAGING, self.sim.now)
-        pending = [len(missing)]
+        tickets = [self.catalog.stage(f, site_name, self.monitor, self.replication)
+                   for f in job.input_files]
+        if any(t is not None for t in tickets):
+            job.transition(JobState.STAGING, self.sim.now)
+        self._when_landed(tickets, job, site_name, then)
 
-        def one_done(ticket, file: FileSpec, src: str) -> None:
-            if not getattr(ticket, "failed", False):
-                # A fetch the outage ate must not count as a remote read —
-                # and above all must not register a phantom replica for
-                # bytes that never arrived.
-                self.monitor.counter("remote_fetches").increment(self.sim.now)
-                self.monitor.tally("remote_bytes").record(file.size)
-                if self.replication is not None:
-                    self.replication.on_fetch(file, src, site_name)
+    def _when_landed(self, tickets, job: Job, site_name: str, then) -> None:
+        """Call ``then()`` once every ticket (``None`` = nothing to wait for)
+        completed — or, no data, no job: fail *job* instead when any of
+        them ended ``failed``."""
+        tickets = [t for t in tickets if t is not None]
+        pending = [len(tickets)]
+
+        def one_done(_ticket) -> None:
             pending[0] -= 1
             if pending[0] == 0:
-                then()
+                if any(t.failed for t in tickets):
+                    self._job_failed(job, site_name)
+                else:
+                    then()
 
-        for f in missing:
-            src = self.catalog.best_replica(f.name, site_name)
-            ticket = self.grid.transfers.fetch(f, src, site_name)
-            ticket._subscribe(lambda t, f=f, src=src: one_done(t, f, src))
+        if not tickets:
+            then()
+        for t in tickets:
+            t._subscribe(one_done)
+
+    def _job_failed(self, job: Job, site_name: str) -> None:
+        if job.state is JobState.FAILED:
+            return  # a DAG child can lose more than one edge
+        job.transition(JobState.FAILED, self.sim.now)
+        self.failed.append(job)
 
     def _execute(self, job: Job, site_name: str) -> None:
         site = self.grid.site(site_name)
@@ -102,13 +109,7 @@ class _RunnerBase:
         self.monitor.tally("turnaround").record(job.turnaround)
         self.monitor.counter(f"jobs@{site_name}").increment(self.sim.now)
         if job.output_size > 0:
-            out = FileSpec(f"out-{job.id}", job.output_size)
-            site = self.grid.site(site_name)
-            if site.disk is not None:
-                site.disk.make_room(out.size, "lru")
-                site.disk.store(out)
-                if self.catalog is not None:
-                    self.catalog.register(out, site_name)
+            self.catalog.land(FileSpec(f"out-{job.id}", job.output_size), site_name)
         self._after_completion(job, site_name)
 
     def _after_completion(self, job: Job, site_name: str) -> None:
@@ -221,6 +222,10 @@ class WorkQueueRunner(_RunnerBase):
         self._free[site_name] += 1
         self._fill()
 
+    def _job_failed(self, job: Job, site_name: str) -> None:
+        super()._job_failed(job, site_name)
+        self._after_completion(job, site_name)  # the PE slot comes back
+
 
 class DagRunner(_RunnerBase):
     """Workflow execution with precedence and inter-site data movement.
@@ -260,50 +265,37 @@ class DagRunner(_RunnerBase):
                      else self.scheduler.select_site(job, self.ctx))
         job.site = site_name
         job.transition(JobState.QUEUED, self.sim.now)
-        if self.plan is None:
-            # Runtime mode: the placement was only just decided, so parent
-            # data ships now (no compute/communication overlap — the
-            # intrinsic handicap of runtime DAG scheduling).
-            pending = [1]  # barrier primed with one slot for the loop itself
+        # Runtime mode: the placement was only just decided, so parent data
+        # ships now (no compute/communication overlap — the intrinsic
+        # handicap of runtime DAG scheduling).  A plan shipped it already.
+        edges = [] if self.plan is not None else [
+            self._ship_edge(self.dag.job(pid), job, data, site_name)
+            for pid, data in self.dag.predecessors(job.id).items()]
+        self._when_landed(edges, job, site_name,
+                          lambda: self._execute(job, site_name))
 
-            def arrived(_t=None) -> None:
-                pending[0] -= 1
-                if pending[0] == 0:
-                    self._execute(job, site_name)
-
-            for pid, data in self.dag.predecessors(job.id).items():
-                src = self.dag.job(pid).site
-                if data > 0 and src is not None and src != site_name:
-                    pending[0] += 1
-                    ticket = self.grid.transfers.fetch(
-                        FileSpec(f"edge-{pid}-{job.id}", data), src, site_name)
-                    ticket._subscribe(arrived)
-            arrived()  # consume the primer slot
-        else:
-            self._execute(job, site_name)
+    def _ship_edge(self, parent: Job, child: Job, data: float, dst: str):
+        """The ticket moving one edge's data to *dst* (None: nothing to move)."""
+        if data <= 0 or parent.site == dst:
+            return None
+        return self.catalog.stage(FileSpec(f"edge-{parent.id}-{child.id}", data),
+                                  dst, self.monitor, src=parent.site)
 
     def _after_completion(self, job: Job, site_name: str) -> None:
         for child_id, data in self.dag.successors(job.id).items():
             child = self.dag.job(child_id)
-            self._ship_then_countdown(job, child, data)
+            # Compile-time mode knows the child's placement already, so the
+            # edge data ships eagerly at parent completion — communication
+            # overlaps with unrelated compute, HEFT's key advantage.
+            edge = (self._ship_edge(job, child, data, self.plan[child_id])
+                    if self.plan is not None else None)
+            self._when_landed([edge], child, site_name,
+                              lambda c=child: self._countdown(c))
 
-    def _ship_then_countdown(self, parent: Job, child: Job, data: float) -> None:
-        def arrived(_t=None) -> None:
-            self._waiting_deps[child.id] -= 1
-            if self._waiting_deps[child.id] == 0:
-                self._release(child)
-
-        # Compile-time mode knows the child's placement already, so the
-        # edge data ships eagerly at parent completion — communication
-        # overlaps with unrelated compute, HEFT's key advantage.
-        if self.plan is not None and data > 0:
-            src, dst = self.plan[parent.id], self.plan[child.id]
-            if src != dst:
-                ticket = self.grid.transfers.fetch(
-                    FileSpec(f"edge-{parent.id}-{child.id}", data), src, dst)
-                ticket._subscribe(arrived)
-                return
-        arrived()
+    def _countdown(self, child: Job) -> None:
+        self._waiting_deps[child.id] -= 1
+        if self._waiting_deps[child.id] == 0:
+            self._release(child)
 
     @property
     def makespan(self) -> float:

@@ -14,9 +14,11 @@ simulators:
   for the intelligent transferring of the produced data" from T0 to the T1
   centres.
 
-All strategies keep the replica catalog consistent: every stored replica is
-registered, every eviction unregistered, and the *last* copy of a file is
-never evicted (the data-loss guard OptorSim's economics implicitly rely on).
+None of them touches a disk: every replica is placed by
+:meth:`ReplicaCatalog.land <repro.middleware.catalog.ReplicaCatalog.land>`,
+which evicts by the strategy's ranking but never a file's *last* copy (the
+data-loss guard OptorSim's economics implicitly rely on), and the catalog
+reads the disks, so what it reports is what is stored — by construction.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ __all__ = [
     "PushReplication",
     "DataReplicationAgent",
 ]
+
+#: Times the agent re-ships one file to one target after a failed transfer
+#: before it gives the copy up, so a permanent outage ends the run.  At the
+#: default ``retry_delay`` that rides out an outage of at least 500 s.
+MAX_RESHIPS = 100
 
 
 class ReplicationStrategy:
@@ -70,44 +77,16 @@ class ReplicationStrategy:
 
     # -- shared machinery ---------------------------------------------------------
 
-    def _evictable(self, site_name: str, incoming: FileSpec) -> list[str]:
-        """Files at *site_name* that may be evicted for *incoming*."""
-        disk = self.grid.site(site_name).disk
-        out = []
-        for f in disk.files:
-            if f.name == incoming.name:
-                continue
-            if self.catalog.has(f.name) and self.catalog.replica_count(f.name) <= 1:
-                continue  # never delete the last copy
-            out.append(f.name)
-        return out
-
-    def _store_replica(self, file: FileSpec, dst: str, key) -> bool:
-        """Store *file* at *dst*, evicting by ``key(fname) -> sort key``.
-
-        Returns False (and stores nothing) when the site is protected,
-        diskless, the file can never fit, or eviction is vetoed by *key*
-        returning ``None`` for every candidate.
-        """
-        if dst in self.protected:
+    def _store_replica(self, file: FileSpec, dst: str, key=None) -> bool:
+        """Land *file* at *dst* (unless protected), evicting by *key*."""
+        evicted = (None if dst in self.protected
+                   else self.catalog.land(file, dst, key))
+        if evicted is None:
             return False
-        site = self.grid.site(dst)
-        disk = site.disk
-        if disk is None or file.size > disk.capacity or disk.has(file.name):
-            return False
-        while disk.free < file.size:
-            candidates = [(key(n), n) for n in self._evictable(dst, file)]
-            candidates = [(k, n) for k, n in candidates if k is not None]
-            if not candidates:
-                return False
-            _, victim = min(candidates)
-            disk.delete(victim)
-            if self.catalog.has(victim):
-                self.catalog.unregister(victim, dst)
-            self.replicas_evicted += 1
-            self.monitor.counter("evictions").increment(self.sim.now)
-        disk.store(file)
-        self.catalog.register(file, dst)
+        if evicted:
+            self.replicas_evicted += len(evicted)
+            self.monitor.counter("evictions").increment(self.sim.now,
+                                                        len(evicted))
         self.replicas_created += 1
         self.monitor.counter("replications").increment(self.sim.now)
         return True
@@ -125,10 +104,7 @@ class LruReplication(ReplicationStrategy):
     name = "lru"
 
     def on_fetch(self, file: FileSpec, src: str, dst: str) -> None:
-        disk = self.grid.site(dst).disk
-        self._store_replica(
-            file, dst,
-            key=lambda n: (disk._last_access.get(n, 0.0), n))  # noqa: SLF001
+        self._store_replica(file, dst)
 
 
 class LfuReplication(ReplicationStrategy):
@@ -227,27 +203,21 @@ class PushReplication(ReplicationStrategy):
             ticket._subscribe(lambda tk, f=file, d=t: self._push_arrived(tk, f, d))
 
     def _push_targets(self, file: FileSpec) -> list[str]:
-        holders = set(self.catalog.locations(file.name)) if self.catalog.has(file.name) else set()
+        holders = self.catalog.locations(file.name)
         candidates = [s.name for s in self.grid.sites.values()
                       if s.machines and s.disk is not None
-                      and s.name not in holders and not s.has_file(file.name)]
+                      and s.name not in holders]
         if not holders:
             return sorted(candidates)[: self.fanout]
-        src = sorted(holders)[0]
-        topo = self.grid.topology
-        candidates.sort(key=lambda c: (file.size / topo.bottleneck_bandwidth(src, c)
-                                       + topo.path_latency(src, c), c))
+        src = holders[0]
+        candidates.sort(key=lambda c: (
+            self.catalog.fetch_cost(file.size, src, c), c))
         return candidates[: self.fanout]
 
     def _push_arrived(self, ticket, file: FileSpec, dst: str) -> None:
-        if getattr(ticket, "failed", False):
+        if ticket.failed:
             self._pushed.discard(file.name)  # outage ate the push; allow a redo
-            return
-        disk = self.grid.site(dst).disk
-        stored = self._store_replica(
-            file, dst,
-            key=lambda n: (disk._last_access.get(n, 0.0), n))  # noqa: SLF001
-        if stored:
+        elif self._store_replica(file, dst):
             self.pushes += 1
 
 
@@ -260,6 +230,10 @@ class DataReplicationAgent:
     Legrand 2005 study's conclusion — that intelligent agent-driven
     transfer smooths the burst load a plain fetch-on-demand pattern creates
     — is reproduced in benchmark E5 by toggling this agent.
+
+    A ship the network aborts is retried ``retry_delay`` later, at most
+    :data:`MAX_RESHIPS` times per (file, target); after that the copy is
+    counted in ``abandoned`` and never lands.
     """
 
     def __init__(self, sim: Simulator, grid: Grid, catalog: ReplicaCatalog,
@@ -278,15 +252,18 @@ class DataReplicationAgent:
         if not self.targets:
             raise ConfigurationError("agent needs at least one target")
         self.max_in_flight = max_in_flight
-        self._queues: dict[str, deque[FileSpec]] = {t: deque() for t in self.targets}
+        #: per target, FIFO of ``(file, failed ships so far)``
+        self._queues: dict[str, deque[tuple[FileSpec, int]]] = {
+            t: deque() for t in self.targets}
         self._in_flight: dict[str, int] = {t: 0 for t in self.targets}
         self.monitor = Monitor("replication-agent")
         self.shipped = 0
+        self.abandoned = 0
 
     def announce(self, file: FileSpec) -> None:
         """A new file exists at the source; queue it for every target."""
         for t in self.targets:
-            self._queues[t].append(file)
+            self._queues[t].append((file, 0))
             self._pump(t)
 
     def backlog(self, target: str) -> int:
@@ -300,27 +277,28 @@ class DataReplicationAgent:
 
     def _pump(self, target: str) -> None:
         while self._in_flight[target] < self.max_in_flight and self._queues[target]:
-            file = self._queues[target].popleft()
+            file, failures = self._queues[target].popleft()
             self._in_flight[target] += 1
             ticket = self.grid.transfers.fetch(file, self.source, target)
-            ticket._subscribe(lambda tk, f=file, tgt=target: self._arrived(tk, f, tgt))
+            ticket._subscribe(
+                lambda tk, f=file, n=failures, tgt=target: self._arrived(tk, f, n, tgt))
 
-    def _arrived(self, ticket, file: FileSpec, target: str) -> None:
+    def _arrived(self, ticket, file: FileSpec, failures: int, target: str) -> None:
         self._in_flight[target] -= 1
-        if getattr(ticket, "failed", False):
-            # The route died mid-ship: the copy never landed, so do not
-            # register it.  Re-queue at the back and pump again after a
-            # delay — an immediate pump against a still-dead route would
-            # spin (a no-route abort fails at the same timestamp).
-            self._queues[target].append(file)
+        if ticket.failed:
+            # The route died mid-ship: nothing landed.  Re-queue at the
+            # back (or give the copy up) and pump again after a delay — an
+            # immediate pump against a still-dead route would spin (a
+            # no-route abort fails at the same timestamp).
+            if failures < MAX_RESHIPS:
+                self._queues[target].append((file, failures + 1))
+            else:
+                self.abandoned += 1
+                self.monitor.counter("files_abandoned").increment(self.sim.now)
             self.sim.schedule(self.retry_delay, self._pump, target,
                               label="agent_retry")
             return
-        disk = self.grid.site(target).disk
-        if disk is not None and not disk.has(file.name):
-            if disk.free >= file.size:
-                disk.store(file)
-                self.catalog.register(file, target)
+        self.catalog.land(file, target)
         self.shipped += 1
         self.monitor.counter("files_shipped").increment(self.sim.now)
         self.monitor.tally("ship_bytes").record(file.size)

@@ -153,7 +153,7 @@ class FileTransferService:
               result) -> None:
         # Transports that can abort (FlowNetwork under link outages) flag
         # the failure on their handle; anything else always succeeds.
-        aborted = getattr(result, "failed", False)
+        aborted = result.failed
         obs = self.sim._obs
         if obs is not None:
             obs.on_transfer_end(ticket)

@@ -100,9 +100,7 @@ class ChicagoSimModel:
         self.datasets = [FileSpec(f"ds-{i:03d}", dataset_size)
                          for i in range(n_datasets)]
         for i, ds in enumerate(self.datasets):
-            home = self.grid.site(names[i % n_sites])
-            home.store_file(ds)
-            self.catalog.register(ds, home.name)
+            self.catalog.land(ds, names[i % n_sites])
         if data_policy == "push":
             self.strategy = PushReplication(
                 sim, self.grid, self.catalog, threshold=push_threshold,

@@ -151,9 +151,8 @@ class MonarcModel:
         def activity():
             for t, f in schedule:
                 yield max(0.0, t - self.sim.now)
-                self.centres["T0"].site.store_file(f)
+                self.catalog.land(f, "T0")
                 self.tape.store(f)  # archival copy
-                self.catalog.register(f, "T0")
                 self.produced.append(f)
                 self.monitor.counter("files_produced").increment(self.sim.now)
                 if self.agent is not None:
@@ -172,10 +171,7 @@ class MonarcModel:
         if ticket.failed:
             return  # an outage ate the fetch: the file stays outstanding at n
         self._pull_backlogs[n] -= 1
-        disk = self.centres[n].site.disk
-        if not disk.has(f.name):
-            disk.store(f)
-            self.catalog.register(f, n)
+        self.catalog.land(f, n)
 
     def analysis_activity(self, centre: str, n_jobs: int,
                           mi_per_byte: float = 1e-5,
@@ -200,15 +196,12 @@ class MonarcModel:
                     continue
                 done += 1
                 f = self.produced[stream.zipf(len(self.produced), 1.1)]
-                if not site.has_file(f.name):
-                    src = self.catalog.best_replica(f.name, centre)
-                    ticket = yield self.grid.transfers.fetch(f, src, centre)
-                    if ticket.failed:
-                        self.monitor.counter("analysis_failed_reads").increment(self.sim.now)
-                        continue  # an outage ate the fetch: no data, no job
-                    self.monitor.counter("analysis_remote_reads").increment(self.sim.now)
-                else:
+                ticket = self.catalog.stage(f, centre, self.monitor)
+                if ticket is None:
                     yield site.disk.read(f.name)
+                elif (yield ticket).failed:
+                    self.monitor.counter("analysis_failed_reads").increment(self.sim.now)
+                    continue  # an outage ate the fetch: no data, no job
                 job_run = yield site.submit(max(f.size * mi_per_byte, 1.0))
                 self.monitor.tally("analysis_turnaround").record(job_run.turnaround)
 
@@ -217,10 +210,10 @@ class MonarcModel:
     # -- instrumentation --------------------------------------------------------------
 
     def replication_backlog(self) -> int:
-        """Files produced but not yet landed at every T1."""
+        """Files produced but not landed at every T1 (given-up ones stay)."""
         if self.agent is not None:
-            return self.agent.total_backlog + sum(
-                self.agent._in_flight.values())  # noqa: SLF001
+            return (self.agent.total_backlog + self.agent.abandoned
+                    + sum(self.agent._in_flight.values()))  # noqa: SLF001
         return sum(self._pull_backlogs.values())
 
     def sample_backlog(self, period: float, horizon: float) -> list[tuple[float, float]]:

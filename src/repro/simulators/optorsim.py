@@ -138,12 +138,13 @@ class OptorSimModel:
         self.catalog = ReplicaCatalog(self.grid)
         self.files = [FileSpec(f"lfn-{i:04d}", file_size) for i in range(n_files)]
         for f in self.files:
-            self.grid.site("CERN").store_file(f)
-            self.catalog.register(f, "CERN")
+            self.catalog.land(f, "CERN")
         self.strategy: ReplicationStrategy = OPTIMIZERS[optimizer](
             sim, self.grid, self.catalog, protected={"CERN"})
         self.monitor = Monitor("optorsim")
         self.completed: list[OptorJob] = []
+        #: jobs abandoned because a file they needed never arrived
+        self.failed: list[OptorJob] = []
         #: jobs dispatched to a site and not yet finished (staging included)
         self._outstanding: dict[str, int] = {n: 0 for n in self.worker_names}
 
@@ -159,17 +160,13 @@ class OptorSimModel:
             return min(self.worker_names,
                        key=lambda n: (self._outstanding[n], n))
         # access-cost: estimated total staging time for the job's fileset
-        topo = self.grid.topology
-
         def cost(site: str) -> tuple[float, str]:
             total = 0.0
             for idx in indices:
                 f = self.files[int(idx)]
-                if self.grid.site(site).has_file(f.name):
-                    continue
-                src = self.catalog.best_replica(f.name, site)
-                total += (f.size / topo.bottleneck_bandwidth(src, site)
-                          + topo.path_latency(src, site))
+                if not self.grid.site(site).has_file(f.name):
+                    src = self.catalog.best_replica(f.name, site)
+                    total += self.catalog.fetch_cost(f.size, src, site)
             return (total, site)
 
         return min(self.worker_names, key=cost)
@@ -200,22 +197,17 @@ class OptorSimModel:
         site = self.grid.site(job.site)
         for idx in job.file_indices:
             f = self.files[int(idx)]
-            self.strategy.on_access(f.name, job.site)
-            if site.has_file(f.name):
+            ticket = self.catalog.stage(f, job.site, self.monitor, self.strategy)
+            if ticket is None:
                 job.local_reads += 1
-                site.disk.touch(f.name)
                 yield site.disk.read(f.name)
+            elif (yield ticket).failed:
+                # an outage ate the fetch: no data, no job
+                self._outstanding[job.site] -= 1
+                self.failed.append(job)
+                return
             else:
-                src = self.catalog.best_replica(f.name, job.site)
-                ticket = yield self.grid.transfers.fetch(f, src, job.site)
-                if not ticket.failed:
-                    # a fetch an outage ate is no remote read and, above
-                    # all, must not leave a replica of bytes never received
-                    job.remote_reads += 1
-                    self.monitor.counter("remote_fetches").increment(
-                        self.sim.now)
-                    self.monitor.tally("remote_bytes").record(f.size)
-                    self.strategy.on_fetch(f, src, job.site)
+                job.remote_reads += 1
             # process this file's share of the job
             yield self.machines[job.site].submit(job.compute_per_file)
         job.finished = self.sim.now

@@ -35,13 +35,10 @@ def data_grid(sim, n_sites=3, disk=10_000.0, bw=1e4):
     return grid
 
 
-def seed_files(grid, cat, names, size=1000.0):
-    specs = []
-    for n in names:
-        f = FileSpec(n, size)
+def seed_files(grid, names, size=1000.0):
+    specs = [FileSpec(n, size) for n in names]
+    for f in specs:
         grid.site("SRC").store_file(f)
-        cat.register(f, "SRC")
-        specs.append(f)
     return specs
 
 
@@ -50,7 +47,7 @@ class TestPullStrategies:
         sim = Simulator(seed=2)
         grid = data_grid(sim, disk=disk)
         cat = ReplicaCatalog(grid)
-        files = seed_files(grid, cat, [f"f{i}" for i in range(n_files)])
+        files = seed_files(grid, [f"f{i}" for i in range(n_files)])
         strat = strategy_cls(sim, grid, cat, protected={"SRC"}, **kw)
         runner = GridRunner(sim, grid, scheduler=LocalScheduler("W0"),
                             catalog=cat, replication=strat)
@@ -89,7 +86,7 @@ class TestPullStrategies:
         sim = Simulator()
         grid = data_grid(sim, disk=2500.0)
         cat = ReplicaCatalog(grid)
-        files = seed_files(grid, cat, ["hot", "cold1", "cold2"])
+        files = seed_files(grid, ["hot", "cold1", "cold2"])
         strat = LfuReplication(sim, grid, cat, protected={"SRC"})
         runner = GridRunner(sim, grid, scheduler=LocalScheduler("W0"),
                             catalog=cat, replication=strat)
@@ -108,7 +105,7 @@ class TestPullStrategies:
         sim = Simulator()
         grid = data_grid(sim, disk=1500.0)  # fits exactly one file
         cat = ReplicaCatalog(grid)
-        files = seed_files(grid, cat, ["hot", "once"])
+        files = seed_files(grid, ["hot", "once"])
         strat = EconomicReplication(sim, grid, cat, protected={"SRC"},
                                     window=1e6)
         runner = GridRunner(sim, grid, scheduler=LocalScheduler("W0"),
@@ -129,7 +126,7 @@ class TestPullStrategies:
         sim = Simulator()
         grid = data_grid(sim)
         cat = ReplicaCatalog(grid)
-        files = seed_files(grid, cat, ["f"])
+        files = seed_files(grid, ["f"])
         strat = LruReplication(sim, grid, cat, protected={"SRC", "W0"})
         runner = GridRunner(sim, grid, scheduler=LocalScheduler("W0"),
                             catalog=cat, replication=strat)
@@ -143,9 +140,8 @@ class TestPullStrategies:
         grid = data_grid(sim, disk=1800.0)
         cat = ReplicaCatalog(grid)
         solo = FileSpec("solo", 1000.0)
-        grid.site("W0").store_file(solo)
-        cat.register(solo, "W0")  # only copy in the system
-        files = seed_files(grid, cat, ["other"])
+        grid.site("W0").store_file(solo)  # only copy in the system
+        files = seed_files(grid, ["other"])
         strat = LruReplication(sim, grid, cat, protected={"SRC"})
         runner = GridRunner(sim, grid, scheduler=LocalScheduler("W0"),
                             catalog=cat, replication=strat)
@@ -160,7 +156,7 @@ class TestPush:
         sim = Simulator()
         grid = data_grid(sim, n_sites=3)
         cat = ReplicaCatalog(grid)
-        files = seed_files(grid, cat, ["pop"])
+        files = seed_files(grid, ["pop"])
         strat = PushReplication(sim, grid, cat, protected={"SRC"},
                                 threshold=2, fanout=2)
         runner = GridRunner(sim, grid, scheduler=LocalScheduler("W0"),
@@ -177,7 +173,7 @@ class TestPush:
         sim = Simulator()
         grid = data_grid(sim)
         cat = ReplicaCatalog(grid)
-        files = seed_files(grid, cat, ["quiet"])
+        files = seed_files(grid, ["quiet"])
         strat = PushReplication(sim, grid, cat, threshold=10)
         runner = GridRunner(sim, grid, scheduler=LocalScheduler("W0"),
                             catalog=cat, replication=strat)
@@ -204,7 +200,6 @@ class TestAgent:
                                      targets=["W0", "W1"])
         f = FileSpec("prod-1", 2000.0)
         grid.site("SRC").store_file(f)
-        cat.register(f, "SRC")
         agent.announce(f)
         sim.run()
         assert agent.shipped == 2
@@ -221,7 +216,6 @@ class TestAgent:
         for i in range(5):
             f = FileSpec(f"p{i}", 1000.0)
             grid.site("SRC").store_file(f)
-            cat.register(f, "SRC")
             agent.announce(f)
         assert agent.backlog("W0") == 4  # one flying, four queued
         sim.run()
@@ -256,8 +250,7 @@ class TestFaultTolerance:
         sim = Simulator()
         grid = data_grid(sim)
         cat = ReplicaCatalog(grid)
-        files = seed_files(grid, cat, ["f0"])
-        strat = LruReplication(sim, grid, cat, protected={"SRC"})
+        files = seed_files(grid, ["f0"])
         g = self._cut_src_link(sim, grid)
         g.fail("l")
         ticket = grid.transfers.fetch(files[0], "SRC", "W0")
@@ -268,7 +261,8 @@ class TestFaultTolerance:
         assert cat.locations("f0") == ["SRC"]
         assert not grid.site("W0").has_file("f0")
         # and the last-copy guard still shields it from eviction
-        assert "f0" not in strat._evictable("SRC", FileSpec("new", 100.0))
+        assert cat.land(FileSpec("new", 1e12), "SRC") is None
+        assert grid.site("SRC").has_file("f0")
 
     def test_failed_fetch_registers_no_phantom_replica(self):
         """A broker staging fetch that dies with the link must not call
@@ -276,7 +270,7 @@ class TestFaultTolerance:
         sim = Simulator()
         grid = data_grid(sim)
         cat = ReplicaCatalog(grid)
-        files = seed_files(grid, cat, ["f0"])
+        files = seed_files(grid, ["f0"])
         strat = LruReplication(sim, grid, cat, protected={"SRC"})
         runner = GridRunner(sim, grid, scheduler=LocalScheduler("W0"),
                             catalog=cat, replication=strat)
@@ -292,7 +286,7 @@ class TestFaultTolerance:
         sim = Simulator()
         grid = data_grid(sim)
         cat = ReplicaCatalog(grid)
-        files = seed_files(grid, cat, ["d0"])
+        files = seed_files(grid, ["d0"])
         agent = DataReplicationAgent(sim, grid, cat, source="SRC",
                                      targets=["W0"], retry_delay=2.0)
         g = self._cut_src_link(sim, grid)

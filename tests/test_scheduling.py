@@ -1,5 +1,7 @@
 """Tests for scheduler policies and execution harnesses."""
 
+import math
+
 import pytest
 
 from repro.core import ConfigurationError, Simulator
@@ -168,7 +170,6 @@ class TestGridRunner:
         f = FileSpec("data", 5000.0)
         grid.site("S0").store_file(f)
         cat = ReplicaCatalog(grid)
-        cat.ingest_site(grid.site("S0"))
         runner = GridRunner(sim, grid, scheduler=LocalScheduler("S1"), catalog=cat)
         j = Job(id=1, length=100.0, input_files=(f,))
         runner.submit_all([j])
@@ -184,7 +185,6 @@ class TestGridRunner:
         f = FileSpec("data", 5000.0)
         grid.site("S0").store_file(f)
         cat = ReplicaCatalog(grid)
-        cat.ingest_site(grid.site("S0"))
         runner = GridRunner(sim, grid, scheduler=LocalScheduler("S0"), catalog=cat)
         runner.submit_all([Job(id=1, length=100.0, input_files=(f,))])
         sim.run()
@@ -200,6 +200,35 @@ class TestGridRunner:
         sim.run()
         assert grid.site("S0").has_file("out-7")
         assert cat.locations("out-7") == ["S0"]
+
+    @pytest.mark.parametrize("also_at_s1", [True, False],
+                             ids=["phantom-record", "last-copy"])
+    def test_output_goes_through_the_landing_rule(self, also_at_s1):
+        """S0's 100-byte disk holds 80-byte ``data``; a job there writes a
+        50-byte output.  With a second copy at S1 ``data`` is evicted and
+        the catalog says so; as the last copy it stays and the output is
+        simply not stored."""
+        sim = Simulator()
+        grid = hetero_grid(sim)
+        grid.site("S0").disk.capacity = 100.0
+        data = FileSpec("data", 80.0)
+        grid.site("S0").store_file(data)
+        if also_at_s1:
+            grid.site("S1").store_file(data)
+        cat = ReplicaCatalog(grid)
+        runner = GridRunner(sim, grid, scheduler=LocalScheduler("S0"), catalog=cat)
+        runner.submit_all([Job(id=1, length=10.0, output_size=50.0)])
+        sim.run()
+        assert len(runner.completed) == 1
+        if also_at_s1:
+            assert cat.locations("data") == ["S1"]
+            assert cat.locations("out-1") == ["S0"]
+        else:
+            assert cat.locations("data") == ["S0"]
+            assert cat.locations("out-1") == []
+        for name in cat.files:
+            assert [s.name for s in grid.sites_with_file(name)] \
+                == cat.locations(name)
 
     def test_batch_plan_execution(self):
         sim = Simulator()
@@ -242,6 +271,76 @@ class TestWorkQueue:
         fast = runner.monitor.counter("jobs@S1").count
         slow = runner.monitor.counter("jobs@S0").count
         assert fast > slow
+
+
+class TestNoDataNoJob:
+    """A consumer whose input or edge fetch ends ``failed`` never runs."""
+
+    def cut_grid(self):
+        sim = Simulator()
+        grid = hetero_grid(sim, pes=(1, 1))
+        grid.topology.fail_link("S0", "S1")
+        return sim, grid
+
+    def never_ran(self, grid, runner, job):
+        assert job.state is JobState.FAILED and job.started is None
+        assert runner.failed == [job] and job not in runner.completed
+        assert runner.monitor.counter("remote_fetches").count == 0
+        assert grid.transfers.failed == 1
+
+    def test_grid_runner_fails_the_job(self):
+        sim, grid = self.cut_grid()
+        f = FileSpec("data", 5000.0)
+        grid.site("S0").store_file(f)
+        runner = GridRunner(sim, grid, scheduler=LocalScheduler("S1"))
+        job = Job(id=1, length=100.0, input_files=(f,))
+        runner.submit_all([job])
+        sim.run()
+        self.never_ran(grid, runner, job)
+        assert not grid.site("S1").has_file("data")
+        assert grid.site("S1").machines[0].completed == 0
+
+    def test_work_queue_gets_its_slot_back(self):
+        sim, grid = self.cut_grid()
+        f = FileSpec("data", 5000.0)
+        grid.site("S0").store_file(f)
+        runner = WorkQueueRunner(sim, grid)
+        # S1 is the faster site, so it pulls the first job — and cannot
+        # reach the data; the slot it held must serve the jobs behind it
+        starved = Job(id=0, length=100.0, input_files=(f,))
+        rest = jobs([100.0] * 4)
+        for j in rest:
+            j.id += 1
+        runner.submit_all([starved] + rest)
+        sim.run()
+        self.never_ran(grid, runner, starved)
+        assert len(runner.completed) == 4
+        assert runner._free == {"S0": 1, "S1": 1}
+        assert runner.monitor.counter("jobs@S1").count > 0
+
+    @pytest.mark.parametrize("mode", ["runtime", "plan"])
+    def test_dag_child_of_a_lost_edge_and_its_descendants(self, mode):
+        sim, grid = self.cut_grid()
+        dag = Dag()
+        for i in range(4):
+            dag.add_job(Job(id=i, length=100.0))
+        dag.add_edge(0, 1, data=1000.0)   # S0 -> S1: the cut link
+        dag.add_edge(1, 2, data=1000.0)
+        dag.add_edge(0, 3, data=1000.0)   # S0 -> S0: unaffected
+        plan = {0: "S0", 1: "S1", 2: "S0", 3: "S0"}
+        if mode == "plan":
+            runner = DagRunner(sim, grid, dag, plan=plan)
+        else:
+            class Fixed(LocalScheduler):
+                def select_site(self, job, ctx):
+                    return plan[job.id]
+            runner = DagRunner(sim, grid, dag, scheduler=Fixed("S0"))
+        runner.start()
+        sim.run()
+        self.never_ran(grid, runner, dag.job(1))
+        assert sorted(j.id for j in runner.completed) == [0, 3]
+        assert dag.job(2).state is JobState.CREATED  # never released
+        assert math.isnan(runner.makespan)
 
 
 class TestDagRunner:

@@ -117,8 +117,9 @@ class TestOptorSim:
 
 
     def test_failed_fetch_is_no_remote_read_and_leaves_no_replica(self):
-        """CERN (the only holder) cut off: every staging fetch aborts, and
-        none may count as a remote read or reach ``strategy.on_fetch``."""
+        """CERN (the only holder) cut off: every job's first fetch aborts.
+        None may count as a remote read or reach ``strategy.on_fetch``, and
+        no job runs on data that never arrived."""
         from repro.faults import FaultGraph
 
         sim = Simulator(seed=4)
@@ -126,14 +127,16 @@ class TestOptorSim:
                               files_per_job=4)
         FaultGraph.from_grid(model.grid).fail("link:CERN->WAN")
         model.run(n_jobs=6)
-        assert len(model.completed) == 6
-        assert model.grid.transfers.failed == 24
+        assert (len(model.completed), len(model.failed)) == (0, 6)
+        assert model.grid.transfers.failed == 6
         assert model.grid.transfers.completed == 0
+        assert all(m.completed == 0 for m in model.machines.values())
+        assert not any(model._outstanding.values())
         assert model.strategy.replicas_created == 0
         assert all(model.catalog.locations(f.name) == ["CERN"]
                    for f in model.files)
         assert model.monitor.counter("remote_fetches").count == 0
-        assert sum(j.remote_reads for j in model.completed) == 0
+        assert sum(j.remote_reads for j in model.failed) == 0
 
 
 class TestSimGrid:
@@ -357,6 +360,31 @@ class TestMonarc:
         assert model._pull_backlogs == {"T1.0": n, "T1.1": 0}
         assert model.replication_backlog() == n
 
+    def test_agent_gives_up_under_a_permanent_outage(self):
+        """T1.0's uplink dies at t=60 for good: the run still ends, every
+        (file, target) is either shipped or abandoned, and the abandoned
+        ones are still reported as not replicated."""
+        from repro.faults import FaultGraph
+        from repro.middleware.replication import MAX_RESHIPS
+
+        sim = Simulator(seed=3)
+        model = MonarcModel(sim, n_tier1=2, uplink_gbps=30.0)
+        graph = FaultGraph.from_grid(model.grid)
+        sim.schedule(60.0, graph.fail, "link:T1.0->WAN")
+        result = model.run_t0_t1_study(horizon=200.0,
+                                       experiments=[self.SMALL])
+        agent = model.agent
+        assert agent.abandoned > 0 and agent.total_backlog == 0
+        assert agent.shipped + agent.abandoned == 2 * result.produced_files
+        assert agent.monitor.counter("files_abandoned").count == agent.abandoned
+        assert model.grid.transfers.failed == agent.abandoned * (MAX_RESHIPS + 1)
+        assert result.final_backlog_files == agent.abandoned
+        assert model.replication_backlog() == agent.abandoned
+        lost = [f.name for f in model.produced
+                if model.catalog.locations(f.name) != ["T0", "T1.0", "T1.1"]]
+        assert len(lost) == agent.abandoned
+        assert all(model.catalog.locations(n) == ["T0", "T1.1"] for n in lost)
+
 
 class TestOptorSimBroker:
     """The broker-policy axis added in the OptorSim evaluations."""
@@ -388,6 +416,19 @@ class TestOptorSimBroker:
         rand = self.run_with("random", n_jobs=40)
         assert model.remote_fraction() <= rand.remote_fraction() + 1e-9
 
+    def test_access_cost_survives_an_unreachable_site(self):
+        """Ranking a cut-off site costs ``inf``; it must not crash the
+        broker, which then simply places every job elsewhere."""
+        from repro.faults import FaultGraph
+
+        sim = Simulator(seed=44)
+        model = OptorSimModel(sim, optimizer="lru", n_sites=3, n_files=10,
+                              files_per_job=4, broker="access-cost")
+        FaultGraph.from_grid(model.grid).fail("link:site-0->WAN")
+        model.run(n_jobs=12)
+        assert len(model.completed) == 12 and not model.failed
+        assert all(j.site != "site-0" for j in model.completed)
+
     def test_unknown_broker_rejected(self):
         sim = Simulator()
         with pytest.raises(ConfigurationError):
@@ -416,7 +457,7 @@ class TestMonarcTier2:
         sim.run()
         assert model.monitor.tally("analysis_turnaround").count == 4
         # the T2 fetched data (it produces nothing locally)
-        assert model.monitor.counter("analysis_remote_reads").count >= 1
+        assert model.monitor.counter("remote_fetches").count >= 1
 
     def test_analysis_failed_fetch_is_no_read_and_runs_no_job(self):
         """The region's uplink dies at t=60: files produced later never reach
@@ -445,7 +486,7 @@ class TestMonarcTier2:
         failed = sum(t.failed for t in tickets)
         assert 1 <= failed < len(tickets)
         counter = model.monitor.counter
-        assert counter("analysis_remote_reads").count == len(tickets) - failed
+        assert counter("remote_fetches").count == len(tickets) - failed
         assert model.monitor.tally("analysis_turnaround").count == 12 - failed
         assert counter("analysis_failed_reads").count == failed
 
