@@ -5,15 +5,15 @@ many disjoint site pairs chaining transfers, plus a handful of long-lived
 flows on one shared backbone) under two engines:
 
 * ``incremental`` — ``repro.network.flow.FlowNetwork``: component-scoped
-  recompute, coalesced flushes, epsilon-preserved completion events;
+  recompute, coalesced flushes, epsilon-preserved finish times;
 * ``full`` — ``tests/flow_oracle.py::NaiveFlowNetwork``, the test-side
-  subclass that recomputes every flow and cancels+reschedules every
-  completion event on each admit/finish (the churn baseline).
+  subclass that recomputes every flow and re-keys every finish time on
+  each admit/finish (the churn baseline).
 
 Completion times are cross-checked between the two engines while
 collecting — a baseline refresh that silently recorded a divergent
 allocator would poison every later comparison.  The headline ratios are
-the completion-event churn saved (``reschedule_ratio``) and the wall-clock
+the finish-time re-keys saved (``reschedule_ratio``) and the wall-clock
 speedup; ``run_kernel_baseline.py --section e8`` merges the section into
 ``BENCH_kernel.json`` as ``e8_flow_sharing``.
 """

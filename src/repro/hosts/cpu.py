@@ -4,7 +4,8 @@ Taxonomy *host characteristics*: "how different simulators model the load of
 the computing nodes, the granularity of jobs being processed".  GridSim's
 distinction is reproduced exactly: **space-shared** machines (batch nodes —
 each job monopolizes one PE, FCFS) and **time-shared** machines (interactive
-nodes — all jobs progress simultaneously under processor sharing).
+nodes — all jobs progress simultaneously under processor sharing, kept in
+virtual time behind one completion timer per machine).
 
 Work is measured in MI (millions of instructions), PE speed in MIPS, so a
 job of length L on a PE of rating R takes L/R seconds when running alone.
@@ -19,6 +20,7 @@ Background load (the Bricks ingredient) multiplies effective capacity by
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 from typing import Optional
 
 from ..core.engine import Simulator
@@ -46,10 +48,11 @@ class JobRun(Waitable):
         self.submitted = submitted
         self.started: Optional[float] = None
         self.finished: Optional[float] = None
-        # time-shared bookkeeping
+        # MI left: space-shared runs settle it at each (re)start; time-shared
+        # runs keep ``length`` (progress lives in the machine's virtual
+        # time) until they finish, then 0.  Plus the space-shared completion
+        # event of the current stint.
         self.remaining = self.length
-        self.rate = 0.0
-        self._last_update = submitted
         self._completion: Optional[Event] = None
 
     @property
@@ -339,12 +342,20 @@ class SpaceSharedMachine(Machine):
 
 
 class TimeSharedMachine(Machine):
-    """Processor sharing: every job runs at ``min(rating, total/n)`` MIPS.
+    """Egalitarian processor sharing: every job runs at ``min(rating,
+    total/n)`` MIPS.
 
     The per-job cap at one PE's rating mirrors real round-robin scheduling:
-    a single job cannot use more than one processor.  Rates are recomputed
-    on every arrival/departure, exactly like the flow network's max-min
-    update (it is the same O(n) reallocation pattern).
+    a single job cannot use more than one processor.  Every active job
+    gets the same share, so the machine tracks one number instead of n
+    remaining counts: the *virtual time* ``V``, the service each active job
+    has received, advanced by ``share × dt`` and settled on every arrival,
+    departure or capacity change.  A job submitted at ``V₀`` finishes when
+    ``V`` reaches ``V₀ + length`` — a key fixed at submission, so the
+    finish *order* never changes and a heap of ``(key, id, run)`` holds it.
+    One timer, at ``now + (head − V) / share``, finishes every job whose key
+    has been reached, in ``(key, id)`` order, and re-arms: an arrival costs
+    O(log n) and one timer move, not n cancels and n pushes.
     """
 
     kind = "time-shared"
@@ -352,20 +363,26 @@ class TimeSharedMachine(Machine):
     def __init__(self, sim: Simulator, pes: int = 1, rating: float = 1000.0,
                  name: str = "time-shared") -> None:
         super().__init__(sim, pes, rating, name)
-        self._active: list[JobRun] = []
+        #: ``(V at submission + length, run id, run)`` per active job
+        self._finishers: list[tuple[float, int, JobRun]] = []
+        self._v = 0.0            #: virtual time: MI served to each active job
+        self._v_at = sim.now     #: when ``_v`` was last settled
+        #: the machine's one completion event, armed at the head's finish
+        self._timer: Optional[Event] = None
 
     def submit(self, job) -> JobRun:
         run = self._new_run(job)
         run.started = self.sim.now  # PS admits immediately
-        run._last_update = self.sim.now
-        self._active.append(run)
-        self._busy_level.set(self.sim.now, min(len(self._active), self.pes))
-        self._reallocate()
+        self._settle()
+        heap = self._finishers
+        heappush(heap, (self._v + run.length, run.id, run))
+        self._busy_level.set(self.sim.now, min(len(heap), self.pes))
+        self._arm()
         return run
 
     @property
     def running(self) -> int:
-        return len(self._active)
+        return len(self._finishers)
 
     @property
     def queued(self) -> int:
@@ -373,39 +390,61 @@ class TimeSharedMachine(Machine):
 
     def estimated_completion(self, length: float) -> float:
         """PS estimate: finish time if one more job joined now."""
-        n = len(self._active) + 1
-        rate = min(self.rating * (1.0 - self._background),
+        return self.sim.now + length / self._share(len(self._finishers) + 1)
+
+    def _share(self, n: int) -> float:
+        """MIPS each of *n* active jobs gets at the current capacity."""
+        return min(self.rating * (1.0 - self._background),
                    self.total_mips / n)
-        return self.sim.now + length / rate if rate > 0 else math.inf
 
-    def _settle(self, run: JobRun) -> None:
-        dt = self.sim.now - run._last_update
-        if dt > 0:
-            run.remaining = max(0.0, run.remaining - run.rate * dt)
-        run._last_update = self.sim.now
+    def _settle(self) -> None:
+        """Advance ``_v`` to now at the share that held since the last
+        settle; call before the job count or the capacity changes."""
+        now = self.sim.now
+        if self._finishers and now > self._v_at:
+            self._v += self._share(len(self._finishers)) * (now - self._v_at)
+        self._v_at = now
 
-    def _reallocate(self) -> None:
-        n = len(self._active)
-        if n == 0:
-            return
-        per_pe = self.rating * (1.0 - self._background)
-        share = min(per_pe, self.total_mips / n)
-        for run in self._active:
-            self._settle(run)
-            run.rate = share
-            if run._completion is not None:
-                run._completion.cancel()
-            eta = run.remaining / share if share > 0 else math.inf
-            run._completion = self.sim.schedule(eta, self._depart, run,
-                                                label=f"job_done:{self.name}")
+    def _arm(self) -> None:
+        """Point the one timer at the head's finish; move it only if that
+        time changed."""
+        heap = self._finishers
+        timer = self._timer
+        if heap:
+            # ``_v`` may already be past the head: a time-driven engine
+            # fires the timer at the tick after the finish, and work settled
+            # at that tick first overshoots; the head is then due now
+            left = max(0.0, heap[0][0] - self._v)
+            due = self.sim.now + left / self._share(len(heap))
+            if timer is not None:
+                if timer.time == due:
+                    return
+                timer.cancel()
+            self._timer = self.sim.schedule_at(due, self._on_timer,
+                                               label=f"job_done:{self.name}")
+        elif timer is not None:
+            timer.cancel()
+            self._timer = None
 
-    def _depart(self, run: JobRun) -> None:
-        self._settle(run)
-        self._active.remove(run)
-        self._busy_level.set(self.sim.now, min(len(self._active), self.pes))
-        self._finish_run(run)
-        self._reallocate()
+    def _on_timer(self) -> None:
+        """Finish every job whose key ``V`` has reached, in ``(key, id)``
+        order, then re-arm."""
+        self._timer = None
+        self._settle()
+        heap = self._finishers
+        # the timer was armed for the head: float noise in ``_v`` must not
+        # leave it a hair short of its own finish
+        v = self._v = max(self._v, heap[0][0])
+        while heap and heap[0][0] <= v:
+            run = heappop(heap)[2]
+            run.remaining = 0.0
+            self._busy_level.set(self.sim.now, min(len(heap), self.pes))
+            self._finish_run(run)
+        if not heap:
+            self._v = 0.0   # idle: restart the clock, keep keys small
+        self._arm()
 
     def _on_capacity_change(self, fraction: float) -> None:
+        self._settle()
         super()._on_capacity_change(fraction)
-        self._reallocate()
+        self._arm()

@@ -86,12 +86,10 @@ class Site:
         """True when the site disk holds *name*."""
         return self.disk is not None and self.disk.has(name)
 
-    def store_file(self, file: FileSpec, evict: str | None = None) -> None:
-        """Place a file on the site disk, optionally evicting to make room."""
+    def store_file(self, file: FileSpec) -> None:
+        """Seed a file on the site disk (eviction is ``ReplicaCatalog.land``'s)."""
         if self.disk is None:
             raise ConfigurationError(f"site {self.name!r} has no disk")
-        if evict is not None:
-            self.disk.make_room(file.size, evict)
         self.disk.store(file)
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -54,7 +54,7 @@ class _RunnerBase:
         self.grid = grid
         self.catalog = catalog if catalog is not None else ReplicaCatalog(grid)
         self.replication = replication
-        self.ctx = SchedulingContext(grid, self.catalog)
+        self.ctx = SchedulingContext(grid)
         self.monitor = Monitor(name)
         self.completed: list[Job] = []
         #: jobs whose input (or DAG edge) data never arrived: they never ran

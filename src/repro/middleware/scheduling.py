@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..core.errors import ConfigurationError
 from ..core.rng import Stream
 from ..hosts.site import Grid, Site
-from .catalog import GridInformationService, ReplicaCatalog
+from .catalog import GridInformationService
 from .jobs import Dag, Job
 
 __all__ = [
@@ -54,12 +54,11 @@ __all__ = [
 
 
 class SchedulingContext:
-    """Everything a policy may look at: grid, information service, catalog."""
+    """Everything a policy may look at: the grid and its information service."""
 
-    def __init__(self, grid: Grid, catalog: Optional[ReplicaCatalog] = None) -> None:
+    def __init__(self, grid: Grid) -> None:
         self.grid = grid
         self.gis = GridInformationService(grid)
-        self.catalog = catalog
 
     def compute_site_names(self) -> list[str]:
         """Names of sites with at least one machine."""

@@ -17,10 +17,11 @@ the consumed capacity, and continue.
 
 Incremental maintenance
 -----------------------
-The naive formulation recomputes *every* flow's rate and cancels+reschedules
-*every* completion event on each admit/finish — O(F·L) work and O(F) event
-churn per network event, the classic cost SimGrid's lazy/partial updates
-were built to avoid.  This engine instead:
+The naive formulation recomputes *every* flow's rate and re-times *every*
+flow's completion on each admit/finish — O(F·L) work per network event,
+and O(F) event churn when each flow owns a completion event: the classic
+cost SimGrid's lazy/partial updates were built to avoid.  This engine
+instead:
 
 * keeps one :class:`_LinkState` per link the network has routed over —
   usable capacity, the crossing flows, the solver's scratch fields — and
@@ -31,27 +32,34 @@ were built to avoid.  This engine instead:
 * recomputes shares only for the **connected component** of flows that
   share a link (transitively) with the changed flow — progressive filling
   decomposes exactly across components, so disjoint components' rates and
-  completion events are left untouched;
+  finish times are left untouched;
 * keeps each link's count of unfrozen crossers **live** while filling
   (decremented as flows freeze) instead of recounting it every round;
-* **preserves** the completion event of any flow whose recomputed rate is
-  unchanged within a relative epsilon (``RESCHEDULE_EPS``) — no dead
-  records enter the event list for rate-stable flows;
+* **preserves** the finish time of any flow whose recomputed rate is
+  unchanged within a relative epsilon (``RESCHEDULE_EPS``);
+* keeps **one completion timer per network**: a re-rated flow's absolute
+  finish time (``FlowHandle._eta``) goes into a heap of ``(eta, id,
+  handle)`` — an entry whose eta no longer matches its handle is stale and
+  dropped when it surfaces — and a single event is armed at the heap
+  head, moved only when the head's time changes.  On firing it finishes
+  every flow due at that instant in ascending ``(eta, id)`` order and
+  re-arms, so a re-rate costs a heap push, not a cancel plus a schedule;
 * **coalesces** all admits/finishes at one timestamp into a single
   recompute, scheduled at the same time in the :data:`Priority.LOW` band so
   it runs after every same-time network event.
 
 Determinism: every container the engine iterates is insertion-ordered
-(dicts and lists; the one set is only probed) and flows are numbered per
-network, so rates, completion times and same-instant completion order are
-a function of the transfer sequence alone — not of ``PYTHONHASHSEED``, and
-not of how many flows the process created before.
+(dicts and lists; the one set is only probed), flows are numbered per
+network and same-instant finishes fire in ``(eta, id)`` order, so rates,
+completion times and completion order are a function of the transfer
+sequence alone — not of ``PYTHONHASHSEED``, and not of how many flows the
+process created before.
 
 This is the only sharing engine in the package.  What it is checked
 against lives beside the tests, in ``tests/flow_oracle.py``: an independent
 dict-based filling (``oracle_rates``) that :meth:`FlowNetwork._solve` over
 all active flows must equal bit for bit after every recompute, and
-``NaiveFlowNetwork``, the recompute-everything / reschedule-everything
+``NaiveFlowNetwork``, the recompute-everything / re-key-everything
 subclass that is the differential fuzzer's reference and E8's churn
 baseline.  Per-network counters in :attr:`FlowNetwork.sharing` account for
 the saved work.
@@ -64,6 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Collection, Iterable, Optional
 
 from ..core.engine import Simulator
@@ -123,7 +132,8 @@ class FlowHandle(Waitable):
         #: — an aborted handle still completes (exactly once), with itself.
         self.failed = False
         self.error: Optional[str] = None
-        self._completion: Optional[Event] = None
+        #: absolute finish time at the current rate; inf while not draining
+        self._eta = math.inf
         self._last_update = started
         self._path: list[_LinkState] = []   #: ``links``, resolved per network
         self._share = 0.0                   #: solver output; < 0 = unfrozen
@@ -153,16 +163,18 @@ class FlowHandle(Waitable):
 class SharingStats:
     """Reallocation accounting for one :class:`FlowNetwork`.
 
-    ``preserved``/``rescheduled`` partition the completion events of every
-    recomputed flow; flows outside the recomputed component appear in
-    neither (their events were never touched at all).
+    ``preserved``/``rescheduled`` partition the finish times of every
+    recomputed flow that is draining; flows outside the recomputed
+    component appear in neither (their finish times were never touched).
+    Event-list churn is not counted here: the network owns one timer, and
+    the kernel's ``push_n`` / ``cancel_n`` say what it cost.
     """
 
     recomputes: int = 0          #: progressive-filling passes actually run
     coalesced: int = 0           #: admits/finishes absorbed by a pending pass
     flows_touched: int = 0       #: flows whose rates were recomputed (summed)
-    rescheduled: int = 0         #: completion events cancelled + rescheduled
-    preserved: int = 0           #: completion events kept (rate unchanged)
+    rescheduled: int = 0         #: finish times re-keyed (new rate)
+    preserved: int = 0           #: finish times kept (rate unchanged)
 
     def as_dict(self) -> dict:
         """Flat dict (CSV/JSON-friendly)."""
@@ -184,7 +196,7 @@ class FlowNetwork:
     """
 
     #: Relative epsilon under which a recomputed rate counts as unchanged
-    #: and the flow's completion event is preserved.  Chosen far below any
+    #: and the flow's finish time is preserved.  Chosen far below any
     #: modelled bandwidth change but above progressive-filling float noise,
     #: so drift against a from-scratch recompute stays ≤ RESCHEDULE_EPS per
     #: flow.
@@ -194,7 +206,7 @@ class FlowNetwork:
     #: the bottleneck link's usable capacity.  Float residue in the free
     #: capacity bookkeeping can otherwise drive a saturated link's share to
     #: exactly zero while an uncapped flow still crosses it — the flow
-    #: would freeze at rate 0, never get a completion event, and hang
+    #: would freeze at rate 0, never get a finish time, and hang
     #: forever (as would any process yielding on it).
     SHARE_FLOOR_EPS = 1e-12
 
@@ -215,6 +227,12 @@ class FlowNetwork:
         #: marking order — the seeds of the next component-scoped pass.
         self._dirty: dict[_LinkState, None] = {}
         self._flush_scheduled = False
+        #: ``(eta, flow id, handle)`` per draining flow, earliest first; an
+        #: entry is stale once ``handle._eta != eta`` and is dropped when it
+        #: reaches the head (lazy deletion).
+        self._finishers: list[tuple[float, int, FlowHandle]] = []
+        #: the network's one completion event, armed at the head's eta
+        self._timer: Optional[Event] = None
         self._transfers = 0
         self.sharing = SharingStats()
         self.monitor = Monitor("flow-network")
@@ -296,16 +314,16 @@ class FlowNetwork:
 
     def _abort(self, handle: FlowHandle, reason: str) -> None:
         """Terminate *handle* as failed: settle bytes, free its links,
-        cancel its completion, and complete it with ``failed=True``."""
+        drop its finish time, and complete it with ``failed=True``."""
         if handle.finished is not None:
             return  # already finished or aborted — completion fires once
         admitted = self._active.pop(handle.id, None) is not None
         if admitted:
             self._settle(handle)
             self._leave_links(handle)
-        if handle._completion is not None:
-            handle._completion.cancel()
-            handle._completion = None
+        if handle._eta != math.inf:
+            handle._eta = math.inf   # its heap entry is stale now
+            self._arm()
         handle.rate = 0.0
         handle.failed = True
         handle.error = reason
@@ -348,7 +366,7 @@ class FlowNetwork:
         handle.remaining = 0.0
         handle.rate = 0.0
         handle.finished = self.sim.now
-        handle._completion = None
+        handle._eta = math.inf
         if admitted:
             self._leave_links(handle)
         self.completed += 1
@@ -408,12 +426,13 @@ class FlowNetwork:
         return flows
 
     def _apply_rates(self, flows: Collection[FlowHandle]) -> None:
-        """Settle, recompute max-min shares, and (re)schedule completions.
+        """Settle, recompute max-min shares, and re-key finish times.
 
         A flow whose new rate matches its current rate within
         :data:`RESCHEDULE_EPS` (relative) keeps both its stored rate and its
-        live completion event — the event's absolute time is still exact,
-        since bytes keep draining at the unchanged rate.
+        finish time — still exact, since bytes keep draining at the
+        unchanged rate.  Any other flow gets ``_eta = now + remaining /
+        rate`` and a fresh heap entry; the one timer is re-armed after.
         """
         for f in flows:
             self._settle(f)
@@ -423,30 +442,66 @@ class FlowNetwork:
         stats.flows_touched += len(flows)
         rescheduled = preserved = 0
         eps = self.RESCHEDULE_EPS
+        inf = math.inf
+        now = self.sim.now
+        heap = self._finishers
         for f in flows:
             new_rate = f._share
-            if (f._completion is not None
-                    and not f._completion.cancelled
+            if (f._eta != inf
                     and abs(new_rate - f.rate)
                     <= eps * max(abs(new_rate), abs(f.rate))):
                 preserved += 1
                 continue
             f.rate = new_rate
-            if f._completion is not None:
-                f._completion.cancel()
-                f._completion = None
             if new_rate > 0:
-                eta = f.remaining / new_rate
-                f._completion = self.sim.schedule(
-                    eta, self._finish, f, label="flow_done")
+                eta = now + f.remaining / new_rate
+                if eta != f._eta:   # an equal eta keeps its live entry
+                    f._eta = eta
+                    heappush(heap, (eta, f.id, f))
                 rescheduled += 1
-            # rate == 0 can only happen with a rate cap of 0; such flows
-            # sit idle until a reallocation frees capacity.
+            else:
+                # rate == 0 can only happen with a rate cap of 0; such
+                # flows sit idle until a reallocation frees capacity.
+                f._eta = inf
         stats.rescheduled += rescheduled
         stats.preserved += preserved
+        self._arm()
         obs = self.sim._obs
         if obs is not None:
             obs.on_reallocate()
+
+    def _arm(self) -> None:
+        """Point the one timer at the earliest live finish time: drop stale
+        heap heads, and move the timer only if that time changed."""
+        heap = self._finishers
+        while heap and heap[0][2]._eta != heap[0][0]:
+            heappop(heap)
+        timer = self._timer
+        if heap:
+            # a time-driven engine fires the timer at the tick after the
+            # head's eta, and an abort at that tick re-arms first: the head
+            # is then due now, not in the past
+            due = max(heap[0][0], self.sim.now)
+            if timer is not None:
+                if timer.time == due:
+                    return
+                timer.cancel()
+            self._timer = self.sim.schedule_at(due, self._on_timer,
+                                               label="flow_done")
+        elif timer is not None:
+            timer.cancel()
+            self._timer = None
+
+    def _on_timer(self) -> None:
+        """Finish every flow due now, in ``(eta, id)`` order, then re-arm."""
+        self._timer = None
+        heap = self._finishers
+        now = self.sim.now
+        while heap and heap[0][0] <= now:
+            eta, _, f = heappop(heap)
+            if f._eta == eta:
+                self._finish(f)
+        self._arm()
 
     def _solve(self, flows: Collection[FlowHandle]) -> None:
         """Progressive filling over *flows*; leaves each flow's max-min
@@ -506,7 +561,7 @@ class FlowNetwork:
                 # Starvation guard: float residue in `free` after repeated
                 # subtraction can reach exactly 0 (or epsilon dust) while
                 # uncapped flows still cross the link; a zero share would
-                # freeze them at rate 0 with no completion event — a
+                # freeze them at rate 0 with no finish time — a
                 # permanent hang.  Floor the share relative to the
                 # bottleneck's capacity (overshoot is ≤ crossers · floor,
                 # far inside the efficiency margin), with an absolute

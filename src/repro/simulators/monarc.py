@@ -144,15 +144,24 @@ class MonarcModel:
 
     def production_activity(self, experiments: list[ExperimentSpec],
                             horizon: float) -> None:
-        """The T0 'Activity': write RAW files, archive, announce to the agent."""
+        """The T0 'Activity': write RAW files, archive, announce to the agent.
+
+        A file T0's disk cannot take (full of last copies) is archived to
+        tape only and counted in ``files_unstored``: it is not in
+        :attr:`produced`, and nobody is told to ship it — no data, no
+        transfer.
+        """
         schedule = production_schedule(
             self.sim.stream("monarc-production"), experiments, horizon)
 
         def activity():
             for t, f in schedule:
                 yield max(0.0, t - self.sim.now)
-                self.catalog.land(f, "T0")
+                stored = self.catalog.land(f, "T0") is not None
                 self.tape.store(f)  # archival copy
+                if not stored:
+                    self.monitor.counter("files_unstored").increment(self.sim.now)
+                    continue
                 self.produced.append(f)
                 self.monitor.counter("files_produced").increment(self.sim.now)
                 if self.agent is not None:

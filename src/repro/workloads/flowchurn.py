@@ -5,8 +5,7 @@ The E8 bandwidth-sharing scenario (``benchmarks/bench_flow_sharing.py`` and
 chain of back-to-back transfers, staggered so their admits/finishes
 interleave in time, while a handful of long-lived flows share one backbone
 link.  A naive max-min engine recomputes **all** active flows and
-cancels+reschedules **every** completion event on each of those pair-local
-events; :class:`~repro.network.flow.FlowNetwork` touches only the two-node
+re-times **every** completion on each of those pair-local events; :class:`~repro.network.flow.FlowNetwork` touches only the two-node
 component that actually changed.  The model is fully deterministic — no
 RNG — so E8 can run it again over the test-side naive engine
 (``tests/flow_oracle.py``) and compare completion times flow by flow.

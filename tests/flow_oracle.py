@@ -89,15 +89,13 @@ def oracle_rates(flows, efficiency: float) -> dict:
 
 class NaiveFlowNetwork(FlowNetwork):
     """Every admit, finish and abort at once recomputes all active flows
-    and cancels + reschedules every completion event: no coalescing, no
-    component scoping, nothing preserved."""
+    and re-keys every finish time: no coalescing, no component scoping,
+    nothing preserved."""
 
     def _mark_dirty(self, path) -> None:
         flows = self._active.values()
         for f in flows:
-            if f._completion is not None:
-                f._completion.cancel()
-                f._completion = None
+            f._eta = math.inf   # never preserved: re-keyed below
         if flows:
             self._apply_rates(flows)
 

@@ -167,7 +167,7 @@ class TestStarvationGuard:
         sim.run(until=1e-9)
         for h in (h1, h2):
             assert h.rate > 0.0, "uncapped active flow frozen at rate 0"
-            assert h._completion is not None
+            assert h._eta < math.inf
         sim.run()
         assert h1.done and h2.done
 
@@ -209,12 +209,12 @@ class TestIncrementalSharing:
         sim, net = self.net([("a", "b", 100.0), ("c", "d", 100.0)])
         h1 = net.transfer("a", "b", 1000.0)
         sim.run(until=0.5)
-        ev1 = h1._completion
-        assert ev1 is not None
+        ev1 = h1._eta
+        assert ev1 < math.inf
         h2 = net.transfer("c", "d", 100.0)
         sim.run(until=0.6)
         # h2's admit recomputed only its own one-flow component
-        assert h1._completion is ev1
+        assert h1._eta == ev1
         assert net.sharing.flows_touched == 2  # one per single-flow flush
         sim.run()
         assert h1.finished == pytest.approx(10.0)
@@ -227,7 +227,7 @@ class TestIncrementalSharing:
         sim.run(until=1e-9)
         assert big.rate == pytest.approx(90.0)
         assert capped.rate == pytest.approx(10.0)
-        ev = capped._completion
+        ev = capped._eta
         holder = {}
         sim.schedule(1.0, lambda: holder.update(
             h=net.transfer("a", "b", 500.0, rate_cap=5.0)))
@@ -235,7 +235,7 @@ class TestIncrementalSharing:
         # the newcomer squeezes `big` (85), but `capped` still gets its cap:
         # its rate is unchanged, so its completion event must be kept
         assert big.rate == pytest.approx(85.0)
-        assert capped._completion is ev
+        assert capped._eta == ev
         assert net.sharing.preserved >= 1
         sim.run()
         assert big.done and capped.done and holder["h"].done
@@ -244,14 +244,14 @@ class TestIncrementalSharing:
         sim, net = self.net([("a", "b", 100.0)])
         h = net.transfer("a", "b", 1000.0)
         sim.run(until=1e-9)
-        ev = h._completion
+        ev = h._eta
         recomputes = net.sharing.recomputes
         zero = net.transfer("a", "b", 0.0)    # empty payload
         local = net.transfer("b", "b", 50.0)  # same-host copy
         sim.run(until=0.1)
         assert zero.done and local.done
         # neither was ever admitted: no recompute, no event churn
-        assert h._completion is ev
+        assert h._eta == ev
         assert net.sharing.recomputes == recomputes
         sim.run()
         assert h.finished == pytest.approx(10.0)

@@ -8,6 +8,9 @@ flow ids came from a process-global counter and the capped-flow pass
 iterated a ``set`` of them, so the subtraction order — and the last ulp of
 a finish time — depended on how many flows the process had made before.
 
+The same two properties are held for a time-shared machine, whose
+same-instant completions fire in ``(finish key, id)`` order.
+
 Seeds follow the fuzzers' convention (see ``flow_oracle.fuzz_seeds``).
 """
 
@@ -21,11 +24,15 @@ import sys
 
 import repro
 from repro.core import Simulator
+from repro.hosts import TimeSharedMachine
 from repro.network import FlowNetwork, dumbbell, tier_tree
 
 from .flow_oracle import fuzz_seeds
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+#: ``tie_heavy_run(2009)["stream"]`` as an engine that gave every flow its
+#: own completion event produced it
+PER_FLOW_EVENT_STREAM = pathlib.Path(__file__).with_name("flow_stream_2009.json")
 SRC = pathlib.Path(repro.__file__).resolve().parent.parent
 
 
@@ -75,12 +82,38 @@ def capped_run(seed: int) -> list:
     return run_schedule(topo, schedule)["stream"]
 
 
-def in_subprocess(seed: int, hashseed: str) -> dict:
+def time_shared_run(seed: int) -> list:
+    """300 jobs on a 2-PE time-shared machine: lengths and arrival times
+    on a coarse grid (equal finish keys, same-instant completions) and a
+    background-load step every 25 jobs; returns ``(id, finished.hex())``
+    in completion order."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    m = TimeSharedMachine(sim, pes=2, rating=100.0)
+    stream = []
+
+    def submit(length):
+        m.submit(length)._subscribe(
+            lambda r: stream.append((r.id, r.finished.hex())))
+
+    for k in range(300):
+        t = 0.5 * (k // 3)
+        sim.schedule_at(t, submit, rng.choice([50.0, 100.0, 200.0]))
+        if k % 25 == 0:
+            sim.schedule_at(t + 0.25, m.set_background_load,
+                            rng.choice([0.0, 0.25, 0.5]))
+    sim.run()
+    assert len(stream) == 300
+    return stream
+
+
+def in_subprocess(seed: int, hashseed: str,
+                  runner: str = "tie_heavy_run") -> dict:
     env = dict(os.environ, PYTHONHASHSEED=hashseed)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     code = ("import json; from tests.test_flow_determinism import "
-            f"tie_heavy_run; print(json.dumps(tie_heavy_run({seed})))")
+            f"{runner}; print(json.dumps({runner}({seed})))")
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -105,3 +138,34 @@ def test_results_do_not_depend_on_process_history():
         for _ in range(10_000):
             scratch.transfer("a", "b", 1.0)   # never run: handles only
         assert capped_run(seed) == first, f"{tag}: differs after 10k handles"
+
+
+def test_completion_times_equal_the_per_flow_event_engine():
+    """One completion timer moves no finish time by an ulp: against the
+    per-flow-event stream, the sequence of finish times is identical and
+    the rows are equal as a multiset — the ``(eta, id)`` order rule may only
+    permute rows within one instant."""
+    want = [tuple(row)
+            for row in json.loads(PER_FLOW_EVENT_STREAM.read_text())]
+    got = tie_heavy_run(2009)["stream"]
+    assert [t for _, _, t in got] == [t for _, _, t in want]
+    assert sorted(got) == sorted(want)
+
+
+def test_time_shared_results_do_not_depend_on_hash_seed():
+    for seed in fuzz_seeds([2009], burst=2):
+        tag = f"seed={seed} (replay: REPRO_FUZZ_SEED={seed})"
+        a = in_subprocess(seed, "0", "time_shared_run")
+        b = in_subprocess(seed, "1", "time_shared_run")
+        assert a == b, tag
+
+
+def test_time_shared_results_do_not_depend_on_process_history():
+    for seed in fuzz_seeds([3, 16, 20], burst=3):
+        tag = f"seed={seed} (replay: REPRO_FUZZ_SEED={seed})"
+        first = time_shared_run(seed)
+        assert time_shared_run(seed) == first, f"{tag}: second run differs"
+        scratch = TimeSharedMachine(Simulator(), pes=2, rating=1.0)
+        for _ in range(10_000):
+            scratch.submit(1.0)   # never run: runs and heap entries only
+        assert time_shared_run(seed) == first, f"{tag}: differs after 10k runs"

@@ -333,6 +333,31 @@ class TestMonarc:
         times = [t for t, _ in result.backlog_series]
         assert times == sorted(times)
 
+    @pytest.mark.parametrize("agent_enabled", [True, False])
+    def test_full_t0_disk_archives_but_never_ships(self, agent_enabled):
+        """T0's disk holds four files and a 0.1 Gbps uplink cannot drain
+        them, so later production finds the disk full of last copies: those
+        files go to tape only, counted unstored, and are neither announced
+        to the agent nor pulled by a T1 (no data, no transfer)."""
+        sim = Simulator(seed=24)
+        model = MonarcModel(sim, n_tier1=2, uplink_gbps=0.1,
+                            agent_enabled=agent_enabled)
+        model.centres["T0"].site.disk.capacity = 4 * self.SMALL.file_size
+        result = model.run_t0_t1_study(horizon=200.0,
+                                       experiments=[self.SMALL])
+        archived = model.tape.files
+        at_t1 = [f for f in archived
+                 if model.centres["T1.0"].site.has_file(f.name)]
+        assert len(at_t1) == result.produced_files < len(archived)
+        unstored = model.monitor.counter("files_unstored").count
+        assert result.produced_files + unstored == len(archived)
+        shipped = {f.name for f in model.produced}
+        for f in archived:
+            holders = model.catalog.locations(f.name)
+            assert f.name in shipped or holders == [], (f.name, holders)
+        assert result.replicated_files == 2 * result.produced_files
+        assert model.grid.transfers.failed == 0
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             MonarcModel(Simulator(), n_tier1=0)

@@ -15,7 +15,8 @@ from repro.hosts import (
     central_grid,
     tier_grid,
 )
-from repro.network import FileSpec
+from repro.middleware import ReplicaCatalog
+from repro.network import FileSpec, Topology
 
 
 def f(name, size=100.0):
@@ -193,10 +194,18 @@ class TestSitesAndGrids:
             Site(sim, "empty").submit(10.0)
 
     def test_site_file_helpers(self):
+        # eviction on a site disk is ReplicaCatalog.land's: never a last copy
         sim = Simulator()
-        site = Site(sim, "s", disk=Disk(sim, 100.0))
+        topo = Topology()
+        topo.add_link("s", "t", 1e6, 0.0)
+        grid = Grid(sim, topo, [Site(sim, "s", disk=Disk(sim, 100.0)),
+                                Site(sim, "t", disk=Disk(sim, 100.0))])
+        site = grid.site("s")
         site.store_file(f("a", 60.0))
-        site.store_file(f("b", 60.0), evict="lru")
+        catalog = ReplicaCatalog(grid)
+        assert catalog.land(f("b", 60.0), "s") is None   # "a" is a last copy
+        grid.site("t").store_file(f("a", 60.0))
+        assert catalog.land(f("b", 60.0), "s") == ["a"]
         assert site.has_file("b") and not site.has_file("a")
 
     def test_grid_validates_sites(self):
