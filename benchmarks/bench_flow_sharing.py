@@ -7,8 +7,8 @@ flows on one shared backbone) under two engines:
 * ``incremental`` — ``repro.network.flow.FlowNetwork``: component-scoped
   recompute, coalesced flushes, epsilon-preserved finish times;
 * ``full`` — ``tests/flow_oracle.py::NaiveFlowNetwork``, the test-side
-  subclass that recomputes every flow and re-keys every finish time on
-  each admit/finish (the churn baseline).
+  per-flow engine that recomputes every flow and re-keys every finish
+  time on each admit/finish (the churn baseline).
 
 Completion times are cross-checked between the two engines while
 collecting — a baseline refresh that silently recorded a divergent

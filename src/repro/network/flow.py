@@ -24,45 +24,63 @@ cost SimGrid's lazy/partial updates were built to avoid.  This engine
 instead:
 
 * keeps one :class:`_LinkState` per link the network has routed over —
-  usable capacity, the crossing flows, the solver's scratch fields — and
-  resolves a transfer's route into those objects once, in
-  :meth:`FlowNetwork.transfer`; admit, finish, the dirty set, the component
-  walk and the solver then work on the objects (attribute access, identity
-  hashing) and never hash a :class:`LinkSpec` again;
-* recomputes shares only for the **connected component** of flows that
+  usable capacity, the route classes crossing it, the solver's scratch
+  fields — and resolves a route into those objects once, the first time
+  :meth:`FlowNetwork.transfer` meets it (again only when the topology's
+  routing changes); admit, finish, the dirty set, the component walk and
+  the solver then work on the objects (attribute access, identity
+  hashing) and never hash a :class:`LinkSpec`;
+* groups the active flows into **route classes** (:class:`_RouteClass`),
+  one per resolved path and rate cap.  Max-min cannot tell two flows of a
+  class apart — same links, same cap, so they freeze in the same round at
+  the same share — so the solver fills classes, not flows: a class adds
+  its size ``n`` to each of its links' live count, and freezing it
+  subtracts ``n · share`` once.  Links list the classes that cross them;
+* serves each class as egalitarian processor sharing in **virtual time**:
+  ``V`` is the bytes delivered to each member, settled as ``V += rate ·
+  dt``; a member keyed at ``V₀`` finishes when ``V`` reaches ``V₀ +
+  size``, a key fixed once, so the members' finish order never changes and
+  a heap of ``(key, id, handle)`` holds it.  Settle, solve and re-key cost
+  O(classes touched), not O(flows);
+* recomputes shares only for the **connected component** of classes that
   share a link (transitively) with the changed flow — progressive filling
   decomposes exactly across components, so disjoint components' rates and
   finish times are left untouched;
 * keeps each link's count of unfrozen crossers **live** while filling
-  (decremented as flows freeze) instead of recounting it every round;
-* **preserves** the finish time of any flow whose recomputed rate is
-  unchanged within a relative epsilon (``RESCHEDULE_EPS``);
-* keeps **one completion timer per network**: a re-rated flow's absolute
-  finish time (``FlowHandle._eta``) goes into a heap of ``(eta, id,
-  handle)`` — an entry whose eta no longer matches its handle is stale and
-  dropped when it surfaces — and a single event is armed at the heap
-  head, moved only when the head's time changes.  On firing it finishes
-  every flow due at that instant in ascending ``(eta, id)`` order and
-  re-arms, so a re-rate costs a heap push, not a cancel plus a schedule;
+  (lowered by ``n`` as a class freezes) instead of recounting it every
+  round;
+* **preserves** the rate and head finish time of any class whose
+  recomputed rate is unchanged within a relative epsilon
+  (``RESCHEDULE_EPS``) and whose head is still its head;
+* keeps **one completion timer per network**: a draining class's head
+  finish time goes into a heap of ``(eta, head id, class)`` — an entry
+  that is no longer its class's current one is stale and dropped when it
+  surfaces — and a single event is armed at the heap head, moved only when
+  the head's time changes.  On firing it takes the due classes in
+  ascending ``(eta, head id)`` order, finishes each one's due members in
+  ascending ``(key, id)`` order, and re-arms, so a re-rate costs a heap
+  push, not a cancel plus a schedule;
 * **coalesces** all admits/finishes at one timestamp into a single
   recompute, scheduled at the same time in the :data:`Priority.LOW` band so
-  it runs after every same-time network event.
+  it runs after every same-time network event.  A finish or abort that
+  leaves every link of its path empty changes no one's share and
+  schedules nothing.
 
 Determinism: every container the engine iterates is insertion-ordered
 (dicts and lists; the one set is only probed), flows are numbered per
-network and same-instant finishes fire in ``(eta, id)`` order, so rates,
+network and same-instant finishes fire in the order above, so rates,
 completion times and completion order are a function of the transfer
 sequence alone — not of ``PYTHONHASHSEED``, and not of how many flows the
 process created before.
 
 This is the only sharing engine in the package.  What it is checked
 against lives beside the tests, in ``tests/flow_oracle.py``: an independent
-dict-based filling (``oracle_rates``) that :meth:`FlowNetwork._solve` over
-all active flows must equal bit for bit after every recompute, and
-``NaiveFlowNetwork``, the recompute-everything / re-key-everything
-subclass that is the differential fuzzer's reference and E8's churn
-baseline.  Per-network counters in :attr:`FlowNetwork.sharing` account for
-the saved work.
+dict-based per-flow filling (``oracle_rates``) that :meth:`FlowNetwork._solve`
+over all active classes must match within rel 1e-12 after every
+recompute, and ``NaiveFlowNetwork``, a per-flow engine sharing no code
+with this one that recomputes everything and re-keys every finish time —
+the differential fuzzer's reference and E8's churn baseline.  Per-network
+counters in :attr:`FlowNetwork.sharing` account for the saved work.
 
 A flow's data starts moving after the route's propagation latency; the
 returned :class:`FlowHandle` completes when the last byte arrives.
@@ -92,18 +110,55 @@ _MIN_SHARE = math.ulp(0.0)
 class _LinkState:
     """One link's sharing state inside one :class:`FlowNetwork`.
 
-    Hashed by identity and reached through :attr:`FlowHandle._path`, so the
+    Hashed by identity and reached through :attr:`_RouteClass.path`, so the
     hot path never hashes a :class:`LinkSpec`.
     """
 
-    __slots__ = ("capacity", "flows", "free", "live")
+    __slots__ = ("capacity", "classes", "free", "live")
 
     def __init__(self, capacity: float) -> None:
         self.capacity = capacity   #: usable bytes/s: bandwidth × efficiency
-        #: active flows crossing the link, id → handle, in admission order
-        self.flows: dict[int, FlowHandle] = {}
+        #: the non-empty route classes crossing the link, in the order they
+        #: last became non-empty
+        self.classes: dict[_RouteClass, None] = {}
         self.free = 0.0            #: solver scratch: capacity not handed out
         self.live = 0              #: solver scratch: unfrozen crossers; 0 at rest
+
+
+class _RouteClass:
+    """The active flows of one network that share a resolved path and a
+    rate cap: one rate, one virtual clock, one heap entry.
+
+    Kept, empty and with its clock reset, when its last member leaves, so
+    a route's next transfer allocates nothing: a network holds one per
+    (path, cap) its transfers have used.
+    """
+
+    __slots__ = ("path", "cap", "links", "latency", "sim", "n", "rate", "v",
+                 "v_at", "members", "pending", "share", "entry")
+
+    def __init__(self, path: tuple[_LinkState, ...], cap: float,
+                 links: list[LinkSpec], sim: Simulator) -> None:
+        self.path = path
+        self.cap = cap
+        #: the route's links, the ``links`` of every member (not to be
+        #: modified), and their summed propagation latency
+        self.links = links
+        self.latency = sum(link.latency for link in links)
+        self.sim = sim
+        self.n = 0                 #: active members, keyed or pending
+        self.rate = 0.0            #: each member's bytes/s; 0 parked or empty
+        self.v = 0.0               #: virtual time: bytes served to each member
+        self.v_at = sim.now        #: when ``v`` was last settled
+        #: ``(V₀ + size, id, handle)`` per keyed member, earliest first; an
+        #: entry is stale once ``handle._key`` differs from its key
+        self.members: list[tuple[float, int, FlowHandle]] = []
+        #: admitted since the last recompute, keyed by the next one
+        self.pending: list[FlowHandle] = []
+        self.share = 0.0           #: solver output; < 0 = unfrozen
+        #: the class's live ``(eta, head id, class)`` entry in the network's
+        #: heap; None while it has no draining head
+        self.entry: Optional[tuple[float, int, _RouteClass]] = None
 
 
 class FlowHandle(Waitable):
@@ -122,9 +177,8 @@ class FlowHandle(Waitable):
         self.size = float(size)
         self.started = started
         self.finished: Optional[float] = None
-        self.remaining = float(size)
-        self.rate = 0.0
         self.rate_cap = float(rate_cap)
+        #: the route's links; one list per route, shared: read only
         self.links: list[LinkSpec] = []
         #: True when the transfer was aborted (a link on its route failed,
         #: or no route existed); ``remaining`` then keeps the undelivered
@@ -132,11 +186,41 @@ class FlowHandle(Waitable):
         #: — an aborted handle still completes (exactly once), with itself.
         self.failed = False
         self.error: Optional[str] = None
-        #: absolute finish time at the current rate; inf while not draining
-        self._eta = math.inf
-        self._last_update = started
-        self._path: list[_LinkState] = []   #: ``links``, resolved per network
-        self._share = 0.0                   #: solver output; < 0 = unfrozen
+        self._cls: Optional[_RouteClass] = None   #: resolved by ``transfer()``
+        #: finish key on the class's virtual clock; inf while not keyed (not
+        #: admitted yet, admitted but not yet recomputed, or done)
+        self._key = math.inf
+        self._remaining = self.size   #: what ``remaining`` is while not keyed
+
+    @property
+    def remaining(self) -> float:
+        """Bytes not yet delivered, settled to now while on the wire; an
+        aborted transfer keeps its undelivered count, a finished one 0."""
+        key = self._key
+        if key == math.inf:
+            return self._remaining
+        c = self._cls
+        v = c.v
+        dt = c.sim.now - c.v_at
+        if dt > 0:
+            v += c.rate * dt
+        return max(0.0, key - v)
+
+    @property
+    def rate(self) -> float:
+        """Bytes/s now: the route class's rate while keyed, else 0."""
+        return self._cls.rate if self._key != math.inf else 0.0
+
+    @property
+    def _eta(self) -> float:
+        """Absolute finish time at the current rate; inf while not draining."""
+        rate = self.rate
+        if rate <= 0.0:
+            return math.inf
+        entry = self._cls.entry
+        if entry is not None and entry[1] == self.id:
+            return entry[0]   # the class's head: the time its timer is keyed on
+        return self._cls.sim.now + self.remaining / rate
 
     @property
     def duration(self) -> float:
@@ -161,13 +245,15 @@ class FlowHandle(Waitable):
 
 @dataclass
 class SharingStats:
-    """Reallocation accounting for one :class:`FlowNetwork`.
+    """Reallocation accounting for one :class:`FlowNetwork`, in flows.
 
     ``preserved``/``rescheduled`` partition the finish times of every
     recomputed flow that is draining; flows outside the recomputed
     component appear in neither (their finish times were never touched).
-    Event-list churn is not counted here: the network owns one timer, and
-    the kernel's ``push_n`` / ``cancel_n`` say what it cost.
+    A flow of a route class whose rate is kept is preserved unless it
+    joined since the last recompute; every flow of a re-rated class is
+    re-keyed.  Event-list churn is not counted here: the network owns one
+    timer, and the kernel's ``push_n`` / ``cancel_n`` say what it cost.
     """
 
     recomputes: int = 0          #: progressive-filling passes actually run
@@ -196,7 +282,7 @@ class FlowNetwork:
     """
 
     #: Relative epsilon under which a recomputed rate counts as unchanged
-    #: and the flow's finish time is preserved.  Chosen far below any
+    #: and the class's finish times are preserved.  Chosen far below any
     #: modelled bandwidth change but above progressive-filling float noise,
     #: so drift against a from-scratch recompute stays ≤ RESCHEDULE_EPS per
     #: flow.
@@ -221,16 +307,22 @@ class FlowNetwork:
         self._active: dict[int, FlowHandle] = {}
         #: every link a transfer was routed over → its state (bounded by the
         #: topology).  The only LinkSpec-keyed container: probed once per
-        #: link per ``transfer()`` and by the by-spec public queries.
+        #: link per route resolution and by the by-spec public queries.
         self._link_state: dict[LinkSpec, _LinkState] = {}
+        #: ``(resolved path, rate cap)`` → its route class, empty ones kept
+        self._classes: dict[tuple, _RouteClass] = {}
+        #: ``(src, dst, rate cap)`` → the topology's route list it was last
+        #: resolved from and the class: a transfer on a known, unchanged
+        #: route resolves nothing
+        self._routes: dict[tuple, tuple[list[str], _RouteClass]] = {}
         #: links whose crossing set changed since the last recompute, in
         #: marking order — the seeds of the next component-scoped pass.
         self._dirty: dict[_LinkState, None] = {}
         self._flush_scheduled = False
-        #: ``(eta, flow id, handle)`` per draining flow, earliest first; an
-        #: entry is stale once ``handle._eta != eta`` and is dropped when it
-        #: reaches the head (lazy deletion).
-        self._finishers: list[tuple[float, int, FlowHandle]] = []
+        #: ``(eta, head id, class)`` per draining class, earliest first; an
+        #: entry is stale once it is not its class's ``entry`` and is
+        #: dropped when it reaches the head (lazy deletion).
+        self._finishers: list[tuple[float, int, _RouteClass]] = []
         #: the network's one completion event, armed at the head's eta
         self._timer: Optional[Event] = None
         self._transfers = 0
@@ -257,7 +349,7 @@ class FlowNetwork:
         handle = FlowHandle(self._transfers, src, dst, size, self.sim.now,
                             rate_cap=rate_cap)
         try:
-            links = handle.links = self.topology.route_links(src, dst)
+            nodes = self.topology.route(src, dst)
         except RoutingError:
             # Link outages partitioned the pair: fail fast (deterministic
             # same-timestamp event) instead of raising into the caller —
@@ -265,19 +357,22 @@ class FlowNetwork:
             self.sim.schedule(0.0, self._abort, handle,
                               f"no route {src} -> {dst}", label="flow_abort")
             return handle
-        latency = sum(link.latency for link in links)
-        if size == 0 or not links:
+        key = (src, dst, handle.rate_cap)
+        known = self._routes.get(key)
+        if known is not None and known[0] is nodes:
+            cls = known[1]
+        else:
+            cls = self._route_class(nodes, handle.rate_cap)
+            self._routes[key] = (nodes, cls)
+        handle.links = cls.links
+        if size == 0 or not cls.links:
             # Same-host copy or empty payload: latency-only, never admitted
             # — must not perturb the rates of flows actually on the wire.
-            self.sim.schedule(latency, self._finish, handle, label="flow_done")
+            self.sim.schedule(cls.latency, self._finish, handle,
+                              label="flow_done")
             return handle
-        states = self._link_state
-        for spec in links:
-            state = states.get(spec)
-            if state is None:
-                state = states[spec] = _LinkState(spec.bandwidth * self.efficiency)
-            handle._path.append(state)
-        self.sim.schedule(latency, self._admit, handle, label="flow_start")
+        handle._cls = cls
+        self.sim.schedule(cls.latency, self._admit, handle, label="flow_start")
         return handle
 
     @property
@@ -294,7 +389,7 @@ class FlowNetwork:
         state = self._link_state.get(spec)
         if state is None:
             return 0.0
-        return sum(f.rate for f in state.flows.values()) / state.capacity
+        return sum(c.rate * c.n for c in state.classes) / state.capacity
 
     def abort_link(self, spec: LinkSpec) -> list[FlowHandle]:
         """Abort every active flow crossing *spec* (the link went down).
@@ -302,15 +397,37 @@ class FlowNetwork:
         Routing state lives on the :class:`Topology` — callers mark the
         outage there first (``topology.fail_link``) so no new flow routes
         over the dead link, then call this to kill the in-flight ones.
-        Returns the aborted handles (each completed with ``failed=True``).
+        Returns the aborted handles in admission order (each completed with
+        ``failed=True``).
         """
         state = self._link_state.get(spec)
-        victims = list(state.flows.values()) if state is not None else []
+        if state is None or not state.classes:
+            return []
+        crossing = state.classes
+        victims = [f for f in self._active.values() if f._cls in crossing]
         for f in victims:
             self._abort(f, f"link {spec.src}->{spec.dst} failed")
         return victims
 
     # -- internals ------------------------------------------------------------------
+
+    def _route_class(self, nodes: list[str], cap: float) -> _RouteClass:
+        """The class of flows along the node sequence *nodes* under *cap*:
+        its links resolved into this network's link states once, the class
+        found by (path, cap) or made."""
+        links = [self.topology.link(a, b) for a, b in zip(nodes, nodes[1:])]
+        states = self._link_state
+        path = []
+        for spec in links:
+            state = states.get(spec)
+            if state is None:
+                state = states[spec] = _LinkState(spec.bandwidth * self.efficiency)
+            path.append(state)
+        key = (tuple(path), cap)
+        cls = self._classes.get(key)
+        if cls is None:
+            cls = self._classes[key] = _RouteClass(key[0], cap, links, self.sim)
+        return cls
 
     def _abort(self, handle: FlowHandle, reason: str) -> None:
         """Terminate *handle* as failed: settle bytes, free its links,
@@ -318,13 +435,12 @@ class FlowNetwork:
         if handle.finished is not None:
             return  # already finished or aborted — completion fires once
         admitted = self._active.pop(handle.id, None) is not None
+        neighbours = False
         if admitted:
-            self._settle(handle)
-            self._leave_links(handle)
-        if handle._eta != math.inf:
-            handle._eta = math.inf   # its heap entry is stale now
-            self._arm()
-        handle.rate = 0.0
+            handle._remaining = handle.remaining   # settled through the class
+            neighbours = self._leave(handle)
+            if not neighbours:
+                self._arm()   # no recompute follows to move the timer
         handle.failed = True
         handle.error = reason
         handle.finished = self.sim.now
@@ -334,9 +450,9 @@ class FlowNetwork:
         if obs is not None:
             obs.on_flow_abort(handle)
         handle._complete(handle)
-        if admitted:
+        if neighbours:
             # the freed share goes back to the survivors on those links
-            self._mark_dirty(handle._path)
+            self._mark_dirty(handle._cls.path)
 
     def _admit(self, handle: FlowHandle) -> None:
         # The route was up when the transfer started; a link may have died
@@ -346,48 +462,60 @@ class FlowNetwork:
             if not self.topology.link_up(link.src, link.dst):
                 self._abort(handle, f"link {link.src}->{link.dst} down")
                 return
-        handle._last_update = self.sim.now
         self._active[handle.id] = handle
-        for state in handle._path:
-            state.flows[handle.id] = handle
+        c = handle._cls
+        if not c.n:
+            for state in c.path:
+                state.classes[c] = None
+        c.n += 1
+        c.pending.append(handle)
         self._active_level.set(self.sim.now, len(self._active))
-        self._mark_dirty(handle._path)
+        self._mark_dirty(c.path)
 
-    def _leave_links(self, handle: FlowHandle) -> None:
-        """Take a just-deactivated flow off the links it crossed."""
-        for state in handle._path:
-            del state.flows[handle.id]
+    def _leave(self, handle: FlowHandle) -> bool:
+        """Take a just-deactivated flow out of its class.  Returns whether
+        any flow still crosses a link of its path — if none does, nobody's
+        share changed and no recompute is needed."""
+        c = handle._cls
+        if handle._key == math.inf:
+            c.pending.remove(handle)   # admitted at this instant, not keyed
+        handle._key = math.inf         # its member entry is stale now
+        entry = c.entry
+        if entry is not None and entry[1] == handle.id:
+            c.entry = None             # the head left: re-key the class
         self._active_level.set(self.sim.now, len(self._active))
+        c.n -= 1
+        if c.n:
+            return True
+        c.members.clear()
+        c.rate = c.v = 0.0   # idle: restart the clock, keep keys small
+        busy = False
+        for state in c.path:
+            del state.classes[c]
+            if state.classes:
+                busy = True
+        return busy
 
     def _finish(self, handle: FlowHandle) -> None:
         if handle.finished is not None:
             return  # aborted in the same instant — completion fires once
         admitted = self._active.pop(handle.id, None) is not None
-        handle.remaining = 0.0
-        handle.rate = 0.0
+        handle._remaining = 0.0
         handle.finished = self.sim.now
-        handle._eta = math.inf
-        if admitted:
-            self._leave_links(handle)
+        # A never-admitted (latency-only) handle held no bandwidth, and one
+        # leaving empty links cannot change anyone's share.
+        neighbours = admitted and self._leave(handle)
         self.completed += 1
         self.monitor.tally("transfer_time").record(handle.duration)
         if admitted:
-            # Never-admitted (latency-only) handles moved no bytes over any
-            # link; tallying their 0 B/s would deflate the throughput stat.
+            # Never-admitted handles moved no bytes over any link; tallying
+            # their 0 B/s would deflate the throughput stat.
             self.monitor.tally("throughput").record(handle.throughput)
         handle._complete(handle)
-        if admitted:
-            # A flow that never held bandwidth cannot change anyone's share.
-            self._mark_dirty(handle._path)
+        if neighbours:
+            self._mark_dirty(handle._cls.path)
 
-    def _settle(self, handle: FlowHandle) -> None:
-        """Account bytes moved at the current rate since the last update."""
-        dt = self.sim.now - handle._last_update
-        if dt > 0:
-            handle.remaining = max(0.0, handle.remaining - handle.rate * dt)
-        handle._last_update = self.sim.now
-
-    def _mark_dirty(self, path: list[_LinkState]) -> None:
+    def _mark_dirty(self, path: Iterable[_LinkState]) -> None:
         """Record that the set of flows crossing *path* changed and arrange
         one recompute: a same-timestamp LOW-band event, so every admit and
         finish at this instant lands in one pass."""
@@ -407,62 +535,88 @@ class FlowNetwork:
         seeds, self._dirty = self._dirty, {}
         component = self._component(seeds)
         if component:
-            self._apply_rates(component.values())
+            self._apply_rates(component)
 
-    def _component(self, seeds: Iterable[_LinkState]) -> dict[int, FlowHandle]:
-        """Flows transitively sharing a link with any seed link, in
+    def _component(self, seeds: Iterable[_LinkState]) -> dict[_RouteClass, None]:
+        """Classes transitively sharing a link with any seed link, in
         depth-first discovery order from the last seed."""
-        flows: dict[int, FlowHandle] = {}
-        stack = [state for state in seeds if state.flows]
+        classes: dict[_RouteClass, None] = {}
+        stack = [state for state in seeds if state.classes]
         seen = set(stack)
         while stack:
-            for f in stack.pop().flows.values():
-                if f.id not in flows:
-                    flows[f.id] = f
-                    for state in f._path:
+            for c in stack.pop().classes:
+                if c not in classes:
+                    classes[c] = None
+                    for state in c.path:
                         if state not in seen:
                             seen.add(state)
                             stack.append(state)
-        return flows
+        return classes
 
-    def _apply_rates(self, flows: Collection[FlowHandle]) -> None:
-        """Settle, recompute max-min shares, and re-key finish times.
+    def _apply_rates(self, classes: Collection[_RouteClass]) -> None:
+        """Settle, recompute max-min shares, and re-key each class's head.
 
-        A flow whose new rate matches its current rate within
-        :data:`RESCHEDULE_EPS` (relative) keeps both its stored rate and its
-        finish time — still exact, since bytes keep draining at the
-        unchanged rate.  Any other flow gets ``_eta = now + remaining /
-        rate`` and a fresh heap entry; the one timer is re-armed after.
+        A class whose new rate matches its current rate within
+        :data:`RESCHEDULE_EPS` (relative) keeps its stored rate, and its
+        heap entry too while its head is unchanged — still exact, since
+        bytes keep draining at the unchanged rate.  Members admitted since
+        the last pass are keyed at ``V + size``, and a class with a new
+        rate or head gets ``eta = now + (head key − V) / rate`` and a fresh
+        heap entry; the one timer is re-armed after.
         """
-        for f in flows:
-            self._settle(f)
-        self._solve(flows)
+        now = self.sim.now
+        for c in classes:
+            dt = now - c.v_at
+            if dt > 0:
+                c.v += c.rate * dt
+            c.v_at = now
+        self._solve(classes)
         stats = self.sharing
         stats.recomputes += 1
-        stats.flows_touched += len(flows)
-        rescheduled = preserved = 0
+        touched = rescheduled = preserved = 0
         eps = self.RESCHEDULE_EPS
-        inf = math.inf
-        now = self.sim.now
         heap = self._finishers
-        for f in flows:
-            new_rate = f._share
-            if (f._eta != inf
-                    and abs(new_rate - f.rate)
-                    <= eps * max(abs(new_rate), abs(f.rate))):
-                preserved += 1
-                continue
-            f.rate = new_rate
-            if new_rate > 0:
-                eta = now + f.remaining / new_rate
-                if eta != f._eta:   # an equal eta keeps its live entry
-                    f._eta = eta
-                    heappush(heap, (eta, f.id, f))
-                rescheduled += 1
+        for c in classes:
+            n = c.n
+            touched += n
+            fresh = c.pending
+            new_rate = c.share
+            rate = c.rate
+            entry = c.entry   # None once its head left
+            kept = (rate > 0.0
+                    and abs(new_rate - rate) <= eps * max(new_rate, rate))
+            if kept:
+                if not fresh and entry is not None:
+                    preserved += n   # same rate, same head: nothing moves
+                    continue
+                preserved += n - len(fresh)
+                rescheduled += len(fresh)
             else:
-                # rate == 0 can only happen with a rate cap of 0; such
-                # flows sit idle until a reallocation frees capacity.
-                f._eta = inf
+                rate = c.rate = new_rate
+                if rate > 0.0:
+                    rescheduled += n
+            members = c.members
+            if fresh:
+                v = c.v
+                for f in fresh:
+                    key = f._key = v + f.size
+                    heappush(members, (key, f.id, f))
+                fresh.clear()
+            while members and members[0][2]._key != members[0][0]:
+                heappop(members)   # left the class
+            if not members or rate <= 0.0:
+                # a rate of 0 needs a rate cap of 0: such flows sit idle
+                # until a reallocation frees capacity
+                c.entry = None
+                continue
+            key, head, _ = members[0]
+            if kept and entry is not None and entry[1] == head:
+                continue   # the newcomers all finish after the head
+            eta = now + (key - c.v) / rate
+            if entry is None or entry[0] != eta or entry[1] != head:
+                c.entry = entry = (eta, head, c)
+                heappush(heap, entry)
+        stats.flows_touched += touched
         stats.rescheduled += rescheduled
         stats.preserved += preserved
         self._arm()
@@ -474,7 +628,7 @@ class FlowNetwork:
         """Point the one timer at the earliest live finish time: drop stale
         heap heads, and move the timer only if that time changed."""
         heap = self._finishers
-        while heap and heap[0][2]._eta != heap[0][0]:
+        while heap and heap[0][2].entry is not heap[0]:
             heappop(heap)
         timer = self._timer
         if heap:
@@ -493,53 +647,84 @@ class FlowNetwork:
             self._timer = None
 
     def _on_timer(self) -> None:
-        """Finish every flow due now, in ``(eta, id)`` order, then re-arm."""
+        """Finish every flow due now — the due classes in ``(eta, head
+        id)`` order, each one's members in ``(key, id)`` order — then
+        re-arm."""
         self._timer = None
         heap = self._finishers
         now = self.sim.now
         while heap and heap[0][0] <= now:
-            eta, _, f = heappop(heap)
-            if f._eta == eta:
-                self._finish(f)
+            entry = heappop(heap)
+            if entry[2].entry is entry:
+                self._drain(entry)
         self._arm()
 
-    def _solve(self, flows: Collection[FlowHandle]) -> None:
-        """Progressive filling over *flows*; leaves each flow's max-min
-        rate in its ``_share``.
+    def _drain(self, entry: tuple[float, int, _RouteClass]) -> None:
+        """Finish the members of *entry*'s class that are due now.  The
+        recompute their finishes trigger re-keys the class."""
+        c = entry[2]
+        c.entry = None
+        now = self.sim.now
+        dt = now - c.v_at
+        if dt > 0:
+            c.v += c.rate * dt
+        c.v_at = now
+        members = c.members
+        while members and members[0][2]._key != members[0][0]:
+            heappop(members)   # left the class
+        if members and members[0][1] == entry[1] and members[0][0] > c.v:
+            # the timer was armed for this head: float noise in ``v`` must
+            # not leave it a hair short of its own finish
+            c.v = members[0][0]
+        v, rate = c.v, c.rate
+        while members:
+            key, _, f = members[0]
+            if f._key != key:
+                heappop(members)
+            elif key <= v or now + (key - v) / rate <= now:
+                heappop(members)
+                self._finish(f)   # may empty the class: ``members`` too
+            else:
+                break
 
-        *flows* must hold every active flow on each link it touches: one
-        connected component (filling decomposes exactly across components,
-        so the restriction is lossless) or any union of them — the tests
-        pass all active flows.
+    def _solve(self, classes: Collection[_RouteClass]) -> None:
+        """Progressive filling over *classes*; leaves each class's max-min
+        per-flow rate in its ``share``.
 
-        The rates are a function of the order of *flows* alone: links are
-        scanned in the order the flows first reach them, the strict ``<``
-        keeps the earliest of equal-share bottlenecks, and capped flows
-        freeze in *flows* order, so every link sees one fixed sequence of
+        *classes* must hold every non-empty class on each link it touches:
+        one connected component (filling decomposes exactly across
+        components, so the restriction is lossless) or any union of them —
+        the tests pass every active flow's class.
+
+        The rates are a function of the order of *classes* alone: links are
+        scanned in the order the classes first reach them, the strict ``<``
+        keeps the earliest of equal-share bottlenecks, and capped classes
+        freeze in *classes* order, so every link sees one fixed sequence of
         subtractions.  (A bottleneck's crossers all subtract the same
         share, so their order among themselves cannot matter.)
         """
         links: list[_LinkState] = []
         finite_caps = False
-        for f in flows:
-            f._share = -1.0
-            if f.rate_cap != math.inf:
+        for c in classes:
+            c.share = -1.0
+            if c.cap != math.inf:
                 finite_caps = True
-            for state in f._path:
+            n = c.n
+            for state in c.path:
                 if not state.live:
                     state.free = state.capacity
                     links.append(state)
-                state.live += 1
-        unfrozen = len(flows)
+                state.live += n
+        unfrozen = len(classes)
         if finite_caps:
             # Flows capped at exactly 0 can never carry bytes; freeze them
             # first so the starvation guard applies only to servable flows.
-            for f in flows:
-                if f.rate_cap <= 0.0:
-                    f._share = 0.0
+            for c in classes:
+                if c.cap <= 0.0:
+                    c.share = 0.0
                     unfrozen -= 1
-                    for state in f._path:
-                        state.live -= 1
+                    for state in c.path:
+                        state.live -= c.n
         while unfrozen:
             # Fair share each link could offer its unfrozen flows; track the
             # single most-constrained link (the iteration's bottleneck).
@@ -555,7 +740,7 @@ class FlowNetwork:
             if best is None:
                 # Nothing constrains the remaining flows (they cross only
                 # infinite-bandwidth links); give them their caps.
-                freezing = [f for f in flows if f._share < 0.0]
+                freezing = [c for c in classes if c.share < 0.0]
                 at_cap = True
             else:
                 # Starvation guard: float residue in `free` after repeated
@@ -569,27 +754,29 @@ class FlowNetwork:
                 floor = self.SHARE_FLOOR_EPS * best.capacity
                 if best_share < floor or best_share <= 0.0:
                     best_share = floor if floor > 0.0 else _MIN_SHARE
-                # Flows capped below the bottleneck share freeze at their
+                # Classes capped below the bottleneck share freeze at their
                 # cap first — they consume less than a fair share
                 # everywhere; otherwise exactly the bottleneck link's
-                # flows freeze at its fair share.
-                freezing = [f for f in flows if f._share < 0.0
-                            and f.rate_cap < best_share] if finite_caps else []
+                # classes freeze at its fair share.
+                freezing = [c for c in classes if c.share < 0.0
+                            and c.cap < best_share] if finite_caps else []
                 at_cap = bool(freezing)
                 if not at_cap:
-                    freezing = [f for f in best.flows.values() if f._share < 0.0]
+                    freezing = [c for c in best.classes if c.share < 0.0]
             if not freezing:   # a hang otherwise: say what broke instead
                 raise AssertionError("max-min live counts out of step")
             unfrozen -= len(freezing)
-            for f in freezing:
-                rate = f._share = f.rate_cap if at_cap else best_share
-                for state in f._path:
-                    state.live -= 1
-                    left = state.free - rate
+            for c in freezing:
+                rate = c.share = c.cap if at_cap else best_share
+                n = c.n
+                used = rate * n
+                for state in c.path:
+                    state.live -= n
+                    left = state.free - used
                     state.free = left if left > 0.0 else 0.0
         # Post-condition of the guard: no servable flow ever starves.
-        for f in flows:
-            if f._share <= 0.0 and f.rate_cap > 0.0:
+        for c in classes:
+            if c.share <= 0.0 and c.cap > 0.0:
                 raise AssertionError(
-                    f"max-min starvation: flow #{f.id} (cap "
-                    f"{f.rate_cap!r}) allocated rate {f._share!r}")
+                    f"max-min starvation: {c.n} flow(s) (cap {c.cap!r}) "
+                    f"allocated rate {c.share!r}")

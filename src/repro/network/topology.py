@@ -174,7 +174,13 @@ class Topology:
     # -- routing ------------------------------------------------------------------
 
     def route(self, src: str, dst: str) -> list[str]:
-        """Node sequence ``[src, ..., dst]`` minimizing latency (+hop eps)."""
+        """Node sequence ``[src, ..., dst]`` minimizing latency (+hop eps).
+
+        For ``src != dst`` this is the cached list: the same object on every
+        call until a mutation or an outage invalidates the cache, so a
+        caller may keep what it derived from a route for as long as the
+        list it gets back *is* the one it derived it from.  Do not modify
+        it."""
         for n in (src, dst):
             if n not in self._succ:
                 raise TopologyError(f"unknown node {n!r}")

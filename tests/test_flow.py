@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.campaign.scenarios import dependability_scenario
 from repro.core import ConfigurationError, Process, Simulator
 from repro.network import FlowNetwork, LinkSpec, Topology, dumbbell
+from repro.obs import Observation
 
 from .flow_oracle import NaiveFlowNetwork, check_every_recompute
 
@@ -345,6 +347,170 @@ class TestCountedWork:
         # it never held bandwidth: the flow sharing a->b was never touched
         assert net.sharing.recomputes == 1      # the neighbour's own admit
         assert neighbour.finished == pytest.approx(10.5)
+
+
+class TestRouteClasses:
+    """Flows on one path under one cap share one rate, one virtual clock
+    and one heap entry; what a handle reports is read through its class."""
+
+    def net(self):
+        """a->b (100 B/s) feeding b->c (20 B/s) feeding c->d (1000 B/s)."""
+        t = Topology()
+        t.add_link("a", "b", 100.0, 0.0)
+        t.add_link("b", "c", 20.0, 0.0)
+        t.add_link("c", "d", 1000.0, 0.0)
+        sim = Simulator()
+        return sim, t, FlowNetwork(sim, t, efficiency=1.0)
+
+    def test_in_flight_rate_and_remaining_are_read_through_the_class(self):
+        sim, t, net = self.net()
+        x = net.transfer("a", "b", 350.0)
+        y = net.transfer("a", "b", 700.0)
+        z = net.transfer("a", "c", 100.0)   # 20 B/s at b->c: done at t=5
+        assert x._cls is y._cls is not z._cls
+        assert (x.rate, x.remaining) == (0.0, 350.0)   # not admitted yet
+        sim.run(until=4.0)   # no event at t=4: settled on read
+        assert (x.rate, y.rate, z.rate) == pytest.approx((40.0, 40.0, 20.0))
+        assert (x.remaining, y.remaining, z.remaining) == pytest.approx(
+            (190.0, 540.0, 20.0))
+        sim.run(until=6.0)   # z left at t=5: x and y at 50 since
+        assert (x.rate, z.rate) == pytest.approx((50.0, 0.0))
+        assert (x.remaining, y.remaining, z.remaining) == pytest.approx(
+            (100.0, 450.0, 0.0))
+        sim.run()
+        assert x.finished == pytest.approx(8.0)
+        assert (x.rate, x.remaining) == (0.0, 0.0)
+        assert y.finished == pytest.approx(8.0 + 350.0 / 100.0)
+
+    def test_link_utilization_sums_class_rate_times_members(self):
+        sim, t, net = self.net()
+        for _ in range(2):
+            net.transfer("a", "b", 1e4)
+        net.transfer("a", "b", 1e4, rate_cap=10.0)   # same path, own class
+        net.transfer("a", "d", 1e4)                  # 20 B/s at b->c
+        sim.run(until=1.0)
+        assert len({f._cls for f in net.flows()}) == 3
+        for link in t.links:
+            per_flow = sum(f.rate for f in net.flows() if link in f.links)
+            assert net.link_utilization(link) == pytest.approx(
+                per_flow / link.bandwidth)
+        ab, bc, cd = t.route_links("a", "d")
+        assert net.link_utilization(ab) == pytest.approx(1.0)  # 35+35+10+20
+        assert net.link_utilization(cd) == pytest.approx(0.02)
+
+    @pytest.mark.parametrize("engine", [FlowNetwork, NaiveFlowNetwork])
+    def test_abort_link_returns_victims_in_admission_order(self, engine):
+        # a->c flows wait out 1 s of latency on b->c, a->b flows do not:
+        # admission order 2, 4, 1, 3 over two classes, none admitted in
+        # id order.  The abort marker reads the settled remaining bytes.
+        t = Topology()
+        t.add_link("a", "b", 100.0, 0.0)
+        t.add_link("b", "c", 100.0, 1.0)
+        sim = Simulator()
+        net = engine(sim, t, efficiency=1.0)
+        obs = Observation(profile=False, telemetry=False).attach(sim)
+        handles = [net.transfer("a", dst, 1000.0) for dst in "cbcb"]
+        victims = []
+        sim.schedule(3.0, lambda: victims.extend(
+            net.abort_link(t.fail_link("a", "b")[0])))
+        sim.run()
+        assert [f.id for f in victims] == [2, 4, 1, 3]
+        # 1 s at 50 B/s each, then 2 s at 25 B/s each
+        assert [h.remaining for h in handles] == pytest.approx(
+            [950.0, 900.0, 950.0, 900.0])
+        marked = [m.args["remaining_bytes"] for m in obs.tracer.markers
+                  if m.name.startswith("flow-abort:")]
+        if engine is FlowNetwork:
+            assert marked == [900.0, 900.0, 950.0, 950.0]
+
+    def test_a_route_is_resolved_once_until_routing_changes(self, monkeypatch):
+        t = Topology()
+        t.add_link("a", "b", 100.0, 0.5)
+        t.add_link("b", "c", 100.0, 0.5)
+        t.add_link("a", "d", 100.0, 2.0)   # slower detour
+        t.add_link("d", "c", 100.0, 2.0)
+        sim = Simulator()
+        net = FlowNetwork(sim, t, efficiency=1.0)
+        first = net.transfer("a", "c", 100.0)
+        hashes = []
+        spec_hash = LinkSpec.__hash__
+        monkeypatch.setattr(LinkSpec, "__hash__",
+                            lambda spec: hashes.append(spec) or spec_hash(spec))
+        again = net.transfer("a", "c", 100.0)
+        assert not hashes and again._cls is first._cls
+        assert again.links is first.links
+        t.fail_link("b", "c")               # routing changed: re-resolved
+        detour = net.transfer("a", "c", 100.0)
+        t.repair_link("b", "c")
+        back = net.transfer("a", "c", 100.0)
+        monkeypatch.undo()
+        assert [l.dst for l in detour.links] == ["d", "c"]
+        assert detour._cls is not first._cls and back._cls is first._cls
+        sim.run()   # three flows share a->b->c from t=1; the detour is alone
+        assert [h.finished for h in (first, again, detour, back)] == \
+            pytest.approx([4.0, 4.0, 5.0, 4.0])
+
+    def test_an_emptied_class_is_kept_for_the_route(self):
+        sim, t, net = self.net()
+        first = net.transfer("a", "b", 100.0)
+        sim.run()
+        cls = first._cls
+        assert (cls.n, cls.v, cls.rate, cls.entry) == (0, 0.0, 0.0, None)
+        second = net.transfer("a", "b", 100.0)
+        assert second._cls is cls and len(net._classes) == 1
+        sim.run()
+        assert second.finished == pytest.approx(2.0)
+
+
+class TestEmptyFlushSkip:
+    """A flow that finishes or aborts alone on its links frees capacity
+    nobody is waiting for: no recompute is scheduled for it."""
+
+    def dependability_run(self, monkeypatch, flush_always: bool):
+        """``dependability_scenario({}, 2009)`` with its flushes counted and
+        every flow's finish and every recomputed rate recorded; with
+        *flush_always*, leaving flows schedule a flush as they used to."""
+        counts = {"flushes": 0, "empty": 0}
+        record = []
+        component, apply_rates = FlowNetwork._component, FlowNetwork._apply_rates
+        finish, abort = FlowNetwork._finish, FlowNetwork._abort
+
+        def counted(net, seeds):
+            out = component(net, seeds)
+            counts["flushes"] += 1
+            counts["empty"] += not out
+            return out
+
+        def applied(net, classes):
+            apply_rates(net, classes)
+            record.append([(f.id, f.rate.hex()) for f in net.flows()])
+
+        def finished(net, h, *reason):
+            done = h.finished is not None
+            (abort if reason else finish)(net, h, *reason)
+            if not done:
+                record.append((h.id, h.finished.hex(), h.remaining.hex()))
+
+        monkeypatch.setattr(FlowNetwork, "_component", counted)
+        monkeypatch.setattr(FlowNetwork, "_apply_rates", applied)
+        monkeypatch.setattr(FlowNetwork, "_finish", finished)
+        monkeypatch.setattr(FlowNetwork, "_abort", finished)
+        if flush_always:
+            leave = FlowNetwork._leave
+            monkeypatch.setattr(FlowNetwork, "_leave",
+                                lambda net, h: leave(net, h) or True)
+        metrics, _ = dependability_scenario({}, 2009)
+        monkeypatch.undo()
+        return counts, metrics, record
+
+    def test_dependability_run_skips_every_empty_flush(self, monkeypatch):
+        counts, metrics, record = self.dependability_run(monkeypatch, False)
+        assert counts == {"flushes": 912, "empty": 0}
+        then, then_metrics, then_record = self.dependability_run(
+            monkeypatch, True)
+        assert then == {"flushes": 1825, "empty": 913}
+        assert metrics == then_metrics
+        assert record == then_record   # rates and finish times, bit for bit
 
 
 @settings(max_examples=25, deadline=None)

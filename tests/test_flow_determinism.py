@@ -27,7 +27,7 @@ from repro.core import Simulator
 from repro.hosts import TimeSharedMachine
 from repro.network import FlowNetwork, dumbbell, tier_tree
 
-from .flow_oracle import fuzz_seeds
+from .flow_oracle import assert_same_stream, fuzz_seeds
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: ``tie_heavy_run(2009)["stream"]`` as an engine that gave every flow its
@@ -141,15 +141,15 @@ def test_results_do_not_depend_on_process_history():
 
 
 def test_completion_times_equal_the_per_flow_event_engine():
-    """One completion timer moves no finish time by an ulp: against the
-    per-flow-event stream, the sequence of finish times is identical and
-    the rows are equal as a multiset — the ``(eta, id)`` order rule may only
-    permute rows within one instant."""
-    want = [tuple(row)
-            for row in json.loads(PER_FLOW_EVENT_STREAM.read_text())]
-    got = tie_heavy_run(2009)["stream"]
-    assert [t for _, _, t in got] == [t for _, _, t in want]
-    assert sorted(got) == sorted(want)
+    """Route classes and one completion timer move finish times by float
+    noise only: against the per-flow-event stream, each finish time is
+    within rel 1e-12 and the rows are equal as a multiset inside every tie
+    group — the order rule may only permute rows within one instant."""
+    want = [(float.fromhex(t), (src, dst)) for src, dst, t
+            in json.loads(PER_FLOW_EVENT_STREAM.read_text())]
+    got = [(float.fromhex(t), (src, dst)) for src, dst, t
+           in tie_heavy_run(2009)["stream"]]
+    assert_same_stream(got, want)
 
 
 def test_time_shared_results_do_not_depend_on_hash_seed():

@@ -2,15 +2,18 @@
 
 Seeded random transfer schedules — mixed disjoint-pair, dumbbell-crossing,
 hub-local, rate-capped, zero-size, and same-host traffic — are driven
-through ``FlowNetwork`` (component-scoped, coalescing, completion-preserving)
-and through ``flow_oracle.NaiveFlowNetwork`` (recompute everything,
-reschedule everything, at once).  Both runs execute the *identical*
-schedule, so flow-by-flow completion times must agree to float noise; any
-starved flow (the bug class the share floor guards against) shows up as a
-handle that never completes.  After every recompute of either engine the
-solver's filling over all active flows is also compared, bit for bit, with
-the independent dict-based filling in ``flow_oracle.py``, and the stored
-rates with that.
+through ``FlowNetwork`` (route classes, component-scoped, coalescing,
+completion-preserving) and through ``flow_oracle.NaiveFlowNetwork`` (per
+flow: recompute everything, reschedule everything, at once).  Both runs
+execute the *identical* schedule, so flow-by-flow completion times must
+agree to float noise; any starved flow (the bug class the share floor
+guards against) shows up as a handle that never completes.  After every
+recompute of either engine the solver's filling over all active flows is
+also compared with the independent dict-based filling in
+``flow_oracle.py`` (bit for bit for the per-flow engine, rel 1e-12 for
+route classes), and the stored rates with that.  The route-class fuzz
+below aims at what classes change: many flows per route, two caps on one
+path, an outage inside a class, same-instant finishes.
 
 Seeds: a fixed set always runs in CI; set ``REPRO_FUZZ_RANDOM=1`` for a
 short randomized burst (each seed is printed in the failure message, and
@@ -23,10 +26,11 @@ import random
 
 import pytest
 
-from repro.core import Simulator
+from repro.core import Priority, Simulator
 from repro.network import FlowNetwork, Topology
 
-from .flow_oracle import NaiveFlowNetwork, check_every_recompute, fuzz_seeds
+from .flow_oracle import (NaiveFlowNetwork, assert_same_stream,
+                          check_every_recompute, fuzz_seeds)
 
 FIXED_SEEDS = [2009, 40962, 777216]
 
@@ -79,7 +83,7 @@ def run_engine(seed: int, engine: type):
     schedule = build_schedule(rng)
     sim = Simulator()
     net = engine(sim, topo, efficiency=1.0)
-    # an oracle that shares no code with the engine, bit for bit
+    # an oracle that shares no code with the engine
     check_every_recompute(net, f"seed={seed} {engine.__name__}")
     handles = []
     for start, src, dst, size, cap in schedule:
@@ -114,9 +118,85 @@ def run_differential(seed: int) -> None:
             <= net_ref.sharing.rescheduled), tag
 
 
+N_CLASS_TRANSFERS = 120
+
+
+def route_class_run(seed: int, engine: type):
+    """Few routes, many flows each: three routes over one dumbbell
+    bottleneck plus a disjoint pair, starts and sizes on a coarse grid (so
+    finishes tie within and across classes), one path carrying two rate
+    caps, and the shared access link failing mid-class — in the instant
+    after that instant's admits — and coming back.  Returns the completion
+    stream ``(finished, (id, failed))``, the abort victims' ids and every
+    handle."""
+    rng = random.Random(seed)
+    t = Topology()
+    for a, b in (("l0", "hubL"), ("l1", "hubL"), ("hubL", "hubR"),
+                 ("hubR", "r0"), ("hubR", "r1"), ("s0", "d0")):
+        t.add_link(a, b, rng.choice([60.0, 100.0, 150.0, 400.0]), 0.0)
+    routes = [("l0", "r0"), ("l0", "r1"), ("l1", "r0"), ("s0", "d0")]
+    cap = rng.choice([10.0, rng.uniform(5.0, 40.0)])
+    sim = Simulator()
+    net = engine(sim, t, efficiency=1.0)
+    check_every_recompute(net, f"seed={seed} {engine.__name__}")
+    stream, victims, handles = [], [], []
+
+    def submit(src, dst, size, c):
+        h = net.transfer(src, dst, size, rate_cap=c)
+        handles.append(h)
+        h._subscribe(lambda h: stream.append((h.finished, (h.id, h.failed))))
+
+    def outage():
+        for spec in t.fail_link("l0", "hubL"):
+            victims.extend(f.id for f in net.abort_link(spec))
+
+    for k in range(N_CLASS_TRANSFERS):
+        src, dst = rng.choice(routes)
+        c = rng.choice([cap, math.inf]) if (src, dst) == routes[0] else math.inf
+        sim.schedule_at(0.25 * (k // 6), submit, src, dst,
+                        rng.choice([25.0, 50.0, 100.0]), c)
+    down = 0.25 * rng.randint(4, N_CLASS_TRANSFERS // 6 - 4)
+    sim.schedule_at(down, outage, priority=Priority.LOW)
+    sim.schedule_at(down + rng.choice([0.25, 1.0]), t.repair_link, "l0", "hubL")
+    sim.run()
+    return stream, victims, handles
+
+
+def run_route_class_differential(seed: int) -> None:
+    """Route classes against the per-flow engine: finish times within rel
+    1e-12, order equal up to permutation inside a tie group, the same
+    abort victims in the same order, the same undelivered bytes."""
+    tag = f"seed={seed} (replay: REPRO_FUZZ_SEED={seed})"
+    got, got_victims, got_handles = route_class_run(seed, FlowNetwork)
+    want, want_victims, want_handles = route_class_run(seed, NaiveFlowNetwork)
+    assert len(want) == N_CLASS_TRANSFERS, tag
+    assert want_victims, f"{tag}: the outage hit no flow"
+    assert got_victims == want_victims, tag
+    assert_same_stream(got, want, tag)
+    for a, b in zip(got_handles, want_handles):
+        assert a.failed == b.failed and math.isclose(
+            a.remaining, b.remaining, rel_tol=1e-9, abs_tol=1e-9 * a.size), (
+            f"{tag}: flow #{a.id} left {a.remaining!r} vs {b.remaining!r}")
+
+
 @pytest.mark.parametrize("seed", FIXED_SEEDS)
 def test_differential_fixed_seeds(seed):
     run_differential(seed)
+
+
+@pytest.mark.parametrize("seed", FIXED_SEEDS)
+def test_route_classes_fixed_seeds(seed):
+    run_route_class_differential(seed)
+
+
+@pytest.mark.skipif(not os.environ.get("REPRO_FUZZ_RANDOM")
+                    and not os.environ.get("REPRO_FUZZ_SEED"),
+                    reason="randomized burst: set REPRO_FUZZ_RANDOM=1 "
+                           "(or REPRO_FUZZ_SEED=<n> to replay one seed)")
+def test_route_classes_random_burst():
+    """A short burst of fresh seeds; any failure prints the seed to replay."""
+    for seed in fuzz_seeds([]):
+        run_route_class_differential(seed)
 
 
 @pytest.mark.skipif(not os.environ.get("REPRO_FUZZ_RANDOM")

@@ -5,9 +5,10 @@ Comparing a component-scoped recompute with a full one checks
 would pass.  Here seeded random flow sets (shared and disjoint links; caps
 of 0, finite and inf; subnormal, equal and ordinary capacities) are
 admitted in one instant and drained, and after *every* recompute the
-solver's filling over all active flows must equal
-``flow_oracle.oracle_rates`` bit for bit (as must the stored rates of
-``NaiveFlowNetwork``, the ``incremental=False`` rows).
+solver's filling over all active flows must match
+``flow_oracle.oracle_rates``: within rel 1e-12 for ``FlowNetwork``, which
+fills route classes, and bit for bit — stored rates too — for the
+per-flow ``NaiveFlowNetwork`` (the ``incremental=False`` rows).
 """
 
 import math

@@ -2,8 +2,10 @@
 
 A ``FlowNetwork`` and a ``TimeSharedMachine`` each keep a heap of finish
 keys and a single timer at its head.  Completions that fall on one
-instant fire inside that one event, in ascending ``(finish key, id)``
-order, and the processes they wake then run in that order.
+instant fire inside that one event, and the processes they wake then run
+in that order: jobs in ascending ``(finish key, id)`` order; flows route
+class by route class in ascending ``(head eta, head id)`` order, each
+class's members in ascending ``(key, id)`` order.
 """
 
 import pytest
@@ -40,6 +42,27 @@ def test_flow_finishes_at_one_instant_fire_in_id_order_in_one_event():
     sim.run()
     assert [(i, t) for i, t, _ in log] == [(1, 1.0), (2, 1.0)]
     assert log[0][2] == log[1][2], "same-instant finishes split over events"
+
+
+def test_flow_finishes_at_one_instant_fire_class_by_class_in_one_event():
+    # flows 1 and 3 share a->b — one route class at 50 B/s each — and flow
+    # 2 has c->d to itself at 100 B/s: all three finish at exactly t=2.
+    # The due classes go in (head eta, head id) order, each one's members
+    # in (key, id) order: 1, 3, then 2 — not the flows' id order.
+    topo = Topology()
+    topo.add_link("a", "b", 100.0, 0.0)
+    topo.add_link("c", "d", 100.0, 0.0)
+    sim = Simulator()
+    net = FlowNetwork(sim, topo, efficiency=1.0)
+    fired = firings(sim)
+    log = []
+    for src, dst, size in (("a", "b", 100.0), ("c", "d", 200.0),
+                           ("a", "b", 100.0)):
+        net.transfer(src, dst, size)._subscribe(
+            lambda h: log.append((h.id, h.finished, fired[0])))
+    sim.run()
+    assert [(i, t) for i, t, _ in log] == [(1, 2.0), (3, 2.0), (2, 2.0)]
+    assert len({n for _, _, n in log}) == 1, "same-instant finishes split"
 
 
 def test_job_finishes_at_one_instant_fire_in_id_order_in_one_event():
