@@ -77,6 +77,10 @@ class Simulator:
         self._events_executed = 0
         #: process segments resumed so far (context switches; not events)
         self.resumes_executed = 0
+        #: ``_events_executed + resumes_executed`` may not reach this during
+        #: the current ``_fire_until`` call (its ``max_events`` budget); 0
+        #: outside one, so nothing resumes in place between runs
+        self._cap = 0
         self._processes = 0  #: processes ever spawned here (default names)
         #: the run queue: ``(process, value, is_interrupt)`` segments owed at
         #: the current instant, FIFO (filled by :mod:`repro.core.process`)
@@ -147,14 +151,14 @@ class Simulator:
         **kwargs: Any,
     ) -> Event:
         """Schedule ``fn`` at absolute simulation *time* (>= now)."""
-        if math.isnan(time):
-            raise SchedulingError("cannot schedule event at NaN time")
-        if time < self._now:
+        if not time >= self._now:  # one comparison is also False for NaN
+            if math.isnan(time):
+                raise SchedulingError("cannot schedule event at NaN time")
             raise SchedulingError(
                 f"cannot schedule event in the past (t={time} < now={self._now})"
             )
-        ev = Event(time, self._next_seq(), fn, args, kwargs,
-                   priority=priority, label=label)
+        self._seq = seq = self._seq + 1
+        ev = Event(time, seq, fn, args, kwargs, priority, label)
         self._queue.push(ev)
         obs = self._obs
         if obs is not None:
@@ -214,13 +218,15 @@ class Simulator:
         runnable outside a run; it is empty on every normal return.
         *limit* counts events only (an event plus the resumes it caused is
         one step); events and resumes together may not reach *budget*.
+        That budget is ``_cap`` for the whole call, read by the drain and
+        by a segment that continues in place (:mod:`repro.core.process`),
+        which is why ``events_executed`` is stored as each event fires.
 
         Observability is data, not a second loop: the binding's
         ``sample_mask`` picks the firings to time (0 = all, 15 = every
         16th), counted over the simulator's lifetime so the cadence
-        survives many short calls.  The firing count lives in a local and
-        is published — to ``events_executed`` and to the binding — once, on
-        exit: both are between-runs statistics, not mid-event ones.
+        survives many short calls.  The binding gets the firing count once,
+        on exit: it is a between-runs statistic, not a mid-event one.
 
         A call refuses to nest inside a handler and starts un-stopped, so
         afterwards ``_stopped`` says whether *this* call was stopped.
@@ -237,31 +243,31 @@ class Simulator:
         mask = 0 if obs is None else obs.sample_mask
         first = n = self._events_executed
         last = first + limit
-        # with n events fired, ``resumes_executed`` may not reach ``cap - n``
-        cap = first + self.resumes_executed + budget
+        self._cap = first + self.resumes_executed + budget
         self._running = True
         try:
             if ready and self._now <= horizon:
-                self._resume_ready(cap - n)
+                self._resume_ready()
             while n < last and not self._stopped:
                 ev = pop_if_le(horizon)
                 if ev is None:
                     break
                 self._now = ev.time
                 n += 1
+                self._events_executed = n
                 if hooks:
                     for hook in hooks:
                         hook(ev)
                 if obs is None or n & mask:
                     ev.fn(*ev.args, **ev.kwargs)
                     if ready:
-                        self._resume_ready(cap - n)
+                        self._resume_ready()
                 else:
                     t0 = obs.begin_fire(ev)
                     try:
                         ev.fn(*ev.args, **ev.kwargs)
                         if ready:
-                            self._resume_ready(cap - n)
+                            self._resume_ready()
                     finally:
                         obs.end_fire(ev, t0)
         except StopSimulation as sig:
@@ -269,17 +275,18 @@ class Simulator:
             self._stop_reason = sig.reason or "StopSimulation"
         finally:
             self._running = False
-            self._events_executed = n
+            self._cap = 0
             if obs is not None:
                 obs.fold_fired(n - first)
         return n - first
 
-    def _resume_ready(self, cap: int) -> None:
+    def _resume_ready(self) -> None:
         """Drain the run queue, FIFO; processes a segment makes runnable join
         the back and run in this drain, never nested.  A stop leaves the
-        rest for the next run.  ``resumes_executed`` may not reach *cap*
-        (what is left of the caller's ``max_events``)."""
+        rest for the next run; so does a spent budget, which raises."""
         ready = self._ready
+        # with the events fired so far, resumes may not reach this
+        cap = self._cap - self._events_executed
         while ready and not self._stopped:
             if self.resumes_executed >= cap:
                 raise SchedulingError("max_events budget exhausted by "

@@ -60,8 +60,9 @@ class Event:
     time:
         Absolute simulation time at which the event fires.
     seq:
-        Monotone insertion counter supplied by the engine; the final
-        tiebreak, guaranteeing FIFO order among exact ties.
+        Monotone insertion counter supplied by the engine (an ``int``, taken
+        as given); the final tiebreak, guaranteeing FIFO order among exact
+        ties.
     fn:
         Callback invoked as ``fn(*args, **kwargs)`` when the event fires.
     priority:
@@ -85,7 +86,7 @@ class Event:
     ) -> None:
         self.time = float(time)
         self.priority = int(priority)
-        self.seq = int(seq)
+        self.seq = seq
         self.fn = fn
         self.args = args
         self.kwargs = kwargs or _NO_KWARGS

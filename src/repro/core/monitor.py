@@ -175,22 +175,25 @@ class TimeWeighted:
     def set(self, t: float, level: float) -> None:
         """Record that the level becomes *level* at time *t*."""
         t = float(t)
-        if t < self._last_t:
-            raise ConfigurationError(
-                f"time-weighted stat {self.name!r}: time went backwards "
-                f"({t} < {self._last_t})"
-            )
-        dt = t - self._last_t
-        self._area += self._level * dt
-        self._areasq += self._level * self._level * dt
-        self._last_t = t
-        self._level = float(level)
-        if self._level < self._min:
-            self._min = self._level
-        if self._level > self._max:
-            self._max = self._level
+        last = self._last_t
+        if t != last:  # at the same instant the area gains level * 0
+            if t < last:
+                raise ConfigurationError(
+                    f"time-weighted stat {self.name!r}: time went backwards "
+                    f"({t} < {last})"
+                )
+            dt = t - last
+            old = self._level
+            self._area += old * dt
+            self._areasq += old * old * dt
+            self._last_t = t
+        self._level = level = float(level)
+        if level < self._min:
+            self._min = level
+        if level > self._max:
+            self._max = level
         if self.keep_series:
-            self._series.append((t, self._level))
+            self._series.append((t, level))
 
     def add(self, t: float, delta: float) -> None:
         """Increment the level by *delta* at time *t*."""

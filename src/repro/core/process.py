@@ -25,6 +25,13 @@ handler or process segment that caused it.  Resumes draw on
 ``run(max_events=...)``'s budget and are counted in ``resumes_executed``,
 not ``events_executed``.  Only this module appends to the run queue.
 
+A segment that yields a waitable which is *already done* while the run
+queue is empty (and the run is not stopped, nor its budget spent) is
+continued in the same frame: under the rule above that continuation is
+exactly the drain's next step, so it is taken without the append and pop,
+and still counted as a resume.  With anything else owed it goes to the back
+of the run queue as usual.
+
 A process body ``yield``\\ s what it wants to wait for:
 
 ====================  =====================================================
@@ -65,17 +72,20 @@ class Waitable:
     then resumed with the result.  Late subscribers to an already-completed
     waitable resume immediately — this removes a whole class of races where
     a process checks-then-waits.
+
+    There is no ``__init__``: the state below is class defaults until the
+    waitable is first subscribed to or completed.
     """
 
     #: True on a handle that completed without delivering (an aborted flow,
     #: a transfer out of attempts): whoever is resumed must check it before
     #: treating the result as arrived.
     failed = False
-
-    def __init__(self) -> None:
-        self._done = False
-        self._result: Any = None
-        self._callbacks: list[Callable[[Any], None]] = []
+    _done = False
+    _result: Any = None
+    #: the waiters: ``None``, one callback, or a list of them (most
+    #: waitables only ever have one, so that costs no list)
+    _callbacks: Any = None
 
     @property
     def done(self) -> bool:
@@ -90,24 +100,40 @@ class Waitable:
     def _subscribe(self, callback: Callable[[Any], None]) -> None:
         if self._done:
             callback(self._result)
+            return
+        cbs = self._callbacks
+        if cbs is None:
+            self._callbacks = callback
+        elif type(cbs) is list:
+            cbs.append(callback)
         else:
-            self._callbacks.append(callback)
+            self._callbacks = [cbs, callback]
 
     def _unsubscribe(self, callback: Callable[[Any], None]) -> None:
         """A waiter stops caring (interrupt, or it lost an AnyOf race)."""
-        try:
-            self._callbacks.remove(callback)
-        except ValueError:
-            pass
+        cbs = self._callbacks
+        if type(cbs) is list:
+            try:
+                cbs.remove(callback)
+            except ValueError:
+                pass
+        elif cbs is not None and cbs == callback:  # bound methods: ==, not is
+            self._callbacks = None
 
     def _complete(self, result: Any = None) -> None:
         if self._done:
             return
         self._done = True
         self._result = result
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            cb(result)
+        cbs = self._callbacks
+        if cbs is None:
+            return
+        self._callbacks = None
+        if type(cbs) is list:
+            for cb in cbs:
+                cb(result)
+        else:
+            cbs(result)
 
 
 class Signal(Waitable):
@@ -119,9 +145,9 @@ class Signal(Waitable):
     """
 
     def __init__(self, name: str = "") -> None:
-        super().__init__()
         self.name = name
         self.fire_count = 0
+        self._callbacks: list[Callable[[Any], None]] = []
 
     def fire(self, payload: Any = None) -> int:
         """Wake all currently waiting processes; returns how many woke."""
@@ -135,7 +161,7 @@ class Signal(Waitable):
         # Signals are level-less: never auto-complete, always queue.
         self._callbacks.append(callback)
 
-    def __repr__(self) -> str:  # pragma: no cover
+    def __repr__(self) -> str:
         return f"<Signal {self.name!r} waiters={len(self._callbacks)}>"
 
 
@@ -143,7 +169,6 @@ class AnyOf(Waitable):
     """Completes with ``(index, result)`` of the first child to complete."""
 
     def __init__(self, waitables: Iterable[Waitable]) -> None:
-        super().__init__()
         self.children = list(waitables)
         if not self.children:
             raise ProcessError("AnyOf needs at least one waitable")
@@ -168,7 +193,6 @@ class AllOf(Waitable):
     """Completes with the list of all children's results, in child order."""
 
     def __init__(self, waitables: Iterable[Waitable]) -> None:
-        super().__init__()
         self.children = list(waitables)
         if not self.children:
             raise ProcessError("AllOf needs at least one waitable")
@@ -216,9 +240,13 @@ class Process(Waitable):
         Diagnostic label; appears in kernel event labels.
     """
 
+    state = _READY
+    error: Optional[BaseException] = None
+    _hold_event: Optional[Event] = None
+    _waiting_on: Optional[Waitable] = None
+
     def __init__(self, sim: Simulator, body: Callable[..., ProcessBody] | ProcessBody,
                  *args: Any, name: str = "", **kwargs: Any) -> None:
-        super().__init__()
         self.sim = sim
         gen = body(*args, **kwargs) if callable(body) else body
         if not hasattr(gen, "send"):
@@ -229,11 +257,7 @@ class Process(Waitable):
         # the trace ``kind`` — it must not depend on earlier runs
         sim._processes += 1
         self.name = name or f"process-{sim._processes}"
-        self.state = _READY
-        self.error: Optional[BaseException] = None
         self._hold_label = f"hold:{self.name}"
-        self._hold_event: Optional[Event] = None
-        self._waiting_on: Optional[Waitable] = None
         # first segment owed now: construction never runs model code
         sim._ready.append((self, None, False))
         obs = sim._obs
@@ -277,7 +301,14 @@ class Process(Waitable):
         self.sim._ready.append((self, result, False))
 
     def _step(self, value: Any, is_interrupt: bool) -> None:
-        """Advance the generator one segment (run-queue entry or hold event)."""
+        """Run the body from its wait point (run-queue entry or hold event)
+        to its next real wait, and install that wait.
+
+        An already-done waitable yielded while nothing else is owed, the run
+        is not stopped and its budget not spent is the drain's next step
+        (order rule): it is taken here and counted as a resume.  Otherwise
+        the wait goes through the run queue, whose drain stops or raises.
+        """
         if self.state in _FINISHED:
             return
         if is_interrupt:
@@ -287,50 +318,51 @@ class Process(Waitable):
             self._hold_event = None
             resume = self._gen.send
         self.state = _RUNNING
-        try:
-            yielded = resume(value)
-        except (StopIteration, InterruptError) as end:
-            # An interrupt the body let escape is a clean termination with
-            # the interrupt cause as the result.
-            self.state = _DONE
-            obs = self.sim._obs
-            if obs is not None:
-                obs.on_process(self, "done")
-            self._complete(end.value if isinstance(end, StopIteration)
-                           else end.cause)
-            return
-        except Exception as exc:
-            self.state = _FAILED
-            self.error = exc
-            obs = self.sim._obs
-            if obs is not None:
-                obs.on_process(self, "failed")
-            raise ProcessError(f"process {self.name!r} crashed: {exc!r}") from exc
-        self._arm(yielded)
-
-    def _arm(self, yielded: Any) -> None:
-        """Install the wait described by the yielded value."""
-        if isinstance(yielded, (int, float)):
-            if yielded < 0:
+        sim = self.sim
+        while True:
+            try:
+                yielded = resume(value)
+            except (StopIteration, InterruptError) as end:
+                # An interrupt the body let escape is a clean termination
+                # with the interrupt cause as the result.
+                self.state = _DONE
+                obs = sim._obs
+                if obs is not None:
+                    obs.on_process(self, "done")
+                self._complete(end.value if isinstance(end, StopIteration)
+                               else end.cause)
+                return
+            except Exception as exc:
                 self.state = _FAILED
-                raise ProcessError(f"process {self.name!r} held negative time {yielded}")
-            self.state = _HOLDING
-            # schedule_at is overridable: the time-driven kernel quantises there
-            sim = self.sim
-            self._hold_event = sim.schedule_at(
-                sim._now + float(yielded), self._step, None, False,
-                label=self._hold_label)
-            return
-        if isinstance(yielded, Waitable):
-            # completion appends to the run queue: see the order rule
-            self.state = _WAITING
-            self._waiting_on = yielded
-            yielded._subscribe(self._wake)
-            return
-        self.state = _FAILED
-        raise ProcessError(
-            f"process {self.name!r} yielded unsupported {type(yielded).__name__!r}"
-        )
+                self.error = exc
+                obs = sim._obs
+                if obs is not None:
+                    obs.on_process(self, "failed")
+                raise ProcessError(f"process {self.name!r} crashed: {exc!r}") from exc
+            if isinstance(yielded, (int, float)):
+                if yielded < 0:
+                    self.state = _FAILED
+                    raise ProcessError(
+                        f"process {self.name!r} held negative time {yielded}")
+                self.state = _HOLDING
+                # schedule_at is overridable: the time-driven kernel quantises
+                self._hold_event = sim.schedule_at(
+                    sim._now + float(yielded), self._step, None, False,
+                    label=self._hold_label)
+                return
+            if not isinstance(yielded, Waitable):
+                self.state = _FAILED
+                raise ProcessError(f"process {self.name!r} yielded unsupported "
+                                   f"{type(yielded).__name__!r}")
+            if not (yielded._done and not sim._ready and not sim._stopped
+                    and sim.resumes_executed + sim._events_executed < sim._cap):
+                # completion appends to the run queue: see the order rule
+                self.state = _WAITING
+                self._waiting_on = yielded
+                yielded._subscribe(self._wake)
+                return
+            sim.resumes_executed += 1
+            resume, value = self._gen.send, yielded._result
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Process {self.name!r} state={self.state.value}>"

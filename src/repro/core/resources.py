@@ -33,12 +33,19 @@ class Request(Waitable):
 
     Completes (becomes yieldable-done) when the resource grants it.  The
     :attr:`preempted` signal fires if a preemptive resource revokes the
-    grant; holders that care should wait on it (e.g. via ``AnyOf``).
+    grant; holders that care should wait on it (e.g. via ``AnyOf``).  A
+    request turned away by a full queue completes at once with a ``None``
+    result and :attr:`balked` set.
     """
+
+    granted_at: Optional[float] = None
+    released_at: Optional[float] = None
+    #: True when a full queue turned the request away (never granted)
+    balked = False
+    _preempted: Optional[Signal] = None
 
     def __init__(self, resource: "Resource", amount: int, priority: float,
                  key: float, owner: Any) -> None:
-        super().__init__()
         # per resource: ids break selection ties, so not interpreter-global
         resource._requests += 1
         self.id = resource._requests
@@ -48,9 +55,6 @@ class Request(Waitable):
         self.key = key
         self.owner = owner
         self.issued_at = resource.sim._now
-        self.granted_at: Optional[float] = None
-        self.released_at: Optional[float] = None
-        self._preempted: Optional[Signal] = None
 
     @property
     def preempted(self) -> Signal:
@@ -79,9 +83,10 @@ class Resource:
     discipline:
         ``"fifo"`` | ``"lifo"`` | ``"priority"`` | ``"sjf"``.
     queue_limit:
-        Max queued requests; arrivals beyond it are *balked* (their token
-        completes with ``None`` result and ``balked`` flag).  ``None`` =
-        unbounded.
+        Max queued requests; an arrival that would have to queue beyond it
+        is *balked*: its token completes at once with a ``None`` result and
+        :attr:`Request.balked` set, and the resource counts it in
+        :attr:`balked`.  ``None`` = unbounded.
     preemptive:
         With ``discipline="priority"``, an arriving higher-priority request
         may revoke the grant of the lowest-priority holder.
@@ -109,6 +114,8 @@ class Resource:
         self.discipline = discipline
         self.queue_limit = queue_limit
         self.preemptive = preemptive
+        #: fifo / lifo keep the queue in service order: grant from its head
+        self._head_first = discipline in ("fifo", "lifo")
         self._in_use = 0
         self._requests = 0  #: requests ever issued here (their ids)
         self._queue: deque[Request] = deque()
@@ -137,10 +144,17 @@ class Resource:
         req = Request(self, amount, priority, key, owner)
         if on_grant is not None:
             req._subscribe(lambda _result, r=req: on_grant(r))
-        if self.queue_limit is not None and len(self._queue) >= self.queue_limit \
-                and self._in_use + amount > self.capacity:
+        queue = self._queue
+        fits = self._in_use + amount <= self.capacity
+        if self.queue_limit is not None and len(queue) >= self.queue_limit \
+                and not fits:
             self.balked += 1
+            req.balked = True
             req._complete(None)  # balked tokens complete immediately with None
+            return req
+        if fits and not queue:
+            # uncontended: nobody to wait behind, so the queue never grows
+            self._grant(req)
             return req
         self._enqueue(req)
         self._dispatch()
@@ -154,10 +168,10 @@ class Resource:
             raise ResourceError(f"request {req.id} was never granted")
         if req.released_at is not None:
             raise ResourceError(f"request {req.id} already released")
-        req.released_at = self.sim.now
+        now = req.released_at = self.sim._now
         self._holders.remove(req)
         self._in_use -= req.amount
-        self._u_level.set(self.sim.now, self._in_use)
+        self._u_level.set(now, self._in_use)
         self._dispatch()
 
     def cancel(self, req: Request) -> None:
@@ -173,7 +187,7 @@ class Resource:
             self._queue.appendleft(req)
         else:
             self._queue.append(req)
-        self._q_level.set(self.sim.now, len(self._queue))
+        self._q_level.set(self.sim._now, len(self._queue))
 
     def _select_next(self) -> Request:
         """priority / sjf: the best queued request (queue is non-empty)."""
@@ -184,7 +198,7 @@ class Resource:
     def _dispatch(self) -> None:
         """Grant queued requests while capacity allows; maybe preempt."""
         queue = self._queue
-        head_first = self.discipline in ("fifo", "lifo")  # kept in service order
+        head_first = self._head_first
         while queue:
             nxt = queue[0] if head_first else self._select_next()
             if self._in_use + nxt.amount <= self.capacity:
@@ -192,6 +206,7 @@ class Resource:
                     queue.popleft()
                 else:
                     queue.remove(nxt)
+                self._q_level.set(self.sim._now, len(queue))
                 self._grant(nxt)
                 continue
             if self.preemptive:
@@ -216,10 +231,10 @@ class Resource:
         req.preempted.fire(self.sim.now)
 
     def _grant(self, req: Request) -> None:
+        """Give *req* its units; it is not (or no longer) queued."""
         now = req.granted_at = self.sim._now
         self._in_use += req.amount
         self._holders.append(req)
-        self._q_level.set(now, len(self._queue))
         self._u_level.set(now, self._in_use)
         self._wait_tally.record(now - req.issued_at)
         req._complete(req)

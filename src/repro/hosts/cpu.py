@@ -39,7 +39,6 @@ class JobRun(Waitable):
     """
 
     def __init__(self, run_id: int, job, submitted: float) -> None:
-        super().__init__()
         self.id = run_id
         self.job = job
         self.length = float(getattr(job, "length", job))

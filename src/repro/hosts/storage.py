@@ -34,7 +34,6 @@ class _IoTicket(Waitable):
     """Completes when the device finishes moving the file's bytes."""
 
     def __init__(self, file: FileSpec, op: str, requested: float) -> None:
-        super().__init__()
         self.file = file
         self.op = op
         self.requested = requested

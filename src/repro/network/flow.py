@@ -170,7 +170,6 @@ class FlowHandle(Waitable):
 
     def __init__(self, flow_id: int, src: str, dst: str, size: float,
                  started: float, rate_cap: float = math.inf) -> None:
-        super().__init__()
         self.id = flow_id
         self.src = src
         self.dst = dst

@@ -54,7 +54,6 @@ class PacketTransfer(Waitable):
 
     def __init__(self, transfer_id: int, src: str, dst: str, size: float,
                  npackets: int, started: float) -> None:
-        super().__init__()
         self.id = transfer_id  # counted per network, like FlowHandle.id
         self.src = src
         self.dst = dst

@@ -94,7 +94,6 @@ class _ReliableHandle(Waitable):
     """Completes when all bytes are delivered, however many rounds it takes."""
 
     def __init__(self, src: str, dst: str, size: float, started: float) -> None:
-        super().__init__()
         self.src = src
         self.dst = dst
         self.size = size

@@ -37,7 +37,6 @@ class _TransferTicket(Waitable):
     """Completes when the file lands; carries queue + wire timings."""
 
     def __init__(self, file: FileSpec, src: str, dst: str, requested: float) -> None:
-        super().__init__()
         self.file = file
         self.src = src
         self.dst = dst

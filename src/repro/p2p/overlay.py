@@ -44,7 +44,6 @@ class LookupResult(Waitable):
     """Completes when a lookup/search resolves (or gives up)."""
 
     def __init__(self, key: int, started: float) -> None:
-        super().__init__()
         self.key = key
         self.started = started
         self.finished: Optional[float] = None

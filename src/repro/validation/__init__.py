@@ -13,6 +13,7 @@ from .compare import (
     compare,
     simulate_mg1,
     simulate_mm1,
+    simulate_mm1k,
     simulate_mmc,
 )
 from .littleslaw import LittleCheck, check_flow_conservation, check_littles_law, effective_rate
@@ -27,6 +28,7 @@ __all__ = [
     "JacksonNetwork",
     "simulate_mm1",
     "simulate_mmc",
+    "simulate_mm1k",
     "simulate_mg1",
     "compare",
     "QueueRunStats",

@@ -4,7 +4,8 @@ The executable form of the paper's validation demand: build the queueing
 system in the simulator, run it, and compare every measured statistic
 against the closed form, reporting relative errors and CI coverage.
 
-:func:`simulate_mm1` / :func:`simulate_mmc` / :func:`simulate_mg1` build
+:func:`simulate_mm1` / :func:`simulate_mmc` / :func:`simulate_mm1k` /
+:func:`simulate_mg1` build
 the queue from kernel primitives (:class:`~repro.core.resources.Resource`
 carries its own L/W instrumentation, so these functions *also* validate the
 resource layer, not a bespoke queue implementation).  :func:`compare`
@@ -25,7 +26,7 @@ from ..core.resources import Resource
 from .queueing import MG1, MM1, MMc
 
 __all__ = ["QueueRunStats", "ValidationReport", "simulate_mm1", "simulate_mmc",
-           "simulate_mg1", "compare"]
+           "simulate_mm1k", "simulate_mg1", "compare"]
 
 
 @dataclass(slots=True)
@@ -80,11 +81,14 @@ class ValidationReport:
 
 def _run_queue(sim: Simulator, servers: int, arrival_gap: Callable[[], float],
                service_time: Callable[[], float], n_jobs: int,
-               warmup: int, keep_series: bool = False) -> QueueRunStats:
-    """Drive n_jobs through a `servers`-capacity FIFO station; measure."""
+               warmup: int, keep_series: bool = False,
+               queue_limit: int | None = None) -> QueueRunStats:
+    """Drive n_jobs through a `servers`-capacity FIFO station; measure.
+    With a *queue_limit* an arrival that would wait beyond it balks."""
     if n_jobs <= warmup:
         raise ValidationError("n_jobs must exceed warmup")
-    station = Resource(sim, capacity=servers, name="station")
+    station = Resource(sim, capacity=servers, name="station",
+                       queue_limit=queue_limit)
     mon = Monitor("queue-run")
     in_system = mon.level("L", start_time=sim.now)
     wall = mon.tally("W")
@@ -93,8 +97,11 @@ def _run_queue(sim: Simulator, servers: int, arrival_gap: Callable[[], float],
 
     def customer(i: int):
         arrived = sim.now
-        in_system.add(sim.now, +1)
-        req = yield station.request()
+        req = station.request()
+        if req.balked:          # a full finite station: leaves unserved
+            return
+        in_system.add(arrived, +1)
+        yield req
         waited = sim.now - arrived
         yield service_time()
         station.release(req)
@@ -112,7 +119,6 @@ def _run_queue(sim: Simulator, servers: int, arrival_gap: Callable[[], float],
     Process(sim, source, name="source")
     sim.run()
     t_end = sim.now
-    lam_hat = wall.count / t_end * (n_jobs / max(n_jobs - warmup, 1))
     w_mean, w_half = wall.batch_means(10)
     return QueueRunStats(
         completed=done[0],
@@ -156,6 +162,25 @@ def simulate_mmc(lam: float, mu: float, c: int, n_jobs: int = 20_000,
     return _run_queue(sim, c, lambda: arr.exponential(1 / lam),
                       lambda: svc.exponential(1 / mu), n_jobs, warmup,
                       keep_series=keep_series)
+
+
+def simulate_mm1k(lam: float, mu: float, K: int, n_jobs: int = 20_000,
+                  warmup: int = 2_000, seed: int = 0) -> QueueRunStats:
+    """M/M/1/K: one server and room for ``K - 1`` waiting.
+
+    An arrival that finds K in the system balks and leaves unserved, so
+    ``completed`` counts the admitted customers, ``W`` and ``Wq`` are
+    theirs, and ``1 - completed / n_jobs`` is the blocking probability;
+    :class:`~repro.validation.queueing.MM1K` has the closed forms.
+    """
+    if K < 1:
+        raise ValidationError(f"K must be >= 1, got {K}")
+    sim = Simulator(seed=seed)
+    arr = sim.stream("arrivals")
+    svc = sim.stream("service")
+    return _run_queue(sim, 1, lambda: arr.exponential(1 / lam),
+                      lambda: svc.exponential(1 / mu), n_jobs, warmup,
+                      queue_limit=K - 1)
 
 
 def simulate_mg1(lam: float, service: Callable[[], float], n_jobs: int = 20_000,

@@ -5,12 +5,16 @@ import pytest
 from repro.core import (
     AllOf,
     AnyOf,
+    Container,
     InterruptError,
     Process,
     ProcessError,
     Signal,
     Simulator,
+    Store,
+    Waitable,
     spawn,
+    timer,
 )
 
 
@@ -388,3 +392,69 @@ class TestTimer:
         t = timer(sim, 0.0)
         sim.run()
         assert t.done
+
+
+class TestWaiterSlot:
+    """A waitable keeps its waiters as ``None``, one callback or a list."""
+
+    def test_unsubscribe_with_zero_one_and_two_waiters(self):
+        none, one = Waitable(), Waitable()
+        got = []
+        none._unsubscribe(got.append)           # nobody waiting: a no-op
+        one._subscribe(got.append)
+        one._unsubscribe(got.append)            # a fresh bound method: ==
+        one._complete("x")
+        assert got == [] and one._callbacks is None
+        two, a, b = Waitable(), [], []
+        two._subscribe(a.append)
+        two._subscribe(b.append)
+        two._unsubscribe(a.append)
+        two._unsubscribe(a.append)              # already gone: a no-op
+        two._complete("y")
+        assert (a, b) == ([], ["y"])
+
+    def test_waiters_run_once_in_subscription_order(self):
+        w, log = Waitable(), []
+        for tag in "abc":
+            w._subscribe(lambda r, t=tag: log.append((t, r)))
+        w._complete(1)
+        w._complete(2)                          # completes once only
+        w._subscribe(lambda r: log.append(("late", r)))   # runs at once
+        assert log == [("a", 1), ("b", 1), ("c", 1), ("late", 1)]
+
+    def test_anyof_losers_hold_no_callback(self):
+        sim = Simulator()
+        fast, slow, sig = timer(sim, 1.0, "fast"), timer(sim, 5.0), Signal()
+        race = AnyOf([fast, slow, sig])
+        sim.run(until=2.0)
+        assert race.result == (0, "fast")
+        assert slow._callbacks is None and sig._callbacks == []
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_signal_fire_returns_and_repr_counts_waiters(self, n):
+        sim = Simulator()
+        sig, got = Signal("go"), []
+
+        def waiter():
+            got.append((yield sig))
+
+        for _ in range(n):
+            Process(sim, waiter)
+        sim.run()                               # every waiter blocks on sig
+        assert repr(sig) == f"<Signal 'go' waiters={n}>"
+        assert sig.fire("v") == n
+        assert repr(sig) == "<Signal 'go' waiters=0>"
+        sim.run()
+        assert got == ["v"] * n
+
+    def test_store_container_and_timer_tokens_complete(self):
+        sim = Simulator()
+        store, tank = Store(sim), Container(sim, capacity=10.0)
+        got, put = store.get(), store.put("item")
+        take, add = tank.take(4.0), tank.add(5.0)
+        tick = timer(sim, 2.0, payload="t")
+        assert put.done and got.result == "item"
+        assert add.result == 5.0 and take.result == 1.0 and tank.level == 1.0
+        assert not tick.done
+        sim.run()
+        assert tick.done and tick.result == "t" and sim.now == 2.0

@@ -239,3 +239,108 @@ def test_deep_release_grant_chain_does_not_recurse():                 # (h)
     sim.run()
     assert done == list(range(5_000))
     assert sim.events_executed == 0 and sim.now == 0.0
+
+
+class TestDoneWaitResumesInPlace:
+    """A segment that yields an already-done waitable while nothing else is
+    owed continues in its own frame: that is the drain's next step, so the
+    order, the resume count and the ``max_events`` budget are unchanged."""
+
+    @pytest.mark.parametrize("entered_from", ["hold", "drain"])
+    def test_spinning_on_a_done_wait_exhausts_max_events(self, entered_from):
+        sim = Simulator()
+        done = Resource(sim).request()      # granted at once: already done
+
+        def spinner():
+            if entered_from == "hold":
+                yield 1.0
+            while True:
+                yield done
+
+        Process(sim, spinner)
+        with pytest.raises(SchedulingError, match="max_events"):
+            sim.run(max_events=1_000)
+        # the spin stops exactly at the budget and its next step stays owed
+        assert sim.resumes_executed + sim.events_executed == 1_000
+        assert sim.events_executed == (entered_from == "hold")
+        assert sim.peek_time() == sim.now
+
+    def test_done_wait_goes_behind_an_already_runnable_process(self):
+        sim = Simulator()
+        done, log = Resource(sim).request(), []
+
+        def other():
+            log.append("other")
+            yield 0.0
+
+        def first():
+            log.append("first")
+            Process(sim, other)             # owed before first's next step
+            log.append(("first got", (yield done) is done))
+
+        Process(sim, first)
+        sim.run()
+        assert log == ["first", "other", ("first got", True)]
+
+    def test_done_wait_with_nothing_owed_beats_same_instant_events(self):
+        sim = Simulator()
+        done, log = Resource(sim).request(), []
+
+        def body():
+            yield 1.0
+            sim.schedule(0.0, log.append, "urgent", priority=Priority.URGENT)
+            yield done
+            log.append("continued")
+
+        Process(sim, body)
+        sim.run()
+        assert log == ["continued", "urgent"]
+        assert sim.resumes_executed == 2 and sim.events_executed == 2
+
+    @pytest.mark.parametrize("entered_from", ["hold", "drain"])
+    def test_stop_then_done_wait_leaves_the_continuation(self, entered_from):
+        sim = Simulator()
+        done, log = Resource(sim).request(), []
+
+        def body():
+            if entered_from == "hold":
+                yield 1.0
+            sim.stop("pause")
+            log.append("before")
+            yield done
+            log.append("after")
+
+        Process(sim, body)
+        sim.run()
+        assert log == ["before"] and sim.stop_reason == "pause"
+        assert sim.peek_time() == sim.now
+        resumes = sim.resumes_executed
+        sim.run()
+        assert log == ["before", "after"]
+        assert sim.resumes_executed == resumes + 1
+
+    def test_time_driven_kernel_gives_the_same_stream(self):
+        def run(sim):
+            res, log = Resource(sim), []
+
+            def client(tag, service):
+                req = yield res.request()   # done at once when uncontended
+                log.append((tag, "granted", sim.now))
+                yield float(service)
+                res.release(req)
+                return tag
+
+            def joiner(proc):
+                yield 10.0
+                log.append(("join", (yield proc), sim.now))  # long done
+
+            procs = [Process(sim, client, t, s) for t, s in
+                     (("a", 2), ("b", 3), ("c", 1))]
+            Process(sim, joiner, procs[0])
+            sim.schedule(7.0, lambda: Process(sim, client, "d", 2))
+            sim.run()
+            return log, sim.resumes_executed, sim.events_executed
+
+        event_driven = run(Simulator())
+        assert run(TimeDrivenSimulator(tick=1.0)) == event_driven
+        assert event_driven[0][-1] == ("join", "a", 10.0)

@@ -185,6 +185,19 @@ class TestBalkingAndReneging:
         assert res.balked == 1
         assert balked.done and balked.result is None
 
+    def test_balked_flag_marks_only_the_turned_away_request(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1, queue_limit=0)   # M/M/1/1: no room
+        served = res.request()
+        turned_away = res.request()
+        assert served.result is served and not served.balked
+        assert turned_away.balked and turned_away.result is None
+        assert turned_away.granted_at is None and res.queue_length == 0
+        res.release(served)
+        again = res.request()                            # free again: granted
+        assert again.result is again and not again.balked
+        assert res.balked == 1
+
     def test_cancel_reneges_queued_request(self):
         sim = Simulator()
         res = Resource(sim, capacity=1)
@@ -194,6 +207,34 @@ class TestBalkingAndReneging:
         res.release(first)
         assert not second.done  # never granted
         assert res.queue_length == 0
+
+
+class TestQueueLengthLevel:
+    @staticmethod
+    def run_jobs(arrivals):
+        sim = Simulator()
+        res = Resource(sim)
+
+        def job():
+            req = yield res.request()
+            yield 1.0
+            res.release(req)
+
+        for t in arrivals:
+            sim.schedule_at(t, Process, sim, job)
+        sim.run()
+        return sim, res, res.monitor.levels["queue_length"]
+
+    def test_uncontended_requests_never_read_as_queued(self):
+        sim, res, q = self.run_jobs([0.0, 2.0, 4.0])
+        assert q.maximum == 0 and q.mean(sim.now) == 0.0
+        assert res.monitor.tally("wait_time").count == 3
+        assert res.utilization(sim.now) == pytest.approx(3 / 5)
+
+    def test_a_real_wait_reads_one(self):
+        sim, res, q = self.run_jobs([0.0, 0.0])
+        assert q.maximum == 1 and q.mean(sim.now) == pytest.approx(0.5)
+        assert res.monitor.tally("wait_time").mean == pytest.approx(0.5)
 
 
 class TestPreemption:

@@ -19,6 +19,7 @@ from repro.validation import (
     erlang_b,
     simulate_mg1,
     simulate_mm1,
+    simulate_mm1k,
     simulate_mmc,
 )
 
@@ -208,6 +209,26 @@ class TestSimulationValidation:
         check = check_littles_law(stats.L, lam_hat, stats.W, tolerance=0.10)
         assert check.passed, str(check)
 
+    @pytest.mark.parametrize("K", [1, 3, 10])
+    def test_mm1k_against_theory(self, K):
+        """Blocking probability, L and the admitted customers' W over ten
+        seeds, each within 4 standard errors of :class:`MM1K`.  K = 1 (no
+        room to wait) balks every arrival that finds the server busy and
+        grants every other one at once."""
+        lam, mu, n, seeds = 0.9, 1.0, 4_000, range(10)
+        model = MM1K(lam, mu, K)
+        runs = [simulate_mm1k(lam, mu, K, n_jobs=n, warmup=n // 10, seed=s)
+                for s in seeds]
+        measured = {"blocking": [1 - r.completed / n for r in runs],
+                    "L": [r.L for r in runs], "W": [r.W for r in runs]}
+        theory = {"blocking": model.blocking_probability, "L": model.L,
+                  "W": model.W}
+        for name, xs in measured.items():
+            mean = sum(xs) / len(xs)
+            sd = math.sqrt(sum((x - mean) ** 2 for x in xs) / (len(xs) - 1))
+            assert abs(mean - theory[name]) <= 4 * sd / math.sqrt(len(xs)), \
+                (name, mean, theory[name], sd)
+
 
 class TestCheckers:
     def test_littles_law_pass_and_fail(self):
@@ -327,6 +348,15 @@ class TestBitEqualityPins:
         obs = Observation(metrics=True)
         simulate_mm1(0.8, 1.0, n_jobs=5_000, warmup=500, seed=1, obs=obs)
         assert obs.bindings[0].sim.events_executed == 2 * 5_000
+
+    def test_mm1_resumes_once_per_spawn_and_grant(self):
+        from repro.obs import Observation
+
+        # the source's spawn, then per job its spawn and its grant: a grant
+        # already done when yielded continues in place and still counts once
+        obs = Observation(metrics=True)
+        simulate_mm1(0.8, 1.0, n_jobs=5_000, warmup=500, seed=1, obs=obs)
+        assert obs.bindings[0].sim.resumes_executed == 10_001
 
     def test_mmc(self):
         s = simulate_mmc(2.4, 1.0, 3, n_jobs=self.N, warmup=self.WARMUP,
