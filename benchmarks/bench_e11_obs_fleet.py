@@ -54,20 +54,21 @@ E11_BUDGETS_PCT = {"disabled": 2.0, "metrics": 10.0, "full": None}
 
 
 class PreObsSimulator(Simulator):
-    """The engine exactly as it was before the obs subsystem landed: no
-    ``_obs`` null-object checks in ``schedule_at`` or at ``run()`` entry.
-    Kept verbatim as the yardstick that quantifies the *disabled-path*
-    observability cost (the ≤ 2% gate below)."""
+    """The engine as it was before the obs subsystem landed: no ``_obs``
+    null-object checks in the insert or at ``run()`` entry.  Kept as the
+    yardstick that quantifies the *disabled-path* observability cost (the
+    ≤ 2% gate below); it follows the kernel's event form (``fn(*args)``)
+    and its one positional insert, so only the obs checks differ."""
 
-    def schedule_at(self, time, fn, *args, priority=20, label="", **kwargs):
+    def _enter(self, time, fn, args, priority, label):
         if math.isnan(time):
             raise SchedulingError("cannot schedule event at NaN time")
         if time < self._now:
             raise SchedulingError(
                 f"cannot schedule event in the past (t={time} < now={self._now})"
             )
-        ev = Event(time, self._next_seq(), fn, args, kwargs,
-                   priority=priority, label=label)
+        self._seq += 1
+        ev = Event(float(time), self._seq, fn, args, priority, label)
         self._queue.push(ev)
         return ev
 
@@ -93,7 +94,7 @@ class PreObsSimulator(Simulator):
                     for hook in hooks:
                         hook(ev)
                 try:
-                    ev.fn(*ev.args, **ev.kwargs)
+                    ev.fn(*ev.args)
                 except StopSimulation as sig:
                     self._stopped = True
                     self._stop_reason = sig.reason or "StopSimulation"

@@ -147,6 +147,29 @@ def mmc_scenario(params: dict, seed: int) -> tuple[dict, dict]:
     return metrics, telemetry
 
 
+@register_scenario("mm1k")
+def mm1k_scenario(params: dict, seed: int) -> tuple[dict, dict]:
+    """M/M/1/K run: params rho (offered load, any > 0), K, mu, jobs, warmup.
+
+    Adds ``blocking`` — the share of the *jobs* arrivals that found the
+    station full and left unserved."""
+    from ..validation import simulate_mm1k
+
+    rho = float(params.get("rho", 0.9))
+    K = int(params.get("K", 3))
+    mu = float(params.get("mu", 1.0))
+    if not rho > 0 or K < 1:
+        raise ConfigurationError(
+            f"mm1k needs rho > 0 and K >= 1, got rho={rho}, K={K}")
+    jobs = int(params.get("jobs", 20_000))
+    warmup = params.get("warmup", max(1, jobs // 10))
+    metrics, telemetry = _observed_queue_run(
+        simulate_mm1k, {"lam": rho * mu, "mu": mu, "K": K, "seed": seed},
+        warmup, jobs)
+    metrics["blocking"] = 1.0 - metrics["completed"] / jobs
+    return metrics, telemetry
+
+
 @register_scenario("provision")
 def provision_scenario(params: dict, seed: int) -> tuple[dict, dict]:
     """Server-provisioning study — the evolutionary-search demo scenario.
@@ -315,8 +338,11 @@ def theory_for(scenario: str, params: Mapping[str, Any]):
 
     Returns an object with L/Lq/W/Wq/rho properties for ``mm1`` and
     ``mmc`` points — what the CI-contains-theory verdict compares against.
+    ``mm1k`` and ``dependability`` get a mapping: an M/M/1/K's utilization
+    is its busy fraction, which the verdict must not alias to ``rho`` (the
+    offered load).
     """
-    from ..validation import MM1, MMc
+    from ..validation import MM1, MM1K, MMc
 
     p = dict(params)
     mu = float(p.get("mu", 1.0))
@@ -327,6 +353,12 @@ def theory_for(scenario: str, params: Mapping[str, Any]):
         c = int(p.get("c", 2))
         rho = float(p.get("rho", 0.6))
         return MMc(rho * c * mu, mu, c)
+    if scenario == "mm1k":
+        rho = float(p.get("rho", 0.9))
+        m = MM1K(rho * mu, mu, int(p.get("K", 3)))
+        return {"L": m.L, "Lq": m.Lq, "W": m.W, "Wq": m.Wq,
+                "blocking": m.blocking_probability,
+                "utilization": m.utilization}
     if scenario == "dependability":
         # Exponential UP/DOWN renewal: steady-state availability.  The
         # time-average bias over a finite horizon is O(tau/horizon) with

@@ -16,6 +16,9 @@ Design points, each mapped to a taxonomy category:
   the simulator, so one integer seed pins the whole trajectory.
 * **input data** — an attached :class:`~repro.core.trace.TraceRecorder`
   captures the executed event stream, enabling trace-driven replay.
+* **one insert** — :meth:`Simulator.schedule` and :meth:`Simulator.schedule_at`
+  are one-line calls into :meth:`Simulator._enter`, and an event is
+  ``fn(*args)`` (no handler keyword arguments).
 * **one dispatch loop** — :meth:`Simulator._fire_until` is the only place
   events are popped and fired and process segments resumed (only holds are
   kernel events); its docstring has the callers, the run-queue rule and
@@ -93,7 +96,7 @@ class Simulator:
         #: observability binding (:class:`repro.obs.session.ObsBinding`),
         #: installed by ``Observation.attach``.  Null-object protocol: the
         #: engine's only disabled-path cost is ``is None`` checks — one per
-        #: ``schedule_at`` and one per firing.
+        #: ``_enter`` and one per firing.
         self._obs = None
 
     # -- clock & identity ------------------------------------------------------
@@ -124,33 +127,26 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------------------
 
-    def schedule(
-        self,
-        delay: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = Priority.NORMAL,
-        label: str = "",
-        **kwargs: Any,
-    ) -> Event:
-        """Schedule ``fn(*args, **kwargs)`` to run *delay* time units from now.
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any,
+                 priority: int = Priority.NORMAL, label: str = "") -> Event:
+        """Schedule ``fn(*args)`` to run *delay* time units from now.
 
         Returns the :class:`Event`, whose :meth:`~Event.cancel` method is the
         way to tear down timers.
         """
-        return self.schedule_at(self._now + delay, fn, *args,
-                                priority=priority, label=label, **kwargs)
+        return self._enter(self._now + delay, fn, args, priority, label)
 
-    def schedule_at(
-        self,
-        time: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = Priority.NORMAL,
-        label: str = "",
-        **kwargs: Any,
-    ) -> Event:
-        """Schedule ``fn`` at absolute simulation *time* (>= now)."""
+    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any,
+                    priority: int = Priority.NORMAL, label: str = "") -> Event:
+        """Schedule ``fn(*args)`` at absolute simulation *time* (>= now)."""
+        return self._enter(time, fn, args, priority, label)
+
+    def _enter(self, time: float, fn: Callable[..., Any], args: tuple,
+               priority: int, label: str) -> Event:
+        """The one insert behind :meth:`schedule` and :meth:`schedule_at`:
+        check the time, number the event, push it, tell the observer.  All
+        positional, so neither entry point re-packs its arguments; the
+        time-driven kernel overrides it to quantise both."""
         if not time >= self._now:  # one comparison is also False for NaN
             if math.isnan(time):
                 raise SchedulingError("cannot schedule event at NaN time")
@@ -158,16 +154,12 @@ class Simulator:
                 f"cannot schedule event in the past (t={time} < now={self._now})"
             )
         self._seq = seq = self._seq + 1
-        ev = Event(time, seq, fn, args, kwargs, priority, label)
+        ev = Event(float(time), seq, fn, args, priority, label)
         self._queue.push(ev)
         obs = self._obs
         if obs is not None:
             obs.on_schedule(ev, self._now)
         return ev
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
 
     # -- execution ------------------------------------------------------------------
 
@@ -259,13 +251,13 @@ class Simulator:
                     for hook in hooks:
                         hook(ev)
                 if obs is None or n & mask:
-                    ev.fn(*ev.args, **ev.kwargs)
+                    ev.fn(*ev.args)
                     if ready:
                         self._resume_ready()
                 else:
                     t0 = obs.begin_fire(ev)
                     try:
-                        ev.fn(*ev.args, **ev.kwargs)
+                        ev.fn(*ev.args)
                         if ready:
                             self._resume_ready()
                     finally:

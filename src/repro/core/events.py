@@ -1,7 +1,8 @@
 """Event records for the discrete-event kernel.
 
 An :class:`Event` is an immutable-ish record of *when* something happens and
-*what* to do about it.  Ordering is total and deterministic:
+*what* to do about it — ``fn(*args)``, nothing more.  Ordering is total and
+deterministic:
 
 1. simulation ``time`` (earlier first),
 2. ``priority`` (numerically smaller first — :data:`Priority.URGENT` beats
@@ -24,23 +25,20 @@ dead-record counter that triggers threshold compaction (see
 
 from __future__ import annotations
 
-import enum
 from typing import Any, Callable
 
 from .errors import EventCancelledError
 
 __all__ = ["Priority", "Event"]
 
-#: ``kwargs`` of every event scheduled without any: shared, so it must stay
-#: empty (a plain dict — ``**`` on a mapping proxy rebuilds one per call).
-_NO_KWARGS: dict = {}
 
-
-class Priority(enum.IntEnum):
+class Priority:
     """Discrete priority bands for same-timestamp ordering.
 
     Smaller values run first.  The bands leave numeric gaps so models can
     define finer-grained levels (any ``int`` is accepted by the kernel).
+    A namespace of plain ``int`` constants, not an enum: ``Priority.LOW``
+    *is* 30, so an event stores it as given.
     """
 
     URGENT = 0
@@ -55,23 +53,29 @@ class Priority(enum.IntEnum):
 class Event:
     """One scheduled occurrence.
 
+    Every field is stored as given — the engine's one insert
+    (:meth:`~repro.core.engine.Simulator._enter`) has already made *time* a
+    ``float`` and *seq* an ``int``.
+
     Parameters
     ----------
     time:
         Absolute simulation time at which the event fires.
     seq:
-        Monotone insertion counter supplied by the engine (an ``int``, taken
-        as given); the final tiebreak, guaranteeing FIFO order among exact
-        ties.
+        Monotone insertion counter supplied by the engine; the final
+        tiebreak, guaranteeing FIFO order among exact ties.
     fn:
-        Callback invoked as ``fn(*args, **kwargs)`` when the event fires.
+        Callback invoked as ``fn(*args)`` when the event fires (bind keyword
+        arguments with :func:`functools.partial` or a lambda).
+    args:
+        Positional arguments for *fn*.
     priority:
         Same-timestamp ordering band (smaller first).
     label:
         Optional human-readable tag; shows up in traces and ``repr``.
     """
 
-    __slots__ = ("time", "priority", "seq", "fn", "args", "kwargs", "label",
+    __slots__ = ("time", "priority", "seq", "fn", "args", "label",
                  "_cancelled", "_on_cancel", "obs_span")
 
     def __init__(
@@ -80,16 +84,14 @@ class Event:
         seq: int,
         fn: Callable[..., Any],
         args: tuple = (),
-        kwargs: dict | None = None,
         priority: int = Priority.NORMAL,
         label: str = "",
     ) -> None:
-        self.time = float(time)
-        self.priority = int(priority)
+        self.time = time
+        self.priority = priority
         self.seq = seq
         self.fn = fn
         self.args = args
-        self.kwargs = kwargs or _NO_KWARGS
         self.label = label
         self._cancelled = False
         #: set by the owning queue at push time, cleared at pop time; lets
@@ -146,7 +148,7 @@ class Event:
         """Invoke the callback.  Raises if the event was cancelled."""
         if self._cancelled:
             raise EventCancelledError(f"cannot fire cancelled event {self!r}")
-        return self.fn(*self.args, **self.kwargs)
+        return self.fn(*self.args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = f" {self.label!r}" if self.label else ""

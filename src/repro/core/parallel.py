@@ -72,9 +72,7 @@ def _clone_event(ev: Event) -> Event:
     providers) but own their liveness: cancelling or firing the original
     after the snapshot cannot corrupt the saved copy, and vice versa.
     """
-    return Event(ev.time, ev.seq, ev.fn, ev.args,
-                 dict(ev.kwargs) if ev.kwargs else None,
-                 priority=ev.priority, label=ev.label)
+    return Event(ev.time, ev.seq, ev.fn, ev.args, ev.priority, ev.label)
 
 
 def _validate_run(lps: Sequence["LogicalProcess"], until: float) -> None:

@@ -345,7 +345,7 @@ class Process(Waitable):
                     raise ProcessError(
                         f"process {self.name!r} held negative time {yielded}")
                 self.state = _HOLDING
-                # schedule_at is overridable: the time-driven kernel quantises
+                # via the one insert, which the time-driven kernel quantises
                 self._hold_event = sim.schedule_at(
                     sim._now + float(yielded), self._step, None, False,
                     label=self._hold_label)

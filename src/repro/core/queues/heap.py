@@ -57,6 +57,13 @@ class HeapQueue(EventQueue):
     def __len__(self) -> int:
         return len(self._heap)
 
+    def _note_cancelled(self) -> None:
+        # The base hook with ``len(self._heap)`` for ``len(self)``: a cancel
+        # is one call, not two (same threshold, same ``compact()``).
+        self._dead = dead = self._dead + 1
+        if dead >= self.compact_min and dead * 2 >= len(self._heap):
+            self.compact()
+
     def _compact(self) -> None:
         self._heap = [e for e in self._heap if not e[3]._cancelled]
         heapify(self._heap)

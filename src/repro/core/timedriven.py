@@ -23,7 +23,7 @@ from typing import Any, Callable
 
 from .engine import Simulator
 from .errors import SchedulingError
-from .events import Event, Priority
+from .events import Event
 from .queues import EventQueue
 
 __all__ = ["TimeDrivenSimulator"]
@@ -67,16 +67,10 @@ class TimeDrivenSimulator(Simulator):
         k = math.ceil((time - _SLOP) / self.tick)
         return k * self.tick
 
-    def schedule_at(
-        self,
-        time: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = Priority.NORMAL,
-        label: str = "",
-        **kwargs: Any,
-    ) -> Event:
-        """Schedule at *time* (>= now), quantized up to the next tick boundary."""
+    def _enter(self, time: float, fn: Callable[..., Any], args: tuple,
+               priority: int, label: str) -> Event:
+        """Both public entry points land here: check *time* (>= now, with
+        slop), quantise it up to the next tick boundary, then insert."""
         if math.isnan(time):
             raise SchedulingError("cannot schedule event at NaN time")
         if time < self._now - _SLOP:
@@ -87,9 +81,7 @@ class TimeDrivenSimulator(Simulator):
         qt = max(self._quantize(time), self._now)
         if qt > self._latest_scheduled:
             self._latest_scheduled = qt
-        return super().schedule_at(
-            qt, fn, *args, priority=priority, label=label, **kwargs,
-        )
+        return super()._enter(qt, fn, args, priority, label)
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Advance tick by tick, firing each tick's quantized events.

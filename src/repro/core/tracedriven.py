@@ -62,13 +62,14 @@ class TraceDrivenSimulator(Simulator):
         self.unhandled = 0
         self.replayed = 0
         # Bulk preload: the records are already sorted and can never be in
-        # the past (start == recs[0].time), so skip schedule_at()'s
-        # per-record validation and push straight onto the event list —
-        # replay then runs entirely on the fused pop_if_le dispatch loop.
-        push = self._queue.push
-        for rec in recs:
-            push(Event(rec.time, self._next_seq(), self._dispatch, (rec,),
-                       priority=Priority.NORMAL, label=rec.kind))
+        # the past (start == recs[0].time), so skip the engine's per-record
+        # insert and push straight onto the event list — replay then runs
+        # entirely on the fused pop_if_le dispatch loop.
+        push, dispatch = self._queue.push, self._dispatch
+        for seq, rec in enumerate(recs, 1):
+            push(Event(float(rec.time), seq, dispatch, (rec,),
+                       Priority.NORMAL, rec.kind))
+        self._seq = len(recs)
 
     def on(self, kind: str, handler: Handler) -> "TraceDrivenSimulator":
         """Register *handler* for records of *kind*; chainable."""

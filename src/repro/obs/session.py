@@ -130,7 +130,7 @@ class ObsBinding:
     # -- engine hooks --------------------------------------------------------
 
     def on_schedule(self, ev: Any, now: float) -> None:
-        """A new event entered the queue (engine ``schedule_at``)."""
+        """A new event entered the queue (the engine's one insert, ``_enter``)."""
         tracer = self.tracer
         if tracer is not None:
             ev.obs_span = tracer.on_schedule(self.track, ev, now, self.current)

@@ -165,7 +165,8 @@ def simulate_mmc(lam: float, mu: float, c: int, n_jobs: int = 20_000,
 
 
 def simulate_mm1k(lam: float, mu: float, K: int, n_jobs: int = 20_000,
-                  warmup: int = 2_000, seed: int = 0) -> QueueRunStats:
+                  warmup: int = 2_000, seed: int = 0, obs=None,
+                  keep_series: bool = False) -> QueueRunStats:
     """M/M/1/K: one server and room for ``K - 1`` waiting.
 
     An arrival that finds K in the system balks and leaves unserved, so
@@ -176,11 +177,13 @@ def simulate_mm1k(lam: float, mu: float, K: int, n_jobs: int = 20_000,
     if K < 1:
         raise ValidationError(f"K must be >= 1, got {K}")
     sim = Simulator(seed=seed)
+    if obs is not None:
+        obs.attach(sim, track="mm1k")
     arr = sim.stream("arrivals")
     svc = sim.stream("service")
     return _run_queue(sim, 1, lambda: arr.exponential(1 / lam),
                       lambda: svc.exponential(1 / mu), n_jobs, warmup,
-                      queue_limit=K - 1)
+                      keep_series=keep_series, queue_limit=K - 1)
 
 
 def simulate_mg1(lam: float, service: Callable[[], float], n_jobs: int = 20_000,

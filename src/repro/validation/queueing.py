@@ -13,7 +13,7 @@ model                     quantities
 ========================  =====================================================
 :class:`MM1`              L, Lq, W, Wq, utilization, P(N=n), P(W>t)
 :class:`MMc`              Erlang-C delay probability, L, Lq, W, Wq
-:class:`MM1K`             blocking probability, effective λ, L, W
+:class:`MM1K`             blocking probability, effective λ, L, Lq, W, Wq
 :class:`MG1`              Pollaczek–Khinchine (needs service mean + variance)
 :func:`erlang_b`          M/M/c/c blocking (the circuit formula)
 :class:`JacksonNetwork`   open network: per-node effective λ via traffic eqs
@@ -193,6 +193,21 @@ class MM1K:
     def W(self) -> float:
         """Mean time in system for *admitted* customers."""
         return self.L / self.effective_lambda
+
+    @property
+    def utilization(self) -> float:
+        """Server busy fraction 1 - p_0 (not :attr:`rho`, the offered load)."""
+        return 1.0 - self.p_n(0)
+
+    @property
+    def Lq(self) -> float:
+        """Mean number waiting: L minus the mean number in service."""
+        return self.L - self.utilization
+
+    @property
+    def Wq(self) -> float:
+        """Mean wait before service for admitted customers."""
+        return self.W - 1.0 / self.mu
 
 
 class MG1:

@@ -296,6 +296,42 @@ class TestStats:
         assert {"lo", "hi", "contains", "mean", "n"} <= set(verdict["W"])
 
 
+class TestMM1KTheory:
+    """M/M/1/K as a campaign theory: ``theory_for`` is a mapping whose
+    utilization is the busy fraction 1 - p_0, not the offered load."""
+
+    BASE = {"rho": 0.9, "K": 3, "jobs": 2_000}
+    METRICS = ["L", "Lq", "W", "Wq", "blocking", "utilization"]
+
+    def test_theory_mapping(self):
+        th = theory_for("mm1k", self.BASE)
+        p0 = (1 - 0.9) / (1 - 0.9 ** 4)
+        assert th["utilization"] == pytest.approx(1 - p0)
+        assert th["blocking"] == pytest.approx(p0 * 0.9 ** 3)
+        assert th["Lq"] == pytest.approx(th["L"] - th["utilization"])
+        assert th["Wq"] == pytest.approx(th["W"] - 1.0)
+        assert th["L"] == pytest.approx(
+            0.9 * (1 - th["blocking"]) * th["W"])   # Little, admitted rate
+
+    def test_campaign_cis_contain_theory_deterministically(self):
+        spec = CampaignSpec("mm1k", base=self.BASE, replications=10,
+                            root_seed=0)
+        result = run_campaign(spec, workers=1)
+        assert result.metrics_bytes() == \
+            run_campaign(spec, workers=1).metrics_bytes()
+        verdict = coverage_verdict(result.summaries(self.METRICS),
+                                   theory_for("mm1k", self.BASE))
+        assert set(verdict) == set(self.METRICS)
+        assert all(v["contains"] for v in verdict.values()), verdict
+        assert verdict["utilization"]["theory"] < 0.9
+
+    def test_bad_parameters_rejected(self):
+        from repro.campaign import run_scenario
+
+        with pytest.raises(ConfigurationError):
+            run_scenario("mm1k", {"K": 0, "jobs": 100}, seed=0)
+
+
 class TestMSER5Scenario:
     def test_mm1_mser5_warmup_mode(self):
         from repro.campaign import run_scenario

@@ -1,8 +1,13 @@
 """Unit tests for the event-driven kernel."""
 
+import functools
+import math
+import random
+
 import pytest
 
 from repro.core import (
+    Event,
     Priority,
     SchedulingError,
     Simulator,
@@ -48,23 +53,30 @@ class TestScheduling:
         assert order == ["a", "c", "b"]
 
     def test_kwargs_passed(self):
+        """An event is ``fn(*args)``: positional args reach the handler, and
+        a handler keyword argument to ``schedule`` is refused, not stored."""
         sim = Simulator()
-        got = {}
-        sim.schedule(1.0, lambda **kw: got.update(kw), value=9)
+        got = []
+        sim.schedule(1.0, lambda *a: got.append(a), 9, "x")
+        sim.schedule_at(2.0, functools.partial(got.append, "bound"))
         sim.run()
-        assert got == {"value": 9}
+        assert got == [(9, "x"), "bound"]
+        with pytest.raises(TypeError):
+            sim.schedule(1.0, lambda **kw: None, value=9)
+        with pytest.raises(TypeError):
+            sim.schedule_at(5.0, lambda **kw: None, value=9)
+        assert sim.pending == 0
 
     def test_events_without_kwargs_share_one_dict_that_stays_empty(self):
+        """There is no kwargs dict left to share: an ``Event`` has no
+        ``kwargs`` field, and it holds the args tuple it was given."""
         sim = Simulator()
-        got = {}
         a = sim.schedule(1.0, lambda: None)
         b = sim.schedule(2.0, lambda *args: None, 7)
-        c = sim.schedule(3.0, lambda **kw: got.update(kw), x=1)
-        assert a.kwargs is b.kwargs
-        assert c.kwargs is not a.kwargs
+        assert not hasattr(a, "kwargs") and "kwargs" not in Event.__slots__
+        assert a.args == () and b.args == (7,)
         sim.run()
-        assert a.kwargs == {} and a.kwargs is b.kwargs
-        assert got == {"x": 1}
+        assert sim.events_executed == 2
 
     def test_cancel_prevents_firing(self):
         sim = Simulator()
@@ -241,3 +253,76 @@ class TestHooks:
         sim.schedule(2.0, lambda: None, label="two")
         sim.run()
         assert labels == ["one", "two"]
+
+
+def _noop():
+    pass
+
+
+class TestEventPath:
+    """The one insert (``Simulator._enter``) behind both public entry
+    points: what it checks, what it stores and whom it tells."""
+
+    def test_bad_times_raise_the_same_messages_from_both_entry_points(self):
+        sim = Simulator()
+        sim.run(until=2.0)
+        with pytest.raises(SchedulingError) as err:
+            sim.schedule(-0.5, _noop)
+        assert str(err.value) == \
+            "cannot schedule event in the past (t=1.5 < now=2.0)"
+        with pytest.raises(SchedulingError) as err:
+            sim.schedule_at(1.0, _noop)
+        assert str(err.value) == \
+            "cannot schedule event in the past (t=1.0 < now=2.0)"
+        for call in (sim.schedule, sim.schedule_at):
+            with pytest.raises(SchedulingError) as err:
+                call(math.nan, _noop)
+            assert str(err.value) == "cannot schedule event at NaN time"
+        assert sim.pending == 0 and sim._seq == 0
+
+    def test_on_schedule_fires_once_per_event_from_both_entry_points(self):
+        from repro.obs import Observation
+
+        obs = Observation(profile=False, telemetry=False)
+        sim = Simulator()
+        obs.attach(sim, track="t")
+        sim.schedule(1.0, _noop)
+        sim.schedule_at(2.0, _noop, priority=Priority.LOW)
+        sim.schedule(0.0, lambda: sim.schedule_at(3.0, _noop))
+        assert len(obs.tracer.spans) == 3
+        sim.run()
+        assert len(obs.tracer.spans) == 4
+        assert [sp.seq for sp in obs.tracer.spans] == [1, 2, 3, 4]
+
+    def test_event_time_is_float_after_an_int_clock(self):
+        sim = Simulator()
+        sim.run(until=10)
+        assert type(sim.now) is int
+        ev = sim.schedule(1, _noop)
+        assert type(ev.time) is float and ev.time == 11.0
+        assert type(sim.schedule_at(12, _noop).time) is float
+
+    def test_priority_is_stored_as_a_plain_int(self):
+        sim = Simulator()
+        low = sim.schedule(1.0, _noop, priority=Priority.LOW)
+        assert type(low.priority) is int and low.priority == 30
+        assert type(sim.schedule(1.0, _noop).priority) is int
+        assert low.sort_key == (1.0, 30, 1)
+
+    def test_heap_dead_count_matches_a_recount_through_compaction(self):
+        sim = Simulator(queue="heap")
+        q = sim._queue
+        rng = random.Random(7)
+        live, compactions = [], 0
+        for _ in range(3000):
+            live.append(sim.schedule(rng.uniform(0.0, 50.0), _noop))
+            if rng.random() < 0.2:
+                sim.step()
+            if live and rng.random() < 0.8:
+                before = len(q)
+                live.pop(rng.randrange(len(live))).cancel()
+                compactions += len(q) < before
+            assert q.dead_len == sum(e.cancelled for e in q._iter_events())
+        assert compactions >= 2
+        sim.run()
+        assert q.dead_len == 0 and len(q) == 0

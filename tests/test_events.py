@@ -38,9 +38,13 @@ class TestOrdering:
 class TestLifecycle:
     def test_fire_invokes_callback_with_args(self):
         got = []
-        e = Event(0.0, 0, lambda *a, **k: got.append((a, k)), ("x",), {"k": 1})
+        e = Event(0.0, 0, lambda *a: got.append(a), ("x", 1))
         e.fire()
-        assert got == [(("x",), {"k": 1})]
+        assert got == [("x", 1)]
+        # the fourth positional field is the priority: no kwargs slot between
+        e = Event(0.0, 0, lambda: None, (), Priority.LOW, "tag")
+        assert (e.priority, e.label) == (Priority.LOW, "tag")
+        assert not hasattr(e, "kwargs")
 
     def test_fire_returns_callback_result(self):
         assert Event(0.0, 0, lambda: 42).fire() == 42

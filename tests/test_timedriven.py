@@ -163,3 +163,37 @@ class TestEquivalence:
         n_td = mm1(TimeDrivenSimulator, tick=0.001)
         # both complete every job that started service
         assert abs(n_ed - n_td) <= 2
+
+
+class TestOneInsert:
+    """Both public entry points reach the quantising insert, ``_enter``."""
+
+    def test_schedule_and_schedule_at_both_quantise(self):
+        sim = TimeDrivenSimulator(tick=1.0)
+        assert sim.schedule(2.3, lambda: None).time == 3.0
+        assert sim.schedule_at(2.7, lambda: None).time == 3.0
+        sim.run(until=5.0)
+        assert sim.schedule(0.25, lambda: None).time == 6.0
+        assert sim.schedule_at(6.5, lambda: None).time == 7.0
+
+    def test_schedule_extends_the_automatic_horizon(self):
+        sim = TimeDrivenSimulator(tick=1.0)
+        fired = []
+        sim.schedule(7.2, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [8.0] and sim.ticks_stepped == 9
+
+    def test_bad_times_raise_the_base_messages_from_both_entry_points(self):
+        sim = TimeDrivenSimulator(tick=1.0)
+        sim.run(until=5.0)
+        with pytest.raises(SchedulingError,
+                           match=r"in the past \(t=3\.0 < now=5\.0\)"):
+            sim.schedule(-2.0, lambda: None)
+        for call in (sim.schedule, sim.schedule_at):
+            with pytest.raises(SchedulingError, match="NaN"):
+                call(float("nan"), lambda: None)
+        assert sim.pending == 0
+
+    def test_no_entry_point_of_its_own(self):
+        assert "schedule" not in vars(TimeDrivenSimulator)
+        assert "schedule_at" not in vars(TimeDrivenSimulator)
