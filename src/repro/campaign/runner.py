@@ -136,7 +136,6 @@ def _flight_path(recorder_dir: str | None, index: int, attempt: int,
 
 def _execute(task: tuple, worker: int, heartbeat: float | None = None,
              recorder_dir: str | None = None,
-             recorder_events: int = DEFAULT_RECORDER_EVENTS,
              beat_send: Callable[[tuple], None] | None = None) -> RunRecord:
     """Run one task tuple to a finished record (shared serial/worker path)."""
     index, scenario, params, point, rep, seed, attempt = task
@@ -144,7 +143,7 @@ def _execute(task: tuple, worker: int, heartbeat: float | None = None,
                     point=point, replication=rep, seed=seed,
                     attempts=attempt, worker=worker)
     registry = Registry()
-    recorder = FlightRecorder(recorder_events)
+    recorder = FlightRecorder(DEFAULT_RECORDER_EVENTS)
     dump_path = _flight_path(recorder_dir, index, attempt)
     extra = {"run_index": index, "attempt": attempt, "scenario": scenario,
              "worker": worker}
@@ -189,9 +188,7 @@ def _execute(task: tuple, worker: int, heartbeat: float | None = None,
 
 
 def _worker_main(worker_id: int, task_r, res_w, heartbeat: float | None = None,
-                 recorder_dir: str | None = None,
-                 recorder_events: int = DEFAULT_RECORDER_EVENTS
-                 ) -> None:  # pragma: no cover
+                 recorder_dir: str | None = None) -> None:  # pragma: no cover
     # Covered via subprocesses; coverage tooling does not see this frame.
     install_term_handler()
     while True:
@@ -203,9 +200,7 @@ def _worker_main(worker_id: int, task_r, res_w, heartbeat: float | None = None,
             break
         res_w.send(("start", task[0], task[6]))
         rec = _execute(task, worker_id, heartbeat=heartbeat,
-                       recorder_dir=recorder_dir,
-                       recorder_events=recorder_events,
-                       beat_send=res_w.send)
+                       recorder_dir=recorder_dir, beat_send=res_w.send)
         res_w.send(("done", task[0], task[6], rec))
 
 
@@ -273,31 +268,25 @@ class CampaignResult:
 
 def run_campaign(spec: CampaignSpec, workers: int = 1,
                  timeout: float | None = None, retries: int = 1,
-                 chunksize: int | None = None, mp_context: str | None = None,
+                 chunksize: int | None = None,
                  progress: Callable[[str], None] | None = None,
                  heartbeat: float | None = None,
                  stall_after: float | None = None,
-                 recorder_dir: str | None = None,
-                 recorder_events: int = DEFAULT_RECORDER_EVENTS
-                 ) -> CampaignResult:
+                 recorder_dir: str | None = None) -> CampaignResult:
     """Expand *spec* and execute its run matrix (see :func:`run_specs`)."""
     return run_specs(spec.expand(), workers=workers, timeout=timeout,
-                     retries=retries, chunksize=chunksize,
-                     mp_context=mp_context, progress=progress,
+                     retries=retries, chunksize=chunksize, progress=progress,
                      heartbeat=heartbeat, stall_after=stall_after,
-                     recorder_dir=recorder_dir,
-                     recorder_events=recorder_events)
+                     recorder_dir=recorder_dir)
 
 
 def run_specs(runs: Sequence[RunSpec], workers: int = 1,
               timeout: float | None = None, retries: int = 1,
-              chunksize: int | None = None, mp_context: str | None = None,
+              chunksize: int | None = None,
               progress: Callable[[str], None] | None = None,
               heartbeat: float | None = None,
               stall_after: float | None = None,
-              recorder_dir: str | None = None,
-              recorder_events: int = DEFAULT_RECORDER_EVENTS
-              ) -> CampaignResult:
+              recorder_dir: str | None = None) -> CampaignResult:
     """Execute an explicit list of runs; records come back in run order.
 
     ``workers <= 1`` runs everything in-process (no pool, no pickling) —
@@ -314,7 +303,8 @@ def run_specs(runs: Sequence[RunSpec], workers: int = 1,
     progress for that long (defaults to ``max(5·heartbeat, 1.0)`` when a
     heartbeat is set, otherwise off); ``recorder_dir`` enables flight-
     recorder post-mortem JSONL dumps for runs that raise, time out, or
-    lose their worker, ``recorder_events`` sizing the ring.
+    lose their worker (the ring keeps the last ``DEFAULT_RECORDER_EVENTS``
+    firings).  Workers start by fork where the platform has it, else spawn.
     """
     if retries < 0:
         raise ConfigurationError(f"retries must be >= 0, got {retries}")
@@ -325,8 +315,7 @@ def run_specs(runs: Sequence[RunSpec], workers: int = 1,
     t0 = perf_counter()
     if workers <= 1 or len(runs) <= 1:
         records = [_execute(_task_tuple(s, 1), -1, heartbeat=heartbeat,
-                            recorder_dir=recorder_dir,
-                            recorder_events=recorder_events)
+                            recorder_dir=recorder_dir)
                    for s in runs]
         result = CampaignResult(records=records, workers=1,
                                 wall_seconds=perf_counter() - t0)
@@ -334,8 +323,7 @@ def run_specs(runs: Sequence[RunSpec], workers: int = 1,
             records, wall_seconds=result.wall_seconds)
         return result
     return _run_pool(runs, workers, timeout, retries, chunksize,
-                     mp_context, progress, t0, heartbeat, stall_after,
-                     recorder_dir, recorder_events)
+                     progress, t0, heartbeat, stall_after, recorder_dir)
 
 
 def _write_partial_dump(path: str, payload: dict, reason: str,
@@ -362,18 +350,15 @@ def _write_partial_dump(path: str, payload: dict, reason: str,
 
 
 def _run_pool(runs: Sequence[RunSpec], workers: int, timeout: float | None,
-              retries: int, chunksize: int | None, mp_context: str | None,
+              retries: int, chunksize: int | None,
               progress: Callable[[str], None] | None,
               t0: float, heartbeat: float | None = None,
               stall_after: float | None = None,
-              recorder_dir: str | None = None,
-              recorder_events: int = DEFAULT_RECORDER_EVENTS
-              ) -> CampaignResult:
-    if mp_context is None:
-        # fork shares the already-imported interpreter (cheap, inherits
-        # test-registered scenarios); fall back to spawn where unavailable.
-        mp_context = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-    ctx = mp.get_context(mp_context)
+              recorder_dir: str | None = None) -> CampaignResult:
+    # fork shares the already-imported interpreter (cheap, inherits
+    # test-registered scenarios); fall back to spawn where unavailable.
+    ctx = mp.get_context(
+        "fork" if "fork" in mp.get_all_start_methods() else "spawn")
     workers = min(workers, len(runs))
     depth = (chunksize if chunksize else
              max(2, min(32, len(runs) // workers or 1)))
@@ -390,8 +375,7 @@ def _run_pool(runs: Sequence[RunSpec], workers: int, timeout: float | None,
         task_r, task_w = ctx.Pipe(duplex=False)
         res_r, res_w = ctx.Pipe(duplex=False)
         proc = ctx.Process(target=_worker_main,
-                           args=(wid, task_r, res_w, heartbeat,
-                                 recorder_dir, recorder_events),
+                           args=(wid, task_r, res_w, heartbeat, recorder_dir),
                            daemon=True, name=f"campaign-w{wid}")
         proc.start()
         # Close the worker-side ends in the parent so the worker's death

@@ -51,18 +51,18 @@ def run_scenario(name: str, params: Mapping[str, Any],
 _RUN_OBS: dict[str, Any] = {}
 
 
-def configure_run_observation(heartbeat: float | None = None, sink=None,
+def configure_run_observation(heartbeat: float | None = None,
                               beat_hook=None, registry=None,
                               recorder=None) -> None:
     """Install the observation wiring scenario runs should attach.
 
     ``registry``/``recorder`` enable the metrics and flight-recorder
-    facets; ``heartbeat``/``sink`` drive telemetry progress lines; and
+    facets; ``heartbeat`` drives telemetry progress lines; and
     ``beat_hook`` receives every heartbeat's snapshot dict (the campaign
     worker uses it to ship live "beat" frames to the parent).
     """
     _RUN_OBS.clear()
-    _RUN_OBS.update(heartbeat=heartbeat, sink=sink, beat_hook=beat_hook,
+    _RUN_OBS.update(heartbeat=heartbeat, beat_hook=beat_hook,
                     registry=registry, recorder=recorder)
 
 
@@ -77,7 +77,7 @@ def _build_observation():
 
     cfg = _RUN_OBS
     obs = Observation(trace=False, profile=False, telemetry=True,
-                      heartbeat=cfg.get("heartbeat"), sink=cfg.get("sink"),
+                      heartbeat=cfg.get("heartbeat"),
                       metrics=cfg.get("registry") or False,
                       recorder=cfg.get("recorder"))
     hook = cfg.get("beat_hook")

@@ -64,11 +64,6 @@ class RunSpec:
         """The parameter assignment as a plain dict."""
         return dict(self.params)
 
-    @property
-    def spawn_key(self) -> str:
-        """The spawn key this run's seed was derived with."""
-        return f"rep:{self.replication}"
-
 
 class CampaignSpec:
     """Scenario + base parameters + grid axes + replication count.

@@ -41,11 +41,6 @@ class MetricSummary:
     halfwidth: float
 
     @property
-    def std(self) -> float:
-        """Cross-run sample standard deviation."""
-        return math.sqrt(self.variance) if self.variance >= 0 else math.nan
-
-    @property
     def lo(self) -> float:
         """Lower CI bound."""
         return self.mean - self.halfwidth
@@ -58,12 +53,6 @@ class MetricSummary:
     def contains(self, value: float) -> bool:
         """Is *value* inside the confidence interval?"""
         return self.lo <= value <= self.hi
-
-    def to_dict(self) -> dict:
-        """Plain picklable dict (JSON/report-friendly)."""
-        return {"metric": self.metric, "n": self.n, "mean": self.mean,
-                "variance": self.variance, "level": self.level,
-                "halfwidth": self.halfwidth, "lo": self.lo, "hi": self.hi}
 
 
 def _summary(metric: str, values: Sequence[float],

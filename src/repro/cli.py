@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
              "registered scenario")
     p_cp.add_argument("--scenario", default="mm1",
                       help="registered scenario name "
-                           "(mm1|mmc|provision|dependability|...)")
+                           "(mm1|mmc|mm1k|provision|quadratic|dependability)")
     p_cp.add_argument("--grid", action="append", default=[],
                       metavar="NAME=V1,V2,...",
                       help="sweep axis (repeatable); values are parsed as "
@@ -241,11 +241,24 @@ def _cmd_diff(args) -> int:
     return 0
 
 
+def _bad_mm1_args(args) -> bool:
+    """Print a one-line error for an M/M/1 run simulate_mm1 would refuse."""
+    from .validation.compare import DEFAULT_WARMUP
+
+    if not 0 < args.rho < 1:
+        msg = "--rho must be in (0,1)"
+    elif args.jobs <= DEFAULT_WARMUP:
+        msg = f"--jobs must exceed the {DEFAULT_WARMUP}-job warm-up"
+    else:
+        return False
+    print(f"error: {msg}", file=sys.stderr)
+    return True
+
+
 def _cmd_validate(args) -> int:
     from .validation import MM1, compare, simulate_mm1
 
-    if not 0 < args.rho < 1:
-        print("error: --rho must be in (0,1)", file=sys.stderr)
+    if _bad_mm1_args(args):
         return 2
     obs = None
     if args.trace or args.profile or args.heartbeat is not None:
@@ -322,8 +335,7 @@ def _cmd_profile(args) -> int:
     if args.model == "mm1":
         from .validation import simulate_mm1
 
-        if not 0 < args.rho < 1:
-            print("error: --rho must be in (0,1)", file=sys.stderr)
+        if _bad_mm1_args(args):
             return 2
         simulate_mm1(args.rho, 1.0, n_jobs=args.jobs, seed=args.seed, obs=obs)
         print(f"profiled M/M/1  rho={args.rho}  ({args.jobs} jobs, "

@@ -319,19 +319,9 @@ class Monitor:
         return c
 
     @property
-    def tallies(self) -> dict[str, Tally]:
-        """Shallow copy of the tally map."""
-        return dict(self._tallies)
-
-    @property
     def levels(self) -> dict[str, TimeWeighted]:
         """Shallow copy of the level map."""
         return dict(self._levels)
-
-    @property
-    def counters(self) -> dict[str, Counter]:
-        """Shallow copy of the counter map."""
-        return dict(self._counters)
 
     # -- reporting -----------------------------------------------------------
 

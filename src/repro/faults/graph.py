@@ -39,7 +39,6 @@ labeled metrics registry (``repro_fault_transitions_total``,
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Optional
 
 from ..core.engine import Simulator
@@ -225,13 +224,6 @@ class FaultGraph:
         if t <= 0:
             return 1.0
         return 1.0 - self.downtime(name) / t
-
-    def aggregate_availability(self, kind: str = "host") -> float:
-        """Mean availability over every component of *kind* (NaN if none)."""
-        comps = self.components(kind)
-        if not comps:
-            return math.nan
-        return sum(self.availability(c.name) for c in comps) / len(comps)
 
     # -- fault operations ----------------------------------------------------
 

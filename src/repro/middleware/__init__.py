@@ -4,7 +4,7 @@ replication — the policy layer of the taxonomy's four-component stack."""
 from .broker import DagRunner, GridRunner, WorkQueueRunner
 from .catalog import GridInformationService, ReplicaCatalog
 from .economy import EconomyBroker, ResourceOffer
-from .jobs import Dag, Job, JobState, set_job_observer
+from .jobs import Dag, Job, JobState
 from .replication import (
     DataReplicationAgent,
     EconomicReplication,
@@ -34,7 +34,6 @@ __all__ = [
     "Job",
     "JobState",
     "Dag",
-    "set_job_observer",
     "ReplicaCatalog",
     "GridInformationService",
     "SchedulingContext",

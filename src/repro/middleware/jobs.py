@@ -19,25 +19,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..core.errors import ConfigurationError
 from ..network.transfer import FileSpec
 
-__all__ = ["JobState", "Job", "Dag", "set_job_observer"]
-
-#: optional process-wide hook ``(job, to_state, now) -> None`` invoked on
-#: every validated state transition.  Null-object protocol like the kernel's
-#: ``Simulator._obs``: the disabled cost is one module-global check.  Jobs
-#: deliberately don't know their simulator, so this lives at module scope;
-#: ``repro.obs.Observation.observe_jobs()`` installs the tracing recorder.
-_job_observer = None
-
-
-def set_job_observer(observer) -> None:
-    """Install (or with ``None`` remove) the global job-transition hook."""
-    global _job_observer
-    _job_observer = observer
+__all__ = ["JobState", "Job", "Dag"]
 
 
 class JobState(enum.Enum):
@@ -105,9 +92,6 @@ class Job:
                 f"job {self.id}: illegal transition {self.state.value} -> {to.value}")
         self.state = to
         self.history.append((now, to))
-        obs = _job_observer
-        if obs is not None:
-            obs(self, to, now)
         if to is JobState.RUNNING:
             self.started = now
         elif to in (JobState.DONE, JobState.FAILED):

@@ -97,10 +97,6 @@ class HandlerProfiler:
         """Fraction of all profiled wall time spent in *stats*' handler."""
         return stats.total_ns / self.total_ns if self.total_ns else 0.0
 
-    def get(self, key: str) -> HandlerStats | None:
-        """Aggregate for one display key, or None."""
-        return self._stats.get(key)
-
     def __len__(self) -> int:
         return len(self._stats)
 

@@ -343,7 +343,6 @@ class Observation:
         else:
             self.recorder = FlightRecorder(int(recorder))
         self.bindings: list[ObsBinding] = []
-        self._job_hook_installed = False
 
     # -- attachment ----------------------------------------------------------
 
@@ -377,31 +376,10 @@ class Observation:
                     and queue.on_migrate == binding.on_queue_migrate:
                 queue.on_migrate = None
 
-    def observe_jobs(self) -> "Observation":
-        """Record middleware job state transitions as trace markers."""
-        if self.tracer is not None and not self._job_hook_installed:
-            from ..middleware import jobs as _jobs
-
-            def on_transition(job, to, now, _tracer=self.tracer):
-                _tracer.marker("jobs", "job", f"job{job.id}:{to.value}", now,
-                               {"job": job.id, "state": to.value})
-
-            _jobs.set_job_observer(on_transition)
-            self._job_hook_installed = True
-        return self
-
-    def unobserve_jobs(self) -> None:
-        """Remove the job-transition hook installed by :meth:`observe_jobs`."""
-        if self._job_hook_installed:
-            from ..middleware import jobs as _jobs
-            _jobs.set_job_observer(None)
-            self._job_hook_installed = False
-
     def close(self) -> None:
-        """Detach from every simulator and release global hooks."""
+        """Detach from every simulator and finalize the tracer."""
         for binding in list(self.bindings):
             self.detach(binding.sim)
-        self.unobserve_jobs()
         if self.tracer is not None:
             self.tracer.finalize()
 

@@ -72,10 +72,6 @@ class SimulatorRecord:
 
     # -- derived views ---------------------------------------------------------
 
-    def supports(self, component: Component) -> bool:
-        """True when the record models the given component layer."""
-        return component in self.components
-
     def axis_value(self, axis: str):
         """Fetch an axis by field name (used by diffing and rendering)."""
         if not hasattr(self, axis):

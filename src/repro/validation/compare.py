@@ -79,6 +79,10 @@ class ValidationReport:
                  self.rel_errors[k]) for k in sorted(self.analytic)]
 
 
+#: jobs every simulate_* discards before measuring, unless told otherwise
+DEFAULT_WARMUP = 2_000
+
+
 def _run_queue(sim: Simulator, servers: int, arrival_gap: Callable[[], float],
                service_time: Callable[[], float], n_jobs: int,
                warmup: int, keep_series: bool = False,
@@ -133,7 +137,7 @@ def _run_queue(sim: Simulator, servers: int, arrival_gap: Callable[[], float],
 
 
 def simulate_mm1(lam: float, mu: float, n_jobs: int = 20_000,
-                 warmup: int = 2_000, seed: int = 0, obs=None,
+                 warmup: int = DEFAULT_WARMUP, seed: int = 0, obs=None,
                  keep_series: bool = False) -> QueueRunStats:
     """M/M/1 built from kernel primitives.
 
@@ -151,7 +155,7 @@ def simulate_mm1(lam: float, mu: float, n_jobs: int = 20_000,
 
 
 def simulate_mmc(lam: float, mu: float, c: int, n_jobs: int = 20_000,
-                 warmup: int = 2_000, seed: int = 0, obs=None,
+                 warmup: int = DEFAULT_WARMUP, seed: int = 0, obs=None,
                  keep_series: bool = False) -> QueueRunStats:
     """M/M/c built from kernel primitives."""
     sim = Simulator(seed=seed)
@@ -165,7 +169,7 @@ def simulate_mmc(lam: float, mu: float, c: int, n_jobs: int = 20_000,
 
 
 def simulate_mm1k(lam: float, mu: float, K: int, n_jobs: int = 20_000,
-                  warmup: int = 2_000, seed: int = 0, obs=None,
+                  warmup: int = DEFAULT_WARMUP, seed: int = 0, obs=None,
                   keep_series: bool = False) -> QueueRunStats:
     """M/M/1/K: one server and room for ``K - 1`` waiting.
 
@@ -187,7 +191,7 @@ def simulate_mm1k(lam: float, mu: float, K: int, n_jobs: int = 20_000,
 
 
 def simulate_mg1(lam: float, service: Callable[[], float], n_jobs: int = 20_000,
-                 warmup: int = 2_000, seed: int = 0, obs=None,
+                 warmup: int = DEFAULT_WARMUP, seed: int = 0, obs=None,
                  keep_series: bool = False) -> QueueRunStats:
     """M/G/1 with an arbitrary service-time sampler."""
     sim = Simulator(seed=seed)

@@ -10,7 +10,6 @@ giving users such self-checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..core.errors import ValidationError

@@ -62,6 +62,11 @@ class TestValidate:
     def test_bad_rho_rejected(self, capsys):
         assert main(["validate", "--rho", "1.5"]) == 2
 
+    def test_jobs_within_warmup_rejected(self, capsys):
+        assert main(["validate", "--jobs", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--jobs must exceed" in err
+
     def test_trace_and_profile_emit_obs_artifacts(self, capsys, tmp_path):
         import json
 
@@ -98,6 +103,11 @@ class TestProfile:
 
     def test_bad_rho_rejected(self):
         assert main(["profile", "--rho", "0"]) == 2
+
+    def test_jobs_within_warmup_rejected(self, capsys):
+        assert main(["profile", "--jobs", "2000"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--jobs must exceed" in err
 
 
 class TestClassify:

@@ -378,33 +378,6 @@ class TestTransfersAndJobs:
         events = obs.chrome_trace()["traceEvents"]
         assert {e["ph"] for e in events} >= {"b", "e"}
 
-    def test_job_transitions_become_markers(self):
-        from repro.middleware import Job, JobState
-
-        obs = Observation().observe_jobs()
-        try:
-            job = Job(id=7, length=10.0)
-            job.transition(JobState.QUEUED, 1.0)
-            job.transition(JobState.RUNNING, 2.0)
-            job.transition(JobState.DONE, 5.0)
-        finally:
-            obs.unobserve_jobs()
-        names = [m.name for m in obs.tracer.markers]
-        assert names == ["job7:queued", "job7:running", "job7:done"]
-        assert all(m.track == "jobs" for m in obs.tracer.markers)
-        # the hook is global state: it must be gone after unobserve
-        from repro.middleware import jobs as _jobs
-        assert _jobs._job_observer is None
-
-    def test_observe_jobs_without_tracer_is_a_noop(self):
-        from repro.middleware import jobs as _jobs
-
-        obs = Observation(trace=False).observe_jobs()
-        try:
-            assert _jobs._job_observer is None
-        finally:
-            obs.unobserve_jobs()
-
 
 class TestObservationLifecycle:
     def test_attach_is_idempotent(self):
