@@ -25,9 +25,7 @@ turns one scenario into a campaign:
 Surface: ``python -m repro campaign`` and ``repro validate --runs N``.
 """
 
-from .scenarios import (SCENARIOS, clear_run_observation,
-                        configure_run_observation, register_scenario,
-                        run_scenario, theory_for)
+from .scenarios import SCENARIOS, register_scenario, run_scenario, theory_for
 from .search import (Axis, EvolutionResult, evaluate_objective, evolve,
                      parse_space)
 from .spec import CampaignSpec, RunSpec, describe_params, point_key
@@ -43,8 +41,6 @@ __all__ = [
     "describe_params",
     "CampaignTelemetry",
     "aggregate_telemetry",
-    "configure_run_observation",
-    "clear_run_observation",
     "CampaignResult",
     "RunRecord",
     "run_campaign",

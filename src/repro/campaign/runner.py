@@ -21,10 +21,10 @@ Every worker owns a private pair of pipes (parent→worker tasks,
 worker→parent results) — there is no shared queue.  That isolation is
 what makes ``terminate()`` safe: a worker killed mid-message can only
 corrupt its own pipes, which the parent discards with it, never a lock
-or buffer other workers depend on.  Worker protocol (all messages are
-tuples of picklable builtins)::
+or buffer other workers depend on.  Worker protocol (every message is a
+picklable tuple)::
 
-    parent -> worker : (index, scenario, params, point, rep, seed, attempt)
+    parent -> worker : (RunSpec, attempt)
     parent -> worker : None                          # shutdown sentinel
     worker -> parent : ("start", index, attempt)
     worker -> parent : ("beat",  index, attempt, snapshot)   # heartbeat
@@ -67,9 +67,9 @@ from typing import Any, Callable, Sequence
 from ..core.errors import ConfigurationError
 from ..obs.metrics import Registry
 from ..obs.recorder import (FlightRecorder, arm_postmortem,
-                            disarm_postmortem, install_term_handler)
-from .scenarios import (clear_run_observation, configure_run_observation,
-                        run_scenario)
+                            disarm_postmortem, install_term_handler,
+                            write_dump)
+from .scenarios import _run_observation, run_scenario
 from .spec import CampaignSpec, RunSpec
 from .stats import MetricSummary, summarize, summarize_points
 from .telemetry import CampaignTelemetry, aggregate_telemetry
@@ -118,9 +118,13 @@ class RunRecord:
                 "status": self.status, "metrics": self.metrics}
 
 
-def _task_tuple(spec: RunSpec, attempt: int) -> tuple:
-    return (spec.index, spec.scenario, spec.params, spec.point,
-            spec.replication, spec.seed, attempt)
+def _record(spec: RunSpec, attempt: int, worker: int,
+            **outcome: Any) -> RunRecord:
+    """A record of one attempt at *spec*, its identity copied from it."""
+    return RunRecord(index=spec.index, scenario=spec.scenario,
+                     params=spec.params, point=spec.point,
+                     replication=spec.replication, seed=spec.seed,
+                     attempts=attempt, worker=worker, **outcome)
 
 
 def _flight_path(recorder_dir: str | None, index: int, attempt: int,
@@ -134,19 +138,17 @@ def _flight_path(recorder_dir: str | None, index: int, attempt: int,
     return os.path.join(recorder_dir, stem + ".jsonl")
 
 
-def _execute(task: tuple, worker: int, heartbeat: float | None = None,
-             recorder_dir: str | None = None,
+def _execute(spec: RunSpec, attempt: int, worker: int,
+             heartbeat: float | None = None, recorder_dir: str | None = None,
              beat_send: Callable[[tuple], None] | None = None) -> RunRecord:
-    """Run one task tuple to a finished record (shared serial/worker path)."""
-    index, scenario, params, point, rep, seed, attempt = task
-    rec = RunRecord(index=index, scenario=scenario, params=params,
-                    point=point, replication=rep, seed=seed,
-                    attempts=attempt, worker=worker)
+    """Run one attempt at *spec* to a finished record (serial and worker
+    path alike)."""
+    rec = _record(spec, attempt, worker)
     registry = Registry()
     recorder = FlightRecorder(DEFAULT_RECORDER_EVENTS)
-    dump_path = _flight_path(recorder_dir, index, attempt)
-    extra = {"run_index": index, "attempt": attempt, "scenario": scenario,
-             "worker": worker}
+    dump_path = _flight_path(recorder_dir, spec.index, attempt)
+    extra = {"run_index": spec.index, "attempt": attempt,
+             "scenario": spec.scenario, "worker": worker}
     if dump_path is not None:
         # Armed for the whole run: if this process is terminated mid-run,
         # the SIGTERM handler dumps the ring to dump_path on the way out.
@@ -159,14 +161,15 @@ def _execute(task: tuple, worker: int, heartbeat: float | None = None,
             payload["recorder_tail"] = tail
             payload["last_handler"] = tail[-1]["handler"] if tail else None
             try:
-                beat_send(("beat", index, attempt, payload))
+                beat_send(("beat", spec.index, attempt, payload))
             except OSError:
                 pass  # parent went away; the run still finishes locally
-    configure_run_observation(heartbeat=heartbeat, beat_hook=beat_hook,
-                              registry=registry, recorder=recorder)
     t0 = perf_counter()
     try:
-        metrics, telemetry = run_scenario(scenario, dict(params), seed)
+        with _run_observation(heartbeat=heartbeat, beat_hook=beat_hook,
+                              registry=registry, recorder=recorder):
+            metrics, telemetry = run_scenario(spec.scenario,
+                                              dict(spec.params), spec.seed)
         rec.metrics = dict(metrics)
         rec.telemetry = dict(telemetry)
     except Exception:
@@ -179,7 +182,6 @@ def _execute(task: tuple, worker: int, heartbeat: float | None = None,
             except OSError:
                 pass
     finally:
-        clear_run_observation()
         if dump_path is not None:
             disarm_postmortem()
     rec.obs_metrics = registry.dump()
@@ -198,10 +200,11 @@ def _worker_main(worker_id: int, task_r, res_w, heartbeat: float | None = None,
             break
         if task is None:
             break
-        res_w.send(("start", task[0], task[6]))
-        rec = _execute(task, worker_id, heartbeat=heartbeat,
-                       recorder_dir=recorder_dir, beat_send=res_w.send)
-        res_w.send(("done", task[0], task[6], rec))
+        spec, attempt = task
+        res_w.send(("start", spec.index, attempt))
+        rec = _execute(spec, attempt, worker_id, heartbeat, recorder_dir,
+                       res_w.send)
+        res_w.send(("done", spec.index, attempt, rec))
 
 
 @dataclass
@@ -211,13 +214,21 @@ class _Worker:
     proc: Any
     task_w: Any                 #: send end of the parent→worker task pipe
     res_r: Any                  #: recv end of the worker→parent result pipe
-    #: dispatched-but-unfinished ``[index, attempt, started]`` entries in
+    #: dispatched-but-unfinished ``[spec, attempt, started]`` entries in
     #: send order; ``started`` is None until the ``start`` message arrives.
     queue: deque = field(default_factory=deque)
     #: latest heartbeat frame ``(index, attempt, payload)`` from this worker
     beat: tuple | None = None
     #: wall stamp of the last start/beat/done frame (stall detection)
     progress_t: float = 0.0
+
+    def close(self) -> None:
+        """Close the parent's ends of this worker's pipes."""
+        for conn in (self.task_w, self.res_r):
+            try:
+                conn.close()
+            except OSError:
+                pass
 
 
 @dataclass
@@ -266,18 +277,10 @@ class CampaignResult:
                           separators=(",", ":")).encode("utf-8")
 
 
-def run_campaign(spec: CampaignSpec, workers: int = 1,
-                 timeout: float | None = None, retries: int = 1,
-                 chunksize: int | None = None,
-                 progress: Callable[[str], None] | None = None,
-                 heartbeat: float | None = None,
-                 stall_after: float | None = None,
-                 recorder_dir: str | None = None) -> CampaignResult:
-    """Expand *spec* and execute its run matrix (see :func:`run_specs`)."""
-    return run_specs(spec.expand(), workers=workers, timeout=timeout,
-                     retries=retries, chunksize=chunksize, progress=progress,
-                     heartbeat=heartbeat, stall_after=stall_after,
-                     recorder_dir=recorder_dir)
+def run_campaign(spec: CampaignSpec, **options: Any) -> CampaignResult:
+    """Expand *spec* and execute its run matrix; *options* are those of
+    :func:`run_specs`."""
+    return run_specs(spec.expand(), **options)
 
 
 def run_specs(runs: Sequence[RunSpec], workers: int = 1,
@@ -313,53 +316,34 @@ def run_specs(runs: Sequence[RunSpec], workers: int = 1,
     if recorder_dir is not None:
         os.makedirs(recorder_dir, exist_ok=True)
     t0 = perf_counter()
-    if workers <= 1 or len(runs) <= 1:
-        records = [_execute(_task_tuple(s, 1), -1, heartbeat=heartbeat,
-                            recorder_dir=recorder_dir)
-                   for s in runs]
-        result = CampaignResult(records=records, workers=1,
-                                wall_seconds=perf_counter() - t0)
-        result.telemetry = aggregate_telemetry(
-            records, wall_seconds=result.wall_seconds)
-        return result
-    return _run_pool(runs, workers, timeout, retries, chunksize,
-                     progress, t0, heartbeat, stall_after, recorder_dir)
-
-
-def _write_partial_dump(path: str, payload: dict, reason: str,
-                        extra: dict) -> str | None:
-    """Write a parent-side partial flight dump from a worker's last beat.
-
-    The ring's tail travelled inside the heartbeat frame, so even a worker
-    that died without any chance to clean up (``SIGKILL``, ``os._exit``)
-    leaves an artifact naming its last known handler.
-    """
-    tail = payload.get("recorder_tail") or []
-    header = {"record": "flight-recorder", "reason": reason, "partial": True,
-              "events": len(tail),
-              "last_handler": payload.get("last_handler")}
-    header.update(extra)
-    try:
-        with open(path, "w") as fp:
-            fp.write(json.dumps(header, sort_keys=True) + "\n")
-            for entry in tail:
-                fp.write(json.dumps(entry, sort_keys=True) + "\n")
-    except OSError:
-        return None
-    return path
+    incidents = dict.fromkeys(
+        ("timeouts", "retries_used", "worker_deaths", "stalls"), 0)
+    workers = max(1, min(workers, len(runs)))
+    if workers == 1:
+        records = [_execute(s, 1, -1, heartbeat, recorder_dir) for s in runs]
+    else:
+        records = _run_pool(runs, workers, timeout, retries, chunksize,
+                            progress, heartbeat, stall_after, recorder_dir,
+                            incidents)
+    wall = perf_counter() - t0
+    return CampaignResult(
+        records=records, workers=workers, wall_seconds=wall, **incidents,
+        telemetry=aggregate_telemetry(records, wall_seconds=wall,
+                                      **incidents))
 
 
 def _run_pool(runs: Sequence[RunSpec], workers: int, timeout: float | None,
               retries: int, chunksize: int | None,
               progress: Callable[[str], None] | None,
-              t0: float, heartbeat: float | None = None,
-              stall_after: float | None = None,
-              recorder_dir: str | None = None) -> CampaignResult:
+              heartbeat: float | None, stall_after: float | None,
+              recorder_dir: str | None,
+              incidents: dict[str, int]) -> list[RunRecord]:
+    """Execute *runs* on *workers* processes, counting into *incidents*;
+    returns the final records in run order."""
     # fork shares the already-imported interpreter (cheap, inherits
     # test-registered scenarios); fall back to spawn where unavailable.
     ctx = mp.get_context(
         "fork" if "fork" in mp.get_all_start_methods() else "spawn")
-    workers = min(workers, len(runs))
     depth = (chunksize if chunksize else
              max(2, min(32, len(runs) // workers or 1)))
     if stall_after is None and heartbeat is not None:
@@ -384,14 +368,9 @@ def _run_pool(runs: Sequence[RunSpec], workers: int, timeout: float | None,
         res_w.close()
         pool[wid] = _Worker(proc, task_w, res_r, progress_t=perf_counter())
 
-    pending = deque(_task_tuple(s, 1) for s in runs)
+    pending = deque((s, 1) for s in runs)
     attempts = {s.index: 1 for s in runs}
     done: dict[int, RunRecord] = {}
-    by_index = {s.index: s for s in runs}
-    timeouts = 0
-    retries_used = 0
-    worker_deaths = 0
-    stalls = 0
     stall_flagged: set[tuple[int, int]] = set()  # (index, attempt) pairs
     reported = [0]  # len(done) at the last progress emission
 
@@ -402,7 +381,7 @@ def _run_pool(runs: Sequence[RunSpec], workers: int, timeout: float | None,
                 and len(done) % 25 == 0):
             reported[0] = len(done)
             progress(f"[campaign] {len(done)}/{len(runs)} runs "
-                     f"done ({timeouts} timeouts)")
+                     f"done ({incidents['timeouts']} timeouts)")
 
     def dispatch() -> None:
         while pending:
@@ -412,41 +391,37 @@ def _run_pool(runs: Sequence[RunSpec], workers: int, timeout: float | None,
                     break
                 if not w.proc.is_alive() or len(w.queue) >= depth:
                     continue
-                task = pending[0]
                 try:
-                    w.task_w.send(task)
+                    w.task_w.send(pending[0])
                 except OSError:
                     continue  # dying worker; the liveness sweep reconciles it
-                pending.popleft()
-                w.queue.append([task[0], task[6], None])
+                spec, attempt = pending.popleft()
+                w.queue.append([spec, attempt, None])
                 sent = True
             if not sent:
                 return
 
-    def give_up(idx: int, status: str, err: str, wid: int = -1) -> None:
-        s = by_index[idx]
-        rec = RunRecord(index=idx, scenario=s.scenario, params=s.params,
-                        point=s.point, replication=s.replication,
-                        seed=s.seed, status=status,
-                        attempts=attempts[idx], worker=wid, error=err)
+    def give_up(spec: RunSpec, status: str, err: str, wid: int) -> None:
+        att = attempts[spec.index]
+        rec = _record(spec, att, wid, status=status, error=err)
         # A terminated worker dumped its full ring via SIGTERM; a dead one
         # may have left a parent-written partial.  Either way, point at it.
         for partial in (False, True):
-            path = _flight_path(recorder_dir, idx, attempts[idx], partial)
+            path = _flight_path(recorder_dir, spec.index, att, partial)
             if path is not None and os.path.exists(path):
                 rec.recorder_path = path
                 break
-        done[idx] = rec
+        done[spec.index] = rec
         emit_progress()
 
-    def reap_or_retry(idx: int, status: str, err: str, wid: int = -1) -> None:
-        nonlocal retries_used
-        if attempts[idx] <= retries:
-            attempts[idx] += 1
-            retries_used += 1
-            pending.append(_task_tuple(by_index[idx], attempts[idx]))
+    def reap_or_retry(spec: RunSpec, status: str, err: str,
+                      wid: int = -1) -> None:
+        if attempts[spec.index] <= retries:
+            attempts[spec.index] += 1
+            incidents["retries_used"] += 1
+            pending.append((spec, attempts[spec.index]))
         else:
-            give_up(idx, status, err, wid)
+            give_up(spec, status, err, wid)
         # Unconditional: a terminal give-up frees a dispatch slot exactly
         # like a completion does — without this refill, a campaign whose
         # window filled with given-up runs would stall forever.
@@ -455,7 +430,7 @@ def _run_pool(runs: Sequence[RunSpec], workers: int, timeout: float | None,
     def handle(w: _Worker, msg: tuple) -> None:
         kind, idx, att = msg[0], msg[1], msg[2]
         head = w.queue[0] if w.queue else None
-        if head is None or head[0] != idx or head[1] != att:
+        if head is None or head[0].index != idx or head[1] != att:
             return  # defensive: messages are FIFO per worker, so the
             # head is always the run in progress; anything else is stale
         w.progress_t = perf_counter()
@@ -467,7 +442,7 @@ def _run_pool(runs: Sequence[RunSpec], workers: int, timeout: float | None,
             w.queue.popleft()
             rec = msg[3]
             if rec.status == "failed" and attempts[idx] <= retries:
-                reap_or_retry(idx, "failed", rec.error or "")
+                reap_or_retry(head[0], "failed", rec.error or "")
             else:
                 done[idx] = rec
                 emit_progress()
@@ -484,22 +459,20 @@ def _run_pool(runs: Sequence[RunSpec], workers: int, timeout: float | None,
                 return  # dead worker / partial message; sweeps reconcile
             handle(w, msg)
 
-    def retire(wid: int) -> None:
-        """Drop a worker's pipes and re-dispatch its unstarted backlog.
+    def replace(wid: int) -> list | None:
+        """Swap worker *wid* for a fresh one; returns its head entry.
 
-        Tasks queued behind the head never ran, so they go back to the
-        *front* of pending with their attempt count untouched; the head
-        (if any) is the caller's to reap or retry.
+        Its pipes close, and the tasks queued behind the head never ran,
+        so they go back to the *front* of pending with their attempt count
+        untouched; the head (the run in progress, if any) is the caller's
+        to reap or retry.
         """
         w = pool.pop(wid)
-        for conn in (w.task_w, w.res_r):
-            try:
-                conn.close()
-            except OSError:
-                pass
-        backlog = list(w.queue)[1:]
-        for idx, att, _ in reversed(backlog):
-            pending.appendleft(_task_tuple(by_index[idx], att))
+        w.close()
+        for spec, att, _ in reversed(list(w.queue)[1:]):
+            pending.appendleft((spec, att))
+        spawn_worker()
+        return w.queue[0] if w.queue else None
 
     try:
         for _ in range(workers):
@@ -521,11 +494,10 @@ def _run_pool(runs: Sequence[RunSpec], workers: int, timeout: float | None,
                     drain(w)
                     if not w.queue or w.queue[0] is not head:
                         continue
-                    timeouts += 1
+                    incidents["timeouts"] += 1
                     w.proc.terminate()
                     w.proc.join(timeout=5.0)
-                    retire(wid)
-                    spawn_worker()
+                    replace(wid)
                     reap_or_retry(head[0], "timeout",
                                   f"run exceeded {timeout}s wall timeout",
                                   wid)
@@ -534,14 +506,14 @@ def _run_pool(runs: Sequence[RunSpec], workers: int, timeout: float | None,
                     head = w.queue[0] if w.queue else None
                     if head is None or head[2] is None:
                         continue  # nothing started: dispatch idle, not stall
-                    key = (head[0], head[1])
+                    key = (head[0].index, head[1])
                     if key in stall_flagged:
                         continue
                     quiet = now - max(w.progress_t, head[2])
                     if quiet <= stall_after:
                         continue
                     stall_flagged.add(key)
-                    stalls += 1
+                    incidents["stalls"] += 1
                     last = ""
                     if w.beat is not None and w.beat[:2] == key:
                         handler = w.beat[2].get("last_handler")
@@ -549,33 +521,33 @@ def _run_pool(runs: Sequence[RunSpec], workers: int, timeout: float | None,
                             last = f", last handler {handler}"
                     if progress is not None:
                         progress(f"[campaign] worker {wid} stalled on run "
-                                 f"{head[0]} (attempt {head[1]}): no "
+                                 f"{key[0]} (attempt {key[1]}): no "
                                  f"progress for {quiet:.1f}s{last}")
             for wid, w in list(pool.items()):
                 if w.proc.is_alive():
                     continue
                 drain(w)  # results sent before the crash still count
-                exitcode = w.proc.exitcode
-                head = w.queue[0] if w.queue else None
-                retire(wid)
-                spawn_worker()
-                worker_deaths += 1
-                if head is not None:
-                    if recorder_dir is not None and w.beat is not None \
-                            and w.beat[:2] == (head[0], head[1]):
-                        # The worker died too hard to dump its own ring;
-                        # reconstruct a partial from its last beat frame.
-                        _write_partial_dump(
-                            _flight_path(recorder_dir, head[0], head[1],
-                                         partial=True),
-                            w.beat[2],
-                            f"worker died (exitcode {exitcode})",
-                            {"run_index": head[0], "attempt": head[1],
-                             "worker": wid})
-                    reap_or_retry(head[0], "failed",
-                                  f"worker died (exitcode {exitcode})", wid)
-                else:
+                reason = f"worker died (exitcode {w.proc.exitcode})"
+                head = replace(wid)
+                incidents["worker_deaths"] += 1
+                if head is None:
                     dispatch()
+                    continue
+                spec, att, _ = head
+                if recorder_dir is not None and w.beat is not None \
+                        and w.beat[:2] == (spec.index, att):
+                    # The worker died too hard to dump its own ring;
+                    # reconstruct a partial from its last beat frame.
+                    try:
+                        write_dump(
+                            _flight_path(recorder_dir, spec.index, att,
+                                         partial=True),
+                            reason, w.beat[2]["recorder_tail"],
+                            {"partial": True, "run_index": spec.index,
+                             "attempt": att, "worker": wid})
+                    except OSError:
+                        pass
+                reap_or_retry(spec, "failed", reason, wid)
     finally:
         for w in pool.values():
             try:
@@ -588,20 +560,5 @@ def _run_pool(runs: Sequence[RunSpec], workers: int, timeout: float | None,
         for w in pool.values():
             if w.proc.is_alive():
                 w.proc.terminate()
-        for w in pool.values():
-            for conn in (w.task_w, w.res_r):
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-
-    records = [done[s.index] for s in runs]
-    result = CampaignResult(records=records, workers=workers,
-                            wall_seconds=perf_counter() - t0,
-                            timeouts=timeouts, retries_used=retries_used,
-                            worker_deaths=worker_deaths, stalls=stalls)
-    result.telemetry = aggregate_telemetry(
-        records, wall_seconds=result.wall_seconds, timeouts=timeouts,
-        retries_used=retries_used, worker_deaths=worker_deaths,
-        stalls=stalls)
-    return result
+            w.close()
+    return [done[s.index] for s in runs]

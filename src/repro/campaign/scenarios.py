@@ -9,29 +9,63 @@ wall seconds) that is reported but never compared.
 Workers receive only the scenario *name* and look the function up in this
 registry after import, so nothing callable ever crosses the process
 boundary — the worker→parent protocol stays plain tuples of builtins.
+
+A scenario declares its defaults, and its analytic model where one
+exists, when it registers: the run and :func:`theory_for` read the same
+filled params, so a verdict never compares against a drifted copy.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+from contextlib import contextmanager
+from functools import wraps
+from typing import Any, Callable, Iterator, Mapping
 
-from ..core.errors import ConfigurationError
+from ..core.errors import ConfigurationError, ValidationError
 from ..core.rng import StreamFactory
 
-__all__ = ["SCENARIOS", "register_scenario", "run_scenario", "theory_for",
-           "configure_run_observation", "clear_run_observation"]
+__all__ = ["SCENARIOS", "register_scenario", "run_scenario", "theory_for"]
 
 ScenarioFn = Callable[[dict, int], tuple[dict, dict]]
 
 SCENARIOS: dict[str, ScenarioFn] = {}
+#: scenario name -> ``theory(repro.validation, filled params)``
+_THEORIES: dict[str, Callable[[Any, dict], Any]] = {}
 
 
-def register_scenario(name: str) -> Callable[[ScenarioFn], ScenarioFn]:
-    """Decorator registering a scenario under *name*."""
+def register_scenario(name: str, defaults: Mapping[str, Any] | None = None,
+                      theory: Callable[[Any, dict], Any] | None = None
+                      ) -> Callable[[ScenarioFn], ScenarioFn]:
+    """Decorator registering a scenario under *name*.
+
+    *defaults* fill every param a run leaves out, and each declared param
+    is cast to its default's type.  The registry stores, and the decorator
+    returns, the filling function, so a direct call sees the defaults too
+    (they stay readable as its ``defaults`` attribute).  *theory* maps the
+    filled params of a point to its analytic model; it receives
+    :mod:`repro.validation` as its first argument, so that importing the
+    registry does not load it.
+    """
+    declared = dict(defaults or {})
+
     def deco(fn: ScenarioFn) -> ScenarioFn:
-        SCENARIOS[name] = fn
-        return fn
+        @wraps(fn)
+        def run(params: dict, seed: int) -> tuple[dict, dict]:
+            return fn(_filled(declared, params), seed)
+
+        run.defaults = declared
+        SCENARIOS[name] = run
+        if theory is not None:
+            _THEORIES[name] = theory
+        return run
     return deco
+
+
+def _filled(defaults: dict, params: Mapping[str, Any]) -> dict:
+    """*params* over *defaults*, each declared param cast to its default's
+    type (so ``--set c=2.0`` and ``--set rho=1`` read as int and float)."""
+    return {**params, **{name: type(default)(params.get(name, default))
+                         for name, default in defaults.items()}}
 
 
 def run_scenario(name: str, params: Mapping[str, Any],
@@ -44,6 +78,27 @@ def run_scenario(name: str, params: Mapping[str, Any],
     return fn(dict(params), int(seed))
 
 
+def theory_for(scenario: str, params: Mapping[str, Any]):
+    """The analytic model of one scenario point, or None.
+
+    None when the scenario declares no theory, or when the point lies
+    outside its model (an unstable queue, no server): such a point gets
+    no verdict.  ``mm1`` and ``mmc`` give an object with L/Lq/W/Wq/rho
+    properties; ``mm1k`` and ``dependability`` a mapping, since an
+    M/M/1/K's utilization is its busy fraction, which the verdict must
+    not alias to ``rho`` (the offered load).
+    """
+    if scenario not in _THEORIES:
+        return None
+    from .. import validation
+
+    try:
+        return _THEORIES[scenario](
+            validation, _filled(SCENARIOS[scenario].defaults, params))
+    except ValidationError:
+        return None
+
+
 #: Process-local observation config applied to every scenario run in this
 #: process.  The campaign runner (parent for serial runs, each worker for
 #: pooled ones) sets it per run; nothing here ever crosses a pipe, so the
@@ -51,50 +106,48 @@ def run_scenario(name: str, params: Mapping[str, Any],
 _RUN_OBS: dict[str, Any] = {}
 
 
-def configure_run_observation(heartbeat: float | None = None,
-                              beat_hook=None, registry=None,
-                              recorder=None) -> None:
-    """Install the observation wiring scenario runs should attach.
+@contextmanager
+def _run_observation(**wiring: Any) -> Iterator[None]:
+    """Wire the scenario runs inside the block to observers.
 
     ``registry``/``recorder`` enable the metrics and flight-recorder
     facets; ``heartbeat`` drives telemetry progress lines; and
     ``beat_hook`` receives every heartbeat's snapshot dict (the campaign
     worker uses it to ship live "beat" frames to the parent).
     """
-    _RUN_OBS.clear()
-    _RUN_OBS.update(heartbeat=heartbeat, beat_hook=beat_hook,
-                    registry=registry, recorder=recorder)
-
-
-def clear_run_observation() -> None:
-    """Drop the per-run observation wiring (runs go back to bare telemetry)."""
-    _RUN_OBS.clear()
+    _RUN_OBS.update(wiring)
+    try:
+        yield
+    finally:
+        _RUN_OBS.clear()
 
 
 def _build_observation():
     """The Observation a scenario run should attach (honours ``_RUN_OBS``)."""
     from ..obs import Observation
 
-    cfg = _RUN_OBS
     obs = Observation(trace=False, profile=False, telemetry=True,
-                      heartbeat=cfg.get("heartbeat"),
-                      metrics=cfg.get("registry") or False,
-                      recorder=cfg.get("recorder"))
-    hook = cfg.get("beat_hook")
+                      heartbeat=_RUN_OBS.get("heartbeat"),
+                      metrics=_RUN_OBS.get("registry") or False,
+                      recorder=_RUN_OBS.get("recorder"))
+    hook = _RUN_OBS.get("beat_hook")
     if hook is not None and obs.telemetry is not None:
         obs.telemetry.beat_hook = hook
     return obs
 
 
-def _observed_queue_run(simulate, kwargs: dict, warmup: Any,
-                        n_jobs: int) -> tuple[dict, dict]:
-    """Shared tail for the queueing scenarios: run, truncate, package."""
+def _observed_queue_run(simulate, params: dict, seed: int,
+                        **model: Any) -> tuple[dict, dict]:
+    """Shared tail for the queueing scenarios: run *simulate* on *model*
+    for ``params["jobs"]`` jobs, truncate the warm-up, package."""
     from .stats import mser5
 
+    n_jobs = params["jobs"]
+    warmup = params.get("warmup", max(1, n_jobs // 10))
     obs = _build_observation()
     if warmup == "mser5":
-        stats = simulate(n_jobs=n_jobs, warmup=0, seed=kwargs.pop("seed"),
-                         obs=obs, keep_series=True, **kwargs)
+        stats = simulate(n_jobs=n_jobs, warmup=0, seed=seed, obs=obs,
+                         keep_series=True, **model)
         cut = mser5(stats.W_series)
         series = stats.W_series[cut:]
         metrics = stats.to_dict()
@@ -104,50 +157,56 @@ def _observed_queue_run(simulate, kwargs: dict, warmup: Any,
         metrics["W"] = (sum(series) / len(series)) if series else metrics["W"]
         metrics["mser5_cut"] = int(cut)
     else:
-        stats = simulate(n_jobs=n_jobs, warmup=int(warmup),
-                         seed=kwargs.pop("seed"), obs=obs, **kwargs)
+        stats = simulate(n_jobs=n_jobs, warmup=int(warmup), seed=seed,
+                         obs=obs, **model)
         metrics = stats.to_dict()
     sim = obs.bindings[0].sim if obs.bindings else None
     telemetry = obs.telemetry.snapshot(sim) if obs.telemetry is not None else {}
     return metrics, telemetry
 
 
-@register_scenario("mm1")
+def _mm1k_theory(v, p: dict) -> dict:
+    m = v.MM1K(p["rho"] * p["mu"], p["mu"], p["K"])
+    return {"L": m.L, "Lq": m.Lq, "W": m.W, "Wq": m.Wq,
+            "blocking": m.blocking_probability, "utilization": m.utilization}
+
+
+#: what every queueing scenario assumes unless told otherwise
+_QUEUE = {"mu": 1.0, "jobs": 20_000}
+
+
+@register_scenario(
+    "mm1", defaults={**_QUEUE, "rho": 0.6},
+    theory=lambda v, p: v.MM1(p["rho"] * p["mu"], p["mu"]))
 def mm1_scenario(params: dict, seed: int) -> tuple[dict, dict]:
-    """M/M/1 run: params rho (required), mu, jobs, warmup (int or 'mser5')."""
+    """M/M/1 run: params rho, mu, jobs, warmup (int or 'mser5')."""
     from ..validation import simulate_mm1
 
-    rho = float(params.get("rho", 0.6))
-    mu = float(params.get("mu", 1.0))
+    rho, mu = params["rho"], params["mu"]
     if not 0 < rho < 1:
         raise ConfigurationError(f"mm1 rho must be in (0,1), got {rho}")
-    jobs = int(params.get("jobs", 20_000))
-    warmup = params.get("warmup", max(1, jobs // 10))
-    return _observed_queue_run(
-        simulate_mm1, {"lam": rho * mu, "mu": mu, "seed": seed},
-        warmup, jobs)
+    return _observed_queue_run(simulate_mm1, params, seed, lam=rho * mu,
+                               mu=mu)
 
 
-@register_scenario("mmc")
+@register_scenario(
+    "mmc", defaults={**_QUEUE, "rho": 0.6, "c": 2},
+    theory=lambda v, p: v.MMc(p["rho"] * p["c"] * p["mu"], p["mu"], p["c"]))
 def mmc_scenario(params: dict, seed: int) -> tuple[dict, dict]:
     """M/M/c run: params rho (per-server), c, mu, jobs, warmup."""
     from ..validation import simulate_mmc
 
-    rho = float(params.get("rho", 0.6))
-    c = int(params.get("c", 2))
-    mu = float(params.get("mu", 1.0))
+    rho, c, mu = params["rho"], params["c"], params["mu"]
     if not 0 < rho < 1 or c < 1:
         raise ConfigurationError(f"mmc needs rho in (0,1) and c >= 1")
-    jobs = int(params.get("jobs", 20_000))
-    warmup = params.get("warmup", max(1, jobs // 10))
     metrics, telemetry = _observed_queue_run(
-        simulate_mmc, {"lam": rho * c * mu, "mu": mu, "c": c, "seed": seed},
-        warmup, jobs)
+        simulate_mmc, params, seed, lam=rho * c * mu, mu=mu, c=c)
     metrics["servers"] = c
     return metrics, telemetry
 
 
-@register_scenario("mm1k")
+@register_scenario("mm1k", defaults={**_QUEUE, "rho": 0.9, "K": 3},
+                   theory=_mm1k_theory)
 def mm1k_scenario(params: dict, seed: int) -> tuple[dict, dict]:
     """M/M/1/K run: params rho (offered load, any > 0), K, mu, jobs, warmup.
 
@@ -155,22 +214,18 @@ def mm1k_scenario(params: dict, seed: int) -> tuple[dict, dict]:
     station full and left unserved."""
     from ..validation import simulate_mm1k
 
-    rho = float(params.get("rho", 0.9))
-    K = int(params.get("K", 3))
-    mu = float(params.get("mu", 1.0))
+    rho, K, mu = params["rho"], params["K"], params["mu"]
     if not rho > 0 or K < 1:
         raise ConfigurationError(
             f"mm1k needs rho > 0 and K >= 1, got rho={rho}, K={K}")
-    jobs = int(params.get("jobs", 20_000))
-    warmup = params.get("warmup", max(1, jobs // 10))
     metrics, telemetry = _observed_queue_run(
-        simulate_mm1k, {"lam": rho * mu, "mu": mu, "K": K, "seed": seed},
-        warmup, jobs)
-    metrics["blocking"] = 1.0 - metrics["completed"] / jobs
+        simulate_mm1k, params, seed, lam=rho * mu, mu=mu, K=K)
+    metrics["blocking"] = 1.0 - metrics["completed"] / params["jobs"]
     return metrics, telemetry
 
 
-@register_scenario("provision")
+@register_scenario("provision", defaults={
+    "lam": 3.0, "mu": 1.0, "servers": 4, "policy": "pooled", "jobs": 8_000})
 def provision_scenario(params: dict, seed: int) -> tuple[dict, dict]:
     """Server-provisioning study — the evolutionary-search demo scenario.
 
@@ -188,12 +243,7 @@ def provision_scenario(params: dict, seed: int) -> tuple[dict, dict]:
     """
     from ..validation import simulate_mm1, simulate_mmc
 
-    lam = float(params.get("lam", 3.0))
-    mu = float(params.get("mu", 1.0))
-    c = int(params.get("servers", 4))
-    policy = str(params.get("policy", "pooled"))
-    jobs = int(params.get("jobs", 8_000))
-    warmup = params.get("warmup", max(1, jobs // 10))
+    lam, mu, c = params["lam"], params["mu"], params["servers"]
     if c < 1:
         raise ConfigurationError(f"servers must be >= 1, got {c}")
     if lam >= c * mu:
@@ -202,37 +252,44 @@ def provision_scenario(params: dict, seed: int) -> tuple[dict, dict]:
         # the feasibility boundary without killing runs.
         return ({"W": 1e9, "Wq": 1e9, "L": 1e9, "Lq": 1e9,
                  "utilization": 1.0, "servers": c, "feasible": 0}, {})
-    if policy == "pooled":
+    if params["policy"] == "pooled":
         metrics, telemetry = _observed_queue_run(
-            simulate_mmc, {"lam": lam, "mu": mu, "c": c, "seed": seed},
-            warmup, jobs)
-    elif policy == "split":
+            simulate_mmc, params, seed, lam=lam, mu=mu, c=c)
+    elif params["policy"] == "split":
         metrics, telemetry = _observed_queue_run(
-            simulate_mm1, {"lam": lam / c, "mu": mu, "seed": seed},
-            warmup, jobs)
+            simulate_mm1, params, seed, lam=lam / c, mu=mu)
     else:
-        raise ConfigurationError(f"unknown policy {policy!r}")
+        raise ConfigurationError(f"unknown policy {params['policy']!r}")
     metrics["servers"] = c
     metrics["feasible"] = 1
     return metrics, telemetry
 
 
-@register_scenario("quadratic")
+@register_scenario("quadratic",
+                   defaults={"x": 0.0, "target": 3.0, "noise": 0.1})
 def quadratic_scenario(params: dict, seed: int) -> tuple[dict, dict]:
     """Noisy parabola — a fast synthetic objective for search smoke tests.
 
     ``y = (x - target)² + noise·N(0,1)``; the optimum is known, so tests
     can assert the evolutionary loop actually converges.
     """
-    x = float(params.get("x", 0.0))
-    target = float(params.get("target", 3.0))
-    noise = float(params.get("noise", 0.1))
+    x = params["x"]
     stream = StreamFactory(seed).stream("quadratic")
-    y = (x - target) ** 2 + noise * stream.normal(0.0, 1.0)
+    y = ((x - params["target"]) ** 2
+         + params["noise"] * stream.normal(0.0, 1.0))
     return ({"y": float(y), "x": x}, {})
 
 
-@register_scenario("dependability")
+# Exponential UP/DOWN renewal: steady-state availability.  The time-average
+# bias over a finite horizon is O(tau/horizon) with
+# tau = mtbf*mttr/(mtbf+mttr) — negligible against the CI width.
+@register_scenario(
+    "dependability",
+    defaults={"sites": 4, "mtbf": 50.0, "mttr": 10.0, "horizon": 2000.0,
+              "job_length": 500.0, "rating": 100.0, "file_bytes": 2e6,
+              "bandwidth": 1e6, "fetch_gap": 5.0, "attempts": 8},
+    theory=lambda v, p: {
+        "availability": p["mtbf"] / (p["mtbf"] + p["mttr"])})
 def dependability_scenario(params: dict, seed: int) -> tuple[dict, dict]:
     """Correlated-fault campaign: a star grid under site outage cycles.
 
@@ -258,16 +315,7 @@ def dependability_scenario(params: dict, seed: int) -> tuple[dict, dict]:
     from ..network.topology import star
     from ..network.transfer import FileSpec
 
-    n_sites = int(params.get("sites", 4))
-    mtbf = float(params.get("mtbf", 50.0))
-    mttr = float(params.get("mttr", 10.0))
-    horizon = float(params.get("horizon", 2000.0))
-    job_length = float(params.get("job_length", 500.0))
-    rating = float(params.get("rating", 100.0))
-    file_bytes = float(params.get("file_bytes", 2e6))
-    bandwidth = float(params.get("bandwidth", 1e6))
-    fetch_gap = float(params.get("fetch_gap", 5.0))
-    attempts = int(params.get("attempts", 8))
+    n_sites, horizon = params["sites"], params["horizon"]
     if n_sites < 1:
         raise ConfigurationError(f"sites must be >= 1, got {n_sites}")
     if horizon <= 0:
@@ -278,33 +326,33 @@ def dependability_scenario(params: dict, seed: int) -> tuple[dict, dict]:
     obs.attach(sim, track="dependability")
 
     leaves = [f"site{i}" for i in range(n_sites)]
-    topo = star("hub", leaves, bandwidth, latency=0.01)
+    topo = star("hub", leaves, params["bandwidth"], latency=0.01)
     sites = [Site(sim, "hub")]
     for name in leaves:
         sites.append(Site(sim, name, machines=[
-            SpaceSharedMachine(sim, pes=1, rating=rating,
+            SpaceSharedMachine(sim, pes=1, rating=params["rating"],
                                name=f"{name}-cpu",
                                restart_policy="checkpoint")]))
-    grid = Grid(sim, topo, sites, transfer_attempts=attempts,
+    grid = Grid(sim, topo, sites, transfer_attempts=params["attempts"],
                 transfer_backoff=1.0)
     graph = FaultGraph.from_grid(grid)
     targets = [f"site:{n}" for n in leaves]
     injector = CorrelatedFaultInjector(
         sim, graph, sim.streams.spawn("faults"), targets=targets,
-        mtbf=mtbf, mttr=mttr, horizon=horizon)
+        mtbf=params["mtbf"], mttr=params["mttr"], horizon=horizon)
 
     machines = [grid.site(n).machines[0] for n in leaves]
 
     def submit_chain(machine) -> None:
-        run = machine.submit(job_length)
+        run = machine.submit(params["job_length"])
         run._subscribe(lambda _r, m=machine: submit_chain(m))
 
     def fetch_chain(leaf: str, k: int) -> None:
         ticket = grid.transfers.fetch(
-            FileSpec(f"{leaf}-f{k}", file_bytes), "hub", leaf)
+            FileSpec(f"{leaf}-f{k}", params["file_bytes"]), "hub", leaf)
         ticket._subscribe(
             lambda _t, l=leaf, nk=k + 1: sim.schedule(
-                fetch_gap, fetch_chain, l, nk, label="fetch_chain"))
+                params["fetch_gap"], fetch_chain, l, nk, label="fetch_chain"))
 
     for m in machines:
         submit_chain(m)
@@ -331,39 +379,3 @@ def dependability_scenario(params: dict, seed: int) -> tuple[dict, dict]:
     telemetry = (obs.telemetry.snapshot(sim)
                  if obs.telemetry is not None else {})
     return metrics, telemetry
-
-
-def theory_for(scenario: str, params: Mapping[str, Any]):
-    """The analytic model matching a queueing scenario point (or None).
-
-    Returns an object with L/Lq/W/Wq/rho properties for ``mm1`` and
-    ``mmc`` points — what the CI-contains-theory verdict compares against.
-    ``mm1k`` and ``dependability`` get a mapping: an M/M/1/K's utilization
-    is its busy fraction, which the verdict must not alias to ``rho`` (the
-    offered load).
-    """
-    from ..validation import MM1, MM1K, MMc
-
-    p = dict(params)
-    mu = float(p.get("mu", 1.0))
-    if scenario == "mm1":
-        rho = float(p.get("rho", 0.6))
-        return MM1(rho * mu, mu)
-    if scenario == "mmc":
-        c = int(p.get("c", 2))
-        rho = float(p.get("rho", 0.6))
-        return MMc(rho * c * mu, mu, c)
-    if scenario == "mm1k":
-        rho = float(p.get("rho", 0.9))
-        m = MM1K(rho * mu, mu, int(p.get("K", 3)))
-        return {"L": m.L, "Lq": m.Lq, "W": m.W, "Wq": m.Wq,
-                "blocking": m.blocking_probability,
-                "utilization": m.utilization}
-    if scenario == "dependability":
-        # Exponential UP/DOWN renewal: steady-state availability.  The
-        # time-average bias over a finite horizon is O(tau/horizon) with
-        # tau = mtbf*mttr/(mtbf+mttr) — negligible against the CI width.
-        mtbf = float(p.get("mtbf", 50.0))
-        mttr = float(p.get("mttr", 10.0))
-        return {"availability": mtbf / (mtbf + mttr)}
-    return None

@@ -33,11 +33,16 @@ from typing import Any, Callable, Mapping, Sequence
 
 from ..core.errors import ConfigurationError
 from ..core.rng import StreamFactory
-from .spec import CampaignSpec, RunSpec, point_key
+from .spec import CampaignSpec, expand_points, point_key
 from .runner import CampaignResult, run_specs
 
 __all__ = ["Axis", "parse_space", "evaluate_objective", "EvolutionResult",
            "evolve"]
+
+#: contestants per tournament (so also the smallest population), the chance
+#: that a gene mutates and that a child crosses two parents, and how many of
+#: the best genomes pass unchanged into the next generation
+TOURNAMENT, MUTATION_RATE, CROSSOVER_RATE, ELITE = 3, 0.3, 0.7, 1
 
 _SAFE_FUNCS = {"abs": abs, "min": min, "max": max, "sqrt": math.sqrt,
                "log": math.log, "exp": math.exp, "inf": math.inf}
@@ -107,10 +112,11 @@ class Axis:
             if len(parts) == 2:
                 return cls(name, lo=float(parts[0]), hi=float(parts[1]))
             raise ConfigurationError(f"cannot parse axis {name}={text!r}")
-        return cls(name, choices=tuple(_coerce(v) for v in text.split(",")))
+        return cls(name, choices=tuple(coerce(v) for v in text.split(",")))
 
 
-def _coerce(text: str) -> Any:
+def coerce(text: str) -> Any:
+    """A command-line value as an int, else a float, else the string."""
     for cast in (int, float):
         try:
             return cast(text)
@@ -119,15 +125,18 @@ def _coerce(text: str) -> Any:
     return text
 
 
+def split_assignment(entry: str) -> tuple[str, str]:
+    """Split one ``NAME=TEXT`` command-line entry into (NAME, TEXT)."""
+    name, eq, text = entry.partition("=")
+    if not eq:
+        raise ConfigurationError(f"{entry!r} is not NAME=VALUE")
+    return name.strip(), text
+
+
 def parse_space(entries: Sequence[str]) -> list[Axis]:
     """Parse ``name=spec`` CLI strings into a search space."""
-    axes = []
-    for entry in entries:
-        if "=" not in entry:
-            raise ConfigurationError(f"space entry {entry!r} is not name=spec")
-        name, _, text = entry.partition("=")
-        axes.append(Axis.parse(name.strip(), text.strip()))
-    return axes
+    return [Axis.parse(name, text.strip())
+            for name, text in map(split_assignment, entries)]
 
 
 @dataclass
@@ -153,9 +162,8 @@ class EvolutionResult:
 def evolve(scenario: str, space: Sequence[Axis], objective: str,
            mode: str = "min", population: int = 12, generations: int = 8,
            replications: int = 3, base: Mapping[str, Any] | None = None,
-           root_seed: int = 0, workers: int = 1, tournament: int = 3,
-           mutation_rate: float = 0.3, crossover_rate: float = 0.7,
-           elite: int = 1, timeout: float | None = None,
+           root_seed: int = 0, workers: int = 1,
+           timeout: float | None = None,
            progress: Callable[[str], None] | None = None) -> EvolutionResult:
     """Run the generational GA; returns the best genome found.
 
@@ -165,13 +173,13 @@ def evolve(scenario: str, space: Sequence[Axis], objective: str,
     """
     if mode not in ("min", "max"):
         raise ConfigurationError(f"mode must be min or max, got {mode!r}")
-    if population < 2 or generations < 1:
-        raise ConfigurationError("need population >= 2 and generations >= 1")
+    if population < TOURNAMENT or generations < 1:
+        raise ConfigurationError(
+            f"need population >= {TOURNAMENT} (the tournament size) and "
+            f"generations >= 1, got population={population}, "
+            f"generations={generations}")
     if not space:
         raise ConfigurationError("search space is empty")
-    if not 1 <= tournament <= population:
-        raise ConfigurationError(
-            f"tournament size must be in [1, population], got {tournament}")
     sign = 1.0 if mode == "min" else -1.0
     rng = StreamFactory(root_seed).spawn("evolve")
     init_s = rng.stream("init")
@@ -200,15 +208,8 @@ def evolve(scenario: str, space: Sequence[Axis], objective: str,
             # replication seeds are shared across genomes (CRN).
             seeds = CampaignSpec(scenario, replications=replications,
                                  root_seed=root_seed).replication_seeds()
-            runs = []
-            for point, genome in enumerate(fresh):
-                params = dict(base or {})
-                params.update(genome)
-                frozen = tuple(sorted(params.items()))
-                for rep, seed in enumerate(seeds):
-                    runs.append(RunSpec(index=len(runs), scenario=scenario,
-                                        params=frozen, point=point,
-                                        replication=rep, seed=seed))
+            runs = expand_points(scenario, [{**(base or {}), **genome}
+                                            for genome in fresh], seeds)
             result = run_specs(runs, workers=workers, timeout=timeout)
             last_campaign = result
             evaluations += len(fresh)
@@ -237,18 +238,18 @@ def evolve(scenario: str, space: Sequence[Axis], objective: str,
 
         def pick() -> dict:
             contestants = [select_s.randint(0, population - 1)
-                           for _ in range(tournament)]
+                           for _ in range(TOURNAMENT)]
             return pop[min(contestants, key=lambda i: fitness[i])]
 
-        next_pop = [dict(pop[i]) for i in order[:elite]]
+        next_pop = [dict(pop[i]) for i in order[:ELITE]]
         while len(next_pop) < population:
             a, b = pick(), pick()
             child = {}
-            do_cross = cross_s.bernoulli(crossover_rate)
+            do_cross = cross_s.bernoulli(CROSSOVER_RATE)
             for ax in space:
                 src = (b if do_cross and cross_s.bernoulli(0.5) else a)
                 child[ax.name] = src[ax.name]
-                if mutate_s.bernoulli(mutation_rate):
+                if mutate_s.bernoulli(MUTATION_RATE):
                     child[ax.name] = ax.mutate(child[ax.name], mutate_s)
             next_pop.append(child)
         pop = next_pop

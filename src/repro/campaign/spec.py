@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -30,14 +31,16 @@ from ..core.rng import StreamFactory
 
 __all__ = ["RunSpec", "CampaignSpec", "point_key", "describe_params"]
 
+#: longest parameter label a table cell shows before it is cut with "…"
+LABEL_LIMIT = 48
+
 
 def point_key(params: Mapping[str, Any]) -> str:
     """Canonical string identity of one grid point (sorted-key JSON)."""
     return json.dumps(dict(params), sort_keys=True, default=str)
 
 
-def describe_params(params: Mapping[str, Any] | Sequence[tuple],
-                    limit: int = 48) -> str:
+def describe_params(params: Mapping[str, Any] | Sequence[tuple]) -> str:
     """Compact human label for a parameter assignment (``rho=0.6 c=2``).
 
     Used by progress lines and the campaign telemetry report, where the
@@ -45,7 +48,7 @@ def describe_params(params: Mapping[str, Any] | Sequence[tuple],
     """
     items = sorted(dict(params).items())
     text = " ".join(f"{k}={v}" for k, v in items) or "(defaults)"
-    return text if len(text) <= limit else text[:limit - 1] + "…"
+    return text if len(text) <= LABEL_LIMIT else text[:LABEL_LIMIT - 1] + "…"
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,6 +66,19 @@ class RunSpec:
     def params_dict(self) -> dict[str, Any]:
         """The parameter assignment as a plain dict."""
         return dict(self.params)
+
+
+def expand_points(scenario: str, points: Sequence[Mapping[str, Any]],
+                  seeds: Sequence[int]) -> list[RunSpec]:
+    """The run matrix *points* × replication *seeds*, point-major."""
+    runs: list[RunSpec] = []
+    for point, params in enumerate(points):
+        frozen = tuple(sorted(params.items()))
+        for rep, seed in enumerate(seeds):
+            runs.append(RunSpec(index=len(runs), scenario=scenario,
+                                params=frozen, point=point,
+                                replication=rep, seed=seed))
+    return runs
 
 
 class CampaignSpec:
@@ -91,15 +107,9 @@ class CampaignSpec:
 
     def points(self) -> list[dict[str, Any]]:
         """All grid points as parameter dicts (base merged in), in order."""
-        if not self.grid:
-            return [dict(self.base)]
         names = list(self.grid)
-        out = []
-        for combo in itertools.product(*(self.grid[n] for n in names)):
-            p = dict(self.base)
-            p.update(zip(names, combo))
-            out.append(p)
-        return out
+        return [{**self.base, **dict(zip(names, combo))}
+                for combo in itertools.product(*self.grid.values())]
 
     def replication_seeds(self) -> list[int]:
         """The spawned root seed of each replication (shared across points)."""
@@ -108,21 +118,11 @@ class CampaignSpec:
 
     def expand(self) -> list[RunSpec]:
         """The full run matrix: points × replications, deterministic order."""
-        seeds = self.replication_seeds()
-        runs: list[RunSpec] = []
-        for point, params in enumerate(self.points()):
-            frozen = tuple(sorted(params.items()))
-            for rep, seed in enumerate(seeds):
-                runs.append(RunSpec(index=len(runs), scenario=self.scenario,
-                                    params=frozen, point=point,
-                                    replication=rep, seed=seed))
-        return runs
+        return expand_points(self.scenario, self.points(),
+                             self.replication_seeds())
 
     def __len__(self) -> int:
-        n_points = 1
-        for values in self.grid.values():
-            n_points *= len(values)
-        return n_points * self.replications
+        return math.prod(map(len, self.grid.values())) * self.replications
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<CampaignSpec {self.scenario!r} points="

@@ -26,6 +26,9 @@ from .spec import describe_params
 
 __all__ = ["CampaignTelemetry", "aggregate_telemetry"]
 
+#: rows in the report's slowest-runs table
+SLOWEST_RUNS = 5
+
 
 def _rate_stats(rates: list[float]) -> dict[str, float]:
     if not rates:
@@ -114,8 +117,8 @@ class CampaignTelemetry:
 
 def aggregate_telemetry(records: Sequence[Any], wall_seconds: float = 0.0,
                         timeouts: int = 0, retries_used: int = 0,
-                        worker_deaths: int = 0, stalls: int = 0,
-                        slowest_n: int = 5) -> CampaignTelemetry:
+                        worker_deaths: int = 0,
+                        stalls: int = 0) -> CampaignTelemetry:
     """Build a :class:`CampaignTelemetry` from final run records."""
     agg = CampaignTelemetry(wall_seconds=wall_seconds, timeouts=timeouts,
                             retries_used=retries_used,
@@ -156,7 +159,7 @@ def aggregate_telemetry(records: Sequence[Any], wall_seconds: float = 0.0,
         w["eps"] = _rate_stats(worker_rates.get(wid, []))
     for point, p in agg.per_point.items():
         p["eps"] = _rate_stats(point_rates.get(point, []))
-    ranked = sorted(records, key=lambda r: -r.wall_seconds)[:slowest_n]
+    ranked = sorted(records, key=lambda r: -r.wall_seconds)[:SLOWEST_RUNS]
     agg.slowest = [{"index": r.index, "scenario": r.scenario,
                     "point": r.point, "replication": r.replication,
                     "wall_seconds": r.wall_seconds, "status": r.status,

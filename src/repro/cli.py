@@ -28,6 +28,8 @@ import argparse
 import sys
 from typing import Sequence
 
+from .core.errors import ConfigurationError
+
 __all__ = ["main", "build_parser"]
 
 
@@ -241,25 +243,21 @@ def _cmd_diff(args) -> int:
     return 0
 
 
-def _bad_mm1_args(args) -> bool:
-    """Print a one-line error for an M/M/1 run simulate_mm1 would refuse."""
+def _check_mm1_args(args) -> None:
+    """Refuse an M/M/1 run that simulate_mm1 would refuse."""
     from .validation.compare import DEFAULT_WARMUP
 
     if not 0 < args.rho < 1:
-        msg = "--rho must be in (0,1)"
-    elif args.jobs <= DEFAULT_WARMUP:
-        msg = f"--jobs must exceed the {DEFAULT_WARMUP}-job warm-up"
-    else:
-        return False
-    print(f"error: {msg}", file=sys.stderr)
-    return True
+        raise ConfigurationError("--rho must be in (0,1)")
+    if args.jobs <= DEFAULT_WARMUP:
+        raise ConfigurationError(
+            f"--jobs must exceed the {DEFAULT_WARMUP}-job warm-up")
 
 
 def _cmd_validate(args) -> int:
     from .validation import MM1, compare, simulate_mm1
 
-    if _bad_mm1_args(args):
-        return 2
+    _check_mm1_args(args)
     obs = None
     if args.trace or args.profile or args.heartbeat is not None:
         from .obs import Observation
@@ -335,8 +333,7 @@ def _cmd_profile(args) -> int:
     if args.model == "mm1":
         from .validation import simulate_mm1
 
-        if _bad_mm1_args(args):
-            return 2
+        _check_mm1_args(args)
         simulate_mm1(args.rho, 1.0, n_jobs=args.jobs, seed=args.seed, obs=obs)
         print(f"profiled M/M/1  rho={args.rho}  ({args.jobs} jobs, "
               f"seed {args.seed})")
@@ -438,25 +435,14 @@ def _cmd_flows(args) -> int:
     return 0
 
 
-def _parse_value(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
 def _parse_assignments(entries, split_values: bool) -> dict:
+    """``NAME=VALUE`` (or ``NAME=V1,V2,...``) entries as a dict."""
+    from .campaign.search import coerce, split_assignment
+
     out = {}
-    for entry in entries:
-        if "=" not in entry:
-            raise SystemExit(f"error: {entry!r} is not NAME=VALUE")
-        name, _, text = entry.partition("=")
-        if split_values:
-            out[name.strip()] = [_parse_value(v) for v in text.split(",")]
-        else:
-            out[name.strip()] = _parse_value(text)
+    for name, text in map(split_assignment, entries):
+        out[name] = ([coerce(v) for v in text.split(",")] if split_values
+                     else coerce(text))
     return out
 
 
@@ -464,13 +450,9 @@ def _cmd_campaign(args) -> int:
     from .campaign import (CampaignSpec, coverage_verdict, parse_space,
                            evolve, run_campaign, theory_for)
 
+    base = _parse_assignments(args.base, split_values=False)
     if args.evolve:
-        if not args.space:
-            print("error: --evolve needs at least one --space axis",
-                  file=sys.stderr)
-            return 2
         space = parse_space(args.space)
-        base = _parse_assignments(args.base, split_values=False)
         res = evolve(args.scenario, space, args.objective, mode=args.mode,
                      population=args.population,
                      generations=args.generations, replications=args.runs,
@@ -486,7 +468,6 @@ def _cmd_campaign(args) -> int:
         return 0
 
     grid = _parse_assignments(args.grid, split_values=True)
-    base = _parse_assignments(args.base, split_values=False)
     spec = CampaignSpec(args.scenario, base=base, grid=grid,
                         replications=args.runs, root_seed=args.seed)
     result = run_campaign(spec, workers=args.workers, timeout=args.timeout,
@@ -551,7 +532,11 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

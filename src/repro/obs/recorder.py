@@ -30,8 +30,8 @@ from typing import Any, Optional
 
 from .spans import callback_name
 
-__all__ = ["FlightRecorder", "arm_postmortem", "disarm_postmortem",
-           "dump_postmortem", "install_term_handler"]
+__all__ = ["FlightRecorder", "write_dump", "arm_postmortem",
+           "disarm_postmortem", "dump_postmortem", "install_term_handler"]
 
 
 class FlightRecorder:
@@ -75,22 +75,29 @@ class FlightRecorder:
 
     def dump(self, path: str, reason: str,
              extra: dict | None = None) -> str:
-        """Write the ring as JSONL: one header line, then one event per
-        line (oldest first).  Overwrites *path*; returns it."""
-        entries = self.snapshot()
-        header = {"record": "flight-recorder", "reason": reason,
-                  "events": len(entries), "capacity": self.capacity,
-                  "last_handler": entries[-1]["handler"] if entries else None}
-        if extra:
-            header.update(extra)
-        with open(path, "w") as fp:
-            fp.write(json.dumps(header, sort_keys=True) + "\n")
-            for entry in entries:
-                fp.write(json.dumps(entry, sort_keys=True) + "\n")
-        return path
+        """Write the ring with :func:`write_dump` (oldest event first);
+        returns *path*."""
+        return write_dump(path, reason, self.snapshot(),
+                          {"capacity": self.capacity, **(extra or {})})
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FlightRecorder {len(self.ring)}/{self.capacity}>"
+
+
+def write_dump(path: str, reason: str, entries: list[dict],
+               extra: dict) -> str:
+    """Write one flight dump as JSONL: a header line, then one line per
+    entry.  The header names the record kind, the *reason*, the entry
+    count and the last entry's handler, plus *extra*.  Overwrites *path*;
+    returns it."""
+    header = {"record": "flight-recorder", "reason": reason,
+              "events": len(entries),
+              "last_handler": entries[-1]["handler"] if entries else None,
+              **extra}
+    with open(path, "w") as fp:
+        for line in (header, *entries):
+            fp.write(json.dumps(line, sort_keys=True) + "\n")
+    return path
 
 
 # -- armed post-mortem (one per process; campaign workers are single-run) ----

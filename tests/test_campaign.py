@@ -332,6 +332,41 @@ class TestMM1KTheory:
             run_scenario("mm1k", {"K": 0, "jobs": 100}, seed=0)
 
 
+class TestDeclaredDefaults:
+    """A scenario's defaults are declared once, in its registration: the
+    run and ``theory_for`` read the same filled params."""
+
+    def test_probe_sees_declared_defaults(self):
+        from repro.campaign import run_scenario
+
+        @register_scenario("probe-defaults", defaults={"a": 1.5, "n": 4})
+        def probe(params, seed):
+            return ({"a": params["a"], "n": params["n"]}, {})
+
+        assert run_scenario("probe-defaults", {}, seed=0)[0] == \
+            {"a": 1.5, "n": 4}
+        assert probe({}, 0)[0] == {"a": 1.5, "n": 4}
+        assert probe({"n": 7}, 0)[0] == {"a": 1.5, "n": 7}
+        assert run_scenario("probe-defaults", {"a": 2}, seed=0)[0] == \
+            {"a": 2.0, "n": 4}
+
+    @pytest.mark.parametrize("name", ["mm1", "mmc", "mm1k", "dependability"])
+    def test_theory_reads_the_declared_defaults(self, name):
+        from repro.campaign import SCENARIOS
+
+        declared = SCENARIOS[name].defaults
+        assert declared
+        bare, full = theory_for(name, {}), theory_for(name, declared)
+        assert bare is not None
+        if not isinstance(bare, dict):
+            bare, full = vars(bare), vars(full)
+        assert bare == full
+
+    def test_theory_without_declaration_is_none(self):
+        assert theory_for("quadratic", {}) is None
+        assert theory_for("no-such-scenario", {}) is None
+
+
 class TestMSER5Scenario:
     def test_mm1_mser5_warmup_mode(self):
         from repro.campaign import run_scenario

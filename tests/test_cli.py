@@ -147,6 +147,40 @@ class TestFlows:
                 "preserved"} < set(rows) and len(rows) == 8
 
 
+class TestCampaignErrors:
+    @pytest.mark.parametrize("point", [["--set", "rho=1.5"],
+                                       ["--scenario", "mmc", "--set", "c=0"]])
+    def test_point_outside_its_theory_lists_failed_runs(self, point, capsys):
+        """A point its analytic model rejects gets no verdict: the failed
+        runs are listed and the command exits 1, without a traceback."""
+        assert main(["campaign", *point, "--set", "jobs=3000",
+                     "--runs", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "point 0:" in captured.out and "theory" not in captured.out
+        assert "FAILED run 0" in captured.err
+        assert "Traceback" not in captured.err
+
+    EVOLVE = ["campaign", "--scenario", "quadratic", "--evolve", "--space"]
+
+    @pytest.mark.parametrize("argv, says", [
+        (EVOLVE + ["foo"], "'foo' is not NAME=VALUE"),
+        (EVOLVE + ["x=5:1"], "lo < hi"),
+        (EVOLVE + ["x=0:6", "--population", "1"], "population >= 3"),
+        (EVOLVE + ["x=0:6", "--population", "2"], "population >= 3"),
+        (["campaign", "--runs", "0"], "replications"),
+        (["campaign", "--set", "jobs=3000", "--runs", "2", "--level", "1.5"],
+         "level"),
+        (["validate", "--runs", "2", "--jobs", "3000", "--level", "1.5"],
+         "level"),
+        (["campaign", "--grid", "foo"], "'foo' is not NAME=VALUE"),
+    ])
+    def test_bad_input_is_one_error_line(self, argv, says, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert says in err
+
+
 def test_module_entrypoint_runs():
     import subprocess
     import sys
