@@ -4,49 +4,48 @@
 The taxonomy's top *output analyzer* tier includes "comparison between
 different sets of results, often from different simulation runs".  A single
 seed can flatter either policy; this example replicates the Bricks
-scheduler experiment across seeds and lets a Welch t-test decide whether
-predictive scheduling *really* beats random placement — plus a monitor-level
-diff of one matched pair of runs.
+scheduler experiment as a two-point campaign.  Both points run every
+replication on the same seed (common random numbers), so the paired
+difference predictive − random of each statistic the model's monitor
+collects cancels the noise the two runs share, and the confidence interval
+of the mean response time decides whether predictive scheduling *really*
+beats random placement.
 
 Run:  python examples/run_comparison.py
 """
 
-from repro.analysis import compare_monitors, compare_samples
+from repro.campaign import (CampaignSpec, paired_summaries,
+                            register_scenario, run_campaign)
 from repro.core import Simulator
 from repro.simulators import BricksModel
 
-SEEDS = range(8)
+SEEDS = 8
 
 
-def one_run(scheduler: str, seed: int) -> BricksModel:
-    sim = Simulator(seed=seed)
-    model = BricksModel(sim, n_clients=5, n_servers=3, scheduler=scheduler,
-                        job_rate=0.3, background=0.6)
-    return model.run(horizon=300.0)
+@register_scenario("bricks-comparison", defaults={"scheduler": "random"})
+def bricks_comparison(params: dict, seed: int) -> tuple[dict, dict]:
+    """Every statistic of one Bricks run's monitor, as ``collector.stat``."""
+    model = BricksModel(Simulator(seed=seed), n_clients=5, n_servers=3,
+                        scheduler=params["scheduler"], job_rate=0.3,
+                        background=0.6).run(horizon=300.0)
+    return ({f"{key}.{stat}": value
+             for key, stats in model.monitor.summary().items()
+             for stat, value in stats.items()}, {})
 
 
 def main() -> None:
-    samples = {
-        s: [one_run(s, seed).mean_response_time for seed in SEEDS]
-        for s in ("predictive", "random")
-    }
-    print("mean response times per seed:")
-    for s, xs in samples.items():
-        rendered = ", ".join(f"{x:.2f}" for x in xs)
-        print(f"  {s:<11} [{rendered}]")
-
-    verdict = compare_samples("predictive", samples["predictive"],
-                              "random", samples["random"])
-    print(f"\n{verdict.render()}")
-    assert verdict.winner == "predictive", \
+    spec = CampaignSpec("bricks-comparison",
+                        grid={"scheduler": ["predictive", "random"]},
+                        replications=SEEDS)
+    result = run_campaign(spec, workers=1)
+    paired = paired_summaries(*([r for r in result.records if r.point == p]
+                                for p in (0, 1)))
+    print(f"predictive - random, paired over {SEEDS} seeds (95% CI):")
+    for name, diff in sorted(paired.items()):
+        print(f"  {name:<30} {diff.mean:>+9.3f}  "
+              f"[{diff.lo:>+9.3f}, {diff.hi:>+9.3f}]")
+    assert paired["tally.response_time.mean"].hi < 0, \
         "prediction should win significantly across seeds"
-
-    print("\nmonitor diff for one matched pair (seed 0):")
-    a = one_run("predictive", 0)
-    b = one_run("random", 0)
-    for line in compare_monitors(a.monitor, b.monitor,
-                                 "predictive", "random"):
-        print(line)
 
 
 if __name__ == "__main__":

@@ -13,8 +13,9 @@ turns one scenario into a campaign:
   and results reassembled in matrix order so parallel output is
   byte-identical to serial;
 * **stats** (:mod:`repro.campaign.stats`) — cross-run means, variances,
-  Student-t confidence intervals, MSER-5 warm-up truncation, and
-  CI-contains-theory verdicts feeding :mod:`repro.validation`;
+  Student-t confidence intervals, paired differences between two grid
+  points, MSER-5 warm-up truncation, and CI-contains-theory verdicts
+  feeding :mod:`repro.validation`;
 * **telemetry** (:mod:`repro.campaign.telemetry`) — fleet rollups of the
   per-run observability every record ships home: per-worker and per-point
   rates, merged metrics registries, slowest runs, incident counters;
@@ -30,8 +31,8 @@ from .search import (Axis, EvolutionResult, evaluate_objective, evolve,
                      parse_space)
 from .spec import CampaignSpec, RunSpec, describe_params, point_key
 from .runner import CampaignResult, RunRecord, run_campaign, run_specs
-from .stats import (MetricSummary, coverage_verdict, mser5, summarize,
-                    summarize_points, t_quantile)
+from .stats import (MetricSummary, coverage_verdict, mser5,
+                    paired_summaries, summarize, summarize_points, t_quantile)
 from .telemetry import CampaignTelemetry, aggregate_telemetry
 
 __all__ = [
@@ -52,6 +53,7 @@ __all__ = [
     "MetricSummary",
     "summarize",
     "summarize_points",
+    "paired_summaries",
     "mser5",
     "t_quantile",
     "coverage_verdict",

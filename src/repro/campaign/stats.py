@@ -12,6 +12,9 @@ to the statistics that give theory comparisons teeth:
 * :func:`mser5` — White's MSER-5 warm-up truncation: delete the initial
   transient that biases steady-state estimators, chosen as the truncation
   point minimizing the standard error of the remaining batch means;
+* :func:`paired_summaries` — the same reduction of the per-replication
+  differences between two grid points, which share each replication's seed
+  (common random numbers): the one way two sets of results are compared;
 * :func:`coverage_verdict` — does the CI contain the analytic value?  The
   campaign upgrade of ``repro validate``'s point-tolerance check.
 """
@@ -25,8 +28,8 @@ from typing import Iterable, Mapping, Sequence
 from ..core.errors import ConfigurationError
 from ..core.student_t import t_ppf as t_quantile  # the one Monitor CIs use
 
-__all__ = ["MetricSummary", "summarize", "summarize_points", "mser5",
-           "t_quantile", "coverage_verdict"]
+__all__ = ["MetricSummary", "summarize", "summarize_points",
+           "paired_summaries", "mser5", "t_quantile", "coverage_verdict"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,19 +80,54 @@ def summarize(records: Iterable, metrics: Sequence[str] | None = None,
     excluded.  With ``metrics=None`` every numeric key present in the first
     successful record is summarized.
     """
+    return _reduce([r.metrics for r in records
+                    if getattr(r, "status", "ok") == "ok"], metrics, level)
+
+
+def paired_summaries(a: Iterable, b: Iterable,
+                     metrics: Sequence[str] | None = None,
+                     level: float = 0.95) -> dict[str, MetricSummary]:
+    """Per-metric summaries of the paired differences ``a − b``.
+
+    *a* and *b* are the records of two grid points.  Records pair by
+    ``replication``, and a pair counts only when both of its runs are
+    ``ok``.  The two runs of a pair must share a seed — that is what makes
+    their difference free of the noise they have in common — else
+    :class:`ConfigurationError`.  *metrics* and *level* mean what they mean
+    in :func:`summarize`.
+    """
+    partner = {r.replication: r for r in b}
+    rows = []
+    for ra in a:
+        rb = partner.get(ra.replication)
+        if rb is None:
+            continue
+        if ra.seed != rb.seed:
+            raise ConfigurationError(
+                f"replication {ra.replication} ran on seeds {ra.seed} and "
+                f"{rb.seed}: the pair shares no random numbers")
+        if ra.status == rb.status == "ok":
+            rows.append({m: float(v) - float(rb.metrics[m])
+                         for m, v in ra.metrics.items()
+                         if m in rb.metrics and _numeric(v)})
+    return _reduce(rows, metrics, level)
+
+
+def _numeric(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _reduce(rows: list[dict], metrics: Sequence[str] | None,
+            level: float) -> dict[str, MetricSummary]:
+    """Summaries of the metric dicts *rows*, one per named metric."""
     if not 0 < level < 1:
         raise ConfigurationError(f"CI level must be in (0,1), got {level}")
-    ok = [r for r in records if getattr(r, "status", "ok") == "ok"]
-    if not ok:
+    if not rows:
         return {}
     if metrics is None:
-        metrics = [k for k, v in ok[0].metrics.items()
-                   if isinstance(v, (int, float)) and not isinstance(v, bool)]
-    out: dict[str, MetricSummary] = {}
-    for m in metrics:
-        values = [float(r.metrics[m]) for r in ok if m in r.metrics]
-        out[m] = _summary(m, values, level)
-    return out
+        metrics = [k for k, v in rows[0].items() if _numeric(v)]
+    return {m: _summary(m, [float(row[m]) for row in rows if m in row], level)
+            for m in metrics}
 
 
 def summarize_points(records: Iterable, metrics: Sequence[str] | None = None,

@@ -448,7 +448,7 @@ def _parse_assignments(entries, split_values: bool) -> dict:
 
 def _cmd_campaign(args) -> int:
     from .campaign import (CampaignSpec, coverage_verdict, parse_space,
-                           evolve, run_campaign, theory_for)
+                           evolve, paired_summaries, run_campaign, theory_for)
 
     base = _parse_assignments(args.base, split_values=False)
     if args.evolve:
@@ -475,17 +475,24 @@ def _cmd_campaign(args) -> int:
                           recorder_dir=args.recorder_dir,
                           progress=lambda line: print(line, file=sys.stderr))
     metrics = args.metrics.split(",") if args.metrics else None
+    reported = {m for r in result.records if r.status == "ok"
+                for m in r.metrics}
+    unknown = [m for m in metrics or () if m not in reported]
+    if reported and unknown:
+        raise ConfigurationError(
+            f"no run reported metric(s) {', '.join(unknown)}; the runs "
+            f"reported {', '.join(sorted(reported))}")
     points = spec.points()
+    labels = [", ".join(f"{k}={v}" for k, v in sorted(params.items()))
+              for params in points]
     print(f"campaign: {args.scenario}  {len(points)} point(s) x {args.runs} "
           f"rep(s) = {len(result.records)} runs  "
           f"({result.workers} worker(s), {result.wall_seconds:.2f}s wall, "
           f"{result.n_ok} ok, {result.timeouts} timeouts)")
     for point, summaries in result.point_summaries(metrics,
                                                    args.level).items():
-        params = points[point]
-        label = ", ".join(f"{k}={v}" for k, v in sorted(params.items()))
-        print(f"  point {point}: {label}")
-        theory = theory_for(args.scenario, params)
+        print(f"  point {point}: {labels[point]}")
+        theory = theory_for(args.scenario, points[point])
         verdict = coverage_verdict(summaries, theory) if theory else {}
         for name in sorted(summaries):
             s = summaries[name]
@@ -497,6 +504,17 @@ def _cmd_campaign(args) -> int:
                          f"{verdict[name]['theory']:.4g} "
                          + ("ok" if verdict[name]["contains"] else "MISS"))
             print(line)
+    if len(points) == 2:
+        print(f"  paired a - b on common random numbers: a = point 0 "
+              f"({labels[0]}), b = point 1 ({labels[1]})")
+        a, b = ([r for r in result.records if r.point == p] for p in (0, 1))
+        paired = paired_summaries(a, b, metrics, args.level)
+        for name in sorted(paired):
+            s = paired[name]
+            verdict = ("a < b" if s.hi < 0 else "a > b" if s.lo > 0
+                       else "not resolved")
+            print(f"    {name:<14} point 0 - point 1 {s.mean:>+10.4g}  "
+                  f"[{s.lo:>10.4g}, {s.hi:>10.4g}] n={s.n}  {verdict}")
     for rec in result.failures:
         first_line = (rec.error or "").strip().splitlines()
         print(f"  FAILED run {rec.index} ({rec.status}, "

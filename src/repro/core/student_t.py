@@ -1,7 +1,8 @@
-"""Student-t tail probability and quantile on the standard library alone.
+"""The Student-t quantile on the standard library alone.
 
-Both are the regularised incomplete beta function, whose continued fraction
-``cf(a, b, z)`` is Gauss's for ₂F₁(a+b, 1; a+1; z).  With ``u = t²/df``::
+Its two masses are the regularised incomplete beta function, whose
+continued fraction ``cf(a, b, z)`` is Gauss's for ₂F₁(a+b, 1; a+1; z).  With
+``u = t²/df``::
 
     P(0 < T < t) = ½ I_y(½, df/2) = t · pdf(t) · cf(½, df/2, y),   y = u/(1+u)
     P(T > t)     = ½ I_x(df/2, ½) = pdf(t) · (1+u)/t · cf(df/2, ½ - df/2, -1/u)
@@ -20,7 +21,7 @@ from statistics import NormalDist
 
 from .errors import ConfigurationError
 
-__all__ = ["t_sf", "t_ppf"]
+__all__ = ["t_ppf"]
 
 _TINY = 1e-300  # stands in for an exact zero in the Lentz recurrences
 
@@ -54,17 +55,6 @@ def _mass(t: float, df: float) -> tuple[bool, float, float]:
     if 1.0 / (1.0 + u) < (a + 1.0) / (a + 2.5):
         return True, pdf * (1.0 + u) / t * _betacf(a, 0.5 - a, -1.0 / u), pdf
     return False, t * pdf * _betacf(0.5, a, u / (1.0 + u)), pdf
-
-
-def t_sf(t: float, df: float) -> float:
-    """Survival function ``P(T > t)`` of Student's t with *df* degrees."""
-    if not df >= 1:
-        raise ConfigurationError(f"Student-t needs df >= 1, got {df}")
-    if t == 0:
-        return 0.5
-    is_tail, mass, _ = _mass(abs(t), df)
-    upper = mass if is_tail else 0.5 - mass
-    return upper if t > 0 else 1.0 - upper
 
 
 def t_ppf(p: float, df: float) -> float:

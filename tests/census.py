@@ -1,8 +1,9 @@
 """Reachability census: the functions under ``src/repro`` that nothing calls.
 
 Drives every example, one CLI invocation per sub-command (or flag group),
-each ``bench/`` workload at a small scale and the ``benchmarks/`` E-scripts
-under pytest, all in one process under ``sys.setprofile``; then lists every
+each ``bench/`` workload at a small scale, and the ``benchmarks/`` E-scripts
+and the E-claims moved into tier-1 (``tests/test_e11_bricks.py``) under
+pytest, all in one process under ``sys.setprofile``; then lists every
 ``def`` under ``src/repro`` whose code object never ran.  Frames in campaign
 pool workers are invisible to the profiler, so the runner's worker-only
 functions are listed apart.  The last line is the never-called count.
@@ -114,7 +115,8 @@ def drive() -> None:
     log = io.StringIO()
     with contextlib.redirect_stdout(log):
         rc = pytest.main(["-q", "-p", "no:cacheprovider",
-                          "--benchmark-disable", "benchmarks"])
+                          "--benchmark-disable", "benchmarks",
+                          "tests/test_e11_bricks.py"])
     failed = [ln for ln in log.getvalue().splitlines()
               if ln.startswith("FAILED")]
     print(f"benchmarks/ E-scripts: pytest exit {rc}", *failed, sep="\n",

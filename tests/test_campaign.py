@@ -10,11 +10,13 @@ import pytest
 from repro.campaign import (
     Axis,
     CampaignSpec,
+    RunRecord,
     RunSpec,
     coverage_verdict,
     evaluate_objective,
     evolve,
     mser5,
+    paired_summaries,
     parse_space,
     register_scenario,
     run_campaign,
@@ -294,6 +296,79 @@ class TestStats:
         assert set(verdict) == {"W", "L"}
         assert verdict["W"]["theory"] == pytest.approx(2.0)
         assert {"lo", "hi", "contains", "mean", "n"} <= set(verdict["W"])
+
+
+def paired_records(values, point, seeds=None, failed=()):
+    """One record per value of metric ``m``, replication i on seed i."""
+    seeds = seeds or range(len(values))
+    return [RunRecord(index=i, scenario="t", params=(), point=point,
+                      replication=i, seed=seed, metrics={"m": v},
+                      status="failed" if i in failed else "ok")
+            for i, (v, seed) in enumerate(zip(values, seeds))]
+
+
+class TestPairedSummaries:
+    A = [2.1, 3.4, 1.9, 5.0, 4.2, 3.3]
+    B = [1.7, 3.9, 0.8, 4.1, 4.0, 2.2]
+
+    def test_ci_matches_scipy_ttest_rel(self):
+        stats = pytest.importorskip("scipy.stats")
+        for level in (0.9, 0.95):
+            d = paired_summaries(paired_records(self.A, 0),
+                                 paired_records(self.B, 1),
+                                 level=level)["m"]
+            ref = stats.ttest_rel(self.A, self.B).confidence_interval(level)
+            assert d.n == 6
+            assert d.lo == pytest.approx(float(ref.low), rel=1e-10)
+            assert d.hi == pytest.approx(float(ref.high), rel=1e-10)
+
+    def test_failed_run_drops_only_its_pair(self):
+        d = paired_summaries(paired_records(self.A, 0),
+                             paired_records(self.B, 1, failed={2}))["m"]
+        diffs = [a - b for i, (a, b) in enumerate(zip(self.A, self.B))
+                 if i != 2]
+        assert d.n == 5
+        assert d.mean == pytest.approx(sum(diffs) / 5)
+
+    def test_pair_on_different_seeds_raises(self):
+        with pytest.raises(ConfigurationError, match="replication 1"):
+            paired_summaries(paired_records(self.A, 0),
+                             paired_records(self.B, 1, seeds=[0, 9, 2, 3,
+                                                              4, 5]))
+
+    def test_grid_points_share_seeds(self):
+        result = run_campaign(tiny_mm1_spec(grid={"rho": [0.3, 0.6]}),
+                              workers=1)
+        a, b = ([r for r in result.records if r.point == p] for p in (0, 1))
+        d = paired_summaries(a, b, ["W"])["W"]
+        assert d.n == 3 and d.hi < 0  # lighter load, shorter waits
+
+    @pytest.mark.parametrize("grid, verdicts", [
+        ("x=1,5", {"x": "a < b", "y": "not resolved"}),
+        ("x=1,4", {"x": "a < b", "y": "a > b"}),
+    ])
+    def test_cli_prints_paired_verdicts(self, grid, verdicts, capsys):
+        """y = (x-3)² + noise: equal at x=1 and x=5 under common random
+        numbers, so every difference is exactly 0."""
+        from repro.cli import main
+
+        assert main(["campaign", "--scenario", "quadratic", "--grid", grid,
+                     "--runs", "3"]) == 0
+        out = capsys.readouterr().out.split("  paired a - b")[1]
+        assert out.startswith(" on common random numbers: a = point 0 (x=1)")
+        lines = {ln.split()[0]: ln for ln in out.splitlines()[1:]}
+        assert set(lines) == set(verdicts)
+        for name, verdict in verdicts.items():
+            assert "point 0 - point 1" in lines[name]
+            assert lines[name].endswith(f"n=3  {verdict}")
+
+    @pytest.mark.parametrize("grid", [[], ["--grid", "x=1,4,5"]])
+    def test_cli_pairs_only_two_points(self, grid, capsys):
+        from repro.cli import main
+
+        assert main(["campaign", "--scenario", "quadratic", *grid,
+                     "--runs", "3"]) == 0
+        assert "paired" not in capsys.readouterr().out
 
 
 class TestMM1KTheory:

@@ -149,7 +149,8 @@ class TestFlows:
 
 class TestCampaignErrors:
     @pytest.mark.parametrize("point", [["--set", "rho=1.5"],
-                                       ["--scenario", "mmc", "--set", "c=0"]])
+                                       ["--scenario", "mmc", "--set", "c=0"],
+                                       ["--set", "rho=1.5", "--metrics", "no"]])
     def test_point_outside_its_theory_lists_failed_runs(self, point, capsys):
         """A point its analytic model rejects gets no verdict: the failed
         runs are listed and the command exits 1, without a traceback."""
@@ -173,6 +174,8 @@ class TestCampaignErrors:
         (["validate", "--runs", "2", "--jobs", "3000", "--level", "1.5"],
          "level"),
         (["campaign", "--grid", "foo"], "'foo' is not NAME=VALUE"),
+        (["campaign", "--scenario", "quadratic", "--metrics", "nope",
+          "--runs", "2"], "metric(s) nope; the runs reported x, y"),
     ])
     def test_bad_input_is_one_error_line(self, argv, says, capsys):
         assert main(argv) == 2

@@ -20,8 +20,8 @@ SCRIPT = """
 import sys
 sys.modules["scipy"] = sys.modules["networkx"] = None
 
-import repro, repro.cli, repro.simulators, repro.campaign, repro.analysis
-from repro.campaign import summarize
+import repro, repro.cli, repro.simulators, repro.campaign
+from repro.campaign import paired_summaries, summarize
 from repro.core import Simulator
 from repro.network import FlowNetwork, dumbbell
 from repro.validation import simulate_mm1
@@ -47,12 +47,15 @@ assert [f.failed for f in flows] == [True, True, True, False]
 
 class Rec:
     status = "ok"
-    def __init__(self, v):
+    def __init__(self, v, replication=0):
         self.metrics = {"m": v}
+        self.replication = self.seed = replication
 
 m = summarize([Rec(v) for v in (1.0, 2.0, 4.0, 3.0, 2.5)], ["m"])["m"]
 assert abs(m.halfwidth - 1.3882226) < 1e-6  # t(0.975, 4) * sqrt(1.25 / 5)
-assert repro.analysis.welch_t([1.0, 2.0, 3.0], [2.0, 4.0, 7.0])[1] < 1
+d = paired_summaries([Rec(v, i) for i, v in enumerate((1.0, 2.0, 3.0))],
+                     [Rec(v, i) for i, v in enumerate((2.0, 3.5, 4.0))])["m"]
+assert d.hi < 0  # differences -1, -1.5, -1
 print("ok")
 """
 
