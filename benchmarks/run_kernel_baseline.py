@@ -1,31 +1,16 @@
 #!/usr/bin/env python
 """Refresh the legacy E-section perf baseline (``BENCH_kernel.json``).
 
-Usage::
+    PYTHONPATH=src python benchmarks/run_kernel_baseline.py    # full
+    python benchmarks/run_kernel_baseline.py --smoke           # CI
+    python benchmarks/run_kernel_baseline.py --section e7 --out /tmp/b.json
 
-    PYTHONPATH=src python benchmarks/run_kernel_baseline.py            # full
-    python benchmarks/run_kernel_baseline.py --smoke                   # CI
-    python benchmarks/run_kernel_baseline.py --repeats 5 --out /tmp/b.json
-    python benchmarks/run_kernel_baseline.py --section e7              # E7 only
-
-The full run refreshes every section and writes the JSON baseline at the
-repo root.  ``--smoke`` shrinks the workloads and skips the timing floors so
-the harness can run on noisy CI machines without flaking.  (The kernel
-itself — event list and dispatch loop — is tracked by ``bench/``'s
-``timer_storm`` / ``timeout_churn`` workloads, not here.)
-
-``--section`` selects what to refresh:
-``e7`` (the executor comparison from ``bench_e7_committed.py``, merged as
-the ``e7_executors`` key), ``e8`` (the incremental bandwidth-sharing
-comparison from ``bench_flow_sharing.py``, merged as ``e8_flow_sharing``),
-``e9`` (the million-entity adaptive-queue scenario from
-``bench_e9_million.py``, merged as ``e9_million_entity``), ``e10`` (the
-campaign process-pool fan-out from ``bench_e10_campaign.py``, merged as
-``e10_campaign``), ``e11`` (the fleet-observability overhead sweep from
-``bench_e11_obs_fleet.py``, merged as ``e11_obs_fleet``), ``e12`` (the
-correlated-fault dependability gates from ``bench_e12_dependability.py``,
-merged as ``e12_dependability``), or ``all``.  A partial refresh merges
-into the existing baseline file instead of overwriting the other sections.
+``--section`` refreshes one section (``e7`` … ``e11``, each from the
+``bench_*.py`` collector imported below) or ``all``; a partial refresh
+merges into the existing file.  ``--smoke`` shrinks the workloads and
+skips the timing floors so CI machines can run it without flaking.  The
+kernel itself — event list and dispatch loop — is tracked by ``bench/``'s
+``timer_storm`` / ``timeout_churn`` workloads, not here.
 """
 
 from __future__ import annotations
@@ -48,7 +33,6 @@ from bench_e7_committed import collect_e7  # noqa: E402
 from bench_e9_million import collect_e9  # noqa: E402
 from bench_e10_campaign import collect_e10  # noqa: E402
 from bench_e11_obs_fleet import E11_BUDGETS_PCT, collect_e11  # noqa: E402
-from bench_e12_dependability import collect_e12  # noqa: E402
 from bench_flow_sharing import collect_e8  # noqa: E402
 
 #: E8 acceptance floor: the incremental sharing engine must cut
@@ -82,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--smoke", action="store_true",
                     help="tiny workloads, no timing floors (CI smoke)")
     ap.add_argument("--section",
-                    choices=("all", "e7", "e8", "e9", "e10", "e11", "e12"),
+                    choices=("all", "e7", "e8", "e9", "e10", "e11"),
                     default="all",
                     help="which baseline section(s) to refresh; partial "
                          "refreshes merge into the existing file")
@@ -125,11 +109,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.section in ("all", "e11"):
         baseline["e11_obs_fleet"] = collect_e11(repeats=repeats, scale=scale)
-
-    if args.section in ("all", "e12"):
-        # Kept full-size under --smoke: the 30-replication floor is part
-        # of the acceptance criteria and the whole section runs in seconds.
-        baseline["e12_dependability"] = collect_e12()
 
     baseline["created"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     baseline["python"] = platform.python_version()
@@ -198,23 +177,6 @@ def main(argv: list[str] | None = None) -> int:
               f"{e10['jobs_per_run']} jobs, {e10['cpu_count']} cpu(s); "
               f"byte-identical records: {e10['all_identical']}")
 
-    if "e12_dependability" in baseline:
-        e12 = baseline["e12_dependability"]
-        avail = e12["availability"]
-        churn = e12["fault_churn"]
-        print(f"e12: {e12['runs']} x dependability "
-              f"(sites={e12['sites']}, mtbf={e12['mtbf']}, "
-              f"mttr={e12['mttr']}) — serial "
-              f"{e12['serial_wall_seconds']:.2f}s, "
-              f"{e12['pool_workers']}w {e12['pooled_wall_seconds']:.2f}s, "
-              f"identical: {e12['identical']}")
-        print(f"     availability CI [{avail['ci_lo']:.5f}, "
-              f"{avail['ci_hi']:.5f}] vs theory {avail['theory']:.5f} "
-              f"-> contains: {avail['ci_contains_theory']}; churn gap "
-              f"{churn['differential_gap']:.3f} <= "
-              f"{churn['differential_bound']:.3f}: "
-              f"{churn['differential_ok']}")
-
     if "e11_obs_fleet" in baseline:
         e11 = baseline["e11_obs_fleet"]
         hdr = f"{'mode':<10} {'ev/s':>12} {'overhead':>9} {'budget':>8}"
@@ -245,25 +207,6 @@ def main(argv: list[str] | None = None) -> int:
                           f"{over:+.2f}% exceeds the {budget}% budget — "
                           f"the metrics hot path regressed", file=sys.stderr)
                     return 1
-
-    if args.section in ("all", "e12") and "e12_dependability" in baseline:
-        e12 = baseline["e12_dependability"]
-        if not e12["identical"]:
-            print("FAIL: dependability campaign records diverged between "
-                  "serial and parallel execution — fault injection broke "
-                  "run determinism", file=sys.stderr)
-            return 1
-        if not e12["availability"]["ci_contains_theory"]:
-            print("FAIL: measured availability CI excludes the analytic "
-                  "mtbf/(mtbf+mttr) — the fault clocks or injector "
-                  "regressed", file=sys.stderr)
-            return 1
-        if not e12["fault_churn"]["differential_ok"]:
-            print("FAIL: fault-churn workload disagrees with its static "
-                  "analytic twin beyond the phase bound — the failure "
-                  "path (eviction/checkpoint/retry) regressed",
-                  file=sys.stderr)
-            return 1
 
     if args.section in ("all", "e10") and "e10_campaign" in baseline:
         e10 = baseline["e10_campaign"]

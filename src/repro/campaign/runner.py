@@ -292,12 +292,13 @@ def run_specs(runs: Sequence[RunSpec], workers: int = 1,
               recorder_dir: str | None = None) -> CampaignResult:
     """Execute an explicit list of runs; records come back in run order.
 
-    ``workers <= 1`` runs everything in-process (no pool, no pickling) —
-    that is both the speedup baseline and the determinism reference.
-    Per-run ``timeout`` applies only under the pool (a serial run cannot
-    be preempted); ``retries`` is the number of *extra* attempts granted
-    to a run that failed, timed out, or lost its worker; ``chunksize``
-    bounds how many runs may be queued ahead at each worker.
+    ``workers <= 1`` without a ``timeout`` runs everything in-process (no
+    pool, no pickling) — that is both the speedup baseline and the
+    determinism reference.  A per-run ``timeout`` needs a process to kill,
+    so with one set even a single worker runs under the pool.  ``retries``
+    is the number of *extra* attempts granted to a run that failed, timed
+    out, or lost its worker; ``chunksize`` bounds how many runs may be
+    queued ahead at each worker.
 
     Observability knobs: ``heartbeat`` makes each run emit telemetry
     progress lines every that many wall seconds *and* (under the pool)
@@ -319,7 +320,7 @@ def run_specs(runs: Sequence[RunSpec], workers: int = 1,
     incidents = dict.fromkeys(
         ("timeouts", "retries_used", "worker_deaths", "stalls"), 0)
     workers = max(1, min(workers, len(runs)))
-    if workers == 1:
+    if workers == 1 and timeout is None:
         records = [_execute(s, 1, -1, heartbeat, recorder_dir) for s in runs]
     else:
         records = _run_pool(runs, workers, timeout, retries, chunksize,

@@ -160,8 +160,8 @@ def _observed_queue_run(simulate, params: dict, seed: int,
         stats = simulate(n_jobs=n_jobs, warmup=int(warmup), seed=seed,
                          obs=obs, **model)
         metrics = stats.to_dict()
-    sim = obs.bindings[0].sim if obs.bindings else None
-    telemetry = obs.telemetry.snapshot(sim) if obs.telemetry is not None else {}
+    telemetry = (obs.telemetry.snapshot(obs.sim)
+                 if obs.telemetry is not None else {})
     return metrics, telemetry
 
 
@@ -184,7 +184,7 @@ def mm1_scenario(params: dict, seed: int) -> tuple[dict, dict]:
 
     rho, mu = params["rho"], params["mu"]
     if not 0 < rho < 1:
-        raise ConfigurationError(f"mm1 rho must be in (0,1), got {rho}")
+        raise ConfigurationError(f"mm1 needs rho in (0,1), got rho={rho}")
     return _observed_queue_run(simulate_mm1, params, seed, lam=rho * mu,
                                mu=mu)
 
@@ -198,7 +198,8 @@ def mmc_scenario(params: dict, seed: int) -> tuple[dict, dict]:
 
     rho, c, mu = params["rho"], params["c"], params["mu"]
     if not 0 < rho < 1 or c < 1:
-        raise ConfigurationError(f"mmc needs rho in (0,1) and c >= 1")
+        raise ConfigurationError(
+            f"mmc needs rho in (0,1) and c >= 1, got rho={rho}, c={c}")
     metrics, telemetry = _observed_queue_run(
         simulate_mmc, params, seed, lam=rho * c * mu, mu=mu, c=c)
     metrics["servers"] = c

@@ -161,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cp.add_argument("--level", type=float, default=0.95,
                       help="confidence level for the cross-run intervals")
     p_cp.add_argument("--timeout", type=float, default=None,
-                      help="per-run wall timeout in seconds (pool only)")
+                      help="per-run wall timeout in seconds (runs go to "
+                           "worker processes, even with --workers 1)")
     p_cp.add_argument("--retries", type=int, default=1,
                       help="extra attempts for failed/hung runs")
     p_cp.add_argument("--heartbeat", type=float, default=None, metavar="SECS",
@@ -310,8 +311,8 @@ def _validate_ensemble(args, model) -> bool:
 def _emit_obs(obs, trace: str | None, profile: bool, top: int) -> None:
     """Shared tail for observed commands: hot spots, telemetry, trace file."""
     if profile:
-        sim = obs.bindings[0].sim if obs.bindings else None
-        snap = obs.telemetry.snapshot(sim) if obs.telemetry is not None else {}
+        snap = (obs.telemetry.snapshot(obs.sim)
+                if obs.telemetry is not None else {})
         print("\nHandler hot spots (wall time):")
         print(obs.profile_table(top=top))
         if snap:

@@ -3,8 +3,9 @@
 The expensive end of the taxonomy's *granularity* axis: every packet is
 individually serialized onto each link of its route ("model in detail the
 flow of each packet through the network, a time consuming operation that
-leads to better output results").  Benchmark ``bench_network_granularity``
-quantifies the cost against :mod:`repro.network.flow` on the same workload.
+leads to better output results").  The granularity ablation
+(``tests/test_ablation_network_granularity.py``) sets its cost against
+:mod:`repro.network.flow` on the same workload.
 
 Per-hop behaviour:
 

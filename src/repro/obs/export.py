@@ -33,8 +33,9 @@ __all__ = ["chrome_trace", "write_chrome_trace", "profile_markdown",
 _PID = 1  # one simulated "process"; tracks are threads beneath it
 
 
-def chrome_trace(tracer: Tracer, telemetry: Telemetry | None = None) -> dict:
-    """Build the Chrome trace-event JSON object for *tracer*'s records."""
+def chrome_trace(tracer: Tracer, telemetry: dict | None = None) -> dict:
+    """Build the Chrome trace-event JSON object for *tracer*'s records;
+    *telemetry*, a ``Telemetry.snapshot`` dict, fills ``otherData``."""
     tracer.finalize()
     epoch = tracer.epoch_ns
     events: list[dict] = [{
@@ -105,13 +106,13 @@ def chrome_trace(tracer: Tracer, telemetry: Telemetry | None = None) -> dict:
 
     meta: dict[str, Any] = {"tracer": tracer.counts()}
     if telemetry is not None:
-        meta["telemetry"] = telemetry.snapshot()
+        meta["telemetry"] = telemetry
     return {"traceEvents": events, "displayTimeUnit": "ms",
             "otherData": meta}
 
 
 def write_chrome_trace(tracer: Tracer, fp: IO[str],
-                       telemetry: Telemetry | None = None) -> int:
+                       telemetry: dict | None = None) -> int:
     """Serialize the Chrome trace to an open text file; returns event count."""
     payload = chrome_trace(tracer, telemetry)
     json.dump(payload, fp)

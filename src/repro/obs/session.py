@@ -359,6 +359,17 @@ class Observation:
             queue.on_migrate = binding.on_queue_migrate
         return self
 
+    @property
+    def sim(self) -> Any:
+        """The first simulator still observed (``None`` once detached)."""
+        return self.bindings[0].sim if self.bindings else None
+
+    def _telemetry_snapshot(self) -> dict | None:
+        """Telemetry read against the observed clock (``None`` if off)."""
+        if self.telemetry is None:
+            return None
+        return self.telemetry.snapshot(self.sim)
+
     def attach_lps(self, lps) -> "Observation":
         """Observe every logical process, one track per LP name."""
         for lp in lps:
@@ -389,14 +400,15 @@ class Observation:
         """The Chrome trace-event object (requires ``trace=True``)."""
         if self.tracer is None:
             raise ValueError("tracing was not enabled on this Observation")
-        return chrome_trace(self.tracer, self.telemetry)
+        return chrome_trace(self.tracer, self._telemetry_snapshot())
 
     def export_chrome(self, path) -> int:
         """Write the Perfetto-loadable trace JSON; returns event count."""
         if self.tracer is None:
             raise ValueError("tracing was not enabled on this Observation")
         with open(path, "w") as fp:
-            return write_chrome_trace(self.tracer, fp, self.telemetry)
+            return write_chrome_trace(self.tracer, fp,
+                                      self._telemetry_snapshot())
 
     def profile_table(self, top: int = 15) -> str:
         """Markdown hot-spot table (requires ``profile=True``)."""
@@ -406,9 +418,8 @@ class Observation:
 
     def metrics_csv(self, sim: Any = None) -> str:
         """Telemetry + profile rows as CSV text."""
-        if sim is None and self.bindings:
-            sim = self.bindings[0].sim
-        return metrics_csv(self.profiler, self.telemetry, sim)
+        return metrics_csv(self.profiler, self.telemetry,
+                           self.sim if sim is None else sim)
 
     def prometheus_text(self) -> str:
         """Metrics registry in Prometheus exposition format."""
@@ -426,8 +437,7 @@ class Observation:
                               "firings": self.profiler.firings,
                               "total_ms": self.profiler.total_ns / 1e6}
         if self.telemetry is not None:
-            sim = self.bindings[0].sim if self.bindings else None
-            out["telemetry"] = self.telemetry.snapshot(sim)
+            out["telemetry"] = self._telemetry_snapshot()
         if self.metrics is not None:
             out["metrics"] = {"instruments": len(self.metrics)}
         if self.recorder is not None:

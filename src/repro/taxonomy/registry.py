@@ -2,7 +2,8 @@
 
 Every axis choice is justified by a quote or paraphrase from the paper,
 carried in each record's ``notes`` — the registry *is* Table 1, with
-provenance.  ``bench_table1`` renders it and asserts the prose claims.
+provenance.  ``tests/test_taxonomy.py`` renders it and asserts the prose
+claims.
 """
 
 from __future__ import annotations

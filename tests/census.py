@@ -1,9 +1,10 @@
 """Reachability census: the functions under ``src/repro`` that nothing calls.
 
 Drives every example, one CLI invocation per sub-command (or flag group),
-each ``bench/`` workload at a small scale, and the ``benchmarks/`` E-scripts
-and the E-claims moved into tier-1 (``tests/test_e11_bricks.py``) under
-pytest, all in one process under ``sys.setprofile``; then lists every
+each ``bench/`` workload at a small scale, and under pytest the
+``benchmarks/`` E-scripts and the E-claims that gate in tier-1
+(``tests/test_e[0-9]*.py`` and ``tests/test_ablation_*.py``), all in one
+process under ``sys.setprofile``; then lists every
 ``def`` under ``src/repro`` whose code object never ran.  Frames in campaign
 pool workers are invisible to the profiler, so the runner's worker-only
 functions are listed apart.  The last line is the never-called count.
@@ -112,14 +113,16 @@ def drive() -> None:
     # Timing off: pytest-benchmark's timed rounds drop the profile hook.
     # A failure is reported, not fatal: the hook skews the wall-clock
     # shape claims of some E-scripts.
+    tests = ROOT / "tests"
+    claims = sorted(map(str, [*tests.glob("test_e[0-9]*.py"),
+                              *tests.glob("test_ablation_*.py")]))
     log = io.StringIO()
     with contextlib.redirect_stdout(log):
         rc = pytest.main(["-q", "-p", "no:cacheprovider",
-                          "--benchmark-disable", "benchmarks",
-                          "tests/test_e11_bricks.py"])
+                          "--benchmark-disable", "benchmarks", *claims])
     failed = [ln for ln in log.getvalue().splitlines()
               if ln.startswith("FAILED")]
-    print(f"benchmarks/ E-scripts: pytest exit {rc}", *failed, sep="\n",
+    print(f"E-claims: pytest exit {rc}", *failed, sep="\n",
           file=sys.stderr)
 
 

@@ -109,6 +109,13 @@ class TestRunnerDeterminism:
         assert "wall_seconds" not in rec.canonical()
 
 
+@register_scenario("hang-on-flag")
+def hang_on_flag(params, seed):
+    if params.get("flag"):
+        time.sleep(60)
+    return ({"v": 1.0}, {})
+
+
 class TestRunnerFailurePaths:
     def test_failed_scenario_retried_then_reported(self):
         @register_scenario("always-boom")
@@ -136,12 +143,6 @@ class TestRunnerFailurePaths:
         assert result.n_ok == 2
 
     def test_timeout_kills_and_records(self):
-        @register_scenario("hang-on-flag")
-        def hang_on_flag(params, seed):
-            if params.get("flag"):
-                time.sleep(60)
-            return ({"v": 1.0}, {})
-
         spec = CampaignSpec("hang-on-flag", grid={"flag": [0, 1]},
                             replications=1, root_seed=0)
         t0 = time.perf_counter()
@@ -151,6 +152,17 @@ class TestRunnerFailurePaths:
         assert statuses == {0: "ok", 1: "timeout"}
         assert result.timeouts == 1
         assert wall < 30.0  # killed, not joined for the full sleep
+
+    def test_timeout_holds_with_one_worker(self):
+        """A timeout sends even a one-worker campaign to the pool: an
+        in-process run could not be stopped."""
+        spec = CampaignSpec("hang-on-flag", grid={"flag": [0, 1]},
+                            replications=1, root_seed=0)
+        t0 = time.perf_counter()
+        result = run_campaign(spec, workers=1, timeout=0.5, retries=0)
+        assert time.perf_counter() - t0 < 30.0
+        assert [r.status for r in result.records] == ["ok", "timeout"]
+        assert result.timeouts == 1
 
     def test_all_runs_timeout_without_retries_still_finishes(self):
         """Regression: a terminal give-up must refill the dispatch window

@@ -153,13 +153,17 @@ class TestCampaignErrors:
                                        ["--set", "rho=1.5", "--metrics", "no"]])
     def test_point_outside_its_theory_lists_failed_runs(self, point, capsys):
         """A point its analytic model rejects gets no verdict: the failed
-        runs are listed and the command exits 1, without a traceback."""
+        runs are listed, naming the rejected values, and the command exits
+        1, without a traceback."""
         assert main(["campaign", *point, "--set", "jobs=3000",
                      "--runs", "1"]) == 1
         captured = capsys.readouterr()
         assert "point 0:" in captured.out and "theory" not in captured.out
         assert "FAILED run 0" in captured.err
         assert "Traceback" not in captured.err
+        for flag, value in zip(point, point[1:]):
+            if flag == "--set":
+                assert value in captured.err
 
     EVOLVE = ["campaign", "--scenario", "quadratic", "--evolve", "--space"]
 

@@ -330,6 +330,19 @@ class TestDependabilityScenario:
         summ = serial.summaries(["availability"])["availability"]
         assert summ.contains(5 / 6)
 
+    def test_e12_campaign_parallel_matches_serial_and_covers_theory(self):
+        # E12: 30 replications on 4 sites, serial vs 4 workers, availability
+        # CI against mtbf / (mtbf + mttr) = 50 / 60
+        base = {"sites": 4, "mtbf": 50.0, "mttr": 10.0, "horizon": 2000.0}
+        spec = CampaignSpec("dependability", base=base, replications=30,
+                            root_seed=0)
+        serial = run_campaign(spec, workers=1)
+        assert serial.n_ok == len(serial.records)
+        pooled = run_campaign(spec, workers=4)
+        assert serial.metrics_bytes() == pooled.metrics_bytes()
+        summ = serial.summaries(["availability"])["availability"]
+        assert summ.contains(5 / 6)
+
 
 class TestFaultChurn:
     def test_injected_matches_static_twin_within_bound(self):

@@ -297,6 +297,15 @@ class TestChromeExport:
         data = json.loads(path.read_text())
         assert len(data["traceEvents"]) == n > 0
 
+    def test_telemetry_block_reads_the_observed_clock(self, tmp_path):
+        obs = self._traced_run()   # its clock stops at the child, t = 1
+        path = tmp_path / "trace.json"
+        obs.export_chrome(path)
+        for payload in (obs.chrome_trace(), json.loads(path.read_text())):
+            block = payload["otherData"]["telemetry"]
+            assert block["sim_time"] == 1.0
+            assert block["sim_wall_ratio"] > 0
+
     def test_trace_disabled_raises(self):
         obs = Observation(trace=False)
         with pytest.raises(ValueError, match="tracing"):
