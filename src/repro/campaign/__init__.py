@@ -9,16 +9,16 @@ turns one scenario into a campaign:
   universes spawned from one root seed (common random numbers across grid
   points by construction);
 * **runner** (:mod:`repro.campaign.runner`) — a process-pool executor with
-  an explicit worker protocol: chunked dispatch, per-run timeout/retry,
-  and results reassembled in matrix order so parallel output is
-  byte-identical to serial;
+  an explicit worker protocol: one run in flight per worker, per-run
+  timeout/retry, and results reassembled in matrix order so parallel
+  output is byte-identical to serial;
 * **stats** (:mod:`repro.campaign.stats`) — cross-run means, variances,
   Student-t confidence intervals, paired differences between two grid
   points, MSER-5 warm-up truncation, and CI-contains-theory verdicts
   feeding :mod:`repro.validation`;
 * **telemetry** (:mod:`repro.campaign.telemetry`) — fleet rollups of the
   per-run observability every record ships home: per-worker and per-point
-  rates, merged metrics registries, slowest runs, incident counters;
+  rates, merged metrics registries, slowest runs;
 * **search** (:mod:`repro.campaign.search`) — an evolutionary loop
   (tournament selection + crossover + mutation) over scenario parameters,
   scored by a metric expression.

@@ -9,9 +9,10 @@ campaign needs three things Pool does not give cleanly:
 * **per-run timeout + retry** — a hung run is killed (its worker is
   terminated and respawned) and retried up to ``retries`` times, without
   poisoning the rest of the campaign;
-* **bounded dispatch with backpressure** — at most ``chunksize`` runs are
-  queued ahead per worker, so a million-cell matrix never materializes in
-  the pipes;
+* **one run in flight per worker** — a worker is sent its next run only
+  once it has finished the last, so the next run goes to whichever
+  worker frees first and a million-cell matrix never materializes in the
+  pipes;
 * **deterministic results** — records are reassembled by run index, so the
   output is byte-identical whatever order workers finish in (and identical
   to a serial run, since every run's RNG seed is baked into its
@@ -30,15 +31,15 @@ picklable tuple)::
     worker -> parent : ("beat",  index, attempt, snapshot)   # heartbeat
     worker -> parent : ("done",  index, attempt, record)
 
-The parent remembers, in dispatch order, every task it sent to each
-worker, so nothing is ever lost: a run that exceeds ``timeout`` wall
-seconds (clocked from its ``start`` message) gets its worker terminated
-and is retried or recorded as ``timeout``; tasks queued behind it that
-never started are re-dispatched without consuming an attempt; a worker
-that dies silently — even before sending ``start`` — is detected by the
-liveness sweep and its in-flight task retried.  Before terminating a
-timed-out worker the parent drains that worker's result pipe once more,
-so a run completing at the last instant is recorded, not killed.
+The parent holds the one run each worker has in flight, so every message
+a worker sends is about that run, and a worker lost is one run to reap
+or retry.  A timed-out worker (its run past ``timeout`` wall seconds,
+clocked from its ``start`` message) and a worker that died silently —
+even before sending ``start`` — take one path: the worker is replaced
+and its run retried or recorded as ``timeout`` / ``failed``.  Before
+terminating a timed-out worker the parent drains that worker's result
+pipe once more, so a run completing at the last instant is recorded,
+not killed.
 
 Observability rides the same protocol.  Each run executes with a fresh
 metrics :class:`~repro.obs.metrics.Registry` and a flight-recorder ring;
@@ -60,6 +61,7 @@ import os
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from multiprocessing.connection import wait as _wait_ready
 from time import perf_counter
 from typing import Any, Callable, Sequence
@@ -69,7 +71,7 @@ from ..obs.metrics import Registry
 from ..obs.recorder import (FlightRecorder, arm_postmortem,
                             disarm_postmortem, install_term_handler,
                             write_dump)
-from .scenarios import _run_observation, run_scenario
+from .scenarios import _filled, _run_observation, run_scenario
 from .spec import CampaignSpec, RunSpec
 from .stats import MetricSummary, summarize, summarize_points
 from .telemetry import CampaignTelemetry, aggregate_telemetry
@@ -214,13 +216,16 @@ class _Worker:
     proc: Any
     task_w: Any                 #: send end of the parent→worker task pipe
     res_r: Any                  #: recv end of the worker→parent result pipe
-    #: dispatched-but-unfinished ``[spec, attempt, started]`` entries in
-    #: send order; ``started`` is None until the ``start`` message arrives.
-    queue: deque = field(default_factory=deque)
-    #: latest heartbeat frame ``(index, attempt, payload)`` from this worker
-    beat: tuple | None = None
-    #: wall stamp of the last start/beat/done frame (stall detection)
+    #: the run in flight ``[spec, attempt, started]``, or None when idle;
+    #: ``started`` is None until the ``start`` message arrives.  The pipes
+    #: are FIFO, so every message the worker sends is about this run.
+    task: list | None = None
+    #: payload of the run in flight's latest heartbeat frame
+    beat: dict | None = None
+    #: wall stamp of the last start/beat frame (stall detection)
     progress_t: float = 0.0
+    #: whether the run in flight has been flagged as stalled
+    stalled: bool = False
 
     def close(self) -> None:
         """Close the parent's ends of this worker's pipes."""
@@ -242,8 +247,12 @@ class CampaignResult:
     retries_used: int = 0
     worker_deaths: int = 0
     stalls: int = 0
-    #: fleet rollups (per-worker/per-point rates, merged metrics registry)
-    telemetry: CampaignTelemetry | None = None
+
+    @cached_property
+    def telemetry(self) -> CampaignTelemetry:
+        """Fleet rollups (per-worker/per-point rates, merged metrics
+        registry) of the final records, folded on first read."""
+        return aggregate_telemetry(self)
 
     @property
     def n_ok(self) -> int:
@@ -285,10 +294,8 @@ def run_campaign(spec: CampaignSpec, **options: Any) -> CampaignResult:
 
 def run_specs(runs: Sequence[RunSpec], workers: int = 1,
               timeout: float | None = None, retries: int = 1,
-              chunksize: int | None = None,
               progress: Callable[[str], None] | None = None,
               heartbeat: float | None = None,
-              stall_after: float | None = None,
               recorder_dir: str | None = None) -> CampaignResult:
     """Execute an explicit list of runs; records come back in run order.
 
@@ -297,15 +304,14 @@ def run_specs(runs: Sequence[RunSpec], workers: int = 1,
     determinism reference.  A per-run ``timeout`` needs a process to kill,
     so with one set even a single worker runs under the pool.  ``retries``
     is the number of *extra* attempts granted to a run that failed, timed
-    out, or lost its worker; ``chunksize`` bounds how many runs may be
-    queued ahead at each worker.
+    out, or lost its worker.  A run whose params a scenario's declared
+    defaults reject is a :class:`ConfigurationError` before any run starts.
 
     Observability knobs: ``heartbeat`` makes each run emit telemetry
     progress lines every that many wall seconds *and* (under the pool)
-    ship live "beat" frames to the parent; ``stall_after`` flags — via
-    ``progress`` — a worker whose current run has shown no start/beat
-    progress for that long (defaults to ``max(5·heartbeat, 1.0)`` when a
-    heartbeat is set, otherwise off); ``recorder_dir`` enables flight-
+    ship live "beat" frames to the parent, which flags — via ``progress``
+    — a worker whose run has shown no start/beat progress for
+    ``max(5·heartbeat, 1.0)`` seconds; ``recorder_dir`` enables flight-
     recorder post-mortem JSONL dumps for runs that raise, time out, or
     lose their worker (the ring keeps the last ``DEFAULT_RECORDER_EVENTS``
     firings).  Workers start by fork where the platform has it, else spawn.
@@ -314,6 +320,8 @@ def run_specs(runs: Sequence[RunSpec], workers: int = 1,
         raise ConfigurationError(f"retries must be >= 0, got {retries}")
     if timeout is not None and timeout <= 0:
         raise ConfigurationError(f"timeout must be > 0, got {timeout}")
+    for s in runs:
+        _filled(s.scenario, s.params_dict)
     if recorder_dir is not None:
         os.makedirs(recorder_dir, exist_ok=True)
     t0 = perf_counter()
@@ -323,21 +331,15 @@ def run_specs(runs: Sequence[RunSpec], workers: int = 1,
     if workers == 1 and timeout is None:
         records = [_execute(s, 1, -1, heartbeat, recorder_dir) for s in runs]
     else:
-        records = _run_pool(runs, workers, timeout, retries, chunksize,
-                            progress, heartbeat, stall_after, recorder_dir,
-                            incidents)
-    wall = perf_counter() - t0
-    return CampaignResult(
-        records=records, workers=workers, wall_seconds=wall, **incidents,
-        telemetry=aggregate_telemetry(records, wall_seconds=wall,
-                                      **incidents))
+        records = _run_pool(runs, workers, timeout, retries, progress,
+                            heartbeat, recorder_dir, incidents)
+    return CampaignResult(records=records, workers=workers,
+                          wall_seconds=perf_counter() - t0, **incidents)
 
 
 def _run_pool(runs: Sequence[RunSpec], workers: int, timeout: float | None,
-              retries: int, chunksize: int | None,
-              progress: Callable[[str], None] | None,
-              heartbeat: float | None, stall_after: float | None,
-              recorder_dir: str | None,
+              retries: int, progress: Callable[[str], None] | None,
+              heartbeat: float | None, recorder_dir: str | None,
               incidents: dict[str, int]) -> list[RunRecord]:
     """Execute *runs* on *workers* processes, counting into *incidents*;
     returns the final records in run order."""
@@ -345,10 +347,7 @@ def _run_pool(runs: Sequence[RunSpec], workers: int, timeout: float | None,
     # test-registered scenarios); fall back to spawn where unavailable.
     ctx = mp.get_context(
         "fork" if "fork" in mp.get_all_start_methods() else "spawn")
-    depth = (chunksize if chunksize else
-             max(2, min(32, len(runs) // workers or 1)))
-    if stall_after is None and heartbeat is not None:
-        stall_after = max(5.0 * heartbeat, 1.0)
+    quiet_limit = None if heartbeat is None else max(5.0 * heartbeat, 1.0)
 
     pool: dict[int, _Worker] = {}
     next_wid = 0
@@ -367,43 +366,33 @@ def _run_pool(runs: Sequence[RunSpec], workers: int, timeout: float | None,
         # is the only thing keeping them open (recv then raises EOFError).
         task_r.close()
         res_w.close()
-        pool[wid] = _Worker(proc, task_w, res_r, progress_t=perf_counter())
+        pool[wid] = _Worker(proc, task_w, res_r)
 
     pending = deque((s, 1) for s in runs)
-    attempts = {s.index: 1 for s in runs}
     done: dict[int, RunRecord] = {}
-    stall_flagged: set[tuple[int, int]] = set()  # (index, attempt) pairs
-    reported = [0]  # len(done) at the last progress emission
 
-    def emit_progress() -> None:
-        # Only on a newly added record — a retry does not grow done, and
-        # re-announcing the same count would duplicate lines.
-        if (progress is not None and len(done) != reported[0]
-                and len(done) % 25 == 0):
-            reported[0] = len(done)
+    def finish(rec: RunRecord) -> None:
+        done[rec.index] = rec
+        if progress is not None and len(done) % 25 == 0:
             progress(f"[campaign] {len(done)}/{len(runs)} runs "
                      f"done ({incidents['timeouts']} timeouts)")
 
     def dispatch() -> None:
-        while pending:
-            sent = False
-            for w in sorted(pool.values(), key=lambda w: len(w.queue)):
-                if not pending:
-                    break
-                if not w.proc.is_alive() or len(w.queue) >= depth:
-                    continue
+        for w in pool.values():
+            if pending and w.task is None:
                 try:
                     w.task_w.send(pending[0])
                 except OSError:
-                    continue  # dying worker; the liveness sweep reconciles it
-                spec, attempt = pending.popleft()
-                w.queue.append([spec, attempt, None])
-                sent = True
-            if not sent:
-                return
+                    continue  # dying worker; the sweep replaces it
+                w.task = [*pending.popleft(), None]
+                w.beat, w.stalled = None, False
 
-    def give_up(spec: RunSpec, status: str, err: str, wid: int) -> None:
-        att = attempts[spec.index]
+    def reap_or_retry(spec: RunSpec, att: int, status: str, err: str,
+                      wid: int) -> None:
+        if att <= retries:
+            incidents["retries_used"] += 1
+            pending.append((spec, att + 1))
+            return
         rec = _record(spec, att, wid, status=status, error=err)
         # A terminated worker dumped its full ring via SIGTERM; a dead one
         # may have left a parent-written partial.  Either way, point at it.
@@ -412,42 +401,7 @@ def _run_pool(runs: Sequence[RunSpec], workers: int, timeout: float | None,
             if path is not None and os.path.exists(path):
                 rec.recorder_path = path
                 break
-        done[spec.index] = rec
-        emit_progress()
-
-    def reap_or_retry(spec: RunSpec, status: str, err: str,
-                      wid: int = -1) -> None:
-        if attempts[spec.index] <= retries:
-            attempts[spec.index] += 1
-            incidents["retries_used"] += 1
-            pending.append((spec, attempts[spec.index]))
-        else:
-            give_up(spec, status, err, wid)
-        # Unconditional: a terminal give-up frees a dispatch slot exactly
-        # like a completion does — without this refill, a campaign whose
-        # window filled with given-up runs would stall forever.
-        dispatch()
-
-    def handle(w: _Worker, msg: tuple) -> None:
-        kind, idx, att = msg[0], msg[1], msg[2]
-        head = w.queue[0] if w.queue else None
-        if head is None or head[0].index != idx or head[1] != att:
-            return  # defensive: messages are FIFO per worker, so the
-            # head is always the run in progress; anything else is stale
-        w.progress_t = perf_counter()
-        if kind == "start":
-            head[2] = w.progress_t
-        elif kind == "beat":
-            w.beat = (idx, att, msg[3])
-        elif kind == "done":
-            w.queue.popleft()
-            rec = msg[3]
-            if rec.status == "failed" and attempts[idx] <= retries:
-                reap_or_retry(head[0], "failed", rec.error or "")
-            else:
-                done[idx] = rec
-                emit_progress()
-                dispatch()
+        finish(rec)
 
     def drain(w: _Worker) -> None:
         """Process every result already in *w*'s pipe without blocking."""
@@ -455,100 +409,84 @@ def _run_pool(runs: Sequence[RunSpec], workers: int, timeout: float | None,
             try:
                 if not w.res_r.poll():
                     return
-                msg = w.res_r.recv()
+                kind, *_, payload = w.res_r.recv()
             except (EOFError, OSError):
-                return  # dead worker / partial message; sweeps reconcile
-            handle(w, msg)
-
-    def replace(wid: int) -> list | None:
-        """Swap worker *wid* for a fresh one; returns its head entry.
-
-        Its pipes close, and the tasks queued behind the head never ran,
-        so they go back to the *front* of pending with their attempt count
-        untouched; the head (the run in progress, if any) is the caller's
-        to reap or retry.
-        """
-        w = pool.pop(wid)
-        w.close()
-        for spec, att, _ in reversed(list(w.queue)[1:]):
-            pending.appendleft((spec, att))
-        spawn_worker()
-        return w.queue[0] if w.queue else None
+                return  # dead worker / partial message; the sweep reaps it
+            if kind == "start":
+                w.progress_t = w.task[2] = perf_counter()
+            elif kind == "beat":
+                w.progress_t, w.beat = perf_counter(), payload
+            elif kind == "done":
+                spec, att, _ = w.task
+                w.task = None
+                if payload.status == "failed" and att <= retries:
+                    reap_or_retry(spec, att, "failed", payload.error or "",
+                                  -1)
+                else:
+                    finish(payload)
 
     try:
         for _ in range(workers):
             spawn_worker()
-        dispatch()
         while len(done) < len(runs):
+            # First in the loop, so a give-up in the last sweep cannot
+            # leave a free worker idle.
+            dispatch()
             conns = {w.res_r: w for w in pool.values()}
             for conn in _wait_ready(list(conns), timeout=0.05):
                 drain(conns[conn])
             now = perf_counter()
-            if timeout is not None:
-                for wid, w in list(pool.items()):
-                    head = w.queue[0] if w.queue else None
-                    if (head is None or head[2] is None
-                            or now - head[2] <= timeout):
-                        continue
-                    # Close the completed-at-the-last-instant race: a
-                    # 'done' already in the pipe beats the kill.
+            for wid, w in list(pool.items()):
+                started = w.task[2] if w.task is not None else None
+                if (timeout is not None and started is not None
+                        and now - started > timeout):
+                    # A 'done' already in the pipe beats the kill.
                     drain(w)
-                    if not w.queue or w.queue[0] is not head:
+                    if w.task is None:
                         continue
                     incidents["timeouts"] += 1
                     w.proc.terminate()
                     w.proc.join(timeout=5.0)
-                    replace(wid)
-                    reap_or_retry(head[0], "timeout",
-                                  f"run exceeded {timeout}s wall timeout",
-                                  wid)
-            if stall_after is not None:
-                for wid, w in pool.items():
-                    head = w.queue[0] if w.queue else None
-                    if head is None or head[2] is None:
-                        continue  # nothing started: dispatch idle, not stall
-                    key = (head[0].index, head[1])
-                    if key in stall_flagged:
-                        continue
-                    quiet = now - max(w.progress_t, head[2])
-                    if quiet <= stall_after:
-                        continue
-                    stall_flagged.add(key)
-                    incidents["stalls"] += 1
-                    last = ""
-                    if w.beat is not None and w.beat[:2] == key:
-                        handler = w.beat[2].get("last_handler")
-                        if handler:
-                            last = f", last handler {handler}"
-                    if progress is not None:
-                        progress(f"[campaign] worker {wid} stalled on run "
-                                 f"{key[0]} (attempt {key[1]}): no "
-                                 f"progress for {quiet:.1f}s{last}")
-            for wid, w in list(pool.items()):
-                if w.proc.is_alive():
+                    status = "timeout"
+                    reason = f"run exceeded {timeout}s wall timeout"
+                elif w.proc.is_alive():
+                    quiet = now - w.progress_t
+                    if (quiet_limit is not None and started is not None
+                            and quiet > quiet_limit and not w.stalled):
+                        w.stalled = True
+                        incidents["stalls"] += 1
+                        handler = (w.beat or {}).get("last_handler")
+                        last = f", last handler {handler}" if handler else ""
+                        if progress is not None:
+                            progress(f"[campaign] worker {wid} stalled on "
+                                     f"run {w.task[0].index} (attempt "
+                                     f"{w.task[1]}): no progress for "
+                                     f"{quiet:.1f}s{last}")
                     continue
-                drain(w)  # results sent before the crash still count
-                reason = f"worker died (exitcode {w.proc.exitcode})"
-                head = replace(wid)
-                incidents["worker_deaths"] += 1
-                if head is None:
-                    dispatch()
-                    continue
-                spec, att, _ = head
-                if recorder_dir is not None and w.beat is not None \
-                        and w.beat[:2] == (spec.index, att):
-                    # The worker died too hard to dump its own ring;
-                    # reconstruct a partial from its last beat frame.
-                    try:
-                        write_dump(
-                            _flight_path(recorder_dir, spec.index, att,
-                                         partial=True),
-                            reason, w.beat[2]["recorder_tail"],
-                            {"partial": True, "run_index": spec.index,
-                             "attempt": att, "worker": wid})
-                    except OSError:
-                        pass
-                reap_or_retry(spec, "failed", reason, wid)
+                else:
+                    drain(w)  # results sent before the crash still count
+                    incidents["worker_deaths"] += 1
+                    status = "failed"
+                    reason = f"worker died (exitcode {w.proc.exitcode})"
+                    if (recorder_dir is not None and w.task is not None
+                            and w.beat is not None):
+                        # The worker died too hard to dump its own ring;
+                        # reconstruct a partial from its last beat frame.
+                        spec, att, _ = w.task
+                        try:
+                            write_dump(
+                                _flight_path(recorder_dir, spec.index, att,
+                                             partial=True),
+                                reason, w.beat["recorder_tail"],
+                                {"partial": True, "run_index": spec.index,
+                                 "attempt": att, "worker": wid})
+                        except OSError:
+                            pass
+                pool.pop(wid)
+                w.close()
+                spawn_worker()
+                if w.task is not None:
+                    reap_or_retry(*w.task[:2], status, reason, wid)
     finally:
         for w in pool.values():
             try:

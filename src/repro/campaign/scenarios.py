@@ -39,21 +39,19 @@ def register_scenario(name: str, defaults: Mapping[str, Any] | None = None,
     """Decorator registering a scenario under *name*.
 
     *defaults* fill every param a run leaves out, and each declared param
-    is cast to its default's type.  The registry stores, and the decorator
-    returns, the filling function, so a direct call sees the defaults too
-    (they stay readable as its ``defaults`` attribute).  *theory* maps the
-    filled params of a point to its analytic model; it receives
-    :mod:`repro.validation` as its first argument, so that importing the
-    registry does not load it.
+    is cast to its default's type (see :func:`_filled`).  The registry
+    stores, and the decorator returns, the filling function, so a direct
+    call sees the defaults too (they stay readable as its ``defaults``
+    attribute).  *theory* maps the filled params of a point to its
+    analytic model; it receives :mod:`repro.validation` as its first
+    argument, so that importing the registry does not load it.
     """
-    declared = dict(defaults or {})
-
     def deco(fn: ScenarioFn) -> ScenarioFn:
         @wraps(fn)
         def run(params: dict, seed: int) -> tuple[dict, dict]:
-            return fn(_filled(declared, params), seed)
+            return fn(_filled(name, params), seed)
 
-        run.defaults = declared
+        run.defaults = dict(defaults or {})
         SCENARIOS[name] = run
         if theory is not None:
             _THEORIES[name] = theory
@@ -61,11 +59,24 @@ def register_scenario(name: str, defaults: Mapping[str, Any] | None = None,
     return deco
 
 
-def _filled(defaults: dict, params: Mapping[str, Any]) -> dict:
-    """*params* over *defaults*, each declared param cast to its default's
-    type (so ``--set c=2.0`` and ``--set rho=1`` read as int and float)."""
-    return {**params, **{name: type(default)(params.get(name, default))
-                         for name, default in defaults.items()}}
+def _filled(scenario: str, params: Mapping[str, Any]) -> dict:
+    """*params* over the defaults *scenario* declares, each declared param
+    cast to its default's type (so ``--set c=2.0`` and ``--set rho=1``
+    read as int and float); a value the cast fails on or changes
+    (``K=2.5`` for an int ``K``) is a :class:`ConfigurationError`."""
+    filled = dict(params)
+    declared = getattr(SCENARIOS.get(scenario), "defaults", {})
+    for name, default in declared.items():
+        value = params.get(name, default)
+        try:
+            filled[name] = type(default)(value)
+        except (TypeError, ValueError):
+            filled[name] = None
+        if filled[name] != value:
+            raise ConfigurationError(
+                f"scenario {scenario!r}: param {name} must be "
+                f"{type(default).__name__}, got {value!r}")
+    return filled
 
 
 def run_scenario(name: str, params: Mapping[str, Any],
@@ -93,8 +104,7 @@ def theory_for(scenario: str, params: Mapping[str, Any]):
     from .. import validation
 
     try:
-        return _THEORIES[scenario](
-            validation, _filled(SCENARIOS[scenario].defaults, params))
+        return _THEORIES[scenario](validation, _filled(scenario, params))
     except ValidationError:
         return None
 

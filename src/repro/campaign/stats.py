@@ -117,11 +117,16 @@ def _numeric(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def check_level(level: float) -> None:
+    """Reject a confidence level outside (0, 1)."""
+    if not 0 < level < 1:
+        raise ConfigurationError(f"CI level must be in (0,1), got {level}")
+
+
 def _reduce(rows: list[dict], metrics: Sequence[str] | None,
             level: float) -> dict[str, MetricSummary]:
     """Summaries of the metric dicts *rows*, one per named metric."""
-    if not 0 < level < 1:
-        raise ConfigurationError(f"CI level must be in (0,1), got {level}")
+    check_level(level)
     if not rows:
         return {}
     if metrics is None:
@@ -184,7 +189,8 @@ def coverage_verdict(summaries: Mapping[str, MetricSummary],
 
     *theory* is an analytic model exposing the metric names as attributes
     (``MM1``/``MMc``: L, Lq, W, Wq, rho) or a plain mapping.  Metrics with
-    no analytic counterpart are skipped.
+    no analytic counterpart are skipped, and so are metrics from fewer
+    than two runs: their unbounded interval would contain any value.
     """
     out: dict[str, dict] = {}
     for name, summ in summaries.items():
@@ -195,7 +201,7 @@ def coverage_verdict(summaries: Mapping[str, MetricSummary],
             value = getattr(theory, attr, None)
         # bool is an int subclass: a True/False theory entry would silently
         # become a nonsense 0/1 coverage check, so reject it explicitly.
-        if (value is None or isinstance(value, bool)
+        if (summ.n < 2 or value is None or isinstance(value, bool)
                 or not isinstance(value, (int, float))):
             continue
         out[name] = {"theory": float(value), "lo": summ.lo, "hi": summ.hi,

@@ -2,24 +2,25 @@
 
 Every run ships its :meth:`Telemetry.snapshot` dict and its metrics
 registry dump back with its :class:`~repro.campaign.runner.RunRecord`;
-the parent folds them here, adding the accounting only it can see (worker
-deaths, stall flags, retries).  The result answers the operator questions
-a bare ``k/N`` progress line cannot: how fast is each worker really going,
-which grid point is the expensive one, where did the wall-clock go, and
-which runs are the outliers worth a look.
+the parent folds them here, beside the accounting only it can see (worker
+deaths, stall flags, retries), which the
+:class:`~repro.campaign.runner.CampaignResult` holds.  The result answers
+the operator questions a bare ``k/N`` progress line cannot: how fast is
+each worker really going, which grid point is the expensive one, where
+did the wall-clock go, and which runs are the outliers worth a look.
 
 Aggregation uses only the *final* record of each run index — a run that
 timed out once and then succeeded contributes exactly one record (its
 successful one) to the rollups, while the earlier attempt shows up in
-``timeouts``/``retries_used``/``worker_deaths`` instead.  That is what
-keeps the per-worker run counts summing to ``len(records)`` with no
-double counting.
+the result's ``timeouts``/``retries_used``/``worker_deaths`` instead.
+That is what keeps the per-worker run counts summing to ``len(records)``
+with no double counting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 from ..obs.metrics import Registry
 from .spec import describe_params
@@ -43,6 +44,9 @@ class CampaignTelemetry:
 
     Attributes
     ----------
+    result:
+        The :class:`~repro.campaign.runner.CampaignResult` folded; its wall
+        seconds and incident counts head the report.
     per_worker:
         ``worker id -> rollup dict`` (runs/ok/failed/timeout, events, wall
         seconds, events-per-second stats) from each run's final record.
@@ -55,28 +59,22 @@ class CampaignTelemetry:
     metrics:
         One :class:`~repro.obs.metrics.Registry` holding every run's
         shipped registry dump merged together (counters/histograms add).
-    worker_deaths / stalls / timeouts / retries_used:
-        Campaign-level incident counters from the parent's bookkeeping.
     """
 
+    result: Any
     per_worker: dict[int, dict] = field(default_factory=dict)
     per_point: dict[int, dict] = field(default_factory=dict)
     slowest: list[dict] = field(default_factory=list)
     metrics: Registry = field(default_factory=Registry)
     events: int = 0
-    wall_seconds: float = 0.0
-    worker_deaths: int = 0
-    stalls: int = 0
-    timeouts: int = 0
-    retries_used: int = 0
 
     def report(self) -> str:
         """The ``repro campaign --report`` table (plain text)."""
-        lines = ["campaign telemetry", "=================="]
-        lines.append(
-            f"events={self.events:,} wall={self.wall_seconds:.2f}s "
-            f"timeouts={self.timeouts} retries={self.retries_used} "
-            f"worker_deaths={self.worker_deaths} stalls={self.stalls}")
+        r = self.result
+        lines = ["campaign telemetry", "==================",
+                 f"events={self.events:,} wall={r.wall_seconds:.2f}s "
+                 f"timeouts={r.timeouts} retries={r.retries_used} "
+                 f"worker_deaths={r.worker_deaths} stalls={r.stalls}"]
         if self.per_worker:
             lines.append("")
             lines.append(f"{'worker':>6} {'runs':>5} {'ok':>4} {'fail':>4} "
@@ -115,14 +113,11 @@ class CampaignTelemetry:
                 f"points={len(self.per_point)} events={self.events:,}>")
 
 
-def aggregate_telemetry(records: Sequence[Any], wall_seconds: float = 0.0,
-                        timeouts: int = 0, retries_used: int = 0,
-                        worker_deaths: int = 0,
-                        stalls: int = 0) -> CampaignTelemetry:
-    """Build a :class:`CampaignTelemetry` from final run records."""
-    agg = CampaignTelemetry(wall_seconds=wall_seconds, timeouts=timeouts,
-                            retries_used=retries_used,
-                            worker_deaths=worker_deaths, stalls=stalls)
+def aggregate_telemetry(result: Any) -> CampaignTelemetry:
+    """Build a :class:`CampaignTelemetry` from a campaign result's final
+    run records."""
+    agg = CampaignTelemetry(result)
+    records = result.records
     worker_rates: dict[int, list[float]] = {}
     point_rates: dict[int, list[float]] = {}
     for rec in records:

@@ -236,8 +236,7 @@ def _cmd_diff(args) -> int:
     try:
         a, b = record(args.left), record(args.right)
     except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(exc) from None
     print(f"{a.name} vs {b.name} — similarity {similarity(a, b):.0%}")
     for d in diff(a, b):
         print(f"  {d.axis:<20} {d.left}  |  {d.right}")
@@ -450,6 +449,7 @@ def _parse_assignments(entries, split_values: bool) -> dict:
 def _cmd_campaign(args) -> int:
     from .campaign import (CampaignSpec, coverage_verdict, parse_space,
                            evolve, paired_summaries, run_campaign, theory_for)
+    from .campaign.stats import check_level
 
     base = _parse_assignments(args.base, split_values=False)
     if args.evolve:
@@ -471,6 +471,7 @@ def _cmd_campaign(args) -> int:
     grid = _parse_assignments(args.grid, split_values=True)
     spec = CampaignSpec(args.scenario, base=base, grid=grid,
                         replications=args.runs, root_seed=args.seed)
+    check_level(args.level)
     result = run_campaign(spec, workers=args.workers, timeout=args.timeout,
                           retries=args.retries, heartbeat=args.heartbeat,
                           recorder_dir=args.recorder_dir,
@@ -517,17 +518,15 @@ def _cmd_campaign(args) -> int:
             print(f"    {name:<14} point 0 - point 1 {s.mean:>+10.4g}  "
                   f"[{s.lo:>10.4g}, {s.hi:>10.4g}] n={s.n}  {verdict}")
     for rec in result.failures:
-        first_line = (rec.error or "").strip().splitlines()
-        print(f"  FAILED run {rec.index} ({rec.status}, "
-              f"{rec.attempts} attempts): "
-              f"{first_line[-1] if first_line else ''}", file=sys.stderr)
+        last = (rec.error or "").strip().splitlines() or [""]
+        print(f"  FAILED run {rec.index} ({rec.status}, {rec.attempts} "
+              f"attempts): {last[-1]}", file=sys.stderr)
         if rec.recorder_path:
             print(f"    flight recorder: {rec.recorder_path}",
                   file=sys.stderr)
-    if args.report and result.telemetry is not None:
-        print()
-        print(result.telemetry.report())
-    if args.prom and result.telemetry is not None:
+    if args.report:
+        print(f"\n{result.telemetry.report()}")
+    if args.prom:
         with open(args.prom, "w") as fp:
             fp.write(result.telemetry.metrics.prometheus_text())
         print(f"wrote Prometheus metrics: {args.prom}", file=sys.stderr)

@@ -116,6 +116,14 @@ def hang_on_flag(params, seed):
     return ({"v": 1.0}, {})
 
 
+class _ExitWhenUnpickled:
+    """A param value that kills the worker unpickling its task, so the
+    worker dies before it can send 'start'."""
+
+    def __reduce__(self):
+        return (os._exit, (3,))
+
+
 class TestRunnerFailurePaths:
     def test_failed_scenario_retried_then_reported(self):
         @register_scenario("always-boom")
@@ -164,19 +172,58 @@ class TestRunnerFailurePaths:
         assert [r.status for r in result.records] == ["ok", "timeout"]
         assert result.timeouts == 1
 
+    def test_timed_out_run_is_retried_on_a_fresh_worker(self, tmp_path):
+        @register_scenario("hang-first-attempt")
+        def hang_first_attempt(params, seed):
+            if not os.path.exists(params["marker"]):
+                open(params["marker"], "w").close()
+                time.sleep(60)
+            return ({"v": 1.0}, {})
+
+        spec = CampaignSpec("hang-first-attempt",
+                            base={"marker": str(tmp_path / "hung")})
+        result = run_campaign(spec, workers=1, timeout=0.5, retries=1)
+        rec = result.records[0]
+        assert (rec.status, rec.attempts, rec.worker) == ("ok", 2, 1)
+        assert result.timeouts == 1 and result.retries_used == 1
+
+    def test_done_in_the_pipe_beats_the_kill(self):
+        """Run 0 finishes past its timeout while the parent is busy (a
+        slow progress callback on the 25th record), so its 'done' waits
+        in the pipe when the sweep finds it overdue: it is recorded, not
+        killed."""
+        @register_scenario("nap")
+        def nap(params, seed):
+            time.sleep(params["nap"])
+            return ({"v": 1.0}, {})
+
+        spec = CampaignSpec("nap", grid={"nap": [1.3] + [0.0] * 25})
+        result = run_campaign(spec, workers=2, timeout=1.0, retries=0,
+                              progress=lambda line: time.sleep(1.5))
+        assert [r.status for r in result.records] == ["ok"] * 26
+        assert result.timeouts == 0
+
+    def test_worker_dead_before_start_is_detected(self):
+        spec = CampaignSpec("hang-on-flag", grid={
+            "bomb": [None, _ExitWhenUnpickled(), None]})
+        result = run_campaign(spec, workers=2, retries=1)
+        assert [r.status for r in result.records] == ["ok", "failed", "ok"]
+        assert result.records[1].attempts == 2
+        assert "worker died (exitcode 3)" in result.records[1].error
+        assert result.worker_deaths == 2
+
     def test_all_runs_timeout_without_retries_still_finishes(self):
-        """Regression: a terminal give-up must refill the dispatch window
-        exactly like a completion.  With chunksize=1 and every run
-        hanging, the runner used to deadlock once the first window's
-        runs were given up — no 'done' ever arrived to trigger dispatch."""
+        """Regression: a terminal give-up must free its worker for the
+        next run exactly like a completion.  With every run hanging, the
+        runner used to deadlock once the first runs were given up — no
+        'done' ever arrived to trigger dispatch."""
         @register_scenario("hang-always")
         def hang_always(params, seed):
             time.sleep(60)
 
         spec = CampaignSpec("hang-always", replications=4, root_seed=0)
         t0 = time.perf_counter()
-        result = run_campaign(spec, workers=2, timeout=0.3, retries=0,
-                              chunksize=1)
+        result = run_campaign(spec, workers=2, timeout=0.3, retries=0)
         wall = time.perf_counter() - t0
         assert [r.status for r in result.records] == ["timeout"] * 4
         assert result.timeouts == 4
@@ -193,7 +240,7 @@ class TestRunnerFailurePaths:
 
         spec = CampaignSpec("die-on-flag", grid={"flag": [0, 1, 0]},
                             replications=1, root_seed=0)
-        result = run_campaign(spec, workers=2, retries=1, chunksize=1)
+        result = run_campaign(spec, workers=2, retries=1)
         assert [r.status for r in result.records] == ["ok", "failed", "ok"]
         assert result.n_ok == 2
         failed = result.records[1]
@@ -212,6 +259,24 @@ class TestRunnerFailurePaths:
         messages = []
         run_campaign(spec, workers=2, retries=1, progress=messages.append)
         assert messages == ["[campaign] 25/25 runs done (0 timeouts)"]
+
+    def test_next_run_goes_to_the_worker_that_frees_first(self):
+        """Each worker holds one run in flight: while run 0 sleeps on one
+        worker, runs 1-3 all go to the other instead of queueing behind
+        run 0."""
+        @register_scenario("slow-first")
+        def slow_first(params, seed):
+            if params.get("slow"):
+                time.sleep(1.0)
+            return ({"v": 1.0}, {})
+
+        spec = CampaignSpec("slow-first", grid={"slow": [1, 0, 0, 0]},
+                            replications=1, root_seed=0)
+        result = run_campaign(spec, workers=2, retries=0)
+        assert result.n_ok == 4
+        slow_worker = result.records[0].worker
+        assert [r.worker == slow_worker for r in result.records[1:]] \
+            == [False] * 3
 
     def test_unknown_scenario_fails_cleanly(self):
         result = run_campaign(CampaignSpec("no-such-scenario"), workers=1)
@@ -298,6 +363,17 @@ class TestStats:
             tally.record(v)
         with pytest.raises(ConfigurationError):
             tally.confidence_interval(level)
+
+    def test_one_run_gets_no_verdict(self):
+        """An unbounded interval contains every value: no verdict."""
+        class Rec:
+            status = "ok"
+            metrics = {"W": 2.4, "L": 1.2}
+
+        assert coverage_verdict(summarize([Rec()]), {"W": 2.5, "L": 1.0}) \
+            == {}
+        assert set(coverage_verdict(summarize([Rec(), Rec()]),
+                                    {"W": 2.5, "L": 1.0})) == {"W", "L"}
 
     def test_coverage_verdict_mm1(self):
         spec = tiny_mm1_spec(replications=4)
@@ -667,7 +743,7 @@ class TestCampaignObservability:
                             replications=1, root_seed=0)
         # heartbeat=0.0 beats at every telemetry check (every 2048 events),
         # so the parent holds a fresh frame when the worker dies.
-        result = run_campaign(spec, workers=2, retries=1, chunksize=1,
+        result = run_campaign(spec, workers=2, retries=1,
                               heartbeat=0.0, recorder_dir=str(tmp_path),
                               progress=lambda s: None)
         assert [r.status for r in result.records] == ["ok", "failed", "ok"]
@@ -686,7 +762,7 @@ class TestCampaignObservability:
         assert events and events[-1]["handler"] == header["last_handler"]
         # telemetry sees the death but counts the run exactly once
         tel = result.telemetry
-        assert tel.worker_deaths == 2
+        assert "worker_deaths=2" in tel.report()
         assert sum(w["runs"] for w in tel.per_worker.values()) == 3
         assert sum(p["runs"] for p in tel.per_point.values()) == 3
 
@@ -698,8 +774,10 @@ class TestCampaignObservability:
 
         messages = []
         spec = CampaignSpec("hang-quietly", replications=2, root_seed=0)
+        # heartbeat=0.1 derives a 1.0 s stall threshold, inside the
+        # 1.5 s timeout; a sleeping run sends no beats.
         result = run_specs(spec.expand(), workers=2, timeout=1.5, retries=0,
-                           stall_after=0.4, progress=messages.append)
+                           heartbeat=0.1, progress=messages.append)
         assert result.stalls == 2
         assert result.timeouts == 2
         stall_lines = [m for m in messages if "stalled" in m]

@@ -2,7 +2,17 @@
 
 import pytest
 
+from repro.campaign import register_scenario
 from repro.cli import main
+
+#: params of every run of the "counted" scenario, in order
+COUNTED = []
+
+
+@register_scenario("counted", defaults={"n": 1})
+def counted(params, seed):
+    COUNTED.append(params["n"])
+    return ({"n": params["n"]}, {})
 
 
 class TestTable1:
@@ -186,6 +196,37 @@ class TestCampaignErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert says in err
+
+
+    @pytest.mark.parametrize("argv, says", [
+        (["--set", "n=2.5"], "scenario 'counted': param n must be int, "
+                             "got 2.5"),
+        (["--set", "n=abc"], "param n must be int, got 'abc'"),
+        (["--grid", "n=3,"], "param n must be int, got ''"),
+        (["--set", "n=2", "--level", "1.5"], "level"),
+    ])
+    def test_rejected_before_any_run(self, argv, says, capsys):
+        """A param its declared default's type cannot hold unchanged, or
+        a bad --level, is one error line before the first run."""
+        COUNTED.clear()
+        assert main(["campaign", "--scenario", "counted", *argv,
+                     "--runs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert says in err
+        assert COUNTED == []
+
+    def test_whole_float_reads_as_int(self, capsys):
+        COUNTED.clear()
+        assert main(["campaign", "--scenario", "counted", "--set", "n=2.0",
+                     "--runs", "1"]) == 0
+        assert COUNTED == [2] and type(COUNTED[0]) is int
+
+    def test_one_replication_prints_no_theory(self, capsys):
+        assert main(["campaign", "--scenario", "mm1", "--set", "jobs=2500",
+                     "--runs", "1", "--metrics", "W"]) == 0
+        out = capsys.readouterr().out
+        assert "n=1" in out and "theory" not in out
 
 
 def test_module_entrypoint_runs():
