@@ -59,14 +59,22 @@ def register_scenario(name: str, defaults: Mapping[str, Any] | None = None,
     return deco
 
 
+def _registered(name: str) -> ScenarioFn:
+    """The scenario registered as *name* (a ConfigurationError if none)."""
+    try:
+        return SCENARIOS[name]
+    except KeyError:
+        raise ConfigurationError(f"unknown scenario {name!r}; registered: "
+                                 f"{sorted(SCENARIOS)}") from None
+
+
 def _filled(scenario: str, params: Mapping[str, Any]) -> dict:
     """*params* over the defaults *scenario* declares, each declared param
     cast to its default's type (so ``--set c=2.0`` and ``--set rho=1``
     read as int and float); a value the cast fails on or changes
     (``K=2.5`` for an int ``K``) is a :class:`ConfigurationError`."""
     filled = dict(params)
-    declared = getattr(SCENARIOS.get(scenario), "defaults", {})
-    for name, default in declared.items():
+    for name, default in _registered(scenario).defaults.items():
         value = params.get(name, default)
         try:
             filled[name] = type(default)(value)
@@ -82,11 +90,7 @@ def _filled(scenario: str, params: Mapping[str, Any]) -> dict:
 def run_scenario(name: str, params: Mapping[str, Any],
                  seed: int) -> tuple[dict, dict]:
     """Execute one registered scenario; returns (metrics, telemetry)."""
-    fn = SCENARIOS.get(name)
-    if fn is None:
-        raise ConfigurationError(
-            f"unknown scenario {name!r}; registered: {sorted(SCENARIOS)}")
-    return fn(dict(params), int(seed))
+    return _registered(name)(dict(params), int(seed))
 
 
 def theory_for(scenario: str, params: Mapping[str, Any]):

@@ -29,6 +29,7 @@ import sys
 from typing import Sequence
 
 from .core.errors import ConfigurationError
+from .core.queues import QUEUE_FACTORIES
 
 __all__ = ["main", "build_parser"]
 
@@ -86,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sim-time horizon for --model hold")
     p_prof.add_argument("--queue", default="heap",
                         help="event-list structure "
-                             "(linear|heap|splay|calendar|ladder|adaptive)")
+                             f"({'|'.join(QUEUE_FACTORIES)})")
     p_prof.add_argument("--seed", type=int, default=0)
     p_prof.add_argument("--top", type=int, default=15,
                         help="hot-spot table rows")
@@ -140,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a Monte Carlo ensemble (or evolutionary search) of a "
              "registered scenario")
     p_cp.add_argument("--scenario", default="mm1",
-                      help="registered scenario name "
-                           "(mm1|mmc|mm1k|provision|quadratic|dependability)")
+                      help="registered scenario name (an unknown name "
+                           "lists them)")
     p_cp.add_argument("--grid", action="append", default=[],
                       metavar="NAME=V1,V2,...",
                       help="sweep axis (repeatable); values are parsed as "
@@ -340,6 +341,9 @@ def _cmd_profile(args) -> int:
     else:  # hold — the kernel benchmark's classic self-regenerating load
         from .core import Simulator
 
+        if args.queue not in QUEUE_FACTORIES:
+            raise ConfigurationError(f"--queue must be one of "
+                                     f"{', '.join(QUEUE_FACTORIES)}")
         sim = Simulator(queue=args.queue, seed=args.seed)
         obs.attach(sim, track=f"hold-{args.queue}")
         stream = sim.stream("hold")

@@ -217,8 +217,9 @@ class Simulator:
         Observability is data, not a second loop: the binding's
         ``sample_mask`` picks the firings to time (0 = all, 15 = every
         16th), counted over the simulator's lifetime so the cadence
-        survives many short calls.  The binding gets the firing count once,
-        on exit: it is a between-runs statistic, not a mid-event one.
+        survives many short calls.  ``events_executed`` is the one firing
+        count: telemetry reads it, and the registry's counter folds it in
+        once, on exit (a between-runs statistic, not a mid-event one).
 
         A call refuses to nest inside a handler and starts un-stopped, so
         afterwards ``_stopped`` says whether *this* call was stopped.

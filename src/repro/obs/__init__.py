@@ -10,7 +10,8 @@ processes) and get
 * **handler profiles** — wall time and firing counts per callback
   (:mod:`repro.obs.profiler`);
 * **run telemetry** — events/sec, sim-time/wall-time ratio, queue depth,
-  and a heartbeat progress line (:mod:`repro.obs.telemetry`);
+  and a heartbeat progress line, counting firings with the kernel's own
+  ``events_executed`` (:mod:`repro.obs.telemetry`);
 * **fleet metrics** — labeled counters/gauges/histograms in a mergeable
   :class:`Registry` with Prometheus text-format and JSONL exporters
   (:mod:`repro.obs.metrics`);
@@ -24,8 +25,7 @@ measured by the ``e11_obs_fleet`` baseline section
 (``benchmarks/bench_e11_obs_fleet.py``: disabled ≤2%, metrics-only ≤10%).
 """
 
-from .export import (chrome_trace, metrics_csv, profile_csv,
-                     profile_markdown, telemetry_csv, write_chrome_trace)
+from .export import chrome_trace, metrics_csv, profile_markdown
 from .metrics import Counter, Gauge, Histogram, Registry
 from .profiler import HandlerProfiler, HandlerStats
 from .recorder import (FlightRecorder, arm_postmortem, disarm_postmortem,
@@ -57,9 +57,6 @@ __all__ = [
     "SpanStatus",
     "callback_name",
     "chrome_trace",
-    "write_chrome_trace",
     "profile_markdown",
-    "profile_csv",
-    "telemetry_csv",
     "metrics_csv",
 ]

@@ -19,16 +19,14 @@ durations (fractional ``dur``) fine.
 
 from __future__ import annotations
 
-import json
-from typing import IO, Any
+from typing import Any
 
 from .profiler import HandlerProfiler
 from .spans import SpanStatus
 from .telemetry import Telemetry
 from .tracer import Tracer
 
-__all__ = ["chrome_trace", "write_chrome_trace", "profile_markdown",
-           "profile_csv", "telemetry_csv", "metrics_csv"]
+__all__ = ["chrome_trace", "profile_markdown", "metrics_csv"]
 
 _PID = 1  # one simulated "process"; tracks are threads beneath it
 
@@ -111,19 +109,12 @@ def chrome_trace(tracer: Tracer, telemetry: dict | None = None) -> dict:
             "otherData": meta}
 
 
-def write_chrome_trace(tracer: Tracer, fp: IO[str],
-                       telemetry: dict | None = None) -> int:
-    """Serialize the Chrome trace to an open text file; returns event count."""
-    payload = chrome_trace(tracer, telemetry)
-    json.dump(payload, fp)
-    return len(payload["traceEvents"])
-
-
 # -- profiler reductions -----------------------------------------------------
 
 def profile_markdown(profiler: HandlerProfiler, top: int = 15) -> str:
     """Hot-spot table (markdown), hottest handler first."""
     rows = profiler.rows()
+    total = profiler.total_ns
     lines = [
         "| handler | firings | total ms | mean µs | max µs | share |",
         "|---|---:|---:|---:|---:|---:|",
@@ -134,41 +125,33 @@ def profile_markdown(profiler: HandlerProfiler, top: int = 15) -> str:
             f"| {stats.total_ns / 1e6:.3f} "
             f"| {stats.mean_ns / 1e3:.2f} "
             f"| {stats.max_ns / 1e3:.2f} "
-            f"| {profiler.share(stats):.1%} |")
+            f"| {stats.total_ns / total if total else 0:.1%} |")
     if len(rows) > top:
         rest = rows[top:]
         rest_ns = sum(s.total_ns for s in rest)
         rest_n = sum(s.count for s in rest)
         lines.append(f"| *({len(rest)} more)* | {rest_n:,} "
                      f"| {rest_ns / 1e6:.3f} |  |  "
-                     f"| {rest_ns / profiler.total_ns if profiler.total_ns else 0:.1%} |")
+                     f"| {rest_ns / total if total else 0:.1%} |")
     return "\n".join(lines)
-
-
-def profile_csv(profiler: HandlerProfiler) -> str:
-    """Per-handler aggregates as CSV text."""
-    lines = ["handler,firings,total_ns,mean_ns,max_ns,min_ns,share"]
-    for stats in profiler.rows():
-        lines.append(f"{stats.key},{stats.count},{stats.total_ns},"
-                     f"{stats.mean_ns:.1f},{stats.max_ns},"
-                     f"{stats.min_ns or 0},{profiler.share(stats):.6f}")
-    return "\n".join(lines) + "\n"
-
-
-def telemetry_csv(telemetry: Telemetry, sim: Any = None) -> str:
-    """Telemetry snapshot as metric,value CSV text."""
-    lines = ["metric,value"]
-    for key, value in telemetry.snapshot(sim).items():
-        lines.append(f"{key},{value!r}")
-    return "\n".join(lines) + "\n"
 
 
 def metrics_csv(profiler: HandlerProfiler | None,
                 telemetry: Telemetry | None, sim: Any = None) -> str:
-    """Combined CSV: telemetry snapshot, then per-handler profile rows."""
-    parts = []
+    """CSV text: the telemetry snapshot as ``metric,value`` rows, a blank
+    line, then one row per handler (a section is left out when its facet
+    is off)."""
+    sections = []
     if telemetry is not None:
-        parts.append(telemetry_csv(telemetry, sim))
+        sections.append(["metric,value"] + [
+            f"{key},{value!r}"
+            for key, value in telemetry.snapshot(sim).items()])
     if profiler is not None:
-        parts.append(profile_csv(profiler))
-    return "\n".join(parts)
+        total = profiler.total_ns
+        sections.append(
+            ["handler,firings,total_ns,mean_ns,max_ns,min_ns,share"] + [
+                f"{s.key},{s.count},{s.total_ns},{s.mean_ns:.1f},"
+                f"{s.max_ns},{s.min_ns or 0},"
+                f"{s.total_ns / total if total else 0.0:.6f}"
+                for s in profiler.rows()])
+    return "\n".join("\n".join(lines) + "\n" for lines in sections)

@@ -9,14 +9,16 @@ callables are the exception: each lambda keys on its definition site
 (``mod.<lambda>@file.py:42``, see :func:`~repro.obs.spans.callback_name`),
 so distinct lambdas never melt into one unattributable ``<lambda>`` row.
 
-Aggregation is O(1) per firing: one dict lookup on the *callback object*
-(an identity-keyed memo resolves the display key once per distinct
-callable, not once per firing) plus four scalar updates.
+Aggregation is O(1) per firing: one dict lookup finds the row (a memo keyed
+by the callable's ``id()`` that holds a weak reference to it, so a callable
+reusing a freed one's address is not mistaken for it) plus four updates.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from typing import Any
+from weakref import ref
 
 from .spans import callback_name
 
@@ -58,33 +60,28 @@ class HandlerProfiler:
 
     def __init__(self) -> None:
         self._stats: dict[str, HandlerStats] = {}
-        #: memo: callable id -> display key (avoids getattr chains per firing)
-        self._key_memo: dict[int, str] = {}
-        self.total_ns = 0
-        self.firings = 0
+        #: memo: id(callable) -> (weak reference to it, its row)
+        self._memo: dict[int, tuple[Any, HandlerStats]] = {}
 
     def add(self, fn: Any, dur_ns: int) -> None:
         """Record one firing of *fn* that took *dur_ns* wall nanoseconds."""
-        memo = self._key_memo
-        fid = id(fn)
-        key = memo.get(fid)
-        if key is None:
-            # Bound methods are created fresh per call site in some models,
-            # so memo on the underlying function when there is one — its id
-            # is stable and the display key identical.
-            func = getattr(fn, "__func__", fn)
-            fid2 = id(func)
-            key = memo.get(fid2)
-            if key is None:
-                key = callback_name(fn)
-                memo[fid2] = key
-        stats = self._stats.get(key)
-        if stats is None:
-            stats = HandlerStats(key)
-            self._stats[key] = stats
+        # Bound methods are created fresh per scheduling, so memo on the
+        # underlying function when there is one (same display key).
+        func = getattr(fn, "__func__", fn)
+        hit = self._memo.get(id(func))
+        if hit is not None and hit[0]() is func:
+            stats = hit[1]
+        else:
+            key = callback_name(fn)
+            stats = self._stats.setdefault(key, HandlerStats(key))
+            with suppress(TypeError):  # not weakly referenceable: no memo
+                self._memo[id(func)] = (ref(func), stats)
         stats.add(dur_ns)
-        self.total_ns += dur_ns
-        self.firings += 1
+
+    @property
+    def total_ns(self) -> int:
+        """Wall nanoseconds profiled, over every handler."""
+        return sum(s.total_ns for s in self._stats.values())
 
     # -- reductions ----------------------------------------------------------
 
@@ -93,13 +90,9 @@ class HandlerProfiler:
         return sorted(self._stats.values(),
                       key=lambda s: (-s.total_ns, s.key))
 
-    def share(self, stats: HandlerStats) -> float:
-        """Fraction of all profiled wall time spent in *stats*' handler."""
-        return stats.total_ns / self.total_ns if self.total_ns else 0.0
-
     def __len__(self) -> int:
         return len(self._stats)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<HandlerProfiler handlers={len(self._stats)} "
-                f"firings={self.firings} total={self.total_ns / 1e6:.3f}ms>")
+                f"total={self.total_ns / 1e6:.3f}ms>")

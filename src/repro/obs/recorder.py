@@ -26,7 +26,7 @@ import json
 import os
 import signal
 from collections import deque
-from typing import Any, Optional
+from typing import Optional
 
 from .spans import callback_name
 
@@ -35,7 +35,8 @@ __all__ = ["FlightRecorder", "write_dump", "arm_postmortem",
 
 
 class FlightRecorder:
-    """Bounded ring buffer of the last *capacity* fired events."""
+    """Bounded ring of the last *capacity* firings: ``ObsBinding.end_fire``
+    appends ``(track, sim_time, callback, queue_depth)`` to ``ring``."""
 
     __slots__ = ("ring", "capacity")
 
@@ -44,13 +45,6 @@ class FlightRecorder:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self.ring: deque = deque(maxlen=self.capacity)
-
-    # -- hot path ------------------------------------------------------------
-
-    def record(self, track: str, sim_time: float, fn: Any,
-               queue_depth: int) -> None:
-        """Append one firing (called from ``ObsBinding.end_fire``)."""
-        self.ring.append((track, sim_time, fn, queue_depth))
 
     # -- post-mortem ---------------------------------------------------------
 

@@ -29,17 +29,18 @@ while the tracer, profiler, and telemetry aggregate across all of them.
 
 from __future__ import annotations
 
+import json
+from functools import partial
 from time import perf_counter_ns
 from typing import Any, Optional
 
 from ..core.queues import AdaptiveQueue
-from .export import (chrome_trace, metrics_csv, profile_markdown,
-                     write_chrome_trace)
+from .export import chrome_trace, metrics_csv, profile_markdown
 from .metrics import Registry
 from .profiler import HandlerProfiler
 from .recorder import FlightRecorder
 from .spans import EventSpan
-from .telemetry import Telemetry
+from .telemetry import CHECK_EVERY, Telemetry
 from .tracer import Tracer
 
 __all__ = ["Observation", "ObsBinding"]
@@ -74,35 +75,30 @@ class ObsBinding:
         # the hot path (end_fire) touches pre-bound Counter/Histogram objects.
         if self.metrics is not None:
             m = self.metrics
-            self._m_sched = m.counter(
-                "repro_events_scheduled_total",
-                "Events entering the pending queue.", track=track)
-            self._m_fired = m.counter(
-                "repro_events_fired_total",
-                "Event handlers fired by the dispatch loop.", track=track)
+            counter = partial(m.counter, track=track)
+            self._m_sched = counter("repro_events_scheduled_total",
+                                    "Events entering the pending queue.")
+            self._m_fired = counter("repro_events_fired_total",
+                                    "Event handlers fired by the dispatch loop.")
             self._m_handler_ns = m.histogram(
                 "repro_handler_duration_ns",
                 "Handler wall time in nanoseconds (pow-2 buckets).",
                 track=track)
-            self._m_rollbacks = m.counter(
-                "repro_rollbacks_total",
-                "Time Warp rollbacks applied to this LP.", track=track)
-            self._m_rolled_back = m.counter(
-                "repro_rolled_back_events_total",
-                "Speculative events undone by rollbacks.", track=track)
-            self._m_reallocs = m.counter(
+            self._m_rollbacks = counter("repro_rollbacks_total",
+                                        "Time Warp rollbacks applied to this LP.")
+            self._m_rolled_back = counter("repro_rolled_back_events_total",
+                                          "Speculative events undone by rollbacks.")
+            self._m_reallocs = counter(
                 "repro_flow_reallocations_total",
-                "Flow-network bandwidth share recomputations.", track=track)
-            self._m_migrations = m.counter(
-                "repro_queue_migrations_total",
-                "Adaptive event-queue backend migrations.", track=track)
-            self._m_flow_aborts = m.counter(
+                "Flow-network bandwidth share recomputations.")
+            self._m_migrations = counter("repro_queue_migrations_total",
+                                         "Adaptive event-queue backend migrations.")
+            self._m_flow_aborts = counter(
                 "repro_flow_aborts_total",
-                "In-flight transfers aborted by link outages.", track=track)
-            self._m_transfer_retries = m.counter(
+                "In-flight transfers aborted by link outages.")
+            self._m_transfer_retries = counter(
                 "repro_transfer_retries_total",
-                "File-transfer attempts re-queued after an abort.",
-                track=track)
+                "File-transfer attempts re-queued after an abort.")
             # GVT is global, not per-LP: no track label, so every binding
             # of this registry shares the same pair of instruments.
             self._m_gvt = m.gauge(
@@ -120,12 +116,12 @@ class ObsBinding:
         self.current: Optional[EventSpan] = None
         #: which firings the dispatch loop brackets with begin/end_fire:
         #: those whose lifetime ordinal ``n`` has ``n & sample_mask == 0``.
-        #: Tracing, profiling, telemetry and the recorder need every firing
-        #: (mask 0); with metrics alone the clock pair would dominate the
-        #: loop's added cost, so the duration histogram samples 1 in 16.
+        #: The tracer, profiler and recorder read every firing (mask 0);
+        #: metrics and telemetry take the count from the kernel, so the
+        #: duration histogram and the heartbeat check see 1 firing in 16.
         self.sample_mask = 15 if (
             self.tracer is None and self.profiler is None
-            and self.telemetry is None and self.recorder is None) else 0
+            and self.recorder is None) else 0
 
     # -- engine hooks --------------------------------------------------------
 
@@ -158,8 +154,9 @@ class ObsBinding:
             ev.obs_span = None
             self.current = None
         telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.on_event(self.sim)
+        if telemetry is not None \
+                and not self.sim._events_executed % CHECK_EVERY:
+            telemetry.check(self.sim)
         h = self._m_handler_ns
         if h is not None:
             h.observe(dur)
@@ -311,8 +308,8 @@ class Observation:
     Parameters
     ----------
     trace / profile / telemetry:
-        Enable the corresponding facet.  All three default on; each off
-        switch removes that facet's per-event work entirely.
+        Enable the corresponding facet (all three default on).  Only the
+        tracer, the profiler and the recorder time every firing.
     heartbeat:
         Wall seconds between progress lines (None = silent telemetry).
     sink:
@@ -322,14 +319,15 @@ class Observation:
         registry to share one across observations (default off — the
         single-run facets above are usually enough outside fleet runs).
     recorder:
-        Flight-recorder capacity (an int), or a prebuilt
-        :class:`~repro.obs.recorder.FlightRecorder` to share (default off).
+        ``True`` for a ring of the default capacity, a capacity (an int),
+        or a prebuilt :class:`~repro.obs.recorder.FlightRecorder` to share
+        (default off).
     """
 
     def __init__(self, trace: bool = True, profile: bool = True,
                  telemetry: bool = True, heartbeat: float | None = None,
                  sink=None, metrics: "bool | Registry" = False,
-                 recorder: "int | FlightRecorder | None" = None) -> None:
+                 recorder: "bool | int | FlightRecorder | None" = None) -> None:
         self.tracer: Tracer | None = Tracer() if trace else None
         self.profiler: HandlerProfiler | None = HandlerProfiler() if profile else None
         self.telemetry: Telemetry | None = (
@@ -338,10 +336,11 @@ class Observation:
             self.metrics: Registry | None = Registry()
         else:
             self.metrics = metrics or None
-        if recorder is None or isinstance(recorder, FlightRecorder):
-            self.recorder: FlightRecorder | None = recorder
-        else:
-            self.recorder = FlightRecorder(int(recorder))
+        if recorder is True or recorder is False:
+            recorder = FlightRecorder() if recorder else None
+        elif recorder is not None and not isinstance(recorder, FlightRecorder):
+            recorder = FlightRecorder(int(recorder))
+        self.recorder: FlightRecorder | None = recorder
         self.bindings: list[ObsBinding] = []
 
     # -- attachment ----------------------------------------------------------
@@ -349,11 +348,15 @@ class Observation:
     def attach(self, sim: Any, track: str | None = None) -> "Observation":
         """Observe *sim* (idempotent per simulator); chainable."""
         existing = getattr(sim, "_obs", None)
-        if existing is not None and existing.obs is self:
-            return self
+        if existing is not None:
+            if existing.obs is self:
+                return self
+            existing.obs.detach(sim)   # one observer per simulator
         binding = ObsBinding(self, sim, track or f"sim{len(self.bindings)}")
         sim._obs = binding
         self.bindings.append(binding)
+        if binding.telemetry is not None:
+            binding.telemetry.attach(sim)
         queue = getattr(sim, "_queue", None)
         if isinstance(queue, AdaptiveQueue):
             queue.on_migrate = binding.on_queue_migrate
@@ -363,12 +366,6 @@ class Observation:
     def sim(self) -> Any:
         """The first simulator still observed (``None`` once detached)."""
         return self.bindings[0].sim if self.bindings else None
-
-    def _telemetry_snapshot(self) -> dict | None:
-        """Telemetry read against the observed clock (``None`` if off)."""
-        if self.telemetry is None:
-            return None
-        return self.telemetry.snapshot(self.sim)
 
     def attach_lps(self, lps) -> "Observation":
         """Observe every logical process, one track per LP name."""
@@ -382,6 +379,8 @@ class Observation:
         if binding is not None and binding.obs is self:
             sim._obs = None
             self.bindings = [b for b in self.bindings if b is not binding]
+            if binding.telemetry is not None:
+                binding.telemetry.detach(sim)
             queue = getattr(sim, "_queue", None)
             if isinstance(queue, AdaptiveQueue) \
                     and queue.on_migrate == binding.on_queue_migrate:
@@ -400,15 +399,15 @@ class Observation:
         """The Chrome trace-event object (requires ``trace=True``)."""
         if self.tracer is None:
             raise ValueError("tracing was not enabled on this Observation")
-        return chrome_trace(self.tracer, self._telemetry_snapshot())
+        tel = self.telemetry
+        return chrome_trace(self.tracer, tel and tel.snapshot(self.sim))
 
     def export_chrome(self, path) -> int:
         """Write the Perfetto-loadable trace JSON; returns event count."""
-        if self.tracer is None:
-            raise ValueError("tracing was not enabled on this Observation")
+        payload = self.chrome_trace()
         with open(path, "w") as fp:
-            return write_chrome_trace(self.tracer, fp,
-                                      self._telemetry_snapshot())
+            json.dump(payload, fp)
+        return len(payload["traceEvents"])
 
     def profile_table(self, top: int = 15) -> str:
         """Markdown hot-spot table (requires ``profile=True``)."""
@@ -416,10 +415,9 @@ class Observation:
             raise ValueError("profiling was not enabled on this Observation")
         return profile_markdown(self.profiler, top=top)
 
-    def metrics_csv(self, sim: Any = None) -> str:
+    def metrics_csv(self) -> str:
         """Telemetry + profile rows as CSV text."""
-        return metrics_csv(self.profiler, self.telemetry,
-                           self.sim if sim is None else sim)
+        return metrics_csv(self.profiler, self.telemetry, self.sim)
 
     def prometheus_text(self) -> str:
         """Metrics registry in Prometheus exposition format."""
@@ -434,10 +432,11 @@ class Observation:
             out["trace"] = self.tracer.counts()
         if self.profiler is not None:
             out["profile"] = {"handlers": len(self.profiler),
-                              "firings": self.profiler.firings,
+                              "firings": sum(s.count
+                                             for s in self.profiler.rows()),
                               "total_ms": self.profiler.total_ns / 1e6}
         if self.telemetry is not None:
-            out["telemetry"] = self._telemetry_snapshot()
+            out["telemetry"] = self.telemetry.snapshot(self.sim)
         if self.metrics is not None:
             out["metrics"] = {"instruments": len(self.metrics)}
         if self.recorder is not None:

@@ -2,35 +2,34 @@
 
 The numbers an operator wants while a long simulation runs: how fast is it
 going, how far has it got, is the event list growing without bound.  The
-per-event cost is one integer increment and one comparison; everything
-expensive (clock reads, queue-depth probes, line formatting) happens only
-every ``check_every`` events, and the heartbeat line only after
-``heartbeat`` wall seconds have passed since the last one.
+firing count is the kernel's ``events_executed``, read only when reported;
+the binding checks the heartbeat every ``CHECK_EVERY`` firings of its
+simulator, and a line goes out ``heartbeat`` wall seconds after the last.
 """
 
 from __future__ import annotations
 
 import sys
 from time import perf_counter
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 __all__ = ["Telemetry"]
 
+#: firings of one simulator between heartbeat checks (a power of two that
+#: the binding's 1-in-16 sample always contains)
+CHECK_EVERY = 2048
+
 
 class Telemetry:
-    """Counts firings and reports run-rate statistics.
+    """Reports run-rate statistics over the simulators it observes.
 
     Parameters
     ----------
     heartbeat:
-        Emit a progress line every this many *wall* seconds (None = never;
-        counting still happens).
+        Emit a progress line every this many *wall* seconds (None = never).
     sink:
         Where heartbeat lines go; default writes to stderr.  Any callable
         accepting one string works (a logger, a list's append...).
-    check_every:
-        How many firings between wall-clock checks — the knob trading
-        heartbeat latency against per-event overhead.
 
     Attributes
     ----------
@@ -41,47 +40,55 @@ class Telemetry:
     """
 
     def __init__(self, heartbeat: float | None = None,
-                 sink: Callable[[str], None] | None = None,
-                 check_every: int = 2048) -> None:
+                 sink: Callable[[str], None] | None = None) -> None:
         self.heartbeat = heartbeat
         self.sink = sink if sink is not None else _stderr_sink
         self.beat_hook: Callable[[dict], None] | None = None
-        self.check_every = max(1, int(check_every))
-        self.events = 0
         self.start_wall = perf_counter()
         self.start_sim: float | None = None
-        self._next_check = self.check_every
+        #: attached simulator -> its ``events_executed`` at attach
+        self._base: dict[Any, int] = {}
+        self._detached_events = 0
         self._last_beat_wall = self.start_wall
         self._last_beat_events = 0
         self.heartbeats = 0
 
-    # -- hot path ------------------------------------------------------------
+    def attach(self, sim: Any) -> None:
+        """Count *sim*'s firings from now on; the first attach starts the
+        simulated span that ``sim_wall_ratio`` measures."""
+        if self.start_sim is None:
+            self.start_sim = sim.now
+        self._base[sim] = sim.events_executed
 
-    def on_event(self, sim: Any) -> None:
-        """Count one firing; occasionally check whether to heartbeat."""
-        self.events += 1
-        if self.events >= self._next_check:
-            self._next_check = self.events + self.check_every
-            if self.start_sim is None:
-                self.start_sim = sim.now
-            if self.heartbeat is not None:
-                wall = perf_counter()
-                if wall - self._last_beat_wall >= self.heartbeat:
-                    self.beat(sim, wall)
+    def detach(self, sim: Any) -> None:
+        """Keep *sim*'s firings so far, stop reading its count."""
+        self._detached_events += sim.events_executed - self._base.pop(sim)
+
+    @property
+    def events(self) -> int:
+        """Firings observed since attach, summed over every simulator."""
+        return self._detached_events + sum(
+            sim.events_executed - base for sim, base in self._base.items())
+
+    def check(self, sim: Any) -> None:
+        """Emit a heartbeat for *sim* if one is due."""
+        if self.heartbeat is not None:
+            wall = perf_counter()
+            if wall - self._last_beat_wall >= self.heartbeat:
+                self.beat(sim, wall)
 
     # -- reporting -----------------------------------------------------------
 
     def beat(self, sim: Any, wall: float | None = None) -> str:
         """Emit (and return) one progress line for *sim* right now."""
         wall = perf_counter() if wall is None else wall
-        window = wall - self._last_beat_wall
-        inst_eps = ((self.events - self._last_beat_events) / window
-                    if window > 0 else 0.0)
-        self._last_beat_wall = wall
-        self._last_beat_events = self.events
         self.heartbeats += 1
         snap = self.snapshot(sim, wall)
-        line = (f"[obs] t={snap['sim_time']:.6g} events={self.events:,} "
+        events, window = snap["events"], wall - self._last_beat_wall
+        inst_eps = ((events - self._last_beat_events) / window
+                    if window > 0 else 0.0)
+        self._last_beat_wall, self._last_beat_events = wall, events
+        line = (f"[obs] t={snap['sim_time']:.6g} events={events:,} "
                 f"eps={inst_eps:,.0f} (avg {snap['events_per_sec']:,.0f}) "
                 f"depth={snap['queue_depth']} "
                 f"sim/wall={snap['sim_wall_ratio']:.3g}")
@@ -100,16 +107,16 @@ class Telemetry:
         """
         wall = perf_counter() if wall is None else wall
         elapsed = float(wall - self.start_wall)
-        now = float(getattr(sim, "now", 0.0)) if sim is not None else 0.0
-        start_sim = self.start_sim if self.start_sim is not None else 0.0
-        sim_span = now - start_sim if sim is not None else 0.0
+        events = self.events
+        now = float(sim.now) if sim is not None else 0.0
+        sim_span = now - (self.start_sim or 0.0) if sim is not None else 0.0
         return {
-            "events": int(self.events),
+            "events": int(events),
             "wall_seconds": elapsed,
-            "events_per_sec": self.events / elapsed if elapsed > 0 else 0.0,
+            "events_per_sec": events / elapsed if elapsed > 0 else 0.0,
             "sim_time": now,
             "sim_wall_ratio": sim_span / elapsed if elapsed > 0 else 0.0,
-            "queue_depth": int(getattr(sim, "pending", 0)) if sim is not None else 0,
+            "queue_depth": int(sim.pending) if sim is not None else 0,
             "heartbeats": int(self.heartbeats),
         }
 

@@ -279,9 +279,9 @@ class TestRunnerFailurePaths:
             == [False] * 3
 
     def test_unknown_scenario_fails_cleanly(self):
-        result = run_campaign(CampaignSpec("no-such-scenario"), workers=1)
-        assert result.records[0].status == "failed"
-        assert "unknown scenario" in result.records[0].error
+        # checked with the params, before any run starts
+        with pytest.raises(ConfigurationError, match="unknown scenario"):
+            run_campaign(CampaignSpec("no-such-scenario"), workers=1)
 
     def test_bad_retries_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -119,6 +119,17 @@ class TestProfile:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--jobs must exceed" in err
 
+    def test_unknown_queue_is_one_error_line(self, capsys):
+        from repro.core import QUEUE_FACTORIES
+
+        assert main(["profile", "--model", "hold", "--jobs", "10",
+                     "--queue", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: --queue must be one of")
+        assert all(kind in captured.err for kind in QUEUE_FACTORIES)
+        assert "profiled" not in captured.out
+
 
 class TestClassify:
     def test_lists_engines(self, capsys):
@@ -215,6 +226,14 @@ class TestCampaignErrors:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert says in err
         assert COUNTED == []
+
+    def test_unknown_scenario_rejected_before_any_run(self, capsys):
+        assert main(["campaign", "--scenario", "nope", "--runs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: unknown scenario 'nope'")
+        assert "'counted'" in captured.err and "'mm1'" in captured.err
+        assert "point 0" not in captured.out
 
     def test_whole_float_reads_as_int(self, capsys):
         COUNTED.clear()

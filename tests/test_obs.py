@@ -15,8 +15,9 @@ from repro.core import Process, Signal, Simulator, timer
 from repro.core.parallel import LogicalProcess, SequentialExecutor
 from repro.core.timedriven import TimeDrivenSimulator
 from repro.obs import (Observation, SpanStatus, Telemetry, Tracer,
-                       callback_name, chrome_trace, profile_csv,
+                       callback_name, chrome_trace, metrics_csv,
                        profile_markdown, HandlerProfiler)
+from repro.obs.telemetry import CHECK_EVERY
 
 
 def _observed_sim(**kw):
@@ -142,7 +143,7 @@ class TestProfiler:
         assert row.count == 10 and sink.n == 10
         assert row.key.endswith("Sink.handle")
         assert row.total_ns > 0 and row.max_ns >= row.mean_ns >= row.min_ns
-        assert obs.profiler.share(row) == pytest.approx(1.0)
+        assert row.total_ns == obs.profiler.total_ns
 
     def test_resumed_segments_are_charged_to_the_firing_that_woke_them(self):
         """The run queue drains inside the observed firing: model code in a
@@ -200,19 +201,42 @@ class TestProfiler:
         md = profile_markdown(prof, top=5)
         assert md.splitlines()[0].startswith("| handler |")
         assert "callback_name" in md
-        csv = profile_csv(prof)
+        csv = metrics_csv(prof, None)
         assert csv.startswith("handler,firings,total_ns")
         assert ",5," in csv
+
+    def test_freed_callables_do_not_lend_their_key(self):
+        """The key memo must not outlive the callable it names: lambdas
+        from one site, fired and freed, leave addresses that a second
+        site's lambdas reuse; each site's row still counts its own."""
+        obs, sim = _observed_sim(trace=False, telemetry=False)
+
+        def site_a():
+            return lambda: None
+
+        def site_b():
+            return lambda: None
+
+        for site in (site_a, site_b):
+            for _ in range(500):
+                sim.schedule(1.0, site())
+            sim.run()
+        counts = {r.key: r.count for r in obs.profiler.rows()}
+        assert sorted(counts.values()) == [500, 500], counts
+        assert obs.summary()["profile"]["firings"] == 1000
 
 
 class TestTelemetry:
     def test_snapshot_counts_every_firing(self):
+        # telemetry reads no durations: its binding times 1 firing in 16,
+        # and the count it reports is the kernel's, exact
         obs, sim = _observed_sim(trace=False, profile=False)
+        assert obs.bindings[0].sample_mask == 15
         for i in range(50):
             sim.schedule(float(i), lambda: None)
         sim.run()
         snap = obs.telemetry.snapshot(sim)
-        assert snap["events"] == 50
+        assert snap["events"] == sim.events_executed == 50
         assert snap["sim_time"] == pytest.approx(49.0)
         assert snap["wall_seconds"] > 0
         assert snap["events_per_sec"] > 0
@@ -220,16 +244,61 @@ class TestTelemetry:
 
     def test_heartbeat_lines_reach_the_sink(self):
         lines = []
-        tel = Telemetry(heartbeat=0.0, sink=lines.append, check_every=1)
+        tel = Telemetry(heartbeat=0.0, sink=lines.append)
         sim = Simulator()
         obs = Observation(trace=False, profile=False, telemetry=False)
         obs.telemetry = tel
         obs.attach(sim)
-        for i in range(5):
+        for i in range(2 * CHECK_EVERY + 5):
             sim.schedule(float(i), lambda: None)
+        sim.run(until=CHECK_EVERY + 10.0)   # stop mid-way, then resume
         sim.run()
-        assert lines and all(line.startswith("[obs]") for line in lines)
+        assert all(line.startswith("[obs]") for line in lines)
+        # a line mid-run reports the exact count so far
+        assert [line.split()[2] for line in lines] == [
+            f"events={CHECK_EVERY:,}", f"events={2 * CHECK_EVERY:,}"]
         assert tel.heartbeats == len(lines)
+
+    def test_counts_only_firings_while_attached(self):
+        obs = Observation(trace=False, profile=False)
+        sim = Simulator()
+        for i in range(40):
+            sim.schedule(float(i), lambda: None)
+        sim.run(until=9.0)                  # 10 firings, unobserved
+        obs.attach(sim)
+        sim.run(until=29.0)                 # 20 observed
+        obs.detach(sim)
+        sim.run()                           # 10 more, unobserved
+        assert obs.telemetry.snapshot(sim)["events"] == 20
+
+    def test_second_observation_takes_the_simulator_over(self):
+        first, second = (Observation(trace=False, profile=False)
+                         for _ in range(2))
+        sim = Simulator()
+        for i in range(15):
+            sim.schedule(float(i), lambda: None)
+        first.attach(sim)
+        sim.run(until=9.0)
+        second.attach(sim)
+        sim.run()
+        assert not first.bindings and sim._obs.obs is second
+        assert (first.telemetry.events, second.telemetry.events) == (10, 5)
+
+    def test_sim_wall_ratio_spans_the_whole_observed_run(self):
+        """Simulated time is measured from the first attach, not from the
+        first heartbeat check."""
+        obs = Observation(trace=False, profile=False)
+        sim = Simulator()
+        sim.schedule(5.0, lambda: None)
+        sim.run()
+        obs.attach(sim)
+        for i in range(10_000):
+            sim.schedule_at(10.0 + i, lambda: None)
+        sim.run()
+        assert obs.telemetry.start_sim == 5.0
+        snap = obs.telemetry.snapshot(sim)
+        assert snap["sim_wall_ratio"] == pytest.approx(
+            (10_009.0 - 5.0) / snap["wall_seconds"])
 
     def test_snapshot_key_set_is_pinned(self):
         """Telemetry carries only what nothing else knows; every other run
@@ -582,7 +651,7 @@ class TestMetricsFacet:
         assert m.value("repro_events_scheduled_total", track="t0") == 21.0
         assert m.value("repro_events_fired_total", track="t0") == 20.0
         hist = m.histogram("repro_handler_duration_ns", track="t0")
-        assert hist.count == 20 and hist.sum > 0
+        assert hist.count == 1 and hist.sum > 0   # sampled: firing 16
         assert m.value("repro_events_fired_total", track="t0") == \
             obs.telemetry.snapshot(sim)["events"]
 
@@ -737,20 +806,26 @@ class TestMetricsLiteLoop:
 
         lite, n1 = run_with(self._lite_obs())
         generic, n2 = run_with(Observation(trace=False, profile=False,
-                                           telemetry=True, metrics=True))
+                                           telemetry=True, metrics=True,
+                                           recorder=8))
         assert lite == generic and n1 == n2 == 30
 
-    def test_telemetry_or_recorder_forces_generic_path(self):
-        # with telemetry on, every firing is timed (no sampling)
+    @pytest.mark.parametrize("recorder, timed", [(None, 20 // 16), (8, 20)],
+                             ids=["telemetry", "recorder"])
+    def test_recorder_forces_generic_path_telemetry_does_not(self, recorder,
+                                                             timed):
+        # the recorder reads every firing, so every firing is timed;
+        # telemetry reads the kernel's count, so its binding samples
         obs = Observation(trace=False, profile=False, telemetry=True,
-                          metrics=True)
+                          metrics=True, recorder=recorder)
         sim = Simulator(seed=1)
         obs.attach(sim, track="t0")
         for i in range(20):
             sim.schedule(float(i), lambda: None)
         sim.run()
         hist = obs.metrics.histogram("repro_handler_duration_ns", track="t0")
-        assert hist.count == 20
+        assert hist.count == timed
+        assert obs.telemetry.snapshot(sim)["events"] == 20
 
     def test_max_events_budget_still_enforced(self):
         from repro.core import SchedulingError
@@ -785,8 +860,13 @@ class TestMetricsLiteLoop:
                    "window": WindowExecutor,
                    "optimistic": OptimisticExecutor}[executor]
         ring = build_partitioned_ring(k=4, jobs_per_site=40, horizon=200.0)
-        obs = self._lite_obs().attach_lps(ring.lps)
+        # telemetry on: it reads the kernel's count, so the mask stays 15
+        obs = Observation(trace=False, profile=False,
+                          metrics=True).attach_lps(ring.lps)
+        assert all(b.sample_mask == 15 for b in obs.bindings)
         factory().run(ring.lps, until=200.0)
+        assert obs.telemetry.snapshot()["events"] == sum(
+            lp.sim.events_executed for lp in ring.lps)
         for lp in ring.lps:
             fired = lp.sim.events_executed
             assert fired > 160

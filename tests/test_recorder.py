@@ -17,7 +17,7 @@ class TestRing:
     def test_ring_keeps_last_n(self):
         rec = FlightRecorder(capacity=3)
         for i in range(10):
-            rec.record("t0", float(i), named_handler, queue_depth=10 - i)
+            rec.ring.append(("t0", float(i), named_handler, 10 - i))
         assert len(rec) == 3
         snap = rec.snapshot()
         assert [e["sim_time"] for e in snap] == [7.0, 8.0, 9.0]
@@ -25,8 +25,9 @@ class TestRing:
         assert all(e["track"] == "t0" for e in snap)
 
     def test_names_resolved_at_snapshot_not_record(self):
+        # the binding appends raw (track, time, callable, depth) tuples
         rec = FlightRecorder(capacity=4)
-        rec.record("t", 0.0, named_handler, 0)
+        rec.ring.append(("t", 0.0, named_handler, 0))
         # the ring holds the raw callable; resolution happens on snapshot
         assert rec.ring[-1][2] is named_handler
         assert rec.snapshot()[0]["handler"].endswith("named_handler")
@@ -48,7 +49,7 @@ class TestDump:
     def test_dump_header_and_entries(self, tmp_path):
         rec = FlightRecorder(capacity=8)
         for i in range(3):
-            rec.record("sim", float(i), named_handler, i)
+            rec.ring.append(("sim", float(i), named_handler, i))
         path = rec.dump(str(tmp_path / "flight.jsonl"), "timeout",
                         extra={"run_index": 7})
         with open(path) as fp:
@@ -63,7 +64,7 @@ class TestDump:
 
     def test_armed_postmortem_dump_and_disarm(self, tmp_path):
         rec = FlightRecorder()
-        rec.record("t", 1.0, named_handler, 0)
+        rec.ring.append(("t", 1.0, named_handler, 0))
         path = str(tmp_path / "pm.jsonl")
         arm_postmortem(rec, path, {"worker": 3})
         try:
@@ -96,6 +97,17 @@ class TestObservationIntegration:
         assert all(e["track"] == "ring" for e in snap)
         assert "recorder" in repr(obs)
         assert obs.summary()["recorder"]["events"] == 16
+
+    def test_recorder_facet_reads_booleans_like_metrics(self):
+        on = Observation(trace=False, profile=False, recorder=True)
+        assert on.recorder.capacity == FlightRecorder().capacity == 256
+        assert Observation(recorder=False).recorder is None
+        assert Observation(recorder=16).recorder.capacity == 16
+        sim = Simulator()
+        on.attach(sim)
+        sim.schedule(0.0, named_handler)
+        sim.run()
+        assert len(on.recorder) == 1
 
     def test_recorder_instance_shared_across_bindings(self):
         ring = FlightRecorder(capacity=4)
