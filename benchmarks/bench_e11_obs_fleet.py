@@ -19,7 +19,8 @@ alone), across four modes:
     Budget: **≤ 10%** overhead vs ``pre_obs``.
 ``full``
     Metrics + telemetry + a 256-event flight-recorder ring — what a
-    campaign run ships by default.
+    campaign run carries with ``recorder_dir`` set, or under the pool
+    with ``heartbeat`` (a default run has no ring).  Information only.
 
 Usage::
 

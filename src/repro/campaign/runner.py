@@ -42,15 +42,14 @@ pipe once more, so a run completing at the last instant is recorded,
 not killed.
 
 Observability rides the same protocol.  Each run executes with a fresh
-metrics :class:`~repro.obs.metrics.Registry` and a flight-recorder ring;
-the registry dump and the run's telemetry snapshot come back inside the
-``done`` record, and ``beat`` frames (when ``heartbeat`` is set) carry
-live rate snapshots plus the recorder's tail — so the parent can flag a
-stalled worker well before its hard timeout and can write a *partial*
-post-mortem for a worker that died too hard to dump its own.  A worker
-killed by the parent's ``terminate()`` dumps its full ring itself via
-the SIGTERM handler installed at worker start (``recorder_dir`` names
-where these JSONL artifacts land).
+metrics :class:`~repro.obs.metrics.Registry`, whose dump comes back with
+the run's telemetry snapshot inside the ``done`` record.  A run gets a
+flight-recorder ring only where something reads it: ``beat`` frames
+(pooled, with ``heartbeat``) carry live rate snapshots plus its tail —
+so the parent can flag a stalled worker before its hard timeout and
+write a *partial* post-mortem for a worker that died too hard to dump
+its own — and with ``recorder_dir`` a run that raises, or a worker the
+parent's ``terminate()`` kills (SIGTERM handler), dumps the whole ring.
 """
 
 from __future__ import annotations
@@ -77,9 +76,6 @@ from .stats import MetricSummary, summarize, summarize_points
 from .telemetry import CampaignTelemetry, aggregate_telemetry
 
 __all__ = ["RunRecord", "CampaignResult", "run_campaign", "run_specs"]
-
-#: default flight-recorder ring capacity (last N firings kept per run)
-DEFAULT_RECORDER_EVENTS = 256
 
 
 @dataclass(slots=True)
@@ -147,16 +143,11 @@ def _execute(spec: RunSpec, attempt: int, worker: int,
     path alike)."""
     rec = _record(spec, attempt, worker)
     registry = Registry()
-    recorder = FlightRecorder(DEFAULT_RECORDER_EVENTS)
     dump_path = _flight_path(recorder_dir, spec.index, attempt)
     extra = {"run_index": spec.index, "attempt": attempt,
              "scenario": spec.scenario, "worker": worker}
-    if dump_path is not None:
-        # Armed for the whole run: if this process is terminated mid-run,
-        # the SIGTERM handler dumps the ring to dump_path on the way out.
-        arm_postmortem(recorder, dump_path, extra)
     beat_hook = None
-    if beat_send is not None:
+    if beat_send is not None and heartbeat is not None:
         def beat_hook(snap: dict) -> None:
             tail = recorder.snapshot()[-8:]
             payload = dict(snap)
@@ -166,6 +157,12 @@ def _execute(spec: RunSpec, attempt: int, worker: int,
                 beat_send(("beat", spec.index, attempt, payload))
             except OSError:
                 pass  # parent went away; the run still finishes locally
+    # A ring only where something reads it: a beat frame or a dump.
+    recorder = FlightRecorder() if beat_hook or dump_path else None
+    if dump_path is not None:
+        # Armed for the whole run: if this process is terminated mid-run,
+        # the SIGTERM handler dumps the ring to dump_path on the way out.
+        arm_postmortem(recorder, dump_path, extra)
     t0 = perf_counter()
     try:
         with _run_observation(heartbeat=heartbeat, beat_hook=beat_hook,
@@ -313,8 +310,9 @@ def run_specs(runs: Sequence[RunSpec], workers: int = 1,
     — a worker whose run has shown no start/beat progress for
     ``max(5·heartbeat, 1.0)`` seconds; ``recorder_dir`` enables flight-
     recorder post-mortem JSONL dumps for runs that raise, time out, or
-    lose their worker (the ring keeps the last ``DEFAULT_RECORDER_EVENTS``
-    firings).  Workers start by fork where the platform has it, else spawn.
+    lose their worker; only then, or with ``heartbeat`` under the pool,
+    does a run keep a ring (the :class:`~repro.obs.recorder.FlightRecorder`
+    default capacity).  Workers start by fork where available, else spawn.
     """
     if retries < 0:
         raise ConfigurationError(f"retries must be >= 0, got {retries}")

@@ -3,12 +3,13 @@
 When a campaign run is terminated for exceeding its timeout, the process
 dies with everything an operator would want to know: where was it?  Which
 handler was it grinding through?  Was the event list exploding?  The
-recorder answers that post mortem: each observed firing appends one tuple
-(track, sim time, callback, queue depth) to a fixed-size ring, and
-:meth:`FlightRecorder.dump` writes the ring — newest last — as JSONL.
+recorder answers that post mortem: as each observed handler starts, one
+tuple (track, sim time, callback, queue depth) goes into a fixed-size
+ring, so a dump from inside a handler (a SIGTERM interrupts one) names
+it; :meth:`FlightRecorder.dump` writes the ring — newest last — as JSONL.
 
-Hot-path cost is one ``deque.append`` of a 4-tuple; the callback's display
-name is resolved lazily at dump time, never per firing.
+One untimed ``pre_event_hooks`` call per firing; names resolve at dump
+time.  The campaign runner attaches a ring only where something reads it.
 
 Worker integration (:mod:`repro.campaign.runner`) uses the module-level
 *armed post-mortem*: :func:`arm_postmortem` names the recorder and dump
@@ -26,7 +27,7 @@ import json
 import os
 import signal
 from collections import deque
-from typing import Optional
+from typing import Callable, Optional
 
 from .spans import callback_name
 
@@ -35,7 +36,7 @@ __all__ = ["FlightRecorder", "write_dump", "arm_postmortem",
 
 
 class FlightRecorder:
-    """Bounded ring of the last *capacity* firings: ``ObsBinding.end_fire``
+    """Bounded ring of the last *capacity* firings: :meth:`pre_event_hook`
     appends ``(track, sim_time, callback, queue_depth)`` to ``ring``."""
 
     __slots__ = ("ring", "capacity")
@@ -45,6 +46,15 @@ class FlightRecorder:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self.ring: deque = deque(maxlen=self.capacity)
+
+    def pre_event_hook(self, track: str, sim) -> Callable:
+        """The ``sim.pre_event_hooks`` entry ringing *sim*'s firings; the
+        depth reads *sim*, whose queue a Time Warp restore replaces."""
+        append = self.ring.append
+
+        def record(ev) -> None:
+            append((track, ev.time, ev.fn, len(sim._queue)))
+        return record
 
     # -- post-mortem ---------------------------------------------------------
 

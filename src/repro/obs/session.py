@@ -56,7 +56,7 @@ class ObsBinding:
     """
 
     __slots__ = ("obs", "sim", "track", "tracer", "profiler", "telemetry",
-                 "metrics", "recorder", "current", "sample_mask",
+                 "metrics", "ring_hook", "current", "sample_mask",
                  "_m_sched", "_m_fired", "_m_handler_ns", "_m_rollbacks",
                  "_m_rolled_back", "_m_reallocs", "_m_migrations",
                  "_m_gvt", "_m_gvt_rounds",
@@ -70,7 +70,9 @@ class ObsBinding:
         self.profiler = obs.profiler
         self.telemetry = obs.telemetry
         self.metrics = obs.metrics
-        self.recorder = obs.recorder
+        #: the recorder's untimed ``sim.pre_event_hooks`` entry, or None
+        self.ring_hook = obs.recorder and obs.recorder.pre_event_hook(
+            track, sim)
         # Instrument handles are resolved once per binding, never per event:
         # the hot path (end_fire) touches pre-bound Counter/Histogram objects.
         if self.metrics is not None:
@@ -116,12 +118,11 @@ class ObsBinding:
         self.current: Optional[EventSpan] = None
         #: which firings the dispatch loop brackets with begin/end_fire:
         #: those whose lifetime ordinal ``n`` has ``n & sample_mask == 0``.
-        #: The tracer, profiler and recorder read every firing (mask 0);
-        #: metrics and telemetry take the count from the kernel, so the
-        #: duration histogram and the heartbeat check see 1 firing in 16.
+        #: The tracer and profiler time every firing (mask 0); metrics,
+        #: telemetry and the recorder read no durations, so the duration
+        #: histogram and the heartbeat check see 1 firing in 16.
         self.sample_mask = 15 if (
-            self.tracer is None and self.profiler is None
-            and self.recorder is None) else 0
+            self.tracer is None and self.profiler is None) else 0
 
     # -- engine hooks --------------------------------------------------------
 
@@ -160,10 +161,6 @@ class ObsBinding:
         h = self._m_handler_ns
         if h is not None:
             h.observe(dur)
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.ring.append(
-                (self.track, ev.time, ev.fn, len(self.sim._queue)))
 
     def fold_fired(self, fired: int) -> None:
         """The dispatch loop returned after *fired* firings (exact, even
@@ -309,7 +306,7 @@ class Observation:
     ----------
     trace / profile / telemetry:
         Enable the corresponding facet (all three default on).  Only the
-        tracer, the profiler and the recorder time every firing.
+        tracer and the profiler time every firing.
     heartbeat:
         Wall seconds between progress lines (None = silent telemetry).
     sink:
@@ -357,6 +354,8 @@ class Observation:
         self.bindings.append(binding)
         if binding.telemetry is not None:
             binding.telemetry.attach(sim)
+        if binding.ring_hook is not None:
+            sim.pre_event_hooks.append(binding.ring_hook)
         queue = getattr(sim, "_queue", None)
         if isinstance(queue, AdaptiveQueue):
             queue.on_migrate = binding.on_queue_migrate
@@ -381,6 +380,8 @@ class Observation:
             self.bindings = [b for b in self.bindings if b is not binding]
             if binding.telemetry is not None:
                 binding.telemetry.detach(sim)
+            if binding.ring_hook is not None:
+                sim.pre_event_hooks.remove(binding.ring_hook)
             queue = getattr(sim, "_queue", None)
             if isinstance(queue, AdaptiveQueue) \
                     and queue.on_migrate == binding.on_queue_migrate:

@@ -784,6 +784,38 @@ class TestCampaignObservability:
         assert len(stall_lines) == 2
         assert "no progress for" in stall_lines[0]
 
+    @pytest.mark.parametrize("workers, heartbeat, with_dir, attached", [
+        (1, 60.0, False, False), (2, None, False, False),
+        (2, 60.0, False, True), (1, None, True, True), (2, None, True, True),
+    ], ids=["serial", "pooled", "pooled-heartbeat", "serial-dir",
+            "pooled-dir"])
+    def test_ring_attached_only_where_read(self, tmp_path, workers,
+                                           heartbeat, with_dir, attached):
+        # only a beat frame (pooled, with heartbeat) or a dump (with
+        # recorder_dir) reads the ring
+        @register_scenario("recorder-probe")
+        def recorder_probe(params, seed):
+            from repro.campaign.scenarios import _build_observation
+            return {"ring": float(
+                _build_observation().recorder is not None)}, {}
+
+        spec = CampaignSpec("recorder-probe", replications=2, root_seed=0)
+        result = run_campaign(
+            spec, workers=workers, heartbeat=heartbeat,
+            recorder_dir=str(tmp_path) if with_dir else None)
+        assert [r.metrics["ring"] for r in result.records] == \
+            [float(attached)] * 2
+
+    def test_ring_leaves_metrics_bytes_alone(self, tmp_path):
+        spec = tiny_mm1_spec(replications=3)
+        plain = run_campaign(spec, workers=1)
+        serial = run_campaign(spec, workers=1, recorder_dir=str(tmp_path))
+        pooled = run_campaign(spec, workers=2, heartbeat=60.0,
+                              recorder_dir=str(tmp_path))
+        assert plain.n_ok == 3
+        assert plain.metrics_bytes() == serial.metrics_bytes() \
+            == pooled.metrics_bytes()
+
     def test_campaign_report_and_prom_cli(self, tmp_path, capsys):
         from repro.cli import main
 

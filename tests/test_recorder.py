@@ -121,3 +121,110 @@ class TestObservationIntegration:
         s2.run()
         assert obs.recorder is ring
         assert {e["track"] for e in ring.snapshot()} == {"a", "b"}
+
+
+def fast():
+    pass
+
+
+class TestUntimedPreFireRecord:
+    """The ring is appended through ``pre_event_hooks`` as each handler
+    starts, untimed."""
+
+    def test_dump_inside_a_handler_names_that_handler(self, tmp_path):
+        # The SIGTERM post-mortem dumps from inside the running handler;
+        # a handler that dumps itself stands in for the signal.
+        def grinding():
+            dump_postmortem("terminated")
+
+        obs = Observation(trace=False, profile=False, recorder=8)
+        sim = Simulator(seed=1)
+        obs.attach(sim)
+        sim.schedule(0.0, fast)
+        sim.schedule(1.0, grinding)
+        path = str(tmp_path / "pm.jsonl")
+        arm_postmortem(obs.recorder, path)
+        try:
+            sim.run()
+        finally:
+            disarm_postmortem()
+        with open(path) as fp:
+            header, *events = [json.loads(line) for line in fp]
+        assert header["last_handler"].endswith("grinding")
+        assert [e["sim_time"] for e in events] == [0.0, 1.0]
+
+    def test_beat_tail_ends_at_the_firing_that_beat(self):
+        from repro.obs.telemetry import CHECK_EVERY
+
+        obs = Observation(trace=False, profile=False, heartbeat=0.0,
+                          sink=lambda line: None, recorder=4)
+        tails = []
+        obs.telemetry.beat_hook = lambda snap: tails.append(
+            obs.recorder.snapshot()[-1]["sim_time"])
+        sim = Simulator(seed=1)
+        obs.attach(sim)
+        for i in range(CHECK_EVERY):
+            sim.schedule(float(i), fast)
+        sim.run()
+        # the CHECK_EVERY-th firing (at t = CHECK_EVERY - 1) beat
+        assert tails == [float(CHECK_EVERY - 1)]
+
+    def test_recorder_keeps_the_sampled_path(self):
+        obs = Observation(trace=False, profile=False, telemetry=True,
+                          metrics=True, recorder=5)
+        sim = Simulator(seed=1)
+        obs.attach(sim, track="t0")
+        assert obs.bindings[0].sample_mask == 15
+        for i in range(50):
+            sim.schedule(float(i), fast)
+        sim.run()
+        assert [e["sim_time"] for e in obs.recorder.snapshot()] == [
+            45.0, 46.0, 47.0, 48.0, 49.0]
+        hist = obs.metrics.histogram("repro_handler_duration_ns", track="t0")
+        assert hist.count == 50 // 16
+
+    def test_detach_and_reattach_remove_the_hook(self):
+        sim = Simulator(seed=1)
+        sim.pre_event_hooks.append(lambda ev: None)
+        before = list(sim.pre_event_hooks)
+        first = Observation(trace=False, profile=False, recorder=64)
+        first.attach(sim)
+        sim.schedule(0.0, fast)
+        sim.run()
+        assert len(first.recorder) == 1
+        first.detach(sim)
+        assert sim.pre_event_hooks == before
+        sim.schedule(1.0, fast)
+        sim.run()
+        assert len(first.recorder) == 1
+        first.attach(sim)
+        second = Observation(trace=False, profile=False, recorder=64)
+        second.attach(sim)  # moves sim off the first observation
+        assert sim.pre_event_hooks == before + [second.bindings[0].ring_hook]
+        sim.schedule(2.0, fast)
+        sim.run()
+        assert len(first.recorder) == 1 and len(second.recorder) == 1
+        second.close()
+        assert sim.pre_event_hooks == before
+
+    def test_queue_depth_is_the_pending_count_under_time_warp(self):
+        # A Time Warp restore replaces sim._queue, so the depth must be
+        # read through the simulator at each firing.
+        from repro.core.optimistic import OptimisticExecutor
+        from repro.workloads.partitioned import build_partitioned_ring
+
+        model = build_partitioned_ring(k=4, seed=7, jobs_per_site=60,
+                                       horizon=200.0)
+        ring = FlightRecorder(capacity=100_000)
+        Observation(trace=False, profile=False, telemetry=False,
+                    recorder=ring).attach_lps(model.lps)
+        seen = []
+        for lp in model.lps:
+            lp.sim.pre_event_hooks.append(
+                lambda ev, lp=lp: seen.append(
+                    (lp.name, ev.time, lp.sim.pending)))
+        stats = OptimisticExecutor(batch=32, checkpoint_every=8).run(
+            model.lps, until=200.0)
+        assert stats.rollbacks >= 1
+        assert len(seen) < ring.capacity
+        assert [(track, t, depth) for track, t, _, depth in ring.ring] == seen
