@@ -13,18 +13,16 @@ slashes remote reads; push replication helps the data-blind policies most
 Run:  python examples/data_aware_scheduling.py
 """
 
-from repro.core import Simulator
-from repro.simulators import ChicagoSimModel, DATA_POLICIES, JOB_POLICIES
+from repro.campaign import run_scenario
+from repro.simulators import DATA_POLICIES, JOB_POLICIES
 
 N_JOBS = 80
 
 
-def run(job_policy: str, data_policy: str) -> ChicagoSimModel:
-    sim = Simulator(seed=31)
-    model = ChicagoSimModel(sim, n_sites=5, n_datasets=20,
-                            job_policy=job_policy, data_policy=data_policy,
-                            n_schedulers=3, push_threshold=3)
-    return model.run(n_jobs=N_JOBS, zipf_s=1.2)
+def run(job_policy: str, data_policy: str) -> dict:
+    return run_scenario("chicagosim", {"job_policy": job_policy,
+                                       "data_policy": data_policy,
+                                       "jobs": N_JOBS}, 31)[0]
 
 
 def main() -> None:
@@ -34,10 +32,9 @@ def main() -> None:
     for jp in JOB_POLICIES:
         for dp in DATA_POLICIES:
             m = run(jp, dp)
-            remote[(jp, dp)] = m.remote_fraction()
-            pushes = getattr(m.strategy, "pushes", 0)
-            print(f"{jp:<14} {dp:<12} {m.mean_turnaround:>14.1f} s "
-                  f"{m.remote_fraction():>12.1%} {pushes:>7}")
+            remote[(jp, dp)] = m["remote_fraction"]
+            print(f"{jp:<14} {dp:<12} {m['mean_turnaround']:>14.1f} s "
+                  f"{m['remote_fraction']:>12.1%} {m['pushes']:>7}")
 
     assert remote[("data-present", "none")] < remote[("random", "none")], \
         "running jobs at the data must reduce remote reads"

@@ -14,8 +14,7 @@ cheaper but slower; the infeasible corner fails jobs under both.
 Run:  python examples/economy_scheduling.py
 """
 
-from repro.core import Simulator
-from repro.simulators import GridSimModel
+from repro.campaign import run_scenario
 
 N = 60
 CORNERS = [
@@ -27,9 +26,9 @@ CORNERS = [
 
 
 def run(strategy: str, deadline: float, budget: float) -> dict:
-    sim = Simulator(seed=21)
-    return GridSimModel(sim).run_dbc(n_gridlets=N, deadline=deadline,
-                                     budget=budget, strategy=strategy)
+    return run_scenario("gridsim", {"strategy": strategy, "gridlets": N,
+                                    "deadline": deadline, "budget": budget},
+                        21)[0]
 
 
 def main() -> None:

@@ -11,18 +11,17 @@ optimizer resists the cache churn that hurts LRU when disks are tight.
 Run:  python examples/replica_optimization.py
 """
 
-from repro.core import Simulator
-from repro.simulators import OPTIMIZERS, OptorSimModel
+from repro.campaign import run_scenario
+from repro.simulators import OPTIMIZERS
 
 N_JOBS = 120
 
 
-def run(optimizer: str, pattern: str = "zipf") -> OptorSimModel:
-    sim = Simulator(seed=11)
-    model = OptorSimModel(sim, optimizer=optimizer, access_pattern=pattern,
-                          n_sites=5, n_files=30, files_per_job=6,
-                          se_capacity=8e9)  # ~8 files fit: real pressure
-    return model.run(n_jobs=N_JOBS, inter_arrival=15.0)
+def run(optimizer: str, pattern: str = "zipf") -> dict:
+    # five sites whose disks hold ~8 of the 30 files: real pressure
+    return run_scenario("optorsim", {"optimizer": optimizer,
+                                     "pattern": pattern, "jobs": N_JOBS},
+                        11)[0]
 
 
 def main() -> None:
@@ -31,11 +30,10 @@ def main() -> None:
     times = {}
     for name in sorted(OPTIMIZERS):
         m = run(name)
-        times[name] = m.mean_job_time
-        print(f"{name:<10} {m.mean_job_time:>12.1f} s "
-              f"{m.remote_fraction():>12.1%} "
-              f"{m.strategy.replicas_created:>14} "
-              f"{m.strategy.replicas_evicted:>10}")
+        times[name] = m["mean_job_time"]
+        print(f"{name:<10} {m['mean_job_time']:>12.1f} s "
+              f"{m['remote_fraction']:>12.1%} "
+              f"{m['replicas_created']:>14} {m['replicas_evicted']:>10}")
 
     assert times["lru"] < times["none"], "replication must beat streaming"
     print("\nReplication beats no-replication on Zipf-popular access — "
@@ -44,8 +42,8 @@ def main() -> None:
     print("\nAccess-pattern sensitivity (LRU optimizer):")
     for pattern in ("sequential", "random", "unitary", "gaussian", "zipf"):
         m = run("lru", pattern)
-        print(f"  {pattern:<11} mean job time {m.mean_job_time:>8.1f} s, "
-              f"remote {m.remote_fraction():.1%}")
+        print(f"  {pattern:<11} mean job time {m['mean_job_time']:>8.1f} s, "
+              f"remote {m['remote_fraction']:.1%}")
 
 
 if __name__ == "__main__":

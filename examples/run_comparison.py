@@ -14,27 +14,14 @@ beats random placement.
 Run:  python examples/run_comparison.py
 """
 
-from repro.campaign import (CampaignSpec, paired_summaries,
-                            register_scenario, run_campaign)
-from repro.core import Simulator
-from repro.simulators import BricksModel
+from repro.campaign import CampaignSpec, paired_summaries, run_campaign
 
 SEEDS = 8
 
 
-@register_scenario("bricks-comparison", defaults={"scheduler": "random"})
-def bricks_comparison(params: dict, seed: int) -> tuple[dict, dict]:
-    """Every statistic of one Bricks run's monitor, as ``collector.stat``."""
-    model = BricksModel(Simulator(seed=seed), n_clients=5, n_servers=3,
-                        scheduler=params["scheduler"], job_rate=0.3,
-                        background=0.6).run(horizon=300.0)
-    return ({f"{key}.{stat}": value
-             for key, stats in model.monitor.summary().items()
-             for stat, value in stats.items()}, {})
-
-
 def main() -> None:
-    spec = CampaignSpec("bricks-comparison",
+    spec = CampaignSpec("bricks", base={"clients": 5, "servers": 3,
+                                        "job_rate": 0.3, "horizon": 300.0},
                         grid={"scheduler": ["predictive", "random"]},
                         replications=SEEDS)
     result = run_campaign(spec, workers=1)

@@ -13,6 +13,10 @@ boundary — the worker→parent protocol stays plain tuples of builtins.
 A scenario declares its defaults, and its analytic model where one
 exists, when it registers: the run and :func:`theory_for` read the same
 filled params, so a verdict never compares against a drifted copy.
+Beside the queueing models, ``quadratic`` and ``dependability`` sit the
+surveyed simulators' studies the E-tests and examples run (``bricks``,
+``optorsim``, ``chicagosim``, ``gridsim``, ``simgrid``, ``t0t1``); each
+imports its model inside its run, so importing the registry loads none.
 """
 
 from __future__ import annotations
@@ -71,13 +75,20 @@ def _registered(name: str) -> ScenarioFn:
 def _filled(scenario: str, params: Mapping[str, Any]) -> dict:
     """*params* over the defaults *scenario* declares, each declared param
     cast to its default's type (so ``--set c=2.0`` and ``--set rho=1``
-    read as int and float); a value the cast fails on or changes
-    (``K=2.5`` for an int ``K``) is a :class:`ConfigurationError`."""
+    read as int and float; a None default takes any value); a value the
+    cast fails on or changes (``K=2.5`` for an int ``K``), or a param
+    that a scenario declaring defaults lacks, is a ConfigurationError."""
+    declared = _registered(scenario).defaults
+    unknown = sorted(set(params) - set(declared)) if declared else []
+    if unknown:
+        raise ConfigurationError(
+            f"scenario {scenario!r} has no param {', '.join(unknown)}; "
+            f"it declares {', '.join(sorted(declared))}")
     filled = dict(params)
-    for name, default in _registered(scenario).defaults.items():
+    for name, default in declared.items():
         value = params.get(name, default)
         try:
-            filled[name] = type(default)(value)
+            filled[name] = value if default is None else type(default)(value)
         except (TypeError, ValueError):
             filled[name] = None
         if filled[name] != value:
@@ -96,12 +107,12 @@ def run_scenario(name: str, params: Mapping[str, Any],
 def theory_for(scenario: str, params: Mapping[str, Any]):
     """The analytic model of one scenario point, or None.
 
-    None when the scenario declares no theory, or when the point lies
-    outside its model (an unstable queue, no server): such a point gets
-    no verdict.  ``mm1`` and ``mmc`` give an object with L/Lq/W/Wq/rho
-    properties; ``mm1k`` and ``dependability`` a mapping, since an
-    M/M/1/K's utilization is its busy fraction, which the verdict must
-    not alias to ``rho`` (the offered load).
+    None when the scenario declares no theory (no surveyed study does),
+    or when the point lies outside its model (an unstable queue, no
+    server): such a point gets no verdict.  ``mm1`` and ``mmc`` give an
+    object with L/Lq/W/Wq/rho properties; ``mm1k`` and ``dependability``
+    a mapping, since an M/M/1/K's utilization is its busy fraction, which
+    the verdict must not alias to ``rho`` (the offered load).
     """
     if scenario not in _THEORIES:
         return None
@@ -156,8 +167,9 @@ def _observed_queue_run(simulate, params: dict, seed: int,
     for ``params["jobs"]`` jobs, truncate the warm-up, package."""
     from .stats import mser5
 
-    n_jobs = params["jobs"]
-    warmup = params.get("warmup", max(1, n_jobs // 10))
+    n_jobs, warmup = params["jobs"], params["warmup"]
+    if warmup is None:
+        warmup = max(1, n_jobs // 10)
     obs = _build_observation()
     if warmup == "mser5":
         stats = simulate(n_jobs=n_jobs, warmup=0, seed=seed, obs=obs,
@@ -185,8 +197,9 @@ def _mm1k_theory(v, p: dict) -> dict:
             "blocking": m.blocking_probability, "utilization": m.utilization}
 
 
-#: what every queueing scenario assumes unless told otherwise
-_QUEUE = {"mu": 1.0, "jobs": 20_000}
+#: what every queueing scenario assumes unless told otherwise (a warmup of
+#: None cuts a tenth of the jobs, "mser5" cuts where MSER-5 says)
+_QUEUE = {"mu": 1.0, "jobs": 20_000, "warmup": None}
 
 
 @register_scenario(
@@ -240,7 +253,7 @@ def mm1k_scenario(params: dict, seed: int) -> tuple[dict, dict]:
 
 
 @register_scenario("provision", defaults={
-    "lam": 3.0, "mu": 1.0, "servers": 4, "policy": "pooled", "jobs": 8_000})
+    **_QUEUE, "lam": 3.0, "servers": 4, "policy": "pooled", "jobs": 8_000})
 def provision_scenario(params: dict, seed: int) -> tuple[dict, dict]:
     """Server-provisioning study — the evolutionary-search demo scenario.
 
@@ -394,3 +407,120 @@ def dependability_scenario(params: dict, seed: int) -> tuple[dict, dict]:
     telemetry = (obs.telemetry.snapshot(sim)
                  if obs.telemetry is not None else {})
     return metrics, telemetry
+
+
+# The surveyed simulators' studies (Table 1, §4-§5): each returns the scalars
+# its E-test reads, and only what some caller varies is a param.
+
+#: the SimGrid study's hosts (name -> MIPS); E9's task farm reuses them
+SIMGRID_HOSTS = {"h0": 1500.0, "h1": 900.0, "h2": 500.0, "h3": 300.0}
+
+
+@register_scenario("bricks", defaults={
+    "scheduler": "random", "clients": 6, "servers": 4, "job_rate": 0.35,
+    "horizon": 600.0})
+def bricks_scenario(params: dict, seed: int) -> tuple[dict, dict]:
+    """Bricks under bursty server load (E11): its monitor's statistics,
+    as ``collector.stat``."""
+    from ..core.engine import Simulator
+    from ..simulators.bricks import BricksModel
+
+    model = BricksModel(Simulator(seed=seed), n_clients=params["clients"],
+                        n_servers=params["servers"],
+                        scheduler=params["scheduler"],
+                        job_rate=params["job_rate"],
+                        background=0.6).run(horizon=params["horizon"])
+    return ({f"{key}.{stat}": value
+             for key, stats in model.monitor.summary().items()
+             for stat, value in stats.items()}, {})
+
+
+@register_scenario("optorsim", defaults={
+    "optimizer": "lru", "pattern": "zipf", "jobs": 90})
+def optorsim_scenario(params: dict, seed: int) -> tuple[dict, dict]:
+    """OptorSim's pull optimizers, ~8 of 30 files fitting a disk (E8)."""
+    from ..core.engine import Simulator
+    from ..simulators.optorsim import OptorSimModel
+
+    model = OptorSimModel(Simulator(seed=seed), optimizer=params["optimizer"],
+                          access_pattern=params["pattern"], n_sites=5,
+                          n_files=30, files_per_job=6, se_capacity=8e9)
+    model.run(n_jobs=params["jobs"], inter_arrival=15.0)
+    return ({"completed": len(model.completed),
+             "mean_job_time": model.mean_job_time,
+             "remote_fraction": model.remote_fraction(),
+             "replicas_created": model.strategy.replicas_created,
+             "replicas_evicted": model.strategy.replicas_evicted}, {})
+
+
+@register_scenario("chicagosim", defaults={
+    "job_policy": "random", "data_policy": "none", "jobs": 90})
+def chicagosim_scenario(params: dict, seed: int) -> tuple[dict, dict]:
+    """ChicagoSim's job placement x push replication (E8)."""
+    from ..core.engine import Simulator
+    from ..simulators.chicagosim import ChicagoSimModel
+
+    model = ChicagoSimModel(Simulator(seed=seed), n_sites=5, n_datasets=20,
+                            job_policy=params["job_policy"],
+                            data_policy=params["data_policy"],
+                            push_threshold=3)
+    model.run(n_jobs=params["jobs"], zipf_s=1.2)
+    return ({"completed": len(model.completed),
+             "mean_turnaround": model.mean_turnaround,
+             "remote_fraction": model.remote_fraction(),
+             "pushes": getattr(model.strategy, "pushes", 0)}, {})
+
+
+@register_scenario("gridsim", defaults={
+    "strategy": "time", "gridlets": 40, "deadline": 2000.0, "budget": 1e6})
+def gridsim_scenario(params: dict, seed: int) -> tuple[dict, dict]:
+    """GridSim's deadline/budget-constrained broker (E10): its summary."""
+    from ..core.engine import Simulator
+    from ..simulators.gridsim import GridSimModel
+
+    summary = GridSimModel(Simulator(seed=seed)).run_dbc(
+        n_gridlets=params["gridlets"], deadline=params["deadline"],
+        budget=params["budget"], strategy=params["strategy"])
+    del summary["strategy"]
+    return summary, {}
+
+
+@register_scenario("simgrid", defaults={"mode": "static", "churn": False})
+def simgrid_scenario(params: dict, seed: int) -> tuple[dict, dict]:
+    """SimGrid's compile-time (HEFT, ``mode=static``) or runtime dispatch
+    of a layered DAG, under bursty host load with ``churn`` (E9)."""
+    from ..core.engine import Simulator
+    from ..simulators.simgrid import SimGridModel
+    from ..workloads import layered_dag
+
+    sim = Simulator(seed=seed)
+    dag = layered_dag(sim.stream("dag"), layers=5, width=4,
+                      mean_edge_bytes=2e5)
+    model = SimGridModel(sim, SIMGRID_HOSTS,
+                         background_peak=0.8 if params["churn"] else None,
+                         background_horizon=5_000.0)
+    if params["mode"] == "static":
+        return {"makespan": model.run_compile_time(dag)}, {}
+    if params["mode"] == "runtime":
+        return {"makespan": model.run_runtime(dag)}, {}
+    raise ConfigurationError(f"unknown mode {params['mode']!r}")
+
+
+@register_scenario("t0t1", defaults={
+    "uplink_gbps": 2.5, "agent": True, "horizon": 1200.0})
+def t0t1_scenario(params: dict, seed: int) -> tuple[dict, dict]:
+    """MONARC's T0/T1 study (E5): CMS and ATLAS production replicated to
+    three Tier-1s by the agent or, with ``agent`` off, by pulls."""
+    from ..core.engine import Simulator
+    from ..simulators.monarc import MonarcModel
+
+    study = MonarcModel(Simulator(seed=seed), n_tier1=3,
+                        uplink_gbps=params["uplink_gbps"],
+                        agent_enabled=params["agent"]).run_t0_t1_study(
+                            horizon=params["horizon"])
+    return ({"produced_files": study.produced_files,
+             "replicated_files": study.replicated_files,
+             "final_backlog_files": study.final_backlog_files,
+             "peak_backlog_files": study.peak_backlog_files,
+             "mean_transfer_time": study.mean_transfer_time,
+             "diverged": int(study.diverged)}, {})

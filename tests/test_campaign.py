@@ -12,6 +12,7 @@ from repro.campaign import (
     CampaignSpec,
     RunRecord,
     RunSpec,
+    SCENARIOS,
     coverage_verdict,
     evaluate_objective,
     evolve,
@@ -20,6 +21,7 @@ from repro.campaign import (
     parse_space,
     register_scenario,
     run_campaign,
+    run_scenario,
     run_specs,
     summarize,
     t_quantile,
@@ -78,19 +80,42 @@ class TestSpec:
             CampaignSpec("mm1", replications=0)
 
 
+#: every scenario the package registers, at reduced size: (base, grid)
+REDUCED = {
+    "mm1": ({"jobs": 300, "rho": 0.5}, {"rho": [0.4, 0.7]}),
+    "mmc": ({"jobs": 300}, {}),
+    "mm1k": ({"jobs": 300}, {}),
+    "provision": ({"jobs": 300}, {"policy": ["pooled", "split"]}),
+    "quadratic": ({}, {}),
+    "dependability": ({"horizon": 200.0}, {}),
+    "bricks": ({"clients": 2, "servers": 2, "horizon": 60.0}, {}),
+    "optorsim": ({"jobs": 12}, {}),
+    "chicagosim": ({"jobs": 12}, {"data_policy": ["none", "push"]}),
+    "gridsim": ({"gridlets": 8}, {"strategy": ["time", "cost"]}),
+    "simgrid": ({}, {"mode": ["static", "runtime"]}),
+    "t0t1": ({"horizon": 120.0}, {}),
+}
+SHIPPED = sorted(name for name, fn in SCENARIOS.items()
+                 if fn.__module__ == "repro.campaign.scenarios")
+
+
 class TestRunnerDeterminism:
-    def test_serial_two_and_four_workers_identical(self):
-        """The acceptance property: per-seed records are byte-identical
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_serial_two_and_four_workers_identical(self, name):
+        """The acceptance property, for every shipped scenario: each run
+        is clean, and per-seed records are byte-identical on a re-run and
         under serial, 2-worker, and 4-worker execution — same ordering,
         same values, regardless of completion order."""
-        spec = tiny_mm1_spec(replications=3, grid={"rho": [0.4, 0.7]})
+        assert name in REDUCED, f"add {name!r} to REDUCED"
+        base, grid = REDUCED[name]
+        spec = CampaignSpec(name, base=base, grid=grid, replications=3,
+                            root_seed=0)
         serial = run_campaign(spec, workers=1)
-        two = run_campaign(spec, workers=2)
-        four = run_campaign(spec, workers=4)
-        assert serial.n_ok == len(serial.records) == 6
-        assert serial.metrics_bytes() == two.metrics_bytes()
-        assert serial.metrics_bytes() == four.metrics_bytes()
-        assert [r.index for r in four.records] == list(range(6))
+        assert serial.n_ok == len(serial.records) == len(spec)
+        for workers in (1, 2, 4):
+            rerun = run_campaign(spec, workers=workers)
+            assert serial.metrics_bytes() == rerun.metrics_bytes()
+        assert [r.index for r in rerun.records] == list(range(len(spec)))
 
     def test_record_fields_plain_and_picklable(self):
         result = run_campaign(tiny_mm1_spec(replications=1))
@@ -489,8 +514,6 @@ class TestMM1KTheory:
         assert verdict["utilization"]["theory"] < 0.9
 
     def test_bad_parameters_rejected(self):
-        from repro.campaign import run_scenario
-
         with pytest.raises(ConfigurationError):
             run_scenario("mm1k", {"K": 0, "jobs": 100}, seed=0)
 
@@ -500,8 +523,6 @@ class TestDeclaredDefaults:
     run and ``theory_for`` read the same filled params."""
 
     def test_probe_sees_declared_defaults(self):
-        from repro.campaign import run_scenario
-
         @register_scenario("probe-defaults", defaults={"a": 1.5, "n": 4})
         def probe(params, seed):
             return ({"a": params["a"], "n": params["n"]}, {})
@@ -515,8 +536,6 @@ class TestDeclaredDefaults:
 
     @pytest.mark.parametrize("name", ["mm1", "mmc", "mm1k", "dependability"])
     def test_theory_reads_the_declared_defaults(self, name):
-        from repro.campaign import SCENARIOS
-
         declared = SCENARIOS[name].defaults
         assert declared
         bare, full = theory_for(name, {}), theory_for(name, declared)
@@ -525,6 +544,17 @@ class TestDeclaredDefaults:
             bare, full = vars(bare), vars(full)
         assert bare == full
 
+    def test_undeclared_param_rejected(self):
+        """A misspelled param is an error naming the declared ones, not a
+        run at its default; the queueing scenarios declare warmup."""
+        with pytest.raises(ConfigurationError,
+                           match="no param targte; it declares noise, "
+                                 "target, x"):
+            run_scenario("quadratic", {"x": 3.0, "targte": 0.0}, 1)
+        tenth, sixty, cut = (run_scenario("mm1", {"jobs": 600, **w}, 2)[0]
+                             for w in ({}, {"warmup": 60}, {"warmup": 100}))
+        assert tenth == sixty != cut
+
     def test_theory_without_declaration_is_none(self):
         assert theory_for("quadratic", {}) is None
         assert theory_for("no-such-scenario", {}) is None
@@ -532,8 +562,6 @@ class TestDeclaredDefaults:
 
 class TestMSER5Scenario:
     def test_mm1_mser5_warmup_mode(self):
-        from repro.campaign import run_scenario
-
         metrics, _ = run_scenario(
             "mm1", {"rho": 0.5, "jobs": 600, "warmup": "mser5"}, seed=2)
         assert "mser5_cut" in metrics and "W_raw" in metrics
@@ -701,7 +729,6 @@ class TestCampaignObservability:
     def test_timeout_leaves_readable_flight_dump(self, tmp_path):
         @register_scenario("spin-then-hang")
         def spin_then_hang(params, seed):
-            from repro.campaign import run_scenario
             metrics, tele = run_scenario(
                 "mm1", {"jobs": 1500, "rho": 0.5}, seed)
             time.sleep(60)
@@ -732,7 +759,6 @@ class TestCampaignObservability:
         retried run contributes exactly one record to the rollups."""
         @register_scenario("beat-then-die")
         def beat_then_die(params, seed):
-            from repro.campaign import run_scenario
             metrics, tele = run_scenario(
                 "mm1", {"jobs": 3000, "rho": 0.5}, seed)
             if params.get("flag"):

@@ -215,10 +215,13 @@ class TestCampaignErrors:
         (["--set", "n=abc"], "param n must be int, got 'abc'"),
         (["--grid", "n=3,"], "param n must be int, got ''"),
         (["--set", "n=2", "--level", "1.5"], "level"),
+        (["--set", "nn=2", "--set", "n=2"],
+         "scenario 'counted' has no param nn; it declares n"),
     ])
     def test_rejected_before_any_run(self, argv, says, capsys):
-        """A param its declared default's type cannot hold unchanged, or
-        a bad --level, is one error line before the first run."""
+        """A param its declared default's type cannot hold unchanged, a
+        param it does not declare, or a bad --level, is one error line
+        before the first run."""
         COUNTED.clear()
         assert main(["campaign", "--scenario", "counted", *argv,
                      "--runs", "2"]) == 2

@@ -6,8 +6,7 @@ import functools
 
 import pytest
 
-from repro.core import Simulator
-from repro.simulators import GridSimModel
+from repro.campaign import run_scenario
 
 N = 40
 CORNERS = {
@@ -23,8 +22,8 @@ CORNERS = {
 @functools.cache
 def corner(name, strategy):
     deadline, budget = CORNERS[name]
-    return GridSimModel(Simulator(seed=21)).run_dbc(
-        n_gridlets=N, deadline=deadline, budget=budget, strategy=strategy)
+    return run_scenario("gridsim", {"strategy": strategy, "deadline": deadline,
+                                    "budget": budget}, 21)[0]
 
 
 @pytest.mark.parametrize("strategy", ["time", "cost"])

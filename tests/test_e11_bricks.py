@@ -16,29 +16,16 @@ replications below was fixed before the first run and is not tuned.
 
 import pytest
 
-from repro.campaign import (CampaignSpec, paired_summaries,
-                            register_scenario, run_campaign)
-from repro.core import Simulator
-from repro.simulators import BRICKS_SCHEDULERS, BricksModel
+from repro.campaign import CampaignSpec, paired_summaries, run_campaign
+from repro.simulators import BRICKS_SCHEDULERS
 
 REPLICATIONS = 8
-HORIZON = 600.0
-
-
-@register_scenario("e11-bricks", defaults={"scheduler": "random"})
-def e11_bricks(params: dict, seed: int) -> tuple[dict, dict]:
-    """One Bricks run: 6 clients, 4 servers, bursty background load."""
-    model = BricksModel(Simulator(seed=seed), n_clients=6, n_servers=4,
-                        scheduler=params["scheduler"], job_rate=0.35,
-                        background=0.6).run(horizon=HORIZON)
-    return {"response_time": model.mean_response_time,
-            "completed": len(model.completed)}, {}
 
 
 @pytest.fixture(scope="module")
 def runs() -> dict[str, list]:
     """The records of each scheduler, one per replication."""
-    spec = CampaignSpec("e11-bricks",
+    spec = CampaignSpec("bricks",
                         grid={"scheduler": list(BRICKS_SCHEDULERS)},
                         replications=REPLICATIONS)
     result = run_campaign(spec, workers=1)
@@ -50,8 +37,8 @@ def runs() -> dict[str, list]:
 @pytest.mark.parametrize("scheduler", BRICKS_SCHEDULERS)
 def test_every_run_completes_jobs(runs, scheduler):
     for rec in runs[scheduler]:
-        assert rec.metrics["completed"] > 50
-        assert rec.metrics["response_time"] > 0
+        assert rec.metrics["tally.response_time.n"] > 50
+        assert rec.metrics["tally.response_time.mean"] > 0
 
 
 @pytest.mark.parametrize("better, worse", [
@@ -62,7 +49,8 @@ def test_every_run_completes_jobs(runs, scheduler):
 ])
 def test_better_information_lowers_response_time(runs, better, worse):
     diff = paired_summaries(runs[better], runs[worse],
-                            ["response_time"])["response_time"]
+                            ["tally.response_time.mean"]
+                            )["tally.response_time.mean"]
     assert diff.n == REPLICATIONS
     assert diff.hi < 0, (f"{better} - {worse}: {diff.mean:+.3f} s "
                          f"[{diff.lo:+.3f}, {diff.hi:+.3f}] not resolved")

@@ -8,44 +8,39 @@ import functools
 
 import pytest
 
-from repro.core import Simulator
-from repro.simulators import MonarcModel
-from repro.workloads import ATLAS_2005, CMS_2005
+from repro.campaign import run_scenario
 
-HORIZON = 1_200.0
 CAPACITIES = [0.622, 1.25, 2.5, 10.0, 30.0]
 
 
 @functools.cache
 def study(uplink_gbps, agent=True):
-    model = MonarcModel(Simulator(seed=7), n_tier1=3,
-                        uplink_gbps=uplink_gbps, agent_enabled=agent)
-    return model.run_t0_t1_study(horizon=HORIZON,
-                                 experiments=[CMS_2005, ATLAS_2005])
+    return run_scenario("t0t1", {"uplink_gbps": uplink_gbps, "agent": agent},
+                        7)[0]
 
 
 @pytest.mark.parametrize("capacity", CAPACITIES)
 def test_every_capacity_produces_files(capacity):
-    assert study(capacity).produced_files > 0
+    assert study(capacity)["produced_files"] > 0
 
 
 def test_2_5_gbps_not_sufficient_and_upgrade_keeps_up():
-    assert study(2.5).diverged
-    assert study(1.25).diverged and study(0.622).diverged
-    assert not study(30.0).diverged
-    assert not study(10.0).diverged
-    assert study(30.0).final_backlog_files == 0
+    assert study(2.5)["diverged"]
+    assert study(1.25)["diverged"] and study(0.622)["diverged"]
+    assert not study(30.0)["diverged"]
+    assert not study(10.0)["diverged"]
+    assert study(30.0)["final_backlog_files"] == 0
 
 
 def test_more_capacity_never_a_worse_peak_backlog():
-    peaks = [study(c).peak_backlog_files for c in CAPACITIES]
+    peaks = [study(c)["peak_backlog_files"] for c in CAPACITIES]
     assert all(a >= b for a, b in zip(peaks, peaks[1:]))
 
 
 def test_e5b_agent_vs_pull():
     agent, pull = study(10.0), study(10.0, agent=False)
     # both deliver everything at ample capacity...
-    assert agent.final_backlog_files == 0
-    assert pull.final_backlog_files == 0
+    assert agent["final_backlog_files"] == 0
+    assert pull["final_backlog_files"] == 0
     # ...and the agent's bounded window never stretches transfers more
-    assert agent.mean_transfer_time <= pull.mean_transfer_time * 1.05
+    assert agent["mean_transfer_time"] <= pull["mean_transfer_time"] * 1.05

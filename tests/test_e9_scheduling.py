@@ -7,28 +7,22 @@ import functools
 
 import pytest
 
+from repro.campaign import run_scenario
+from repro.campaign.scenarios import SIMGRID_HOSTS as HOSTS
 from repro.core import Simulator
 from repro.hosts import Grid, Site, SpaceSharedMachine
 from repro.middleware import (GridRunner, MaxMinScheduler, MinMinScheduler,
                               SufferageScheduler, WorkQueueRunner)
 from repro.network import Topology
-from repro.simulators import SimGridModel
-from repro.workloads import layered_dag, task_farm
+from repro.workloads import task_farm
 
-HOSTS = {"h0": 1500.0, "h1": 900.0, "h2": 500.0, "h3": 300.0}
 DAG_SEEDS = (13, 29, 47)
 
 
 @functools.cache
 def dag_makespan(mode, churn, seed):
-    dag = layered_dag(Simulator(seed=seed).stream("dag"), layers=5, width=4,
-                      mean_edge_bytes=2e5)
-    model = SimGridModel(Simulator(seed=seed), HOSTS,
-                         background_peak=0.8 if churn else None,
-                         background_horizon=5_000.0)
-    if mode == "static":
-        return model.run_compile_time(dag)
-    return model.run_runtime(dag)
+    return run_scenario("simgrid", {"mode": mode, "churn": churn},
+                        seed)[0]["makespan"]
 
 
 @functools.cache

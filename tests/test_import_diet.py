@@ -4,7 +4,8 @@ scipy (64 MB, ~0.8 s per worker process) was imported for one Student-t
 quantile and networkx (15 MB) for one Dijkstra call; both are dev-only test
 oracles now.  A fresh interpreter with the two names blocked — so that any
 ``import scipy`` / ``import networkx``, however lazy, raises — drives the
-paths that used them.
+paths that used them.  The same interpreter first checks that importing
+the campaign registry loads no simulator or middleware model.
 """
 
 import os
@@ -20,7 +21,11 @@ SCRIPT = """
 import sys
 sys.modules["scipy"] = sys.modules["networkx"] = None
 
-import repro, repro.cli, repro.simulators, repro.campaign
+import repro.campaign
+# the scenario registry imports each model inside the run that needs it
+assert not [m for m in sys.modules
+            if m.startswith(("repro.simulators", "repro.middleware"))]
+import repro.cli, repro.simulators
 from repro.campaign import paired_summaries, summarize
 from repro.core import Simulator
 from repro.network import FlowNetwork, dumbbell
