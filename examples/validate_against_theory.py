@@ -5,10 +5,10 @@
 needs to have increased confidence in the obtained results ... the use of
 queuing theory [provides] an analytical model."
 
-This example simulates M/M/1 (three loads), M/M/3, and M/G/1 (deterministic
-and heavy-tailed service) with kernel primitives, and prints analytic vs
-measured for L, Lq, W, Wq, utilization.  Every relative error should land
-within a few percent.
+This example simulates M/M/1 (three loads), M/M/3, M/M/1/3 and M/G/1
+(deterministic and heavy-tailed service) with kernel primitives, and prints
+analytic vs measured for L, Lq, W, Wq, utilization.  Every relative error
+should land within a few percent.
 
 Run:  python examples/validate_against_theory.py
 """
@@ -17,10 +17,12 @@ from repro.core import StreamFactory
 from repro.validation import (
     MG1,
     MM1,
+    MM1K,
     MMc,
     compare,
     simulate_mg1,
     simulate_mm1,
+    simulate_mm1k,
     simulate_mmc,
 )
 
@@ -47,6 +49,11 @@ def main() -> None:
     rep = compare(MMc(lam=2.4, mu=1.0, c=3),
                   simulate_mmc(2.4, 1.0, 3, n_jobs=N_JOBS, seed=6))
     worst = max(worst, show("M/M/3  ρ=0.8", rep))
+
+    # M/M/1/K: an arrival finding K=3 in the system is lost
+    rep = compare(MM1K(0.9, 1.0, 3),
+                  simulate_mm1k(0.9, 1.0, 3, n_jobs=N_JOBS, seed=9))
+    worst = max(worst, show("M/M/1/3  ρ=0.9", rep))
 
     # M/G/1, deterministic service (the P-K variance term at its minimum)
     rep = compare(MG1(lam=0.8, service_mean=1.0, service_var=0.0),

@@ -41,9 +41,11 @@ terminating a timed-out worker the parent drains that worker's result
 pipe once more, so a run completing at the last instant is recorded,
 not killed.
 
-Observability rides the same protocol.  Each run executes with a fresh
-metrics :class:`~repro.obs.metrics.Registry`, whose dump comes back with
-the run's telemetry snapshot inside the ``done`` record.  A run gets a
+Observability rides the same protocol.  Each run executes under one
+:class:`~repro.obs.Observation`, which the runner builds around a fresh
+metrics :class:`~repro.obs.metrics.Registry` and the registry attaches to
+the run's simulator; the registry dump comes back with the run's
+telemetry snapshot inside the ``done`` record.  A run gets a
 flight-recorder ring only where something reads it: ``beat`` frames
 (pooled, with ``heartbeat``) carry live rate snapshots plus its tail —
 so the parent can flag a stalled worker before its hard timeout and
@@ -66,11 +68,12 @@ from time import perf_counter
 from typing import Any, Callable, Sequence
 
 from ..core.errors import ConfigurationError
+from ..obs import Observation
 from ..obs.metrics import Registry
 from ..obs.recorder import (FlightRecorder, arm_postmortem,
                             disarm_postmortem, install_term_handler,
                             write_dump)
-from .scenarios import _filled, _run_observation, run_scenario
+from .scenarios import _filled, _registered
 from .spec import CampaignSpec, RunSpec
 from .stats import MetricSummary, summarize, summarize_points
 from .telemetry import CampaignTelemetry, aggregate_telemetry
@@ -139,8 +142,8 @@ def _flight_path(recorder_dir: str | None, index: int, attempt: int,
 def _execute(spec: RunSpec, attempt: int, worker: int,
              heartbeat: float | None = None, recorder_dir: str | None = None,
              beat_send: Callable[[tuple], None] | None = None) -> RunRecord:
-    """Run one attempt at *spec* to a finished record (serial and worker
-    path alike)."""
+    """Run one attempt at *spec*, observed, to a finished record (serial
+    and worker path alike)."""
     rec = _record(spec, attempt, worker)
     registry = Registry()
     dump_path = _flight_path(recorder_dir, spec.index, attempt)
@@ -163,12 +166,13 @@ def _execute(spec: RunSpec, attempt: int, worker: int,
         # Armed for the whole run: if this process is terminated mid-run,
         # the SIGTERM handler dumps the ring to dump_path on the way out.
         arm_postmortem(recorder, dump_path, extra)
+    obs = Observation(trace=False, profile=False, heartbeat=heartbeat,
+                      metrics=registry, recorder=recorder)
+    obs.telemetry.beat_hook = beat_hook
     t0 = perf_counter()
     try:
-        with _run_observation(heartbeat=heartbeat, beat_hook=beat_hook,
-                              registry=registry, recorder=recorder):
-            metrics, telemetry = run_scenario(spec.scenario,
-                                              dict(spec.params), spec.seed)
+        metrics, telemetry = _registered(spec.scenario)(
+            dict(spec.params), spec.seed, obs)
         rec.metrics = dict(metrics)
         rec.telemetry = dict(telemetry)
     except Exception:

@@ -289,7 +289,7 @@ def _validate_ensemble(args, model) -> bool:
     spec = CampaignSpec("mm1", base={"rho": args.rho, "jobs": args.jobs},
                         replications=args.runs, root_seed=args.seed)
     result = run_campaign(spec, workers=args.workers,
-                          heartbeat=getattr(args, "heartbeat", None))
+                          heartbeat=args.heartbeat)
     summaries = result.summaries(["L", "Lq", "W", "Wq", "utilization"],
                                  level=args.level)
     verdict = coverage_verdict(summaries, model)

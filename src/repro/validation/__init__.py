@@ -11,6 +11,7 @@ from .compare import (
     QueueRunStats,
     ValidationReport,
     compare,
+    mmck_station,
     simulate_mg1,
     simulate_mm1,
     simulate_mm1k,
@@ -26,6 +27,7 @@ __all__ = [
     "MG1",
     "erlang_b",
     "JacksonNetwork",
+    "mmck_station",
     "simulate_mm1",
     "simulate_mmc",
     "simulate_mm1k",

@@ -4,10 +4,11 @@ The executable form of the paper's validation demand: build the queueing
 system in the simulator, run it, and compare every measured statistic
 against the closed form, reporting relative errors and CI coverage.
 
+:func:`mmck_station` runs an M/M/c/K station on a given simulator;
 :func:`simulate_mm1` / :func:`simulate_mmc` / :func:`simulate_mm1k` /
-:func:`simulate_mg1` build
-the queue from kernel primitives (:class:`~repro.core.resources.Resource`
-carries its own L/W instrumentation, so these functions *also* validate the
+:func:`simulate_mg1` build the simulator and run their queue on it, all
+from kernel primitives (:class:`~repro.core.resources.Resource` carries
+its own L/W instrumentation, so these functions *also* validate the
 resource layer, not a bespoke queue implementation).  :func:`compare`
 reduces a run + model into a :class:`ValidationReport`.
 """
@@ -23,10 +24,11 @@ from ..core.errors import ValidationError
 from ..core.monitor import Monitor
 from ..core.process import Process
 from ..core.resources import Resource
-from .queueing import MG1, MM1, MMc
+from .queueing import MG1, MM1, MM1K, MMc
 
-__all__ = ["QueueRunStats", "ValidationReport", "simulate_mm1", "simulate_mmc",
-           "simulate_mm1k", "simulate_mg1", "compare"]
+__all__ = ["QueueRunStats", "ValidationReport", "mmck_station",
+           "simulate_mm1", "simulate_mmc", "simulate_mm1k", "simulate_mg1",
+           "compare"]
 
 
 @dataclass(slots=True)
@@ -136,6 +138,35 @@ def _run_queue(sim: Simulator, servers: int, arrival_gap: Callable[[], float],
     )
 
 
+def _simulator(seed: int, obs, track: str) -> Simulator:
+    """A fresh ``Simulator(seed=seed)``, observed by *obs* when given."""
+    sim = Simulator(seed=seed)
+    if obs is not None:
+        obs.attach(sim, track=track)
+    return sim
+
+
+def mmck_station(sim: Simulator, lam: float, mu: float, c: int = 1,
+                 K: int | None = None, n_jobs: int = 20_000,
+                 warmup: int = DEFAULT_WARMUP,
+                 keep_series: bool = False) -> QueueRunStats:
+    """M/M/c/K on *sim*: Poisson arrivals at *lam*, *c* exponential
+    servers at *mu*, room for *K* in the system (None: unbounded).
+
+    An arrival that finds K in the system balks and leaves unserved, so
+    ``completed`` counts the admitted customers, ``W`` and ``Wq`` are
+    theirs, and ``1 - completed / n_jobs`` is the blocking probability;
+    :class:`~repro.validation.queueing.MM1K` has the M/M/1/K closed forms.
+    """
+    if K is not None and K < c:
+        raise ValidationError(f"K must be >= c = {c}, got {K}")
+    arr = sim.stream("arrivals")
+    svc = sim.stream("service")
+    return _run_queue(sim, c, lambda: arr.exponential(1 / lam),
+                      lambda: svc.exponential(1 / mu), n_jobs, warmup,
+                      keep_series, None if K is None else K - c)
+
+
 def simulate_mm1(lam: float, mu: float, n_jobs: int = 20_000,
                  warmup: int = DEFAULT_WARMUP, seed: int = 0, obs=None,
                  keep_series: bool = False) -> QueueRunStats:
@@ -144,65 +175,39 @@ def simulate_mm1(lam: float, mu: float, n_jobs: int = 20_000,
     Pass an :class:`repro.obs.Observation` as *obs* to trace/profile the
     run (the simulator is created internally, so this is the attach point).
     """
-    sim = Simulator(seed=seed)
-    if obs is not None:
-        obs.attach(sim, track="mm1")
-    arr = sim.stream("arrivals")
-    svc = sim.stream("service")
-    return _run_queue(sim, 1, lambda: arr.exponential(1 / lam),
-                      lambda: svc.exponential(1 / mu), n_jobs, warmup,
-                      keep_series=keep_series)
+    return mmck_station(_simulator(seed, obs, "mm1"), lam, mu, 1, None,
+                        n_jobs, warmup, keep_series)
 
 
 def simulate_mmc(lam: float, mu: float, c: int, n_jobs: int = 20_000,
                  warmup: int = DEFAULT_WARMUP, seed: int = 0, obs=None,
                  keep_series: bool = False) -> QueueRunStats:
     """M/M/c built from kernel primitives."""
-    sim = Simulator(seed=seed)
-    if obs is not None:
-        obs.attach(sim, track=f"mm{c}")
-    arr = sim.stream("arrivals")
-    svc = sim.stream("service")
-    return _run_queue(sim, c, lambda: arr.exponential(1 / lam),
-                      lambda: svc.exponential(1 / mu), n_jobs, warmup,
-                      keep_series=keep_series)
+    return mmck_station(_simulator(seed, obs, f"mm{c}"), lam, mu, c, None,
+                        n_jobs, warmup, keep_series)
 
 
 def simulate_mm1k(lam: float, mu: float, K: int, n_jobs: int = 20_000,
                   warmup: int = DEFAULT_WARMUP, seed: int = 0, obs=None,
                   keep_series: bool = False) -> QueueRunStats:
-    """M/M/1/K: one server and room for ``K - 1`` waiting.
-
-    An arrival that finds K in the system balks and leaves unserved, so
-    ``completed`` counts the admitted customers, ``W`` and ``Wq`` are
-    theirs, and ``1 - completed / n_jobs`` is the blocking probability;
-    :class:`~repro.validation.queueing.MM1K` has the closed forms.
-    """
-    if K < 1:
-        raise ValidationError(f"K must be >= 1, got {K}")
-    sim = Simulator(seed=seed)
-    if obs is not None:
-        obs.attach(sim, track="mm1k")
-    arr = sim.stream("arrivals")
-    svc = sim.stream("service")
-    return _run_queue(sim, 1, lambda: arr.exponential(1 / lam),
-                      lambda: svc.exponential(1 / mu), n_jobs, warmup,
-                      keep_series=keep_series, queue_limit=K - 1)
+    """M/M/1/K: one server and room for ``K - 1`` waiting (see
+    :func:`mmck_station`)."""
+    return mmck_station(_simulator(seed, obs, "mm1k"), lam, mu, 1, K,
+                        n_jobs, warmup, keep_series)
 
 
 def simulate_mg1(lam: float, service: Callable[[], float], n_jobs: int = 20_000,
                  warmup: int = DEFAULT_WARMUP, seed: int = 0, obs=None,
                  keep_series: bool = False) -> QueueRunStats:
     """M/G/1 with an arbitrary service-time sampler."""
-    sim = Simulator(seed=seed)
-    if obs is not None:
-        obs.attach(sim, track="mg1")
+    sim = _simulator(seed, obs, "mg1")
     arr = sim.stream("arrivals")
     return _run_queue(sim, 1, lambda: arr.exponential(1 / lam),
                       service, n_jobs, warmup, keep_series=keep_series)
 
 
-def compare(model: MM1 | MMc | MG1, stats: QueueRunStats) -> ValidationReport:
+def compare(model: MM1 | MMc | MM1K | MG1,
+            stats: QueueRunStats) -> ValidationReport:
     """Reduce one (closed form, measured run) pair into a report."""
     analytic = {"L": model.L, "Lq": model.Lq, "W": model.W, "Wq": model.Wq}
     if isinstance(model, (MM1, MMc)):

@@ -27,7 +27,9 @@ from repro.campaign import (
     t_quantile,
     theory_for,
 )
+from repro.campaign.runner import _execute
 from repro.core import ConfigurationError
+from repro.validation import mmck_station
 
 
 def tiny_mm1_spec(replications=3, grid=None, seed=0):
@@ -103,9 +105,9 @@ class TestRunnerDeterminism:
     @pytest.mark.parametrize("name", SHIPPED)
     def test_serial_two_and_four_workers_identical(self, name):
         """The acceptance property, for every shipped scenario: each run
-        is clean, and per-seed records are byte-identical on a re-run and
-        under serial, 2-worker, and 4-worker execution — same ordering,
-        same values, regardless of completion order."""
+        is clean and observed, and per-seed records are byte-identical on
+        a re-run and under serial, 2-worker, and 4-worker execution —
+        same ordering, same values, regardless of completion order."""
         assert name in REDUCED, f"add {name!r} to REDUCED"
         base, grid = REDUCED[name]
         spec = CampaignSpec(name, base=base, grid=grid, replications=3,
@@ -115,6 +117,10 @@ class TestRunnerDeterminism:
         for workers in (1, 2, 4):
             rerun = run_campaign(spec, workers=workers)
             assert serial.metrics_bytes() == rerun.metrics_bytes()
+            # every run is observed: all but quadratic, which draws one
+            # number and fires no event, report the events they fired
+            assert all(r.telemetry["events"] > 0 or name == "quadratic"
+                       for r in rerun.records)
         assert [r.index for r in rerun.records] == list(range(len(spec)))
 
     def test_record_fields_plain_and_picklable(self):
@@ -135,10 +141,10 @@ class TestRunnerDeterminism:
 
 
 @register_scenario("hang-on-flag")
-def hang_on_flag(params, seed):
+def hang_on_flag(sim, params):
     if params.get("flag"):
         time.sleep(60)
-    return ({"v": 1.0}, {})
+    return {"v": 1.0}
 
 
 class _ExitWhenUnpickled:
@@ -152,7 +158,7 @@ class _ExitWhenUnpickled:
 class TestRunnerFailurePaths:
     def test_failed_scenario_retried_then_reported(self):
         @register_scenario("always-boom")
-        def boom(params, seed):
+        def boom(sim, params):
             raise RuntimeError("boom")
 
         spec = CampaignSpec("always-boom", replications=2, root_seed=0)
@@ -164,10 +170,10 @@ class TestRunnerFailurePaths:
 
     def test_serial_failure_keeps_other_runs(self):
         @register_scenario("fail-on-flag")
-        def fail_on_flag(params, seed):
+        def fail_on_flag(sim, params):
             if params.get("flag"):
                 raise ValueError("flagged")
-            return ({"v": float(seed % 97)}, {})
+            return {"v": float(sim.streams.seed % 97)}
 
         spec = CampaignSpec("fail-on-flag", grid={"flag": [0, 1, 0]},
                             replications=1, root_seed=3)
@@ -199,11 +205,11 @@ class TestRunnerFailurePaths:
 
     def test_timed_out_run_is_retried_on_a_fresh_worker(self, tmp_path):
         @register_scenario("hang-first-attempt")
-        def hang_first_attempt(params, seed):
+        def hang_first_attempt(sim, params):
             if not os.path.exists(params["marker"]):
                 open(params["marker"], "w").close()
                 time.sleep(60)
-            return ({"v": 1.0}, {})
+            return {"v": 1.0}
 
         spec = CampaignSpec("hang-first-attempt",
                             base={"marker": str(tmp_path / "hung")})
@@ -218,9 +224,9 @@ class TestRunnerFailurePaths:
         in the pipe when the sweep finds it overdue: it is recorded, not
         killed."""
         @register_scenario("nap")
-        def nap(params, seed):
+        def nap(sim, params):
             time.sleep(params["nap"])
-            return ({"v": 1.0}, {})
+            return {"v": 1.0}
 
         spec = CampaignSpec("nap", grid={"nap": [1.3] + [0.0] * 25})
         result = run_campaign(spec, workers=2, timeout=1.0, retries=0,
@@ -243,7 +249,7 @@ class TestRunnerFailurePaths:
         runner used to deadlock once the first runs were given up — no
         'done' ever arrived to trigger dispatch."""
         @register_scenario("hang-always")
-        def hang_always(params, seed):
+        def hang_always(sim, params):
             time.sleep(60)
 
         spec = CampaignSpec("hang-always", replications=4, root_seed=0)
@@ -258,10 +264,10 @@ class TestRunnerFailurePaths:
         """A worker that dies mid-run (no 'done' ever sent) must not hang
         the campaign: the run is retried, then recorded as failed."""
         @register_scenario("die-on-flag")
-        def die_on_flag(params, seed):
+        def die_on_flag(sim, params):
             if params.get("flag"):
                 os._exit(3)
-            return ({"v": 1.0}, {})
+            return {"v": 1.0}
 
         spec = CampaignSpec("die-on-flag", grid={"flag": [0, 1, 0]},
                             replications=1, root_seed=0)
@@ -277,7 +283,7 @@ class TestRunnerFailurePaths:
         failure too, printing duplicate '0/N runs done' lines before any
         record existed."""
         @register_scenario("boom-fast")
-        def boom_fast(params, seed):
+        def boom_fast(sim, params):
             raise RuntimeError("boom")
 
         spec = CampaignSpec("boom-fast", replications=25, root_seed=0)
@@ -290,10 +296,10 @@ class TestRunnerFailurePaths:
         worker, runs 1-3 all go to the other instead of queueing behind
         run 0."""
         @register_scenario("slow-first")
-        def slow_first(params, seed):
+        def slow_first(sim, params):
             if params.get("slow"):
                 time.sleep(1.0)
-            return ({"v": 1.0}, {})
+            return {"v": 1.0}
 
         spec = CampaignSpec("slow-first", grid={"slow": [1, 0, 0, 0]},
                             replications=1, root_seed=0)
@@ -524,8 +530,8 @@ class TestDeclaredDefaults:
 
     def test_probe_sees_declared_defaults(self):
         @register_scenario("probe-defaults", defaults={"a": 1.5, "n": 4})
-        def probe(params, seed):
-            return ({"a": params["a"], "n": params["n"]}, {})
+        def probe(sim, params):
+            return {"a": params["a"], "n": params["n"]}
 
         assert run_scenario("probe-defaults", {}, seed=0)[0] == \
             {"a": 1.5, "n": 4}
@@ -554,6 +560,25 @@ class TestDeclaredDefaults:
         tenth, sixty, cut = (run_scenario("mm1", {"jobs": 600, **w}, 2)[0]
                              for w in ({}, {"warmup": 60}, {"warmup": 100}))
         assert tenth == sixty != cut
+
+    @pytest.mark.parametrize("warmup", ["abc", 2.5, -1, True])
+    def test_warmup_checked_with_the_other_params(self, warmup):
+        with pytest.raises(ConfigurationError,
+                           match="param warmup must be a job count >= 0 "
+                                 "or 'mser5'"):
+            run_scenario("mm1", {"jobs": 600, "warmup": warmup}, 2)
+
+    def test_bool_takes_true_and_false_by_name(self):
+        agent = {word: run_scenario("t0t1", {"agent": word}, 3)[0]
+                 for word in ("TRUE", "true", True, "False", False)}
+        assert agent["TRUE"] == agent["true"] == agent[True] \
+            != agent["False"] == agent[False]
+        with pytest.raises(ConfigurationError,
+                           match="param churn must be bool, got 'maybe'"):
+            run_scenario("simgrid", {"churn": "maybe"}, 3)
+        with pytest.raises(ConfigurationError,
+                           match="param x must be float, got 'true'"):
+            run_scenario("quadratic", {"x": "true"}, 3)
 
     def test_theory_without_declaration_is_none(self):
         assert theory_for("quadratic", {}) is None
@@ -728,11 +753,10 @@ class TestCampaignObservability:
 
     def test_timeout_leaves_readable_flight_dump(self, tmp_path):
         @register_scenario("spin-then-hang")
-        def spin_then_hang(params, seed):
-            metrics, tele = run_scenario(
-                "mm1", {"jobs": 1500, "rho": 0.5}, seed)
+        def spin_then_hang(sim, params):
+            mmck_station(sim, 0.5, 1.0, n_jobs=1500, warmup=150)
             time.sleep(60)
-            return metrics, tele
+            return {}
 
         spec = CampaignSpec("spin-then-hang", replications=2, root_seed=0)
         result = run_campaign(spec, workers=2, timeout=1.0, retries=0,
@@ -758,12 +782,12 @@ class TestCampaignObservability:
         parent reconstructs a partial from the last beat frame, and the
         retried run contributes exactly one record to the rollups."""
         @register_scenario("beat-then-die")
-        def beat_then_die(params, seed):
-            metrics, tele = run_scenario(
-                "mm1", {"jobs": 3000, "rho": 0.5}, seed)
+        def beat_then_die(sim, params):
+            metrics = mmck_station(sim, 0.5, 1.0, n_jobs=3000,
+                                   warmup=300).to_dict()
             if params.get("flag"):
                 os._exit(3)
-            return metrics, tele
+            return metrics
 
         spec = CampaignSpec("beat-then-die", grid={"flag": [0, 1, 0]},
                             replications=1, root_seed=0)
@@ -792,11 +816,38 @@ class TestCampaignObservability:
         assert sum(w["runs"] for w in tel.per_worker.values()) == 3
         assert sum(p["runs"] for p in tel.per_point.values()) == 3
 
+    def test_study_worker_ships_beat_frames(self):
+        """A surveyed study's run on a worker (``_execute`` with the pipe's
+        send as ``beat_send``) ships a frame at each heartbeat, naming the
+        handler it last fired."""
+        frames = []
+        spec = CampaignSpec("t0t1", base={"horizon": 5000.0}).expand()[0]
+        rec = _execute(spec, 1, 0, heartbeat=0.0, beat_send=frames.append)
+        assert rec.status == "ok"
+        assert frames and len(frames) == rec.telemetry["heartbeats"]
+        for kind, index, attempt, payload in frames:
+            assert (kind, index, attempt) == ("beat", 0, 1)
+            assert payload["last_handler"] and payload["events"] > 0
+
+    def test_timed_out_study_dump_names_its_handler(self, tmp_path):
+        """A surveyed study killed at its timeout dumps the firings it had
+        made, not an empty ring."""
+        import json
+
+        spec = CampaignSpec("t0t1", base={"horizon": 1e5})  # about 2 s
+        result = run_campaign(spec, workers=1, timeout=1.0, retries=0,
+                              recorder_dir=str(tmp_path))
+        rec = result.records[0]
+        assert rec.status == "timeout" and rec.recorder_path
+        with open(rec.recorder_path) as fp:
+            header = json.loads(fp.readline())
+        assert header["events"] > 0 and header["last_handler"]
+
     def test_stall_detector_flags_quiet_worker(self):
         @register_scenario("hang-quietly")
-        def hang_quietly(params, seed):
+        def hang_quietly(sim, params):
             time.sleep(60)
-            return ({}, {})
+            return {}
 
         messages = []
         spec = CampaignSpec("hang-quietly", replications=2, root_seed=0)
@@ -820,10 +871,8 @@ class TestCampaignObservability:
         # only a beat frame (pooled, with heartbeat) or a dump (with
         # recorder_dir) reads the ring
         @register_scenario("recorder-probe")
-        def recorder_probe(params, seed):
-            from repro.campaign.scenarios import _build_observation
-            return {"ring": float(
-                _build_observation().recorder is not None)}, {}
+        def recorder_probe(sim, params):
+            return {"ring": float(sim._obs.ring_hook is not None)}
 
         spec = CampaignSpec("recorder-probe", replications=2, root_seed=0)
         result = run_campaign(

@@ -10,9 +10,9 @@ COUNTED = []
 
 
 @register_scenario("counted", defaults={"n": 1})
-def counted(params, seed):
+def counted(sim, params):
     COUNTED.append(params["n"])
-    return ({"n": params["n"]}, {})
+    return {"n": params["n"]}
 
 
 class TestTable1:
@@ -217,11 +217,21 @@ class TestCampaignErrors:
         (["--set", "n=2", "--level", "1.5"], "level"),
         (["--set", "nn=2", "--set", "n=2"],
          "scenario 'counted' has no param nn; it declares n"),
+        # a later --scenario overrides the probe
+        (["--scenario", "mm1", "--set", "jobs=2000", "--set", "warmup=abc"],
+         "param warmup must be a job count >= 0 or 'mser5', got 'abc'"),
+        (["--scenario", "mm1", "--set", "jobs=2000", "--set", "warmup=2.5"],
+         "param warmup must be a job count >= 0 or 'mser5', got 2.5"),
+        (["--scenario", "simgrid", "--set", "churn=maybe"],
+         "param churn must be bool, got 'maybe'"),
+        (["--scenario", "quadratic", "--set", "x=true"],
+         "param x must be float, got 'true'"),
     ])
     def test_rejected_before_any_run(self, argv, says, capsys):
-        """A param its declared default's type cannot hold unchanged, a
-        param it does not declare, or a bad --level, is one error line
-        before the first run."""
+        """A param its declared default's type cannot hold unchanged (a
+        warmup neither a job count nor mser5, a bool neither true nor
+        false), a param it does not declare, or a bad --level, is one
+        error line before the first run."""
         COUNTED.clear()
         assert main(["campaign", "--scenario", "counted", *argv,
                      "--runs", "2"]) == 2
@@ -237,6 +247,17 @@ class TestCampaignErrors:
         assert captured.err.startswith("error: unknown scenario 'nope'")
         assert "'counted'" in captured.err and "'mm1'" in captured.err
         assert "point 0" not in captured.out
+
+    def test_bool_param_set_by_name(self, capsys):
+        """A bool param takes true or false in any case, as it takes 1
+        or 0."""
+        def makespan(word):
+            assert main(["campaign", "--scenario", "simgrid", "--set",
+                         f"churn={word}", "--runs", "1"]) == 0
+            return capsys.readouterr().out.split("makespan")[1]
+
+        assert makespan("True") == makespan("TRUE") == makespan("1") \
+            != makespan("false") == makespan("FALSE") == makespan("0")
 
     def test_whole_float_reads_as_int(self, capsys):
         COUNTED.clear()
