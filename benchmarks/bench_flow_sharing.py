@@ -47,7 +47,8 @@ def _run_mode(build, repeats: int, **params):
         stats = model.stats()
         if best is None or stats["wall_seconds"] < best["wall_seconds"]:
             best = stats
-            completions = model.completion_times()
+            completions = [h.finished for h in
+                           sorted(model.handles, key=lambda h: h.id)]
     return best, completions
 
 

@@ -92,6 +92,11 @@ def _warmup(value: Any) -> Any:
     raise ValueError(value)
 
 
+#: what a failed cast leaves in ``_filled``: unequal to any given value,
+#: None included (None is ``warmup``'s default)
+_CAST_FAILED = object()
+
+
 def _filled(scenario: str, params: Mapping[str, Any]) -> dict:
     """*params* over the defaults *scenario* declares, each declared param
     cast to its default's type (so ``--set c=2.0`` and ``--set rho=1``
@@ -114,7 +119,7 @@ def _filled(scenario: str, params: Mapping[str, Any]) -> dict:
             filled[name] = (_warmup(value) if default is None
                             else type(default)(value))
         except (TypeError, ValueError):
-            filled[name] = None
+            filled[name] = _CAST_FAILED
         if filled[name] != value:
             kind = ("a job count >= 0 or 'mser5'" if default is None
                     else type(default).__name__)

@@ -8,7 +8,7 @@ Everything in :mod:`repro` runs on this kernel.  Quick tour:
 * :mod:`~repro.core.queues` — six pluggable event-list structures (including
   the self-tuning :class:`~repro.core.queues.AdaptiveQueue`).
 * :mod:`~repro.core.process` — "active objects" (process-oriented modeling).
-* :mod:`~repro.core.resources` — servers, stores, containers.
+* :mod:`~repro.core.resources` — FIFO service stations and item stores.
 * :mod:`~repro.core.rng` — reproducible random streams.
 * :mod:`~repro.core.monitor` — output statistics.
 * :mod:`~repro.core.parallel` — distributed execution (LPs, CMB, windows).
@@ -45,7 +45,7 @@ from .parallel import (
 )
 from .process import AllOf, AnyOf, Process, Signal, Waitable, spawn, timer
 from .queues import QUEUE_FACTORIES, EventQueue, make_queue
-from .resources import Container, Request, Resource, Store
+from .resources import Request, Resource, Store
 from .rng import Stream, StreamFactory
 from .timedriven import TimeDrivenSimulator
 from .trace import TraceRecord, TraceRecorder, read_trace, write_trace
@@ -70,7 +70,6 @@ __all__ = [
     "Resource",
     "Request",
     "Store",
-    "Container",
     "Stream",
     "StreamFactory",
     "Monitor",

@@ -1,4 +1,4 @@
-"""Output statistics collection — tallies, time-weighted series, reports.
+"""Output statistics collection — tallies, time-weighted series, summaries.
 
 The taxonomy's *visual output analyzer* axis observes that "generally a
 simulation generates huge amounts of data" that is "difficult to be analyzed
@@ -6,7 +6,7 @@ using a pure text format".  This module is the headless equivalent: it
 collects the numbers every surveyed simulator reports (utilization, queue
 lengths, response times), reduces them with sound statistics (time-weighted
 means, batch means, Student-t confidence intervals), and renders them as
-CSV, markdown, or quick ASCII plots.
+quick ASCII plots.
 
 Three collector kinds
 ---------------------
@@ -18,8 +18,8 @@ Three collector kinds
 :class:`Counter`
     Monotone event counts with rate reporting.
 
-A :class:`Monitor` bundles named collectors for one model and produces the
-summary table.  All hot-path updates are O(1) appends; numpy reductions run
+A :class:`Monitor` bundles named collectors for one model and produces their
+summary.  All hot-path updates are O(1) appends; numpy reductions run
 only at report time, per the optimization guides (vectorize the analysis,
 keep the inner loop lean).
 """
@@ -105,19 +105,6 @@ class Tally:
     def maximum(self) -> float:
         """Largest observation (NaN when empty)."""
         return self._max if self._n else math.nan
-
-    @property
-    def total(self) -> float:
-        """Sum of all observations."""
-        return self._sum
-
-    def quantile(self, q: float) -> float:
-        """Empirical quantile; requires ``keep_samples=True``."""
-        if not self.keep_samples:
-            raise ConfigurationError(f"tally {self.name!r} does not retain samples")
-        if not self._samples:
-            return math.nan
-        return float(np.quantile(np.asarray(self._samples), q))
 
     def confidence_interval(self, level: float = 0.95) -> tuple[float, float]:
         """Student-t CI half-width around the mean: (mean, halfwidth)."""
@@ -348,51 +335,6 @@ class Monitor:
             out[f"counter.{name}"] = {"n": int(c.count),
                                       "rate": float(c.rate(t_end))}
         return out
-
-    def report(self, t_end: float | None = None) -> str:
-        """Human-readable fixed-width summary table."""
-        rows = [f"== {self.name} =="]
-        for key, vals in self.summary(t_end).items():
-            cells = "  ".join(f"{k}={_fmt(v)}" for k, v in vals.items())
-            rows.append(f"  {key:<36} {cells}")
-        return "\n".join(rows)
-
-    def to_markdown(self, t_end: float | None = None) -> str:
-        """Summary as a markdown table (one row per collector)."""
-        keys: list[str] = []
-        rows = []
-        summary = self.summary(t_end)
-        for vals in summary.values():
-            for k in vals:
-                if k not in keys:
-                    keys.append(k)
-        header = "| collector | " + " | ".join(keys) + " |"
-        sep = "|---|" + "|".join("---:" for _ in keys) + "|"
-        for key, vals in summary.items():
-            cells = " | ".join(_fmt(vals[k]) if k in vals else "" for k in keys)
-            rows.append(f"| `{key}` | {cells} |")
-        return "\n".join([header, sep, *rows])
-
-    def to_csv(self, t_end: float | None = None) -> str:
-        """Summary as CSV text (collector, statistic, value)."""
-        lines = ["collector,statistic,value"]
-        for key, vals in self.summary(t_end).items():
-            for stat, v in vals.items():
-                lines.append(f"{key},{stat},{v!r}")
-        return "\n".join(lines) + "\n"
-
-
-def _fmt(v: float) -> str:
-    # Empty collectors reduce to NaN (no observations yet); a bare "nan"
-    # in a report table reads like a bug, so render an em dash instead.
-    # CSV output keeps repr(nan) — machine formats must stay lossless.
-    if isinstance(v, float) and math.isnan(v):
-        return "—"
-    if isinstance(v, float) and math.isinf(v):
-        return str(v)
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    return str(v)
 
 
 def ascii_plot(xs: Iterable[float], ys: Iterable[float], width: int = 60,

@@ -6,14 +6,13 @@ resource organizations — central and tier — (:mod:`~repro.hosts.site`),
 and external-load injectors (:mod:`~repro.hosts.load`).
 """
 
-from .aggregate import aggregate_machines, coarsen_grid
+from .aggregate import coarsen_grid
 from .cpu import JobRun, Machine, SpaceSharedMachine, TimeSharedMachine
-from .load import NetworkCrossTraffic, RandomBurstLoad, SquareWaveLoad
+from .load import NetworkCrossTraffic, RandomBurstLoad
 from .site import Grid, Site, central_grid, tier_grid
-from .storage import Disk, MassStorage, StorageManager
+from .storage import Disk, MassStorage
 
 __all__ = [
-    "aggregate_machines",
     "coarsen_grid",
     "JobRun",
     "Machine",
@@ -21,12 +20,10 @@ __all__ = [
     "TimeSharedMachine",
     "Disk",
     "MassStorage",
-    "StorageManager",
     "Site",
     "Grid",
     "central_grid",
     "tier_grid",
-    "SquareWaveLoad",
     "NetworkCrossTraffic",
     "RandomBurstLoad",
 ]

@@ -2,21 +2,15 @@
 
 Taxonomy §5 names the engine-side remedies for scale — better event queues,
 better entity scheduling, "various simplification mechanisms".  This module
-is the third remedy: *coarsening* a detailed grid into an equivalent
-smaller one, trading per-site fidelity for event volume.
-
-Two levels:
-
-* :func:`aggregate_machines` — replace a site's machine list with one
-  equivalent machine (summed PEs, capacity-weighted rating).  Exact for
-  space-shared FCFS workloads up to queue *pooling* (one shared queue
-  instead of per-machine queues — a slightly optimistic approximation,
-  quantified in benchmark E14).
-* :func:`coarsen_grid` — merge groups of sites into super-sites on a
-  star topology: PEs and disk capacities sum, group access bandwidth sums
-  (members can transfer in parallel), latency averages.  Intra-group
-  transfers become free — the approximation that breaks first when
-  intra-group traffic matters, which E14's error columns expose.
+is the third remedy: :func:`coarsen_grid` *coarsens* a detailed grid into
+an equivalent smaller one, trading per-site fidelity for event volume.  It
+merges groups of sites into super-sites on a star topology: each group's
+machines become one space-shared machine (PEs sum, total MIPS preserved,
+one pooled queue instead of per-machine queues), disk capacities sum,
+group access bandwidth sums (members can transfer in parallel) and latency
+averages.  Intra-group transfers become free — the approximation that
+breaks first when intra-group traffic matters, which E14's error columns
+expose.
 """
 
 from __future__ import annotations
@@ -25,28 +19,12 @@ from typing import Mapping, Sequence
 
 from ..core.engine import Simulator
 from ..core.errors import ConfigurationError
-from .cpu import Machine, SpaceSharedMachine
+from .cpu import SpaceSharedMachine
 from .site import Grid, Site
 from .storage import Disk
 from ..network.topology import Topology
 
-__all__ = ["aggregate_machines", "coarsen_grid"]
-
-
-def aggregate_machines(sim: Simulator, machines: Sequence[Machine],
-                       name: str = "aggregate") -> SpaceSharedMachine:
-    """One space-shared machine equivalent to *machines*.
-
-    PEs sum; the rating is the capacity-weighted mean so total MIPS is
-    preserved exactly.  (A mixed-rating pool is approximated by a uniform
-    one — each job's service time becomes the fleet average.)
-    """
-    if not machines:
-        raise ConfigurationError("cannot aggregate zero machines")
-    total_pes = sum(m.pes for m in machines)
-    total_mips = sum(m.pes * m.rating for m in machines)
-    return SpaceSharedMachine(sim, pes=total_pes,
-                              rating=total_mips / total_pes, name=name)
+__all__ = ["coarsen_grid"]
 
 
 def coarsen_grid(sim: Simulator, grid: Grid,

@@ -1,19 +1,17 @@
-"""Background-load injectors for machines (and anything load-settable).
+"""Background-load injectors for machines and networks.
 
 Bricks schedules against a *monitored and predicted* background: servers
 and networks in a global computing system carry external traffic the
-scheduler does not control.  These injectors reproduce that environment by
-driving :meth:`~repro.hosts.cpu.Machine.set_background_load` over time:
+scheduler does not control.  These injectors reproduce that environment:
 
-:class:`SquareWaveLoad`
-    Deterministic on/off load — the predictable diurnal pattern.
 :class:`RandomBurstLoad`
-    Exponential burst arrivals with uniform levels and durations — the
-    unpredictable competing traffic that separates load-aware from
+    Drives :meth:`~repro.hosts.cpu.Machine.set_background_load` with
+    exponential burst arrivals of uniform levels and durations — the
+    unpredictable competing load that separates load-aware from
     predictive scheduling in benchmark E11.
-
-Both expose ``current`` plus an exact ``mean_load`` over the emitted
-schedule, so predictive schedulers have ground truth to "predict".
+:class:`NetworkCrossTraffic`
+    Poisson-started background flows on a
+    :class:`~repro.network.flow.FlowNetwork`.
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ from ..core.engine import Simulator
 from ..core.errors import ConfigurationError
 from ..core.rng import Stream
 
-__all__ = ["LoadTarget", "SquareWaveLoad", "RandomBurstLoad",
-           "NetworkCrossTraffic"]
+__all__ = ["LoadTarget", "RandomBurstLoad", "NetworkCrossTraffic"]
 
 
 class LoadTarget(Protocol):
@@ -36,50 +33,10 @@ class LoadTarget(Protocol):
         ...  # pragma: no cover
 
 
-class SquareWaveLoad:
-    """Alternates the target between ``high`` and ``low`` load forever.
-
-    The first edge (to *high*) fires after ``phase`` time units.
-    """
-
-    def __init__(self, sim: Simulator, target: LoadTarget, high: float = 0.6,
-                 low: float = 0.0, period: float = 100.0, phase: float = 0.0) -> None:
-        if not 0 <= low <= high < 1:
-            raise ConfigurationError("need 0 <= low <= high < 1")
-        if period <= 0:
-            raise ConfigurationError("period must be > 0")
-        self.sim = sim
-        self.target = target
-        self.high = high
-        self.low = low
-        self.period = period
-        self.current = low
-        self.transitions = 0
-        sim.schedule(phase, self._rise, label="bgload_rise")
-
-    @property
-    def mean_load(self) -> float:
-        """Long-run average load of the wave."""
-        return (self.high + self.low) / 2.0
-
-    def _rise(self) -> None:
-        self.current = self.high
-        self.transitions += 1
-        self.target.set_background_load(self.high)
-        self.sim.schedule(self.period / 2, self._fall, label="bgload_fall")
-
-    def _fall(self) -> None:
-        self.current = self.low
-        self.transitions += 1
-        self.target.set_background_load(self.low)
-        self.sim.schedule(self.period / 2, self._rise, label="bgload_rise")
-
-
 class RandomBurstLoad:
     """Poisson load bursts: idle gaps ~ Exp(mean_gap), levels ~ U(0, peak).
 
-    ``horizon`` bounds the schedule so a finite run drains; the realized
-    time-average is tracked in ``observed_load_time`` for prediction tests.
+    ``horizon`` bounds the schedule so a finite run drains.
     """
 
     def __init__(self, sim: Simulator, target: LoadTarget, stream: Stream,
@@ -98,20 +55,12 @@ class RandomBurstLoad:
         self.horizon = horizon
         self.current = 0.0
         self.bursts = 0
-        self.observed_load_time = 0.0  # integral of load over time
-        self._last_change = sim.now
         sim.schedule(stream.exponential(mean_gap), self._burst_start,
                      label="burst_start")
-
-    def _account(self) -> None:
-        now = self.sim.now
-        self.observed_load_time += self.current * (now - self._last_change)
-        self._last_change = now
 
     def _burst_start(self) -> None:
         if self.sim.now >= self.horizon:
             return
-        self._account()
         self.current = self.stream.uniform(0.1 * self.peak, self.peak)
         self.bursts += 1
         self.target.set_background_load(self.current)
@@ -119,20 +68,11 @@ class RandomBurstLoad:
                           self._burst_end, label="burst_end")
 
     def _burst_end(self) -> None:
-        self._account()
         self.current = 0.0
         self.target.set_background_load(0.0)
         if self.sim.now < self.horizon:
             self.sim.schedule(self.stream.exponential(self.mean_gap),
                               self._burst_start, label="burst_start")
-
-    def mean_load(self, t_end: float | None = None) -> float:
-        """Realized time-average load up to *t_end* (default: now)."""
-        t = self.sim.now if t_end is None else t_end
-        if t <= 0:
-            return 0.0
-        pending = self.current * (t - self._last_change)
-        return (self.observed_load_time + pending) / t
 
 
 class NetworkCrossTraffic:

@@ -1,4 +1,4 @@
-"""Storage devices: disks, mass storage (tape), and a two-level manager.
+"""Storage devices: disks and mass storage (tape).
 
 Taxonomy *host characteristics* names "the types of data storage facilities"
 as a classification point; MONARC's regional centres combine disk farms
@@ -10,10 +10,6 @@ on the question of *which file to evict from a full disk*.
     serialize), named-file inventory with pluggable eviction support.
 :class:`MassStorage`
     Tape-like: large, slow, plus a per-access mount latency.
-:class:`StorageManager`
-    Hierarchical pair (disk in front of tape): reads hit disk when
-    possible, miss to tape with stage-in; writes land on disk and spill
-    oldest files to tape when full.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from ..core.process import Waitable
 from ..core.resources import Resource
 from ..network.transfer import FileSpec
 
-__all__ = ["Disk", "MassStorage", "StorageManager"]
+__all__ = ["Disk", "MassStorage"]
 
 
 class _IoTicket(Waitable):
@@ -220,54 +216,3 @@ class MassStorage(Disk):
                  mount_latency: float = 30.0, name: str = "tape") -> None:
         super().__init__(sim, capacity, read_rate, write_rate, name=name,
                          access_latency=mount_latency)
-
-
-class StorageManager:
-    """Two-level hierarchy: disk cache in front of mass storage.
-
-    Reads prefer disk; a tape hit stages the file onto disk (evicting LRU)
-    before completing.  Writes land on disk and archive to tape, so a later
-    eviction never loses the only copy.
-    """
-
-    def __init__(self, sim: Simulator, disk: Disk, tape: MassStorage) -> None:
-        self.sim = sim
-        self.disk = disk
-        self.tape = tape
-        self.monitor = Monitor("hsm")
-        self.disk_hits = 0
-        self.tape_hits = 0
-
-    def has(self, name: str) -> bool:
-        """True when either level holds the file."""
-        return self.disk.has(name) or self.tape.has(name)
-
-    def write(self, file: FileSpec) -> Waitable:
-        """Write-through: disk (with eviction) + tape archive."""
-        disk_ticket = self.disk.write(file, evict_policy="lru")
-        self.tape.store(file)  # archival registration; tape write is async
-        self.tape.write(file)
-        return disk_ticket
-
-    def read(self, name: str) -> Waitable:
-        """Read from disk, or stage in from tape (then it costs tape time)."""
-        if self.disk.has(name):
-            self.disk_hits += 1
-            self.monitor.counter("disk_hits").increment(self.sim.now)
-            return self.disk.read(name)
-        if not self.tape.has(name):
-            raise ConfigurationError(f"hsm: file {name!r} exists nowhere")
-        self.tape_hits += 1
-        self.monitor.counter("tape_hits").increment(self.sim.now)
-        outer = _IoTicket(self.tape.get(name), "staged-read", self.sim.now)
-
-        def staged(_ticket) -> None:
-            f = self.tape.get(name)
-            assert f is not None
-            self.disk.make_room(f.size, "lru")
-            self.disk.store(f)
-            outer.finished = self.sim.now
-            outer._complete(outer)
-
-        self.tape.read(name)._subscribe(staged)
-        return outer

@@ -38,19 +38,9 @@ class ReplicaCatalog:
 
     # -- queries ------------------------------------------------------------------
 
-    def spec(self, fname: str) -> FileSpec:
-        """The file's :class:`FileSpec` (CatalogError if no site holds it)."""
-        for site in self.grid.sites_with_file(fname):
-            return site.disk.get(fname)
-        raise CatalogError(f"unknown file {fname!r}")
-
     def locations(self, fname: str) -> list[str]:
         """Sites holding the file, sorted for determinism."""
         return sorted(s.name for s in self.grid.sites_with_file(fname))
-
-    def has(self, fname: str) -> bool:
-        """True when at least one site holds a replica."""
-        return bool(self.grid.sites_with_file(fname))
 
     def replica_count(self, fname: str) -> int:
         """Number of sites holding a replica (0 if unknown)."""
@@ -173,10 +163,6 @@ class GridInformationService:
         return [self.grid.sites[n] for n in self.grid.site_names
                 if self.grid.sites[n].machines]
 
-    def total_pes(self) -> int:
-        """PEs summed over all compute sites."""
-        return sum(s.total_pes for s in self.compute_sites())
-
     def least_loaded_site(self) -> Site:
         """Fewest (running+queued) jobs per PE; ties broken by name."""
         sites = self.compute_sites()
@@ -184,15 +170,3 @@ class GridInformationService:
             raise CatalogError("no compute sites registered")
         return min(sites, key=lambda s: (
             (s.running_jobs + s.queued_jobs) / max(s.total_pes, 1), s.name))
-
-    def fastest_site(self) -> Site:
-        """The site with the highest aggregate MIPS."""
-        sites = self.compute_sites()
-        if not sites:
-            raise CatalogError("no compute sites registered")
-        return max(sites, key=lambda s: (s.total_mips, s.name))
-
-    def site_load(self, name: str) -> float:
-        """Jobs per PE at one site (the load-aware scheduler's metric)."""
-        s = self.grid.site(name)
-        return (s.running_jobs + s.queued_jobs) / max(s.total_pes, 1)

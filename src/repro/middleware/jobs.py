@@ -103,11 +103,6 @@ class Job:
         return (self.finished - self.submitted) if self.finished is not None else math.nan
 
     @property
-    def input_bytes(self) -> float:
-        """Total bytes of input data the job must see locally."""
-        return sum(f.size for f in self.input_files)
-
-    @property
     def met_deadline(self) -> bool:
         """True when the job finished at or before its deadline."""
         return self.finished is not None and self.finished <= self.deadline
@@ -178,10 +173,6 @@ class Dag:
         """Jobs with no predecessors (the DAG's entry tasks)."""
         return [j for j in self._jobs.values() if not self._pred[j.id]]
 
-    def leaves(self) -> list[Job]:
-        """Jobs with no successors (the DAG's exit tasks)."""
-        return [j for j in self._jobs.values() if not self._succ[j.id]]
-
     def topological_order(self) -> list[Job]:
         """Kahn's algorithm; deterministic (ready set ordered by id)."""
         indeg = {jid: len(p) for jid, p in self._pred.items()}
@@ -224,22 +215,6 @@ class Dag:
             return seen != len(self._jobs)
         except KeyError:  # pragma: no cover
             return True
-
-    def critical_path_length(self, rate: float, bandwidth: float) -> float:
-        """Lower bound on makespan: longest compute+comm chain.
-
-        *rate* converts MI to seconds, *bandwidth* converts edge bytes to
-        seconds (both assumed uniform — the bound classic HEFT papers use).
-        """
-        if rate <= 0 or bandwidth <= 0:
-            raise ConfigurationError("rate and bandwidth must be > 0")
-        finish: dict[int, float] = {}
-        for job in self.topological_order():
-            start = 0.0
-            for p, data in self._pred[job.id].items():
-                start = max(start, finish[p] + data / bandwidth)
-            finish[job.id] = start + job.length / rate
-        return max(finish.values(), default=0.0)
 
     def __len__(self) -> int:
         return len(self._jobs)

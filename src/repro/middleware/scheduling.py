@@ -127,7 +127,8 @@ class FastestSiteScheduler(TaskScheduler):
     name = "fastest"
 
     def select_site(self, job: Job, ctx: SchedulingContext) -> str:
-        return ctx.gis.fastest_site().name
+        return max(ctx.gis.compute_sites(),
+                   key=lambda s: (s.total_mips, s.name)).name
 
 
 class PredictiveScheduler(TaskScheduler):

@@ -50,11 +50,6 @@ class RegionalCentre:
     site: Site
     tier: int
 
-    @property
-    def name(self) -> str:
-        """The centre's site name (``T0``, ``T1.0``...)."""
-        return self.site.name
-
 
 @dataclass(slots=True)
 class StudyResult:

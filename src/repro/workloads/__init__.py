@@ -14,27 +14,23 @@ from .access import (
     unitary_walk_requests,
     zipf_requests,
 )
-from .arrivals import heavy_tail_arrivals, mmpp_arrivals, poisson_arrivals
-from .dags import chain_dag, fork_join_dag, layered_dag
+from .arrivals import poisson_arrivals
+from .dags import layered_dag
 from .faultchurn import FaultChurnModel, build_fault_churn
 from .flowchurn import FlowChurnModel, build_flow_churn
 from .lhc import (
     ATLAS_2005,
     CMS_2005,
     ExperimentSpec,
-    analysis_jobs,
     production_schedule,
 )
 from .partitioned import PartitionedRing, build_partitioned_ring
-from .taskfarm import batch_arrival_farm, task_farm
+from .taskfarm import task_farm
 from .traces import JOB_SUBMIT_KIND, jobs_from_trace, jobs_to_trace
 
 __all__ = [
     "poisson_arrivals",
-    "mmpp_arrivals",
-    "heavy_tail_arrivals",
     "task_farm",
-    "batch_arrival_farm",
     "PartitionedRing",
     "build_partitioned_ring",
     "FlowChurnModel",
@@ -42,8 +38,6 @@ __all__ = [
     "FaultChurnModel",
     "build_fault_churn",
     "layered_dag",
-    "fork_join_dag",
-    "chain_dag",
     "ACCESS_PATTERNS",
     "sequential_requests",
     "random_requests",
@@ -54,7 +48,6 @@ __all__ = [
     "CMS_2005",
     "ATLAS_2005",
     "production_schedule",
-    "analysis_jobs",
     "jobs_to_trace",
     "jobs_from_trace",
     "JOB_SUBMIT_KIND",

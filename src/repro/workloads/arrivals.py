@@ -2,17 +2,9 @@
 
 The taxonomy's *behavior* axis (probabilistic simulation) and MONARC's
 "stochastic arrival patterns" both reduce to: generate the times at which
-jobs, requests, or files appear.  Three generators cover the standard
-shapes:
-
-* :func:`poisson_arrivals` — memoryless, the analytic-validation workhorse
-  (the M in M/M/1);
-* :func:`mmpp_arrivals` — a 2-state Markov-modulated Poisson process
-  (quiet/burst), the classic bursty-traffic model;
-* :func:`heavy_tail_arrivals` — Pareto inter-arrivals, self-similar-ish
-  load with rare long gaps.
-
-All return plain sorted lists of times so workload construction stays
+jobs, requests, or files appear.  :func:`poisson_arrivals` is the
+memoryless shape, the analytic-validation workhorse (the M in M/M/1).  It
+returns a plain sorted list of times so workload construction stays
 decoupled from model execution.
 """
 
@@ -21,7 +13,7 @@ from __future__ import annotations
 from ..core.errors import ConfigurationError
 from ..core.rng import Stream
 
-__all__ = ["poisson_arrivals", "mmpp_arrivals", "heavy_tail_arrivals"]
+__all__ = ["poisson_arrivals"]
 
 
 def poisson_arrivals(stream: Stream, rate: float, horizon: float,
@@ -35,59 +27,6 @@ def poisson_arrivals(stream: Stream, rate: float, horizon: float,
     t = start
     while True:
         t += stream.exponential(1.0 / rate)
-        if t >= horizon:
-            return times
-        times.append(t)
-
-
-def mmpp_arrivals(stream: Stream, quiet_rate: float, burst_rate: float,
-                  mean_quiet: float, mean_burst: float, horizon: float,
-                  start: float = 0.0) -> list[float]:
-    """2-state MMPP: alternate Poisson(quiet_rate) and Poisson(burst_rate).
-
-    State holding times are exponential with the given means; the process
-    starts quiet.
-    """
-    if quiet_rate < 0 or burst_rate <= 0:
-        raise ConfigurationError("rates must be positive (quiet may be 0)")
-    if mean_quiet <= 0 or mean_burst <= 0:
-        raise ConfigurationError("state holding means must be > 0")
-    times = []
-    t = start
-    burst = False
-    phase_end = t + stream.exponential(mean_quiet)
-    while t < horizon:
-        rate = burst_rate if burst else quiet_rate
-        if rate == 0:
-            t = phase_end
-        else:
-            t_next = t + stream.exponential(1.0 / rate)
-            if t_next < phase_end:
-                t = t_next
-                if t < horizon:
-                    times.append(t)
-                continue
-            t = phase_end
-        burst = not burst
-        phase_end = t + stream.exponential(mean_burst if burst else mean_quiet)
-    return times
-
-
-def heavy_tail_arrivals(stream: Stream, alpha: float, mean_gap: float,
-                        horizon: float, start: float = 0.0) -> list[float]:
-    """Pareto(alpha) inter-arrivals scaled to the requested *mean_gap*.
-
-    Requires ``alpha > 1`` so the mean exists; smaller alpha = heavier tail.
-    """
-    if alpha <= 1:
-        raise ConfigurationError(f"alpha must be > 1 for a finite mean, got {alpha}")
-    if mean_gap <= 0:
-        raise ConfigurationError("mean_gap must be > 0")
-    xmin = mean_gap * (alpha - 1) / alpha
-    times = []
-    t = start
-    while True:
-        t += stream.pareto(alpha, xmin=xmin)
         if t >= horizon:
             return times
         times.append(t)

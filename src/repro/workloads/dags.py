@@ -1,13 +1,8 @@
-"""DAG workload generators for SimGrid-style workflow scheduling studies.
+"""DAG workload generator for SimGrid-style workflow scheduling studies.
 
-Three canonical shapes drive benchmark E9 (compile-time vs runtime
-scheduling):
-
-* :func:`layered_dag` — random layered graphs (the Tobita/Kasahara STG
-  style): L layers, random edges between adjacent layers;
-* :func:`fork_join_dag` — a root fans out to W parallel branches of depth D
-  that re-join (bag-of-DAGs / map-reduce-ish);
-* :func:`chain_dag` — the pure pipeline (maximal precedence constraint).
+:func:`layered_dag` builds the random layered graphs (the Tobita/Kasahara
+STG style: L layers, random edges between adjacent layers) that drive
+benchmark E9 (compile-time vs runtime scheduling).
 """
 
 from __future__ import annotations
@@ -16,7 +11,7 @@ from ..core.errors import ConfigurationError
 from ..core.rng import Stream
 from ..middleware.jobs import Dag, Job
 
-__all__ = ["layered_dag", "fork_join_dag", "chain_dag"]
+__all__ = ["layered_dag"]
 
 
 def _job(stream: Stream, jid: int, mean_length: float) -> Job:
@@ -55,42 +50,4 @@ def layered_dag(stream: Stream, layers: int, width: int,
             for p in parents:
                 dag.add_edge(p.id, child.id,
                              data=stream.exponential(mean_edge_bytes))
-    return dag
-
-
-def fork_join_dag(stream: Stream, branches: int, depth: int,
-                  mean_length: float = 1000.0,
-                  mean_edge_bytes: float = 1e6) -> Dag:
-    """Root → *branches* parallel chains of *depth* → join node."""
-    if branches < 1 or depth < 1:
-        raise ConfigurationError("branches and depth must be >= 1")
-    dag = Dag()
-    jid = 0
-    root = dag.add_job(_job(stream, jid, mean_length)); jid += 1
-    tails = []
-    for _ in range(branches):
-        prev = root
-        for _ in range(depth):
-            node = dag.add_job(_job(stream, jid, mean_length)); jid += 1
-            dag.add_edge(prev.id, node.id, data=stream.exponential(mean_edge_bytes))
-            prev = node
-        tails.append(prev)
-    join = dag.add_job(_job(stream, jid, mean_length))
-    for t in tails:
-        dag.add_edge(t.id, join.id, data=stream.exponential(mean_edge_bytes))
-    return dag
-
-
-def chain_dag(stream: Stream, length: int, mean_length: float = 1000.0,
-              mean_edge_bytes: float = 1e6) -> Dag:
-    """A pure pipeline of *length* stages."""
-    if length < 1:
-        raise ConfigurationError("length must be >= 1")
-    dag = Dag()
-    prev = None
-    for jid in range(length):
-        node = dag.add_job(_job(stream, jid, mean_length))
-        if prev is not None:
-            dag.add_edge(prev.id, node.id, data=stream.exponential(mean_edge_bytes))
-        prev = node
     return dag

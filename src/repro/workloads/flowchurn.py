@@ -81,10 +81,6 @@ class FlowChurnModel:
         self.wall_seconds = perf_counter() - t0
         return self
 
-    def completion_times(self) -> list[float]:
-        """Finish times in flow-id order (the cross-engine checksum)."""
-        return [h.finished for h in sorted(self.handles, key=lambda h: h.id)]
-
     def stats(self) -> dict:
         """Wall clock, event count, and sharing counters as a flat dict."""
         out = {"wall_seconds": self.wall_seconds,

@@ -10,17 +10,15 @@ current 30 Gbps."
 
 We cannot use CERN's production traces (proprietary), so this module
 generates the synthetic equivalent that exercises the same arithmetic:
+each experiment writes fixed-size RAW+ESD files at a sustained byte rate
+at T0.  Defaults approximate the 2005-era planning numbers: CMS ≈ 100 MB/s,
+ATLAS ≈ 80 MB/s sustained during a run, 2 GB files.  Combined ≈ 1.44 Gbps
+*per T1 replica stream*, which is why one 2.5 Gbps link shared by several
+T1s cannot keep up — the study's point.
 
-* **production** — each experiment writes fixed-size RAW+ESD files at a
-  sustained byte rate at T0.  Defaults approximate the 2005-era planning
-  numbers: CMS ≈ 100 MB/s, ATLAS ≈ 80 MB/s sustained during a run, 2 GB
-  files.  Combined ≈ 1.44 Gbps *per T1 replica stream*, which is why one
-  2.5 Gbps link shared by several T1s cannot keep up — the study's point.
-* **analysis** — T1/T2 jobs that pick produced files with Zipf popularity
-  and reprocess them (compute length proportional to file size).
-
-Both are plain data (lists of tuples / jobs), consumed by
-:class:`repro.simulators.monarc.MonarcModel` and benchmark E5.
+The production schedule is plain data (a list of ``(time, file)``
+tuples), consumed by :class:`repro.simulators.monarc.MonarcModel` and
+benchmark E5.
 """
 
 from __future__ import annotations
@@ -29,11 +27,9 @@ from dataclasses import dataclass
 
 from ..core.errors import ConfigurationError
 from ..core.rng import Stream
-from ..middleware.jobs import Job
 from ..network.transfer import FileSpec
 
-__all__ = ["ExperimentSpec", "production_schedule", "analysis_jobs",
-           "CMS_2005", "ATLAS_2005"]
+__all__ = ["ExperimentSpec", "production_schedule", "CMS_2005", "ATLAS_2005"]
 
 MB = 1e6
 GB = 1e9
@@ -93,30 +89,3 @@ def production_schedule(stream: Stream, experiments: list[ExperimentSpec],
             seq += 1
     out.sort(key=lambda pair: (pair[0], pair[1].name))
     return out
-
-
-def analysis_jobs(stream: Stream, produced: list[FileSpec], n_jobs: int,
-                  mi_per_byte: float = 1e-4, zipf_s: float = 1.1,
-                  horizon: float = 0.0, first_id: int = 0) -> list[Job]:
-    """T1/T2 reprocessing jobs over the produced files.
-
-    Each job reads one file (Zipf-popular: fresh hot datasets dominate) and
-    computes ``size * mi_per_byte`` MI.  Submission times are uniform over
-    [0, horizon] (0 = all at once).
-    """
-    if n_jobs < 0:
-        raise ConfigurationError("n_jobs must be >= 0")
-    if not produced and n_jobs > 0:
-        raise ConfigurationError("no produced files to analyse")
-    if mi_per_byte <= 0:
-        raise ConfigurationError("mi_per_byte must be > 0")
-    sample = stream.zipf_sampler(len(produced), zipf_s) if produced else None
-    jobs = []
-    for i in range(n_jobs):
-        f = produced[sample()]
-        jobs.append(Job(
-            id=first_id + i,
-            length=max(f.size * mi_per_byte, 1.0),
-            input_files=(f,),
-            submitted=stream.uniform(0.0, horizon) if horizon > 0 else 0.0))
-    return jobs

@@ -17,7 +17,7 @@ from ..core.rng import Stream
 from ..middleware.jobs import Job
 from ..network.transfer import FileSpec
 
-__all__ = ["task_farm", "batch_arrival_farm"]
+__all__ = ["task_farm"]
 
 _LENGTH_MODELS = ("uniform", "normal", "heavy")
 
@@ -63,25 +63,4 @@ def task_farm(stream: Stream, n: int, mean_length: float = 1000.0,
             id=first_id + i, length=length, input_files=files,
             submitted=float(arrival_times[i]) if arrival_times is not None else 0.0,
             deadline=deadline, budget=budget))
-    return jobs
-
-
-def batch_arrival_farm(stream: Stream, n_batches: int, batch_size: int,
-                       inter_batch: float, mean_length: float = 1000.0,
-                       first_id: int = 0) -> list[Job]:
-    """Bursty farm: *n_batches* groups of *batch_size* jobs, one group every
-    ``Exp(inter_batch)`` — the sawtooth load that stresses schedulers."""
-    if n_batches < 1 or batch_size < 1:
-        raise ConfigurationError("n_batches and batch_size must be >= 1")
-    jobs = []
-    t = 0.0
-    jid = first_id
-    for _ in range(n_batches):
-        for _ in range(batch_size):
-            jobs.append(Job(
-                id=jid, submitted=t,
-                length=stream.normal(mean_length, 0.3 * mean_length,
-                                     floor=0.1 * mean_length)))
-            jid += 1
-        t += stream.exponential(inter_batch)
     return jobs

@@ -1,4 +1,4 @@
-"""Tests for model simplification (machine aggregation + grid coarsening)."""
+"""Tests for model simplification (grid coarsening)."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.hosts import (
     Grid,
     Site,
     SpaceSharedMachine,
-    aggregate_machines,
     coarsen_grid,
 )
 from repro.middleware import GridRunner, Job, LeastLoadedScheduler
@@ -28,47 +27,6 @@ def detailed_grid(sim, n_sites=4, pes=2, rating=500.0):
                                                        name=f"{name}-m")],
                           disk=Disk(sim, 1e12, name=f"{name}-d")))
     return Grid(sim, topo, sites)
-
-
-class TestAggregateMachines:
-    def test_preserves_total_capacity(self):
-        sim = Simulator()
-        ms = [SpaceSharedMachine(sim, pes=2, rating=1000.0),
-              SpaceSharedMachine(sim, pes=4, rating=250.0)]
-        agg = aggregate_machines(sim, ms)
-        assert agg.pes == 6
-        assert agg.total_mips == pytest.approx(2 * 1000 + 4 * 250)
-
-    def test_single_machine_identity(self):
-        sim = Simulator()
-        m = SpaceSharedMachine(sim, pes=3, rating=700.0)
-        agg = aggregate_machines(sim, [m])
-        assert agg.pes == 3 and agg.rating == pytest.approx(700.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            aggregate_machines(Simulator(), [])
-
-    def test_pooling_never_slower_for_uniform_fleet(self):
-        """One pooled queue serves a backlog no later than split queues."""
-        def run(split):
-            sim = Simulator()
-            if split:
-                ms = [SpaceSharedMachine(sim, pes=1, rating=100.0, name=f"m{i}")
-                      for i in range(4)]
-            else:
-                base = [SpaceSharedMachine(sim, pes=1, rating=100.0)
-                        for _ in range(4)]
-                ms = [aggregate_machines(sim, base)]
-            runs = []
-            # imbalanced static assignment for the split case
-            for i in range(8):
-                target = ms[0] if not split else ms[i % 2]  # only 2 of 4 used
-                runs.append(target.submit(100.0))
-            sim.run()
-            return max(r.finished for r in runs)
-
-        assert run(split=False) <= run(split=True)
 
 
 class TestCoarsenGrid:

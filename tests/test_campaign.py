@@ -3,6 +3,7 @@
 import math
 import os
 import pickle
+import re
 import time
 
 import pytest
@@ -561,12 +562,20 @@ class TestDeclaredDefaults:
                              for w in ({}, {"warmup": 60}, {"warmup": 100}))
         assert tenth == sixty != cut
 
-    @pytest.mark.parametrize("warmup", ["abc", 2.5, -1, True])
-    def test_warmup_checked_with_the_other_params(self, warmup):
+    WARMUP_KIND = "a job count >= 0 or 'mser5'"
+
+    @pytest.mark.parametrize("name,value,kind", [
+        pytest.param("warmup", "abc", WARMUP_KIND, id="abc"),
+        pytest.param("warmup", 2.5, WARMUP_KIND, id="2.5"),
+        pytest.param("warmup", -1, WARMUP_KIND, id="-1"),
+        pytest.param("warmup", True, WARMUP_KIND, id="True"),
+        # a typed param given None from the library (the CLI cannot)
+        pytest.param("rho", None, "float, got None", id="rho-None"),
+    ])
+    def test_warmup_checked_with_the_other_params(self, name, value, kind):
         with pytest.raises(ConfigurationError,
-                           match="param warmup must be a job count >= 0 "
-                                 "or 'mser5'"):
-            run_scenario("mm1", {"jobs": 600, "warmup": warmup}, 2)
+                           match=re.escape(f"param {name} must be {kind}")):
+            run_scenario("mm1", {"jobs": 600, name: value}, 2)
 
     def test_bool_takes_true_and_false_by_name(self):
         agent = {word: run_scenario("t0t1", {"agent": word}, 3)[0]

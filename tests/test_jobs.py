@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import ConfigurationError
 from repro.middleware import Dag, Job, JobState
-from repro.network import FileSpec
 
 
 def job(i=1, length=100.0, **kw):
@@ -52,10 +51,6 @@ class TestJobLifecycle:
     def test_unfinished_turnaround_nan(self):
         assert math.isnan(job().turnaround)
 
-    def test_input_bytes(self):
-        j = job(input_files=(FileSpec("a", 10.0), FileSpec("b", 5.0)))
-        assert j.input_bytes == 15.0
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             Job(id=1, length=0.0)
@@ -77,7 +72,6 @@ class TestDag:
     def test_roots_and_leaves(self):
         d = self.diamond()
         assert [j.id for j in d.roots()] == [0]
-        assert [j.id for j in d.leaves()] == [3]
 
     def test_topological_order_valid(self):
         d = self.diamond()
@@ -112,20 +106,6 @@ class TestDag:
         d = self.diamond()
         assert d.successors(0) == {1: 10.0, 2: 20.0}
         assert d.predecessors(3) == {1: 0.0, 2: 0.0}
-
-    def test_critical_path(self):
-        d = Dag()
-        for i in range(3):
-            d.add_job(job(i, length=100.0))
-        d.add_edge(0, 1, data=50.0)
-        d.add_edge(1, 2, data=50.0)
-        # chain: 3 * (100/10) + 2 * (50/25) = 30 + 4 = 34
-        assert d.critical_path_length(rate=10.0, bandwidth=25.0) == pytest.approx(34.0)
-
-    def test_critical_path_validates(self):
-        d = self.diamond()
-        with pytest.raises(ConfigurationError):
-            d.critical_path_length(rate=0.0, bandwidth=1.0)
 
     def test_empty_dag(self):
         d = Dag()

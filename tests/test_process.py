@@ -5,7 +5,6 @@ import pytest
 from repro.core import (
     AllOf,
     AnyOf,
-    Container,
     InterruptError,
     Process,
     ProcessError,
@@ -449,12 +448,10 @@ class TestWaiterSlot:
 
     def test_store_container_and_timer_tokens_complete(self):
         sim = Simulator()
-        store, tank = Store(sim), Container(sim, capacity=10.0)
+        store = Store(sim)
         got, put = store.get(), store.put("item")
-        take, add = tank.take(4.0), tank.add(5.0)
         tick = timer(sim, 2.0, payload="t")
         assert put.done and got.result == "item"
-        assert add.result == 5.0 and take.result == 1.0 and tank.level == 1.0
         assert not tick.done
         sim.run()
         assert tick.done and tick.result == "t" and sim.now == 2.0

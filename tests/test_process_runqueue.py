@@ -41,17 +41,17 @@ class TestOrderRule:
     def test_one_release_resumes_in_request_order(self):              # (a)
         sim = Simulator()
         res, log = Resource(sim, capacity=3), []
+        held = [res.request() for _ in range(3)]
 
-        def holder():
-            req = yield res.request(amount=3)
-            yield 1.0
-            res.release(req)        # three grants from one release
+        def release_all():
+            for req in held:
+                res.release(req)    # three grants from one handler
 
         def client(tag):
             yield res.request()
             log.append((tag, sim.now))
 
-        Process(sim, holder)
+        sim.schedule(1.0, release_all)
         for tag in "abc":
             Process(sim, client, tag)
         sim.run()

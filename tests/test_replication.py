@@ -257,7 +257,7 @@ class TestFaultTolerance:
         sim.run()
         assert ticket.failed
         # the sole replica is still registered exactly where it lives
-        assert cat.has("f0") and cat.replica_count("f0") == 1
+        assert cat.replica_count("f0") == 1
         assert cat.locations("f0") == ["SRC"]
         assert not grid.site("W0").has_file("f0")
         # and the last-copy guard still shields it from eviction

@@ -1,14 +1,11 @@
-"""Tests for Resource / Store / Container primitives."""
+"""Tests for the Resource station and the Store primitive."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    AnyOf,
-    CapacityError,
     ConfigurationError,
-    Container,
     Process,
     Resource,
     ResourceError,
@@ -17,24 +14,24 @@ from repro.core import (
 )
 
 
-def run_station(discipline, arrivals, capacity=1):
-    """Run jobs (arrival, duration, priority/key) through a station.
+def run_station(arrivals, capacity=1):
+    """Run jobs (arrival, duration) through a FIFO station.
 
     Returns list of (job_index, start_time, end_time).
     """
     sim = Simulator()
-    res = Resource(sim, capacity=capacity, discipline=discipline)
+    res = Resource(sim, capacity=capacity)
     log = []
 
-    def job(i, dur, prio):
-        req = yield res.request(priority=prio, key=dur, owner=i)
+    def job(i, dur):
+        req = yield res.request(owner=i)
         start = sim.now
         yield dur
         res.release(req)
         log.append((i, start, sim.now))
 
-    for i, (at, dur, prio) in enumerate(arrivals):
-        sim.schedule_at(at, Process, sim, job, i, dur, prio)
+    for i, (at, dur) in enumerate(arrivals):
+        sim.schedule_at(at, Process, sim, job, i, dur)
     sim.run()
     return sorted(log, key=lambda r: (r[1], r[0]))
 
@@ -57,28 +54,13 @@ class TestResourceBasics:
         assert res.available == 2
 
     def test_fifo_service_order(self):
-        log = run_station("fifo", [(0.0, 10.0, 0), (1.0, 1.0, 0), (2.0, 1.0, 0)])
+        log = run_station([(0.0, 10.0), (1.0, 1.0), (2.0, 1.0)])
         # arrivals are served strictly in arrival order
         assert [r[0] for r in log] == [0, 1, 2]
         assert log[1][1] == 10.0 and log[2][1] == 11.0
 
-    def test_lifo_serves_newest_first(self):
-        log = run_station("lifo", [(0.0, 10.0, 0), (1.0, 1.0, 0), (2.0, 1.0, 0)])
-        # job 0 occupies server; at t=10 the *newest* waiter (job 2) starts
-        assert [r[0] for r in log] == [0, 2, 1]
-
-    def test_priority_discipline(self):
-        log = run_station("priority", [(0.0, 10.0, 5), (1.0, 1.0, 9), (2.0, 1.0, 1)])
-        # job 2 (prio 1) beats job 1 (prio 9) despite arriving later
-        assert [r[0] for r in log] == [0, 2, 1]
-
-    def test_sjf_discipline(self):
-        log = run_station("sjf", [(0.0, 10.0, 0), (1.0, 7.0, 0), (2.0, 2.0, 0)])
-        assert [r[0] for r in log] == [0, 2, 1]
-
     def test_multi_server_parallelism(self):
-        log = run_station("fifo", [(0.0, 5.0, 0), (0.0, 5.0, 0), (0.0, 5.0, 0)],
-                          capacity=2)
+        log = run_station([(0.0, 5.0), (0.0, 5.0), (0.0, 5.0)], capacity=2)
         ends = sorted(r[2] for r in log)
         assert ends == [5.0, 5.0, 10.0]
 
@@ -112,27 +94,21 @@ class TestResourceBasics:
 
 
 def test_request_ids_do_not_depend_on_earlier_models():
-    """Request ids (the ``preempt-req<N>`` signal name, the selection
-    tie-break) count per Resource, not per interpreter: the same model built
-    twice in one process gives the same ids."""
+    """Request ids (named in every release error) count per Resource, not
+    per interpreter: the same model built twice in one process gives the
+    same ids."""
     def build():
         sim = Simulator()
         cpu, disk = Resource(sim, name="cpu"), Resource(sim, name="disk")
         reqs = [cpu.request(), cpu.request(), disk.request()]
-        return [r.id for r in reqs], reqs[1].preempted.name
+        return [r.id for r in reqs]
 
     first = build()
-    assert first == ([1, 2, 1], "preempt-req2")
+    assert first == [1, 2, 1]
     assert build() == first
 
 
 class TestResourceErrors:
-    def test_request_exceeding_capacity(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        with pytest.raises(CapacityError):
-            res.request(amount=3)
-
     def test_double_release(self):
         sim = Simulator()
         res = Resource(sim, capacity=1)
@@ -169,10 +145,6 @@ class TestResourceErrors:
         sim = Simulator()
         with pytest.raises(ConfigurationError):
             Resource(sim, capacity=0)
-        with pytest.raises(ConfigurationError):
-            Resource(sim, discipline="random")
-        with pytest.raises(ConfigurationError):
-            Resource(sim, discipline="fifo", preemptive=True)
 
 
 class TestBalkingAndReneging:
@@ -197,16 +169,6 @@ class TestBalkingAndReneging:
         again = res.request()                            # free again: granted
         assert again.result is again and not again.balked
         assert res.balked == 1
-
-    def test_cancel_reneges_queued_request(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        first = res.request()
-        second = res.request()
-        res.cancel(second)
-        res.release(first)
-        assert not second.done  # never granted
-        assert res.queue_length == 0
 
 
 class TestQueueLengthLevel:
@@ -235,40 +197,6 @@ class TestQueueLengthLevel:
         sim, res, q = self.run_jobs([0.0, 0.0])
         assert q.maximum == 1 and q.mean(sim.now) == pytest.approx(0.5)
         assert res.monitor.tally("wait_time").mean == pytest.approx(0.5)
-
-
-class TestPreemption:
-    def test_high_priority_revokes_lowest_holder(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1, discipline="priority", preemptive=True)
-        log = []
-
-        def low():
-            req = yield res.request(priority=10)
-            done = sim.schedule(50.0, lambda: None)  # placeholder work
-            idx, _ = yield AnyOf([req.preempted])
-            log.append(("low-preempted", sim.now))
-            done.cancel()
-
-        def high():
-            yield 5.0
-            req = yield res.request(priority=1)
-            log.append(("high-granted", sim.now))
-            yield 1.0
-            res.release(req)
-
-        Process(sim, low)
-        Process(sim, high)
-        sim.run()
-        assert ("low-preempted", 5.0) in log
-        assert ("high-granted", 5.0) in log
-
-    def test_equal_priority_does_not_preempt(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1, discipline="priority", preemptive=True)
-        r1 = res.request(priority=5)
-        r2 = res.request(priority=5)
-        assert r1.done and not r2.done
 
 
 class TestStore:
@@ -320,48 +248,6 @@ class TestStore:
         assert store.items == 0
 
 
-class TestContainer:
-    def test_take_blocks_until_level(self):
-        sim = Simulator()
-        tank = Container(sim, capacity=100.0, initial=10.0)
-        token = tank.take(30.0)
-        assert not token.done
-        tank.add(25.0)
-        assert token.done
-        assert tank.level == pytest.approx(5.0)
-
-    def test_add_blocks_at_capacity(self):
-        sim = Simulator()
-        tank = Container(sim, capacity=10.0, initial=8.0)
-        token = tank.add(5.0)
-        assert not token.done
-        tank.take(4.0)
-        assert token.done and tank.level == pytest.approx(9.0)
-
-    def test_fifo_no_overtake(self):
-        """A large queued take blocks later small takes (no starvation)."""
-        sim = Simulator()
-        tank = Container(sim, capacity=100.0, initial=5.0)
-        big = tank.take(50.0)
-        small = tank.take(1.0)
-        tank.add(10.0)  # 15 total: not enough for big; small must still wait
-        assert not big.done and not small.done
-        tank.add(40.0)
-        assert big.done and small.done
-
-    def test_validation(self):
-        sim = Simulator()
-        with pytest.raises(ConfigurationError):
-            Container(sim, capacity=0.0)
-        with pytest.raises(ConfigurationError):
-            Container(sim, capacity=10.0, initial=11.0)
-        tank = Container(sim, capacity=10.0)
-        with pytest.raises(ConfigurationError):
-            tank.take(0.0)
-        with pytest.raises(CapacityError):
-            tank.take(11.0)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.tuples(st.floats(min_value=0, max_value=100),
                           st.floats(min_value=0.01, max_value=10)),
@@ -369,12 +255,11 @@ class TestContainer:
        st.integers(min_value=1, max_value=4))
 def test_property_fifo_conservation(jobs, capacity):
     """Every job is served exactly once; nobody starts before arriving."""
-    arrivals = [(at, dur, 0) for at, dur in jobs]
-    log = run_station("fifo", arrivals, capacity=capacity)
+    log = run_station(jobs, capacity=capacity)
     assert len(log) == len(jobs)
     assert {r[0] for r in log} == set(range(len(jobs)))
     by_id = {r[0]: r for r in log}
-    for i, (at, dur, _) in enumerate(arrivals):
+    for i, (at, dur) in enumerate(jobs):
         _, start, end = by_id[i]
         assert start >= at - 1e-9
         assert end == pytest.approx(start + dur)

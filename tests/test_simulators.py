@@ -14,7 +14,7 @@ from repro.simulators import (
     SGTask,
     SimGridModel,
 )
-from repro.workloads import CMS_2005, ExperimentSpec, chain_dag, layered_dag
+from repro.workloads import CMS_2005, ExperimentSpec, layered_dag
 
 
 class TestBricks:

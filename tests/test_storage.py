@@ -1,4 +1,4 @@
-"""Tests for disks, mass storage, the HSM, sites, and load injectors."""
+"""Tests for disks, mass storage, sites, and load injectors."""
 
 import pytest
 
@@ -10,8 +10,6 @@ from repro.hosts import (
     RandomBurstLoad,
     Site,
     SpaceSharedMachine,
-    SquareWaveLoad,
-    StorageManager,
     central_grid,
     tier_grid,
 )
@@ -138,45 +136,6 @@ class TestHsm:
         sim.run()
         assert t.finished == pytest.approx(15.0)
 
-    def test_disk_hit_fast_path(self):
-        sim = Simulator()
-        hsm = StorageManager(sim, Disk(sim, 1000.0, read_rate=100.0),
-                             MassStorage(sim))
-        hsm.write(f("a", 100.0))
-        sim.run()
-        hsm.read("a")
-        sim.run()
-        assert hsm.disk_hits == 1 and hsm.tape_hits == 0
-
-    def test_tape_miss_stages_to_disk(self):
-        sim = Simulator()
-        disk = Disk(sim, 150.0, read_rate=100.0)
-        tape = MassStorage(sim, read_rate=10.0, mount_latency=1.0)
-        hsm = StorageManager(sim, disk, tape)
-        tape.store(f("cold", 100.0))
-        t = hsm.read("cold")
-        sim.run()
-        assert t.done and hsm.tape_hits == 1
-        assert disk.has("cold")  # staged in
-
-    def test_eviction_never_loses_only_copy(self):
-        sim = Simulator()
-        disk = Disk(sim, 100.0)
-        tape = MassStorage(sim)
-        hsm = StorageManager(sim, disk, tape)
-        hsm.write(f("a", 80.0))
-        sim.run()
-        hsm.write(f("b", 80.0))  # evicts a from disk
-        sim.run()
-        assert not disk.has("a") and tape.has("a")
-        assert hsm.has("a")
-
-    def test_missing_everywhere_raises(self):
-        sim = Simulator()
-        hsm = StorageManager(sim, Disk(sim, 100.0), MassStorage(sim))
-        with pytest.raises(ConfigurationError):
-            hsm.read("nowhere")
-
 
 class TestSitesAndGrids:
     def test_site_submit_least_loaded(self):
@@ -239,22 +198,6 @@ class TestSitesAndGrids:
 
 
 class TestLoadInjectors:
-    def test_square_wave_alternates(self):
-        sim = Simulator()
-        m = SpaceSharedMachine(sim, rating=100.0)
-        wave = SquareWaveLoad(sim, m, high=0.5, low=0.0, period=10.0)
-        sim.run(until=24.0)
-        assert wave.transitions >= 4
-        assert wave.mean_load == pytest.approx(0.25)
-
-    def test_square_wave_validation(self):
-        sim = Simulator()
-        m = SpaceSharedMachine(sim)
-        with pytest.raises(ConfigurationError):
-            SquareWaveLoad(sim, m, high=1.0)
-        with pytest.raises(ConfigurationError):
-            SquareWaveLoad(sim, m, period=0.0)
-
     def test_random_bursts_within_bounds(self):
         sim = Simulator(seed=4)
         m = SpaceSharedMachine(sim)
@@ -262,7 +205,6 @@ class TestLoadInjectors:
                                 mean_burst=5.0, peak=0.7, horizon=200.0)
         sim.run(until=200.0)
         assert burst.bursts > 0
-        assert 0.0 <= burst.mean_load(200.0) <= 0.7
 
     def test_burst_affects_job_timing(self):
         sim = Simulator(seed=4)

@@ -11,14 +11,8 @@ from repro.workloads import (
     ATLAS_2005,
     CMS_2005,
     ExperimentSpec,
-    analysis_jobs,
-    batch_arrival_farm,
-    chain_dag,
-    fork_join_dag,
     gaussian_walk_requests,
-    heavy_tail_arrivals,
     layered_dag,
-    mmpp_arrivals,
     poisson_arrivals,
     production_schedule,
     random_requests,
@@ -48,30 +42,6 @@ class TestArrivals:
             poisson_arrivals(stream(), rate=0.0, horizon=10.0)
         with pytest.raises(ConfigurationError):
             poisson_arrivals(stream(), rate=1.0, horizon=0.0)
-
-    def test_mmpp_burstier_than_poisson(self):
-        """MMPP inter-arrival CV must exceed Poisson's 1."""
-        s = stream("mmpp")
-        times = mmpp_arrivals(s, quiet_rate=0.1, burst_rate=20.0,
-                              mean_quiet=50.0, mean_burst=5.0, horizon=20000.0)
-        gaps = np.diff(times)
-        cv = gaps.std() / gaps.mean()
-        assert cv > 1.3
-
-    def test_mmpp_zero_quiet_rate(self):
-        times = mmpp_arrivals(stream(), quiet_rate=0.0, burst_rate=10.0,
-                              mean_quiet=10.0, mean_burst=10.0, horizon=1000.0)
-        assert len(times) > 0
-
-    def test_heavy_tail_mean_gap(self):
-        times = heavy_tail_arrivals(stream(), alpha=2.5, mean_gap=2.0,
-                                    horizon=20000.0)
-        gaps = np.diff(times)
-        assert abs(gaps.mean() - 2.0) < 0.4
-
-    def test_heavy_tail_needs_finite_mean(self):
-        with pytest.raises(ConfigurationError):
-            heavy_tail_arrivals(stream(), alpha=1.0, mean_gap=1.0, horizon=10.0)
 
 
 class TestTaskFarm:
@@ -105,13 +75,6 @@ class TestTaskFarm:
         jobs = task_farm(stream(), 3, first_id=100)
         assert [j.id for j in jobs] == [100, 101, 102]
 
-    def test_batch_arrivals_grouped(self):
-        jobs = batch_arrival_farm(stream(), n_batches=4, batch_size=5,
-                                  inter_batch=100.0)
-        assert len(jobs) == 20
-        times = sorted({j.submitted for j in jobs})
-        assert len(times) == 4  # one distinct time per batch
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             task_farm(stream(), 0)
@@ -131,17 +94,6 @@ class TestDags:
                 assert dag.predecessors(job.id)
         assert all(r < 5 for r in roots)  # roots only in layer 0
 
-    def test_fork_join_shape(self):
-        dag = fork_join_dag(stream(), branches=3, depth=2)
-        assert len(dag) == 1 + 3 * 2 + 1
-        assert len(dag.roots()) == 1 and len(dag.leaves()) == 1
-
-    def test_chain_is_linear(self):
-        dag = chain_dag(stream(), length=5)
-        assert len(dag.roots()) == 1 and len(dag.leaves()) == 1
-        order = dag.topological_order()
-        assert [j.id for j in order] == [0, 1, 2, 3, 4]
-
     def test_generated_dags_are_acyclic(self):
         for seed in range(5):
             dag = layered_dag(stream(f"d{seed}", seed), layers=3, width=4)
@@ -150,10 +102,6 @@ class TestDags:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             layered_dag(stream(), layers=0, width=1)
-        with pytest.raises(ConfigurationError):
-            fork_join_dag(stream(), branches=0, depth=1)
-        with pytest.raises(ConfigurationError):
-            chain_dag(stream(), length=0)
 
 
 class TestAccessPatterns:
@@ -213,22 +161,11 @@ class TestLhc:
         names = [f.name for _, f in sched]
         assert len(names) == len(set(names))
 
-    def test_analysis_jobs_reference_produced_files(self):
-        sched = production_schedule(stream(), [CMS_2005], 500.0)
-        produced = [f for _, f in sched]
-        jobs = analysis_jobs(stream("a"), produced, 50, horizon=100.0)
-        assert len(jobs) == 50
-        produced_names = {f.name for f in produced}
-        assert all(j.input_files[0].name in produced_names for j in jobs)
-        assert all(0 <= j.submitted <= 100.0 for j in jobs)
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ExperimentSpec("X", rate_bytes_per_s=0.0, file_size=1.0)
         with pytest.raises(ConfigurationError):
             production_schedule(stream(), [], 100.0)
-        with pytest.raises(ConfigurationError):
-            analysis_jobs(stream(), [], 5)
 
 
 @settings(max_examples=20, deadline=None)
