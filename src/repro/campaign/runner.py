@@ -322,6 +322,8 @@ def run_specs(runs: Sequence[RunSpec], workers: int = 1,
         raise ConfigurationError(f"retries must be >= 0, got {retries}")
     if timeout is not None and timeout <= 0:
         raise ConfigurationError(f"timeout must be > 0, got {timeout}")
+    if heartbeat is not None and heartbeat < 0:
+        raise ConfigurationError(f"heartbeat must be >= 0, got {heartbeat}")
     for s in runs:
         _filled(s.scenario, s.params_dict)
     if recorder_dir is not None:

@@ -34,7 +34,6 @@ from typing import Any, Callable, Optional
 
 from .errors import SchedulingError, StopSimulation
 from .events import Event, Priority
-from .monitor import Monitor
 from .queues import EventQueue, make_queue
 from .rng import Stream, StreamFactory
 
@@ -89,7 +88,6 @@ class Simulator:
         #: the current instant, FIFO (filled by :mod:`repro.core.process`)
         self._ready: deque = deque()
         self.streams = StreamFactory(seed)
-        self.monitor = Monitor("simulation")
         #: optional hooks called as ``hook(event)`` just before each firing —
         #: used by trace recording and by debugging instrumentation.
         self.pre_event_hooks: list[Callable[[Event], None]] = []

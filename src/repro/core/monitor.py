@@ -38,20 +38,19 @@ __all__ = ["Tally", "TimeWeighted", "Counter", "Monitor", "ascii_plot"]
 
 
 class Tally:
-    """Observation-based statistic with optional raw-sample retention.
+    """Observation-based statistic; keeps raw samples only when asked.
 
     Moments use Welford's online algorithm, which stays accurate where the
     textbook sum-of-squares formula cancels catastrophically (large means,
     small variances — exactly what simulation response times look like).
     """
 
-    def __init__(self, name: str, keep_samples: bool = True) -> None:
+    def __init__(self, name: str, keep_samples: bool = False) -> None:
         self.name = name
         self.keep_samples = keep_samples
         self._n = 0
         self._mean = 0.0
         self._m2 = 0.0  # sum of squared deviations from the running mean
-        self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
         self._samples: list[float] = []
@@ -60,7 +59,6 @@ class Tally:
         """Add one observation."""
         v = float(value)
         self._n += 1
-        self._sum += v
         delta = v - self._mean
         self._mean += delta / self._n
         self._m2 += delta * (v - self._mean)
@@ -118,11 +116,9 @@ class Tally:
     def batch_means(self, nbatches: int = 10) -> tuple[float, float]:
         """Batch-means CI (mean, halfwidth) — the standard cure for the
         autocorrelation in steady-state simulation output."""
-        if not self.keep_samples:
-            raise ConfigurationError(f"tally {self.name!r} does not retain samples")
+        arr = self.samples
         if self._n < 2 * nbatches:
             return self.confidence_interval()
-        arr = np.asarray(self._samples)
         usable = (len(arr) // nbatches) * nbatches
         means = arr[:usable].reshape(nbatches, -1).mean(axis=1)
         t = t_ppf(0.975, nbatches - 1)
@@ -131,7 +127,9 @@ class Tally:
 
     @property
     def samples(self) -> np.ndarray:
-        """Retained raw observations as an array (empty if not retained)."""
+        """Retained raw observations as an array (``keep_samples=True``)."""
+        if not self.keep_samples:
+            raise ConfigurationError(f"tally {self.name!r} does not retain samples")
         return np.asarray(self._samples, dtype=float)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -279,7 +277,7 @@ class Monitor:
         self._levels: dict[str, TimeWeighted] = {}
         self._counters: dict[str, Counter] = {}
 
-    def tally(self, name: str, keep_samples: bool = True) -> Tally:
+    def tally(self, name: str, keep_samples: bool = False) -> Tally:
         """Get-or-create the named observation tally."""
         t = self._tallies.get(name)
         if t is None:

@@ -9,7 +9,7 @@ event callbacks via the ``on_grant`` callback.
 :class:`Resource` is the FIFO station with *c* servers and an optional
 bound *K* on its wait queue; scheduling disciplines are middleware's
 (:mod:`repro.middleware.scheduling`).  Every resource self-instruments
-(queue-length level, utilization level, wait-time tally) so Little's-law
+(queue-length level, utilization level) so Little's-law
 validation (E4) can run against *any* model that uses resources, not just
 the purpose-built queueing examples.
 """
@@ -87,7 +87,6 @@ class Resource:
         self.monitor = Monitor(name)
         self._q_level = self.monitor.level("queue_length", start_time=sim.now)
         self._u_level = self.monitor.level("in_use", start_time=sim.now)
-        self._wait_tally = self.monitor.tally("wait_time")
 
     # -- acquisition ------------------------------------------------------------
 
@@ -141,7 +140,6 @@ class Resource:
         now = req.granted_at = self.sim._now
         self._in_use += 1
         self._u_level.set(now, self._in_use)
-        self._wait_tally.record(now - req.issued_at)
         req._complete(req)
 
     # -- introspection -------------------------------------------------------------
@@ -188,8 +186,6 @@ class Store:
         self._items: deque[Any] = deque()
         self._getters: deque[Waitable] = deque()
         self._putters: deque[tuple[Waitable, Any]] = deque()
-        self.monitor = Monitor(name)
-        self._occupancy = self.monitor.level("occupancy", start_time=sim.now)
 
     def put(self, item: Any) -> Waitable:
         """Offer *item*; the returned waitable completes when accepted."""
@@ -222,7 +218,6 @@ class Store:
                 item = self._items.popleft()
                 token._complete(item)
                 moved = True
-        self._occupancy.set(self.sim.now, len(self._items))
 
     @property
     def items(self) -> int:

@@ -258,7 +258,6 @@ class FaultGraph:
     def _take_down(self, comp: FaultComponent, repair_eta: float | None) -> None:
         comp.down_at = self.sim.now
         comp.outages += 1
-        self.monitor.counter(f"outages_{comp.kind}").increment(self.sim.now)
         obs = self.sim._obs
         if obs is not None:
             obs.on_fault(comp.kind, comp.name, "fail")

@@ -54,16 +54,6 @@ class JobRun(Waitable):
         self.remaining = self.length
         self._completion: Optional[Event] = None
 
-    @property
-    def queue_delay(self) -> float:
-        """Submission-to-start wait (NaN until started)."""
-        return (self.started - self.submitted) if self.started is not None else float("nan")
-
-    @property
-    def turnaround(self) -> float:
-        """Submission-to-completion time (NaN until finished)."""
-        return (self.finished - self.submitted) if self.finished is not None else float("nan")
-
     def __repr__(self) -> str:  # pragma: no cover
         state = "done" if self.finished is not None else "running/queued"
         return f"<JobRun #{self.id} len={self.length:.4g} {state}>"
@@ -140,8 +130,6 @@ class Machine:
     def _finish_run(self, run: JobRun) -> None:
         run.finished = self.sim.now
         self.completed += 1
-        self.monitor.tally("turnaround").record(run.turnaround)
-        self.monitor.tally("queue_delay").record(run.queue_delay)
         run._complete(run)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -222,7 +210,6 @@ class SpaceSharedMachine(Machine):
         self.repair_eta = repair_eta
         self._down_at = self.sim.now
         self.failures += 1
-        self.monitor.counter("failures").increment(self.sim.now)
         victims = []
         for run in list(self._running):
             assert run._completion is not None
@@ -260,11 +247,8 @@ class SpaceSharedMachine(Machine):
         self._failed = False
         self.repair_eta = None
         if self._down_at is not None:
-            dt = self.sim.now - self._down_at
-            self.downtime += dt
-            self.monitor.tally("repair_time").record(dt)
+            self.downtime += self.sim.now - self._down_at
             self._down_at = None
-        self.monitor.counter("repairs").increment(self.sim.now)
         while self._queue and len(self._running) < self.pes:
             self._start(self._queue.pop(0))
 

@@ -18,7 +18,6 @@ from typing import Optional
 
 from ..core.engine import Simulator
 from ..core.errors import CapacityError, ConfigurationError
-from ..core.monitor import Monitor
 from ..core.process import Waitable
 from ..core.resources import Resource
 from ..network.transfer import FileSpec
@@ -34,11 +33,6 @@ class _IoTicket(Waitable):
         self.op = op
         self.requested = requested
         self.finished: Optional[float] = None
-
-    @property
-    def duration(self) -> float:
-        """Queueing plus transfer time (NaN while pending)."""
-        return (self.finished - self.requested) if self.finished is not None else float("nan")
 
 
 class Disk:
@@ -69,7 +63,6 @@ class Disk:
         self._access_count: dict[str, int] = {}
         self._used = 0.0
         self._channel = Resource(sim, capacity=1, name=f"{name}-io")
-        self.monitor = Monitor(name)
 
     # -- inventory ----------------------------------------------------------------
 
@@ -195,7 +188,6 @@ class Disk:
             def done() -> None:
                 self._channel.release(req)
                 ticket.finished = self.sim.now
-                self.monitor.tally(f"{op}_time").record(ticket.duration)
                 ticket._complete(ticket)
 
             self.sim.schedule(duration, done, label=f"{op}:{self.name}")

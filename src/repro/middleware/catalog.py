@@ -123,7 +123,7 @@ class ReplicaCatalog:
         transfer ticket returned — callback callers ``_subscribe`` to it,
         process callers ``yield`` it — with the accounting already
         subscribed: a ticket that did not fail counts in *monitor* as one
-        ``remote_fetches`` / ``remote_bytes`` and is offered to
+        ``remote_fetches`` and is offered to
         ``strategy.on_fetch``.  The caller owes the other half of the rule:
         a consumer whose ticket ends ``failed`` must not run (no data, no
         job).
@@ -141,7 +141,6 @@ class ReplicaCatalog:
         def account(done) -> None:
             if not done.failed:
                 monitor.counter("remote_fetches").increment(self.grid.sim.now)
-                monitor.tally("remote_bytes").record(file.size)
                 if strategy is not None:
                     strategy.on_fetch(file, src, dst)
 

@@ -28,7 +28,6 @@ from typing import Sequence
 
 from ..core.engine import Simulator
 from ..core.errors import ConfigurationError, EconomyError
-from ..core.monitor import Monitor
 from ..hosts.site import Grid
 from .jobs import Job, JobState
 
@@ -91,9 +90,10 @@ class EconomyBroker:
         self.strategy = strategy
         self.spent = 0.0
         self.committed = 0.0
-        self.monitor = Monitor("economy-broker")
         self.completed: list[Job] = []
         self.failed: list[Job] = []
+        #: admitted jobs that finished after the deadline (should be 0)
+        self.deadline_misses = 0
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -116,7 +116,6 @@ class EconomyBroker:
         if not candidates:
             job.transition(JobState.FAILED, self.sim.now)
             self.failed.append(job)
-            self.monitor.counter("rejected").increment(self.sim.now)
             return
         if self.strategy == "time":
             offer = min(candidates, key=lambda o: (
@@ -143,10 +142,8 @@ class EconomyBroker:
             raise EconomyError(
                 f"broker overspent: {self.spent} > budget {self.budget}")
         self.completed.append(job)
-        self.monitor.tally("job_cost").record(job.cost)
-        self.monitor.tally("turnaround").record(job.turnaround)
         if not job.met_deadline:
-            self.monitor.counter("deadline_misses").increment(self.sim.now)
+            self.deadline_misses += 1
 
     # -- outcome metrics -------------------------------------------------------------
 
@@ -155,11 +152,6 @@ class EconomyBroker:
         """Completed fraction of all dispatched-or-rejected gridlets."""
         total = len(self.completed) + len(self.failed)
         return len(self.completed) / total if total else math.nan
-
-    @property
-    def deadline_misses(self) -> int:
-        """Admitted jobs that finished after the deadline (should be 0)."""
-        return self.monitor.counter("deadline_misses").count
 
     @property
     def makespan(self) -> float:

@@ -28,7 +28,6 @@ from typing import Iterable, Optional
 
 from ..core.engine import Simulator
 from ..core.errors import ConfigurationError
-from ..core.monitor import Monitor
 from ..hosts.site import Grid
 from ..network.transfer import FileSpec
 from .catalog import ReplicaCatalog
@@ -65,7 +64,6 @@ class ReplicationStrategy:
         self.grid = grid
         self.catalog = catalog
         self.protected = set(protected)
-        self.monitor = Monitor(f"replication-{self.name}")
         self.replicas_created = 0
         self.replicas_evicted = 0
 
@@ -83,12 +81,8 @@ class ReplicationStrategy:
                    else self.catalog.land(file, dst, key))
         if evicted is None:
             return False
-        if evicted:
-            self.replicas_evicted += len(evicted)
-            self.monitor.counter("evictions").increment(self.sim.now,
-                                                        len(evicted))
+        self.replicas_evicted += len(evicted)
         self.replicas_created += 1
-        self.monitor.counter("replications").increment(self.sim.now)
         return True
 
 
@@ -256,7 +250,6 @@ class DataReplicationAgent:
         self._queues: dict[str, deque[tuple[FileSpec, int]]] = {
             t: deque() for t in self.targets}
         self._in_flight: dict[str, int] = {t: 0 for t in self.targets}
-        self.monitor = Monitor("replication-agent")
         self.shipped = 0
         self.abandoned = 0
 
@@ -294,12 +287,9 @@ class DataReplicationAgent:
                 self._queues[target].append((file, failures + 1))
             else:
                 self.abandoned += 1
-                self.monitor.counter("files_abandoned").increment(self.sim.now)
             self.sim.schedule(self.retry_delay, self._pump, target,
                               label="agent_retry")
             return
         self.catalog.land(file, target)
         self.shipped += 1
-        self.monitor.counter("files_shipped").increment(self.sim.now)
-        self.monitor.tally("ship_bytes").record(file.size)
         self._pump(target)

@@ -444,7 +444,6 @@ class FlowNetwork:
         handle.error = reason
         handle.finished = self.sim.now
         self.aborted += 1
-        self.monitor.counter("aborted_flows").increment(self.sim.now)
         obs = self.sim._obs
         if obs is not None:
             obs.on_flow_abort(handle)
@@ -505,11 +504,6 @@ class FlowNetwork:
         # leaving empty links cannot change anyone's share.
         neighbours = admitted and self._leave(handle)
         self.completed += 1
-        self.monitor.tally("transfer_time").record(handle.duration)
-        if admitted:
-            # Never-admitted handles moved no bytes over any link; tallying
-            # their 0 B/s would deflate the throughput stat.
-            self.monitor.tally("throughput").record(handle.throughput)
         handle._complete(handle)
         if neighbours:
             self._mark_dirty(handle._cls.path)

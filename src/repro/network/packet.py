@@ -29,7 +29,6 @@ from typing import Optional
 
 from ..core.engine import Simulator
 from ..core.errors import ConfigurationError
-from ..core.monitor import Monitor
 from ..core.process import Waitable
 from .topology import LinkSpec, Topology
 
@@ -116,7 +115,6 @@ class PacketNetwork:
         self.queue_packets = queue_packets
         self._ports: dict[tuple[str, str], _LinkPort] = {}
         self._transfers = 0
-        self.monitor = Monitor("packet-network")
 
     # -- public API -------------------------------------------------------------
 
@@ -167,7 +165,8 @@ class PacketNetwork:
         if len(port.queue) >= port.queue_limit:
             port.dropped += 1
             pkt.dropped = True
-            self._account_drop(handle)
+            handle.dropped += 1
+            self._maybe_finish(handle)
             return
         port.queue.append((pkt, handle))
         if not port.busy:
@@ -198,13 +197,7 @@ class PacketNetwork:
         else:
             self._enqueue(pkt, handle)
 
-    def _account_drop(self, handle: PacketTransfer) -> None:
-        handle.dropped += 1
-        self.monitor.counter("drops").increment(self.sim.now)
-        self._maybe_finish(handle)
-
     def _maybe_finish(self, handle: PacketTransfer) -> None:
         if handle.delivered + handle.dropped == handle.npackets:
             handle.finished = self.sim.now
-            self.monitor.tally("transfer_time").record(handle.duration)
             handle._complete(handle)

@@ -50,11 +50,6 @@ class _TransferTicket(Waitable):
         self.failed = False
 
     @property
-    def queue_delay(self) -> float:
-        """Time spent waiting for a transfer slot."""
-        return (self.started - self.requested) if self.started is not None else float("nan")
-
-    @property
     def total_time(self) -> float:
         """Request-to-completion time (queueing + wire)."""
         return (self.finished - self.requested) if self.finished is not None else float("nan")
@@ -117,7 +112,6 @@ class FileTransferService:
             ticket.started = ticket.finished = self.sim.now
             self.local_hits += 1
             self.completed += 1
-            self.monitor.tally("queue_delay").record(0.0)
             self.monitor.tally("total_time").record(0.0)
             self.sim.schedule(0.0, ticket._complete, ticket, label="xfer_local")
             return ticket
@@ -169,7 +163,6 @@ class FileTransferService:
                 del self._in_flight[key]
         if aborted and ticket.attempts < self.max_attempts:
             self.retries += 1
-            self.monitor.counter("retries").increment(self.sim.now)
             if obs is not None:
                 obs.on_transfer_retry(ticket)
             delay = self.retry_backoff * (2 ** (ticket.attempts - 1))
@@ -180,10 +173,8 @@ class FileTransferService:
         if aborted:
             ticket.failed = True
             self.failed += 1
-            self.monitor.counter("failed").increment(self.sim.now)
         else:
             self.completed += 1
-            self.monitor.tally("queue_delay").record(ticket.queue_delay)
             self.monitor.tally("total_time").record(ticket.total_time)
         ticket._complete(ticket)
 

@@ -188,7 +188,7 @@ class ObsBinding:
                 f"{ticket.file.name} {ticket.src}->{ticket.dst}",
                 self.sim.now,
                 {"bytes": ticket.file.size,
-                 "queue_delay": ticket.queue_delay})
+                 "queue_delay": ticket.started - ticket.requested})
 
     def on_transfer_end(self, ticket: Any) -> None:
         """The transfer completed; close its interval."""

@@ -13,6 +13,8 @@ import sys
 from time import perf_counter
 from typing import Any, Callable
 
+from ..core.errors import ConfigurationError
+
 __all__ = ["Telemetry"]
 
 #: firings of one simulator between heartbeat checks (a power of two that
@@ -41,6 +43,8 @@ class Telemetry:
 
     def __init__(self, heartbeat: float | None = None,
                  sink: Callable[[str], None] | None = None) -> None:
+        if heartbeat is not None and heartbeat < 0:
+            raise ConfigurationError(f"heartbeat must be >= 0, got {heartbeat}")
         self.heartbeat = heartbeat
         self.sink = sink if sink is not None else _stderr_sink
         self.beat_hook: Callable[[dict], None] | None = None

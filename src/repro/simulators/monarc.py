@@ -158,7 +158,6 @@ class MonarcModel:
                     self.monitor.counter("files_unstored").increment(self.sim.now)
                     continue
                 self.produced.append(f)
-                self.monitor.counter("files_produced").increment(self.sim.now)
                 if self.agent is not None:
                     self.agent.announce(f)
                 else:
@@ -207,7 +206,8 @@ class MonarcModel:
                     self.monitor.counter("analysis_failed_reads").increment(self.sim.now)
                     continue  # an outage ate the fetch: no data, no job
                 job_run = yield site.submit(max(f.size * mi_per_byte, 1.0))
-                self.monitor.tally("analysis_turnaround").record(job_run.turnaround)
+                self.monitor.tally("analysis_turnaround").record(
+                    job_run.finished - job_run.submitted)
 
         Process(self.sim, activity, name=f"analysis-{centre}")
 

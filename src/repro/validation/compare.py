@@ -97,7 +97,7 @@ def _run_queue(sim: Simulator, servers: int, arrival_gap: Callable[[], float],
                        queue_limit=queue_limit)
     mon = Monitor("queue-run")
     in_system = mon.level("L", start_time=sim.now)
-    wall = mon.tally("W")
+    wall = mon.tally("W", keep_samples=True)  # batch means, MSER-5
     wait = mon.tally("Wq")
     done = [0]
 

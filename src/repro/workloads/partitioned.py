@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..core.errors import ConfigurationError
 from ..core.monitor import Tally
 from ..core.parallel import LogicalProcess
 
@@ -65,6 +66,11 @@ def build_partitioned_ring(k: int = 4, lookahead: float = 1.0,
     perturbs every site's RNG streams so distinct seeds give distinct—but
     per-seed deterministic—trajectories.
     """
+    if k < 1:
+        raise ConfigurationError(f"the ring needs k >= 1 sites, got {k}")
+    if forward_every < 1:
+        raise ConfigurationError(
+            f"forward_every must be >= 1, got {forward_every}")
     lps = [LogicalProcess(f"site-{i}", seed=seed * 10_007 + i, queue=queue)
            for i in range(k)]
     for i, lp in enumerate(lps):
@@ -76,7 +82,7 @@ def build_partitioned_ring(k: int = 4, lookahead: float = 1.0,
         arr = lp.sim.stream("arr")
         svc = lp.sim.stream("svc")
         log: list[tuple[float, str, int]] = []
-        tally = Tally(f"svc:{lp.name}", keep_samples=False)
+        tally = Tally(f"svc:{lp.name}")
         logs[lp.name] = log
         tallies[lp.name] = tally
 
@@ -84,13 +90,13 @@ def build_partitioned_ring(k: int = 4, lookahead: float = 1.0,
         # rebuilds in place (the handlers close over `log` and `tally`).
         def get_state():
             return (list(log), (tally._n, tally._mean, tally._m2,
-                                tally._sum, tally._min, tally._max))
+                                tally._min, tally._max))
 
         def set_state(blob):
             entries, moments = blob
             log[:] = entries
             (tally._n, tally._mean, tally._m2,
-             tally._sum, tally._min, tally._max) = moments
+             tally._min, tally._max) = moments
 
         lp.register_state(get_state, set_state)
 

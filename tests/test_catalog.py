@@ -187,7 +187,7 @@ class TestStage:
         sim.run()
         assert (ticket.src, ticket.dst, ticket.failed) == ("A", "B", False)
         assert seen == [1]
-        assert mon.tally("remote_bytes").mean == 100.0
+        assert ticket.file == FileSpec("f", 100.0)
 
     def test_failed_ticket_is_no_remote_read_and_reaches_no_strategy(self):
         sim, grid, cat, mon = self.make()

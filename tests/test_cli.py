@@ -155,6 +155,22 @@ class TestExecutors:
         out = capsys.readouterr().out
         assert "optimistic" in out and "sequential" not in out
 
+    @pytest.mark.parametrize("sites", ["0", "-3"])
+    def test_no_sites_is_one_error_line(self, sites, capsys):
+        """A ring of no LPs is an error, not four identical empty runs."""
+        assert main(["executors", "--sites", sites]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: the ring needs k >= 1 sites")
+        assert "identical" not in captured.out
+
+    def test_ring_rejects_forward_every_below_one(self):
+        from repro.core import ConfigurationError
+        from repro.workloads.partitioned import build_partitioned_ring
+
+        with pytest.raises(ConfigurationError, match="forward_every"):
+            build_partitioned_ring(k=2, forward_every=0)
+
 
 class TestFlows:
     def test_single_engine(self, capsys):
@@ -201,6 +217,8 @@ class TestCampaignErrors:
         (["campaign", "--grid", "foo"], "'foo' is not NAME=VALUE"),
         (["campaign", "--scenario", "quadratic", "--metrics", "nope",
           "--runs", "2"], "metric(s) nope; the runs reported x, y"),
+        (["validate", "--jobs", "3000", "--heartbeat", "-1"],
+         "heartbeat must be >= 0"),
     ])
     def test_bad_input_is_one_error_line(self, argv, says, capsys):
         assert main(argv) == 2
@@ -226,6 +244,7 @@ class TestCampaignErrors:
          "param churn must be bool, got 'maybe'"),
         (["--scenario", "quadratic", "--set", "x=true"],
          "param x must be float, got 'true'"),
+        (["--heartbeat", "-1"], "heartbeat must be >= 0, got -1.0"),
     ])
     def test_rejected_before_any_run(self, argv, says, capsys):
         """A param its declared default's type cannot hold unchanged (a

@@ -20,7 +20,7 @@ class TestSpaceShared:
         run = m.submit(FakeJob(1000.0))
         sim.run()
         assert run.finished == pytest.approx(10.0)
-        assert run.queue_delay == 0.0
+        assert run.started == run.submitted == 0.0
 
     def test_fcfs_queueing(self):
         sim = Simulator()
@@ -173,7 +173,7 @@ class TestTimeShared:
 
         def body():
             run = yield m.submit(FakeJob(100.0))
-            log.append((sim.now, run.turnaround))
+            log.append((sim.now, run.finished - run.submitted))
 
         Process(sim, body)
         sim.run()

@@ -141,11 +141,11 @@ class TestFairSharing:
 
     def test_statistics_recorded(self):
         sim, net = simple_net()
-        net.transfer("a", "b", 100.0)
-        net.transfer("a", "b", 100.0)
+        first = net.transfer("a", "b", 100.0)
+        second = net.transfer("a", "b", 100.0)
         sim.run()
         assert net.completed == 2
-        assert net.monitor.tally("transfer_time").count == 2
+        assert first.duration == second.duration > 0
 
 
 class TestStarvationGuard:
@@ -258,9 +258,8 @@ class TestIncrementalSharing:
         sim.run()
         assert h.finished == pytest.approx(10.0)
         assert net.completed == 3
-        # throughput is only tallied for flows that actually held bandwidth
-        assert net.monitor.tally("throughput").count == 1
-        assert net.monitor.tally("transfer_time").count == 3
+        # only the real flow ever held bandwidth
+        assert net.monitor.levels["active_flows"].maximum == 1
 
     def test_reference_mode_matches_incremental(self):
         finished = {}

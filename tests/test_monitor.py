@@ -39,12 +39,24 @@ class TestTally:
         assert math.isinf(half)
 
     def test_batch_means_reasonable(self):
-        t = Tally("x")
+        t = Tally("x", keep_samples=True)
         for i in range(200):
             t.record(float(i % 10))
         mean, half = t.batch_means(10)
         assert abs(mean - 4.5) < 1e-9
         assert half >= 0.0
+
+    def test_default_tally_keeps_no_samples(self):
+        t = Monitor("m").tally("x")
+        for i in range(200):
+            t.record(float(i))
+        assert not t.keep_samples and t._samples == []
+        assert t.count == 200 and t.mean == pytest.approx(99.5)
+        with pytest.raises(ConfigurationError, match="does not retain"):
+            t.samples
+        with pytest.raises(ConfigurationError, match="does not retain"):
+            t.batch_means(10)
+        assert Tally("y").keep_samples is False
 
 
 class TestTimeWeighted:

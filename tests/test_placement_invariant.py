@@ -180,14 +180,17 @@ def test_placement_invariant_random_burst():
 
 
 def optorsim_summaries(seed: int) -> dict:
-    """Every monitor of one evicting OptorSim run under a fault schedule."""
+    """Every statistic of one evicting OptorSim run under a fault schedule."""
     sim = Simulator(seed=seed)
     model, _, horizon = optorsim("lru")(sim)
     random_link_faults(sim, model.grid, seed, horizon)
     sim.run()
+    strategy, transfers = model.strategy, model.grid.transfers
     return {"model": model.monitor.summary(),
-            "strategy": model.strategy.monitor.summary(),
-            "transfers": model.grid.transfers.monitor.summary(),
+            "strategy": (strategy.replicas_created, strategy.replicas_evicted),
+            "transfers": transfers.monitor.summary(),
+            "transfer_counts": (transfers.completed, transfers.retries,
+                                transfers.failed, transfers.local_hits),
             "placement": {f: model.catalog.locations(f)
                           for f in model.catalog.files},
             "events": sim.events_executed, "now": sim.now.hex()}
@@ -208,5 +211,5 @@ def in_subprocess(seed: int, hashseed: str) -> dict:
 def test_placement_does_not_depend_on_hash_seed():
     for seed in fuzz_seeds([2009], burst=2):
         a, b = in_subprocess(seed, "0"), in_subprocess(seed, "1")
-        assert a["strategy"]["counter.evictions"]["n"] > 0
+        assert a["strategy"][1] > 0   # replicas_evicted
         assert a == b, f"seed={seed} (replay: REPRO_FUZZ_SEED={seed})"

@@ -52,7 +52,7 @@ def machine_sojourns(rows) -> list[float]:
     for t, size in rows:
         sim.schedule_at(t, lambda z=size: runs.append(m.submit(z)))
     sim.run()
-    return [r.turnaround for r in runs]
+    return [r.finished - r.submitted for r in runs]
 
 
 def link_sojourns(rows) -> list[float]:

@@ -401,7 +401,6 @@ class TestMonarc:
         agent = model.agent
         assert agent.abandoned > 0 and agent.total_backlog == 0
         assert agent.shipped + agent.abandoned == 2 * result.produced_files
-        assert agent.monitor.counter("files_abandoned").count == agent.abandoned
         assert model.grid.transfers.failed == agent.abandoned * (MAX_RESHIPS + 1)
         assert result.final_backlog_files == agent.abandoned
         assert model.replication_backlog() == agent.abandoned
