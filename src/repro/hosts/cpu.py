@@ -5,7 +5,8 @@ the computing nodes, the granularity of jobs being processed".  GridSim's
 distinction is reproduced exactly: **space-shared** machines (batch nodes —
 each job monopolizes one PE, FCFS) and **time-shared** machines (interactive
 nodes — all jobs progress simultaneously under processor sharing, kept in
-virtual time behind one completion timer per machine).
+virtual time behind one completion timer per machine; see
+:mod:`repro.core.sharing` and DESIGN §5m).
 
 Work is measured in MI (millions of instructions), PE speed in MIPS, so a
 job of length L on a PE of rating R takes L/R seconds when running alone.
@@ -20,7 +21,6 @@ Background load (the Bricks ingredient) multiplies effective capacity by
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
 from typing import Optional
 
 from ..core.engine import Simulator
@@ -28,6 +28,7 @@ from ..core.errors import ConfigurationError
 from ..core.events import Event
 from ..core.monitor import Monitor
 from ..core.process import Waitable
+from ..core.sharing import PSClass, PSOwner
 
 __all__ = ["JobRun", "Machine", "SpaceSharedMachine", "TimeSharedMachine"]
 
@@ -324,21 +325,16 @@ class SpaceSharedMachine(Machine):
                 left / new_rate, self._depart, run, label=f"job_done:{self.name}")
 
 
-class TimeSharedMachine(Machine):
+class TimeSharedMachine(Machine, PSOwner):
     """Egalitarian processor sharing: every job runs at ``min(rating,
     total/n)`` MIPS.
 
     The per-job cap at one PE's rating mirrors real round-robin scheduling:
     a single job cannot use more than one processor.  Every active job
-    gets the same share, so the machine tracks one number instead of n
-    remaining counts: the *virtual time* ``V``, the service each active job
-    has received, advanced by ``share × dt`` and settled on every arrival,
-    departure or capacity change.  A job submitted at ``V₀`` finishes when
-    ``V`` reaches ``V₀ + length`` — a key fixed at submission, so the
-    finish *order* never changes and a heap of ``(key, id, run)`` holds it.
-    One timer, at ``now + (head − V) / share``, finishes every job whose key
-    has been reached, in ``(key, id)`` order, and re-arms: an arrival costs
-    O(log n) and one timer move, not n cancels and n pushes.
+    gets the same share, so the jobs are one class on one virtual clock
+    (MI served to each active job) behind the machine's one completion
+    timer: an arrival costs O(log n) and at most one timer move, not n
+    cancels and n pushes.
     """
 
     kind = "time-shared"
@@ -346,26 +342,23 @@ class TimeSharedMachine(Machine):
     def __init__(self, sim: Simulator, pes: int = 1, rating: float = 1000.0,
                  name: str = "time-shared") -> None:
         super().__init__(sim, pes, rating, name)
-        #: ``(V at submission + length, run id, run)`` per active job
-        self._finishers: list[tuple[float, int, JobRun]] = []
-        self._v = 0.0            #: virtual time: MI served to each active job
-        self._v_at = sim.now     #: when ``_v`` was last settled
-        #: the machine's one completion event, armed at the head's finish
-        self._timer: Optional[Event] = None
+        PSOwner.__init__(self, sim, f"job_done:{name}")
+        self._jobs = PSClass(sim)   #: the active jobs, keyed by length
 
     def submit(self, job) -> JobRun:
         run = self._new_run(job)
         run.started = self.sim.now  # PS admits immediately
-        self._settle()
-        heap = self._finishers
-        heappush(heap, (self._v + run.length, run.id, run))
-        self._busy_level.set(self.sim.now, min(len(heap), self.pes))
+        jobs = self._jobs
+        jobs.settle()
+        jobs.key(run, run.length)
+        self._busy_level.set(self.sim.now, min(len(jobs.members), self.pes))
+        self._rerate()
         self._arm()
         return run
 
     @property
     def running(self) -> int:
-        return len(self._finishers)
+        return len(self._jobs.members)
 
     @property
     def queued(self) -> int:
@@ -373,61 +366,33 @@ class TimeSharedMachine(Machine):
 
     def estimated_completion(self, length: float) -> float:
         """PS estimate: finish time if one more job joined now."""
-        return self.sim.now + length / self._share(len(self._finishers) + 1)
+        return self.sim.now + length / self._share(len(self._jobs.members) + 1)
 
     def _share(self, n: int) -> float:
         """MIPS each of *n* active jobs gets at the current capacity."""
         return min(self.rating * (1.0 - self._background),
                    self.total_mips / n)
 
-    def _settle(self) -> None:
-        """Advance ``_v`` to now at the share that held since the last
-        settle; call before the job count or the capacity changes."""
-        now = self.sim.now
-        if self._finishers and now > self._v_at:
-            self._v += self._share(len(self._finishers)) * (now - self._v_at)
-        self._v_at = now
+    def _rerate(self) -> None:
+        """Give the jobs the share of their count at the current capacity
+        (``v`` settled to now) and re-key the head."""
+        jobs = self._jobs
+        n = len(jobs.members)
+        if n:
+            jobs.rate = self._share(n)
+        else:
+            jobs.reset()
+        self._rekey(jobs)
 
-    def _arm(self) -> None:
-        """Point the one timer at the head's finish; move it only if that
-        time changed."""
-        heap = self._finishers
-        timer = self._timer
-        if heap:
-            # ``_v`` may already be past the head: a time-driven engine
-            # fires the timer at the tick after the finish, and work settled
-            # at that tick first overshoots; the head is then due now
-            left = max(0.0, heap[0][0] - self._v)
-            due = self.sim.now + left / self._share(len(heap))
-            if timer is not None:
-                if timer.time == due:
-                    return
-                timer.cancel()
-            self._timer = self.sim.schedule_at(due, self._on_timer,
-                                               label=f"job_done:{self.name}")
-        elif timer is not None:
-            timer.cancel()
-            self._timer = None
-
-    def _on_timer(self) -> None:
-        """Finish every job whose key ``V`` has reached, in ``(key, id)``
-        order, then re-arm."""
-        self._timer = None
-        self._settle()
-        heap = self._finishers
-        # the timer was armed for the head: float noise in ``_v`` must not
-        # leave it a hair short of its own finish
-        v = self._v = max(self._v, heap[0][0])
-        while heap and heap[0][0] <= v:
-            run = heappop(heap)[2]
-            run.remaining = 0.0
-            self._busy_level.set(self.sim.now, min(len(heap), self.pes))
-            self._finish_run(run)
-        if not heap:
-            self._v = 0.0   # idle: restart the clock, keep keys small
-        self._arm()
+    def _finish(self, run: JobRun) -> None:
+        run.remaining = 0.0
+        self._busy_level.set(self.sim.now,
+                             min(len(self._jobs.members), self.pes))
+        self._finish_run(run)
+        self._rerate()
 
     def _on_capacity_change(self, fraction: float) -> None:
-        self._settle()
+        self._jobs.settle()
         super()._on_capacity_change(fraction)
+        self._rerate()
         self._arm()

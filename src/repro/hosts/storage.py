@@ -28,10 +28,8 @@ __all__ = ["Disk", "MassStorage"]
 class _IoTicket(Waitable):
     """Completes when the device finishes moving the file's bytes."""
 
-    def __init__(self, file: FileSpec, op: str, requested: float) -> None:
+    def __init__(self, file: FileSpec) -> None:
         self.file = file
-        self.op = op
-        self.requested = requested
         self.finished: Optional[float] = None
 
 
@@ -180,7 +178,7 @@ class Disk:
         return self._io(file, "write", self.write_rate)
 
     def _io(self, file: FileSpec, op: str, rate: float) -> _IoTicket:
-        ticket = _IoTicket(file, op, self.sim.now)
+        ticket = _IoTicket(file)
 
         def on_grant(req) -> None:
             duration = self.access_latency + file.size / rate

@@ -36,12 +36,10 @@ instead:
   the same share — so the solver fills classes, not flows: a class adds
   its size ``n`` to each of its links' live count, and freezing it
   subtracts ``n · share`` once.  Links list the classes that cross them;
-* serves each class as egalitarian processor sharing in **virtual time**:
-  ``V`` is the bytes delivered to each member, settled as ``V += rate ·
-  dt``; a member keyed at ``V₀`` finishes when ``V`` reaches ``V₀ +
-  size``, a key fixed once, so the members' finish order never changes and
-  a heap of ``(key, id, handle)`` holds it.  Settle, solve and re-key cost
-  O(classes touched), not O(flows);
+* serves each class as egalitarian processor sharing in virtual time,
+  behind one completion timer per network (:mod:`repro.core.sharing`,
+  DESIGN §5m): settle, solve and re-key cost O(classes touched), not
+  O(flows);
 * recomputes shares only for the **connected component** of classes that
   share a link (transitively) with the changed flow — progressive filling
   decomposes exactly across components, so disjoint components' rates and
@@ -52,14 +50,6 @@ instead:
 * **preserves** the rate and head finish time of any class whose
   recomputed rate is unchanged within a relative epsilon
   (``RESCHEDULE_EPS``) and whose head is still its head;
-* keeps **one completion timer per network**: a draining class's head
-  finish time goes into a heap of ``(eta, head id, class)`` — an entry
-  that is no longer its class's current one is stale and dropped when it
-  surfaces — and a single event is armed at the heap head, moved only when
-  the head's time changes.  On firing it takes the due classes in
-  ascending ``(eta, head id)`` order, finishes each one's due members in
-  ascending ``(key, id)`` order, and re-arms, so a re-rate costs a heap
-  push, not a cancel plus a schedule;
 * **coalesces** all admits/finishes at one timestamp into a single
   recompute, scheduled at the same time in the :data:`Priority.LOW` band so
   it runs after every same-time network event.  A finish or abort that
@@ -67,20 +57,11 @@ instead:
   schedules nothing.
 
 Determinism: every container the engine iterates is insertion-ordered
-(dicts and lists; the one set is only probed), flows are numbered per
-network and same-instant finishes fire in the order above, so rates,
-completion times and completion order are a function of the transfer
-sequence alone — not of ``PYTHONHASHSEED``, and not of how many flows the
-process created before.
-
-This is the only sharing engine in the package.  What it is checked
-against lives beside the tests, in ``tests/flow_oracle.py``: an independent
-dict-based per-flow filling (``oracle_rates``) that :meth:`FlowNetwork._solve`
-over all active classes must match within rel 1e-12 after every
-recompute, and ``NaiveFlowNetwork``, a per-flow engine sharing no code
-with this one that recomputes everything and re-keys every finish time —
-the differential fuzzer's reference and E8's churn baseline.  Per-network
-counters in :attr:`FlowNetwork.sharing` account for the saved work.
+and flows are numbered per network, so rates, completion times and
+completion order are a function of the transfer sequence alone.  This is
+the only sharing engine in the package; its oracles live in
+``tests/flow_oracle.py`` (DESIGN §5e), and :attr:`FlowNetwork.sharing`
+counts the work it saves.
 
 A flow's data starts moving after the route's propagation latency; the
 returned :class:`FlowHandle` completes when the last byte arrives.
@@ -90,14 +71,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Collection, Iterable, Optional
 
 from ..core.engine import Simulator
 from ..core.errors import ConfigurationError, RoutingError
-from ..core.events import Event, Priority
+from ..core.events import Priority
 from ..core.monitor import Monitor
 from ..core.process import Waitable
+from ..core.sharing import PSClass, PSOwner
 from .topology import LinkSpec, Topology
 
 __all__ = ["FlowHandle", "FlowNetwork", "SharingStats"]
@@ -125,7 +106,7 @@ class _LinkState:
         self.live = 0              #: solver scratch: unfrozen crossers; 0 at rest
 
 
-class _RouteClass:
+class _RouteClass(PSClass):
     """The active flows of one network that share a resolved path and a
     rate cap: one rate, one virtual clock, one heap entry.
 
@@ -134,31 +115,21 @@ class _RouteClass:
     (path, cap) its transfers have used.
     """
 
-    __slots__ = ("path", "cap", "links", "latency", "sim", "n", "rate", "v",
-                 "v_at", "members", "pending", "share", "entry")
+    __slots__ = ("path", "cap", "links", "latency", "n", "pending", "share")
 
     def __init__(self, path: tuple[_LinkState, ...], cap: float,
                  links: list[LinkSpec], sim: Simulator) -> None:
+        super().__init__(sim)
         self.path = path
         self.cap = cap
         #: the route's links, the ``links`` of every member (not to be
         #: modified), and their summed propagation latency
         self.links = links
         self.latency = sum(link.latency for link in links)
-        self.sim = sim
         self.n = 0                 #: active members, keyed or pending
-        self.rate = 0.0            #: each member's bytes/s; 0 parked or empty
-        self.v = 0.0               #: virtual time: bytes served to each member
-        self.v_at = sim.now        #: when ``v`` was last settled
-        #: ``(V₀ + size, id, handle)`` per keyed member, earliest first; an
-        #: entry is stale once ``handle._key`` differs from its key
-        self.members: list[tuple[float, int, FlowHandle]] = []
         #: admitted since the last recompute, keyed by the next one
         self.pending: list[FlowHandle] = []
         self.share = 0.0           #: solver output; < 0 = unfrozen
-        #: the class's live ``(eta, head id, class)`` entry in the network's
-        #: heap; None while it has no draining head
-        self.entry: Optional[tuple[float, int, _RouteClass]] = None
 
 
 class FlowHandle(Waitable):
@@ -198,12 +169,7 @@ class FlowHandle(Waitable):
         key = self._key
         if key == math.inf:
             return self._remaining
-        c = self._cls
-        v = c.v
-        dt = c.sim.now - c.v_at
-        if dt > 0:
-            v += c.rate * dt
-        return max(0.0, key - v)
+        return max(0.0, key - self._cls.v_now())
 
     @property
     def rate(self) -> float:
@@ -268,7 +234,7 @@ class SharingStats:
                 "rescheduled": self.rescheduled, "preserved": self.preserved}
 
 
-class FlowNetwork:
+class FlowNetwork(PSOwner):
     """Event-driven max-min fair flow network over a :class:`Topology`.
 
     Parameters
@@ -299,7 +265,7 @@ class FlowNetwork:
                  efficiency: float = 0.92) -> None:
         if not 0 < efficiency <= 1:
             raise ConfigurationError(f"efficiency must be in (0,1], got {efficiency}")
-        self.sim = sim
+        super().__init__(sim, "flow_done")
         self.topology = topology
         self.efficiency = efficiency
         #: active flows keyed by id, in admission order.
@@ -318,12 +284,6 @@ class FlowNetwork:
         #: marking order — the seeds of the next component-scoped pass.
         self._dirty: dict[_LinkState, None] = {}
         self._flush_scheduled = False
-        #: ``(eta, head id, class)`` per draining class, earliest first; an
-        #: entry is stale once it is not its class's ``entry`` and is
-        #: dropped when it reaches the head (lazy deletion).
-        self._finishers: list[tuple[float, int, _RouteClass]] = []
-        #: the network's one completion event, armed at the head's eta
-        self._timer: Optional[Event] = None
         self._transfers = 0
         self.sharing = SharingStats()
         self.monitor = Monitor("flow-network")
@@ -485,8 +445,7 @@ class FlowNetwork:
         c.n -= 1
         if c.n:
             return True
-        c.members.clear()
-        c.rate = c.v = 0.0   # idle: restart the clock, keep keys small
+        c.reset()
         busy = False
         for state in c.path:
             del state.classes[c]
@@ -547,68 +506,43 @@ class FlowNetwork:
         return classes
 
     def _apply_rates(self, classes: Collection[_RouteClass]) -> None:
-        """Settle, recompute max-min shares, and re-key each class's head.
+        """Settle, recompute max-min shares, key the newcomers and re-key
+        each class's head, then re-arm the one timer.
 
         A class whose new rate matches its current rate within
         :data:`RESCHEDULE_EPS` (relative) keeps its stored rate, and its
         heap entry too while its head is unchanged — still exact, since
-        bytes keep draining at the unchanged rate.  Members admitted since
-        the last pass are keyed at ``V + size``, and a class with a new
-        rate or head gets ``eta = now + (head key − V) / rate`` and a fresh
-        heap entry; the one timer is re-armed after.
+        bytes keep draining at the unchanged rate.
         """
-        now = self.sim.now
         for c in classes:
-            dt = now - c.v_at
-            if dt > 0:
-                c.v += c.rate * dt
-            c.v_at = now
+            c.settle()
         self._solve(classes)
         stats = self.sharing
         stats.recomputes += 1
         touched = rescheduled = preserved = 0
         eps = self.RESCHEDULE_EPS
-        heap = self._finishers
         for c in classes:
             n = c.n
             touched += n
             fresh = c.pending
             new_rate = c.share
             rate = c.rate
-            entry = c.entry   # None once its head left
             kept = (rate > 0.0
                     and abs(new_rate - rate) <= eps * max(new_rate, rate))
             if kept:
-                if not fresh and entry is not None:
+                if not fresh and c.entry is not None:
                     preserved += n   # same rate, same head: nothing moves
                     continue
                 preserved += n - len(fresh)
                 rescheduled += len(fresh)
             else:
-                rate = c.rate = new_rate
-                if rate > 0.0:
+                c.rate = new_rate
+                if new_rate > 0.0:
                     rescheduled += n
-            members = c.members
-            if fresh:
-                v = c.v
-                for f in fresh:
-                    key = f._key = v + f.size
-                    heappush(members, (key, f.id, f))
-                fresh.clear()
-            while members and members[0][2]._key != members[0][0]:
-                heappop(members)   # left the class
-            if not members or rate <= 0.0:
-                # a rate of 0 needs a rate cap of 0: such flows sit idle
-                # until a reallocation frees capacity
-                c.entry = None
-                continue
-            key, head, _ = members[0]
-            if kept and entry is not None and entry[1] == head:
-                continue   # the newcomers all finish after the head
-            eta = now + (key - c.v) / rate
-            if entry is None or entry[0] != eta or entry[1] != head:
-                c.entry = entry = (eta, head, c)
-                heappush(heap, entry)
+            for f in fresh:
+                c.key(f, f.size)
+            fresh.clear()
+            self._rekey(c, keep=kept)   # kept: the head's entry stays
         stats.flows_touched += touched
         stats.rescheduled += rescheduled
         stats.preserved += preserved
@@ -616,69 +550,6 @@ class FlowNetwork:
         obs = self.sim._obs
         if obs is not None:
             obs.on_reallocate()
-
-    def _arm(self) -> None:
-        """Point the one timer at the earliest live finish time: drop stale
-        heap heads, and move the timer only if that time changed."""
-        heap = self._finishers
-        while heap and heap[0][2].entry is not heap[0]:
-            heappop(heap)
-        timer = self._timer
-        if heap:
-            # a time-driven engine fires the timer at the tick after the
-            # head's eta, and an abort at that tick re-arms first: the head
-            # is then due now, not in the past
-            due = max(heap[0][0], self.sim.now)
-            if timer is not None:
-                if timer.time == due:
-                    return
-                timer.cancel()
-            self._timer = self.sim.schedule_at(due, self._on_timer,
-                                               label="flow_done")
-        elif timer is not None:
-            timer.cancel()
-            self._timer = None
-
-    def _on_timer(self) -> None:
-        """Finish every flow due now — the due classes in ``(eta, head
-        id)`` order, each one's members in ``(key, id)`` order — then
-        re-arm."""
-        self._timer = None
-        heap = self._finishers
-        now = self.sim.now
-        while heap and heap[0][0] <= now:
-            entry = heappop(heap)
-            if entry[2].entry is entry:
-                self._drain(entry)
-        self._arm()
-
-    def _drain(self, entry: tuple[float, int, _RouteClass]) -> None:
-        """Finish the members of *entry*'s class that are due now.  The
-        recompute their finishes trigger re-keys the class."""
-        c = entry[2]
-        c.entry = None
-        now = self.sim.now
-        dt = now - c.v_at
-        if dt > 0:
-            c.v += c.rate * dt
-        c.v_at = now
-        members = c.members
-        while members and members[0][2]._key != members[0][0]:
-            heappop(members)   # left the class
-        if members and members[0][1] == entry[1] and members[0][0] > c.v:
-            # the timer was armed for this head: float noise in ``v`` must
-            # not leave it a hair short of its own finish
-            c.v = members[0][0]
-        v, rate = c.v, c.rate
-        while members:
-            key, _, f = members[0]
-            if f._key != key:
-                heappop(members)
-            elif key <= v or now + (key - v) / rate <= now:
-                heappop(members)
-                self._finish(f)   # may empty the class: ``members`` too
-            else:
-                break
 
     def _solve(self, classes: Collection[_RouteClass]) -> None:
         """Progressive filling over *classes*; leaves each class's max-min

@@ -8,6 +8,8 @@ class by route class in ascending ``(head eta, head id)`` order, each
 class's members in ascending ``(key, id)`` order.
 """
 
+import math
+
 import pytest
 
 from repro.core import Process, Simulator, TimeDrivenSimulator
@@ -83,6 +85,23 @@ def test_job_finishes_at_one_instant_fire_in_id_order_in_one_event():
     # the woken processes run in completion order, after the one firing
     assert [(i, t) for i, t, _ in log] == [(1, 5.0), (2, 5.0)]
     assert log[0][2] == log[1][2], "same-instant finishes split over events"
+
+
+def test_job_finishes_too_close_for_the_clock_fire_in_one_event():
+    # keys one ulp apart at 1000 MI: at rating 1e-3 the second job's finish
+    # is less than half an ulp of t=2e6 after the first's, so the clock
+    # cannot tell them apart and both are due in the one firing
+    sim = Simulator()
+    m = TimeSharedMachine(sim, pes=1, rating=1e-3)
+    fired = firings(sim)
+    log = []
+    for length in (1000.0, math.nextafter(1000.0, 2000.0)):
+        m.submit(length)._subscribe(
+            lambda r: log.append((r.id, r.finished, fired[0])))
+    sim.run()
+    assert [(i, t) for i, t, _ in log] == [(1, 2e6), (2, 2e6)]
+    assert [n for _, _, n in log] == [1, 1]
+    assert sim.events_executed == 1
 
 
 def test_each_owner_keeps_one_live_completion_event():
