@@ -54,7 +54,10 @@ instead:
   recompute, scheduled at the same time in the :data:`Priority.LOW` band so
   it runs after every same-time network event.  A finish or abort that
   leaves every link of its path empty changes no one's share and
-  schedules nothing.
+  schedules nothing.  A flow admitted alone onto links no other class
+  crosses and none awaits a flush, with nothing else due at this instant,
+  is solved at once: that flush would solve its one class next, to the
+  same rate.
 
 Determinism: every container the engine iterates is insertion-ordered
 and flows are numbered per network, so rates, completion times and
@@ -221,7 +224,9 @@ class SharingStats:
     timer, and the kernel's ``push_n`` / ``cancel_n`` say what it cost.
     """
 
-    recomputes: int = 0          #: progressive-filling passes actually run
+    #: progressive-filling passes actually run: flushes that found a
+    #: component, and lone admits solved at once
+    recomputes: int = 0
     coalesced: int = 0           #: admits/finishes absorbed by a pending pass
     flows_touched: int = 0       #: flows whose rates were recomputed (summed)
     rescheduled: int = 0         #: finish times re-keyed (new rate)
@@ -422,13 +427,31 @@ class FlowNetwork(PSOwner):
                 return
         self._active[handle.id] = handle
         c = handle._cls
-        if not c.n:
+        lone = not c.n
+        if lone:
+            dirty = self._dirty
             for state in c.path:
                 state.classes[c] = None
+                if len(state.classes) > 1 or state in dirty:
+                    lone = False
         c.n += 1
         c.pending.append(handle)
-        self._active_level.set(self.sim.now, len(self._active))
-        self._mark_dirty(c.path)
+        sim = self.sim
+        self._active_level.set(sim.now, len(self._active))
+        if lone and sim.peek_time() > sim.now:
+            # Alone on idle links, and nothing else happens at this instant:
+            # the flush would solve this one class, so solve it now.
+            c.settle()
+            self._solve((c,))
+            stats = self.sharing
+            stats.recomputes += 1
+            self._adopt(c, stats)
+            self._arm()
+            obs = sim._obs
+            if obs is not None:
+                obs.on_reallocate()
+        else:
+            self._mark_dirty(c.path)
 
     def _leave(self, handle: FlowHandle) -> bool:
         """Take a just-deactivated flow out of its class.  Returns whether
@@ -506,50 +529,50 @@ class FlowNetwork(PSOwner):
         return classes
 
     def _apply_rates(self, classes: Collection[_RouteClass]) -> None:
-        """Settle, recompute max-min shares, key the newcomers and re-key
-        each class's head, then re-arm the one timer.
+        """Settle, recompute max-min shares, adopt each class's share
+        (:meth:`_adopt`), then re-arm the one timer."""
+        for c in classes:
+            c.settle()
+        self._solve(classes)
+        stats = self.sharing
+        stats.recomputes += 1
+        for c in classes:
+            self._adopt(c, stats)
+        self._arm()
+        obs = self.sim._obs
+        if obs is not None:
+            obs.on_reallocate()
+
+    def _adopt(self, c: _RouteClass, stats: SharingStats) -> None:
+        """Take *c*'s solved ``share`` as its rate (``v`` settled to now),
+        key its newcomers and re-key its head, counting into *stats*.
 
         A class whose new rate matches its current rate within
         :data:`RESCHEDULE_EPS` (relative) keeps its stored rate, and its
         heap entry too while its head is unchanged — still exact, since
         bytes keep draining at the unchanged rate.
         """
-        for c in classes:
-            c.settle()
-        self._solve(classes)
-        stats = self.sharing
-        stats.recomputes += 1
-        touched = rescheduled = preserved = 0
-        eps = self.RESCHEDULE_EPS
-        for c in classes:
-            n = c.n
-            touched += n
-            fresh = c.pending
-            new_rate = c.share
-            rate = c.rate
-            kept = (rate > 0.0
-                    and abs(new_rate - rate) <= eps * max(new_rate, rate))
-            if kept:
-                if not fresh and c.entry is not None:
-                    preserved += n   # same rate, same head: nothing moves
-                    continue
-                preserved += n - len(fresh)
-                rescheduled += len(fresh)
-            else:
-                c.rate = new_rate
-                if new_rate > 0.0:
-                    rescheduled += n
-            for f in fresh:
-                c.key(f, f.size)
-            fresh.clear()
-            self._rekey(c, keep=kept)   # kept: the head's entry stays
-        stats.flows_touched += touched
-        stats.rescheduled += rescheduled
-        stats.preserved += preserved
-        self._arm()
-        obs = self.sim._obs
-        if obs is not None:
-            obs.on_reallocate()
+        n = c.n
+        stats.flows_touched += n
+        fresh = c.pending
+        new_rate = c.share
+        rate = c.rate
+        kept = (rate > 0.0 and abs(new_rate - rate)
+                <= self.RESCHEDULE_EPS * max(new_rate, rate))
+        if kept:
+            if not fresh and c.entry is not None:
+                stats.preserved += n   # same rate, same head: nothing moves
+                return
+            stats.preserved += n - len(fresh)
+            stats.rescheduled += len(fresh)
+        else:
+            c.rate = new_rate
+            if new_rate > 0.0:
+                stats.rescheduled += n
+        for f in fresh:
+            c.key(f, f.size)
+        fresh.clear()
+        self._rekey(c, keep=kept)   # kept: the head's entry stays
 
     def _solve(self, classes: Collection[_RouteClass]) -> None:
         """Progressive filling over *classes*; leaves each class's max-min

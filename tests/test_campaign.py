@@ -840,11 +840,39 @@ class TestCampaignObservability:
 
     def test_timed_out_study_dump_names_its_handler(self, tmp_path):
         """A surveyed study killed at its timeout dumps the firings it had
-        made, not an empty ring."""
-        import json
+        made, not an empty ring.
 
-        spec = CampaignSpec("t0t1", base={"horizon": 1e5})  # about 2 s
-        result = run_campaign(spec, workers=1, timeout=1.0, retries=0,
+        Whether the run outlasts its timeout, and fires before it, depends
+        on the host's speed, so the horizon comes from a probe run of the
+        same study timed in this process: the run would take three timeouts,
+        and its first firing (its set-up grows with the horizon: a few per
+        cent of the run) must come in the first half of one."""
+        import json
+        from types import SimpleNamespace
+
+        class FirstFiring:
+            """Stands in for the run's Observation: stamps its first firing."""
+            telemetry = SimpleNamespace(snapshot=lambda sim: {})
+            first = None
+
+            def attach(self, sim, track):
+                def hook(ev):
+                    if self.first is None:
+                        self.first = time.perf_counter()
+                sim.pre_event_hooks.append(hook)
+
+        run = SCENARIOS["t0t1"]
+        run({"horizon": 1e3}, 0)   # imports the model
+        probe, probe_horizon, timeout = FirstFiring(), 3e4, 1.0
+        start = time.perf_counter()
+        run({"horizon": probe_horizon}, 0, obs=probe)
+        run_s = time.perf_counter() - start
+        scale = math.ceil(3 * timeout / run_s)
+        first_s = (probe.first - start) * scale
+        assert first_s < timeout / 2, (
+            f"set-up at {scale}x the probe's horizon: {first_s:.2f} s")
+        spec = CampaignSpec("t0t1", base={"horizon": probe_horizon * scale})
+        result = run_campaign(spec, workers=1, timeout=timeout, retries=0,
                               recorder_dir=str(tmp_path))
         rec = result.records[0]
         assert rec.status == "timeout" and rec.recorder_path
